@@ -116,8 +116,6 @@ pub fn classify(crate_name: &str, display: &str) -> FileClass {
         hot_path: display.ends_with("linalg/src/kernels.rs")
             || display.ends_with("linalg/src/cholesky.rs")
             || display.ends_with("linalg/src/simd.rs")
-            || display.ends_with("linalg/src/parallel.rs")
-            || display.ends_with("linalg/src/matrix32.rs")
             // The wire codec's varint/zigzag loops are cast-dense byte
             // manipulation; lossy-cast keeps every narrowing explicit.
             || display.ends_with("wire/src/codec.rs")
@@ -143,10 +141,6 @@ mod tests {
         assert!(!c.hot_path);
         let c = classify("linalg", "crates/linalg/src/simd.rs");
         assert!(c.hot_path, "the AVX2 micro-kernel is lint-scoped like kernels.rs");
-        let c = classify("linalg", "crates/linalg/src/parallel.rs");
-        assert!(c.hot_path, "the band-parallel macro-kernel is lint-scoped like kernels.rs");
-        let c = classify("linalg", "crates/linalg/src/matrix32.rs");
-        assert!(c.hot_path, "the f32 scoring substrate is lint-scoped like kernels.rs");
         let c = classify("linalg", "crates/linalg/src/dispatch.rs");
         assert!(!c.hot_path, "the facade holds no loops; only the kernels are hot");
         let c = classify("bench", "crates/bench/src/lib.rs");

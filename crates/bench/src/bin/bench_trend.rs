@@ -74,14 +74,6 @@ const GATES: &[Gate] = &[
         claim: 1.0,
         larger_is_better: true,
     },
-    // PR 9: opt-in f32 batched GDA scoring vs the f64 scalar reference
-    // (claimed >=2x — half the memory traffic through the solve).
-    Gate {
-        file: "BENCH_PR9.json",
-        path: "f32_score_speedup",
-        claim: 2.0,
-        larger_is_better: true,
-    },
     // PR 10: the binary wire checkpoint vs its pretty JSON debug export at
     // pool 4000 (claimed >=3x smaller — the format the checkpoint path
     // demoted JSON to; the compact-JSON ratio is recorded in the report
@@ -194,7 +186,7 @@ fn print_serve_scales(report: &Value) {
     }
 }
 
-/// Prints the PR 9 kernel-backend GEMM table.
+/// Prints the PR 9 kernel backend GEMM table.
 fn print_gemm_backends(report: &Value) {
     let Some(Value::Array(rows)) = lookup(report, "gemm") else { return };
     for row in rows {
@@ -203,13 +195,10 @@ fn print_gemm_backends(report: &Value) {
         let naive = find_field(fields, "naive_ns").and_then(as_number);
         let blocked = find_field(fields, "blocked_ns").and_then(as_number);
         let simd = find_field(fields, "simd_ns").and_then(as_number);
-        let parallel = find_field(fields, "parallel_ns").and_then(as_number);
-        if let (Some(dim), Some(naive), Some(blocked), Some(simd), Some(parallel)) =
-            (dim, naive, blocked, simd, parallel)
-        {
+        if let (Some(dim), Some(naive), Some(blocked), Some(simd)) = (dim, naive, blocked, simd) {
             println!(
                 "    gemm {dim:>4.0}: naive {naive:>12.0} ns   blocked {blocked:>12.0} ns   \
-                 simd {simd:>12.0} ns   parallel {parallel:>12.0} ns"
+                 simd {simd:>12.0} ns"
             );
         }
     }

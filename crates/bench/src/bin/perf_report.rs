@@ -32,11 +32,10 @@
 //! records `not-applicable` rather than a fabricated pass).
 //!
 //! Since PR 9 the harness also writes `BENCH_PR9.json`: the GEMM kernel
-//! lineup (naive / scalar blocked / AVX2 / band-parallel) at 64, 256, and
-//! 512, plus batched GDA scoring per kernel backend and under the opt-in
-//! f32 path, with an honest multicore gate (a single-core host records
-//! `not-applicable` with the measured ratios rather than a fabricated
-//! pass).
+//! lineup (naive / scalar blocked / AVX2) at 64, 256, and 512, plus
+//! batched GDA scoring per kernel backend, with an honest SIMD gate (a
+//! host without AVX2 records `not-applicable` with the measured ratio
+//! rather than a fabricated pass).
 //!
 //! Usage: `cargo run --release --bin perf_report [-- --quick]`
 //! (`--quick` shrinks repetition counts for a smoke run; problem sizes are
@@ -54,10 +53,9 @@ use faction_core::checkpoint::Checkpoint;
 use faction_core::{ExperimentConfig, LabeledPool, OnlineModel, PoolPolicy};
 use faction_data::datasets::Dataset;
 use faction_data::Scale;
-use faction_density::{DensityScratch, DensityScratch32, FairDensityConfig, FairDensityEstimator};
+use faction_density::{DensityScratch, FairDensityConfig, FairDensityEstimator};
 use faction_engine::{Engine, EngineConfig, ExperimentJob};
 use faction_linalg::kernels::{matmul_blocked, matmul_simple};
-use faction_linalg::parallel::matmul_parallel_into;
 use faction_linalg::simd::matmul_simd_into;
 use faction_linalg::{dispatch, KernelBackend, Matrix, SeedRng};
 use faction_nn::mlp::{Mlp, MlpConfig};
@@ -195,17 +193,14 @@ struct GemmBackendRow {
     /// AVX2 micro-kernel path (`matmul_simd_into`; falls back to the
     /// scalar tile on hosts without AVX2 — `simd_available` says which).
     simd_ns: u64,
-    /// Band-parallel macro-kernel over the engine pool adapter.
-    parallel_ns: u64,
 }
 
-/// The report written to `BENCH_PR9.json`: the kernel-backend lineup. The
-/// headline ≥4x claim applies to the parallel backend on a multicore
-/// vectorizable host; a single-core container records `not-applicable`
-/// with the measured ratios instead of a fabricated pass. Note the scalar
-/// blocked baseline is itself compiled with `-C target-cpu=native`, so the
-/// explicit-intrinsics ratio over it measures *headroom over
-/// autovectorization*, not over scalar arithmetic.
+/// The report written to `BENCH_PR9.json`: the kernel backend lineup. A
+/// host without AVX2 records `not-applicable` with the measured ratio
+/// instead of a fabricated pass. Note the scalar blocked baseline is itself
+/// compiled with `-C target-cpu=native`, so the explicit-intrinsics ratio
+/// over it measures *headroom over autovectorization*, not over scalar
+/// arithmetic.
 #[derive(Debug, Serialize)]
 struct Bench9Report {
     /// Report schema / PR tag.
@@ -214,24 +209,16 @@ struct Bench9Report {
     quick: bool,
     /// Whether the AVX2 micro-kernel was actually live on this host.
     simd_available: bool,
-    /// Workers the band-parallel backend fanned over.
-    kernel_workers: usize,
     /// GEMM medians per backend at each size.
     gemm: Vec<GemmBackendRow>,
     /// blocked/simd at 256 — tracked across PRs by `bench_trend` (gate:
     /// the explicit micro-kernel must never fall >10% behind the
     /// autovectorized scalar path it replaced as the default).
     simd_vs_blocked_256: f64,
-    /// blocked/parallel at 512 — the multicore headline ratio.
-    parallel_vs_blocked_512: f64,
     /// Batched GDA scoring (1000×16, 8 components) pinned to Scalar.
     score_f64_scalar_ns: u64,
     /// Same scoring pass pinned to Simd.
     score_f64_simd_ns: u64,
-    /// Same scoring pass through the opt-in f32 path.
-    score_f32_ns: u64,
-    /// score_f64_scalar / score_f32.
-    f32_score_speedup: f64,
     /// Human-readable `ok:` / `not-applicable:` / `fail:` line.
     gate: String,
 }
@@ -763,13 +750,13 @@ fn main() {
         gate: pr8_gate.clone(),
     };
 
-    // --- PR9: kernel-backend lineup --------------------------------------
-    // All four GEMM entry points are timed through their facade-free raw
+    // --- PR9: kernel backend lineup ---------------------------------------
+    // All three GEMM entry points are timed through their facade-free raw
     // interfaces so the measurement pins a *backend*, not whatever the
-    // process-global dispatch happens to hold. The parallel rows run over
-    // the engine's real pool adapter (the same fan-out `--kernel-backend
-    // parallel` installs), so they include scheduling cost honestly.
-    let kernel_workers = faction_engine::install_kernel_parallelism(None);
+    // process-global dispatch happens to hold. The rows take the full run's
+    // sample count even under --quick: a median of three ~2 ms samples
+    // swings by more than the gated ratio's 10% band on a shared host.
+    let gemm_reps = reps.max(11);
     let pr9_dims = [64usize, 256, 512];
     let mut gemm_rows: Vec<GemmBackendRow> = Vec::new();
     let mut pr9_rng = SeedRng::new(71);
@@ -777,20 +764,16 @@ fn main() {
         let a: Vec<f64> = (0..dim * dim).map(|_| pr9_rng.uniform_range(-1.0, 1.0)).collect();
         let b: Vec<f64> = (0..dim * dim).map(|_| pr9_rng.uniform_range(-1.0, 1.0)).collect();
         let mut out = vec![0.0; dim * dim];
-        let naive = time_stage(&format!("pr9_gemm_naive_{dim}"), reps, 1, || {
+        let naive = time_stage(&format!("pr9_gemm_naive_{dim}"), gemm_reps, 1, || {
             matmul_simple(&a, &b, &mut out, dim, dim, dim);
             std::hint::black_box(&out);
         });
-        let blocked = time_stage(&format!("pr9_gemm_blocked_{dim}"), reps, 1, || {
+        let blocked = time_stage(&format!("pr9_gemm_blocked_{dim}"), gemm_reps, 1, || {
             matmul_blocked(&a, &b, &mut out, dim, dim, dim);
             std::hint::black_box(&out);
         });
-        let simd = time_stage(&format!("pr9_gemm_simd_{dim}"), reps, 1, || {
+        let simd = time_stage(&format!("pr9_gemm_simd_{dim}"), gemm_reps, 1, || {
             matmul_simd_into(&a, &b, &mut out, dim, dim, dim);
-            std::hint::black_box(&out);
-        });
-        let parallel = time_stage(&format!("pr9_gemm_parallel_{dim}"), reps, 1, || {
-            matmul_parallel_into(&a, &b, &mut out, dim, dim, dim);
             std::hint::black_box(&out);
         });
         gemm_rows.push(GemmBackendRow {
@@ -798,16 +781,13 @@ fn main() {
             naive_ns: naive.median_ns,
             blocked_ns: blocked.median_ns,
             simd_ns: simd.median_ns,
-            parallel_ns: parallel.median_ns,
         });
     }
     let row256 = &gemm_rows[1];
-    let row512 = &gemm_rows[2];
     let simd_vs_blocked_256 = row256.blocked_ns as f64 / row256.simd_ns.max(1) as f64;
-    let parallel_vs_blocked_512 = row512.blocked_ns as f64 / row512.parallel_ns.max(1) as f64;
 
     // Batched GDA scoring per backend (the dispatch facade is what the
-    // scoring pipeline actually routes through), plus the opt-in f32 path.
+    // scoring pipeline actually routes through).
     let prev_backend = dispatch::active_backend();
     dispatch::set_active_backend(KernelBackend::Scalar);
     let score_scalar = time_stage("pr9_score_f64_scalar", reps, 2, || {
@@ -820,53 +800,32 @@ fn main() {
         std::hint::black_box(&log_density);
     });
     dispatch::set_active_backend(prev_backend);
-    let mut scratch32 = DensityScratch32::new();
-    let mut log_density32 = vec![0.0; n];
-    let mut gaps32 = Matrix::zeros(0, 0);
-    let score_f32 = time_stage("pr9_score_f32", reps, 2, || {
-        est.score_batch_f32_into(&cand_x, &mut scratch32, &mut log_density32, &mut gaps32)
-            .unwrap();
-        std::hint::black_box(&log_density32);
-    });
-    let f32_score_speedup = score_scalar.median_ns as f64 / score_f32.median_ns.max(1) as f64;
 
     let simd_live = faction_linalg::dispatch::simd_available();
-    let pr9_gate = if kernel_workers < 2 {
-        format!(
-            "not-applicable: single-core host — the parallel macro-kernel has no cores to fan \
-             over (measured parallel {parallel_vs_blocked_512:.2}x at 512, simd \
-             {simd_vs_blocked_256:.2}x at 256 vs the target-cpu=native autovectorized scalar \
-             blocked path; the >=4x claim applies to multicore vectorizable hosts)"
-        )
-    } else if !simd_live {
+    let pr9_gate = if !simd_live {
         format!(
             "not-applicable: host lacks AVX2 — simd rows fell back to the scalar tile \
-             (measured parallel {parallel_vs_blocked_512:.2}x at 512 over {kernel_workers} \
-             workers)"
+             (measured simd {simd_vs_blocked_256:.2}x vs scalar blocked at 256)"
         )
-    } else if parallel_vs_blocked_512 >= 4.0 {
+    } else if simd_vs_blocked_256 >= 0.9 {
         format!(
-            "ok: parallel macro-kernel {parallel_vs_blocked_512:.2}x vs scalar blocked at 512 \
-             over {kernel_workers} workers (gate: >=4x); simd {simd_vs_blocked_256:.2}x at 256"
+            "ok: simd micro-kernel {simd_vs_blocked_256:.2}x vs the target-cpu=native \
+             autovectorized scalar blocked path at 256 (gate: >=0.9x)"
         )
     } else {
         format!(
-            "fail: parallel macro-kernel {parallel_vs_blocked_512:.2}x vs scalar blocked at 512 \
-             over {kernel_workers} workers (gate: >=4x on a multicore vectorizable host)"
+            "fail: simd micro-kernel {simd_vs_blocked_256:.2}x vs the target-cpu=native \
+             autovectorized scalar blocked path at 256 (gate: >=0.9x)"
         )
     };
     let bench9 = Bench9Report {
         report: "BENCH_PR9".into(),
         quick,
         simd_available: simd_live,
-        kernel_workers,
         gemm: gemm_rows,
         simd_vs_blocked_256,
-        parallel_vs_blocked_512,
         score_f64_scalar_ns: score_scalar.median_ns,
         score_f64_simd_ns: score_simd.median_ns,
-        score_f32_ns: score_f32.median_ns,
-        f32_score_speedup,
         gate: pr9_gate.clone(),
     };
 
@@ -1076,14 +1035,13 @@ fn main() {
     }
     for r in &bench9.gemm {
         println!(
-            "pr9_gemm dim={:<4} naive {:>12} ns   blocked {:>12} ns   simd {:>12} ns   \
-             parallel {:>12} ns",
-            r.dim, r.naive_ns, r.blocked_ns, r.simd_ns, r.parallel_ns
+            "pr9_gemm dim={:<4} naive {:>12} ns   blocked {:>12} ns   simd {:>12} ns",
+            r.dim, r.naive_ns, r.blocked_ns, r.simd_ns
         );
     }
     println!(
-        "pr9_score f64(scalar) {} ns   f64(simd) {} ns   f32 {} ns ({f32_score_speedup:.2}x)",
-        bench9.score_f64_scalar_ns, bench9.score_f64_simd_ns, bench9.score_f32_ns
+        "pr9_score f64(scalar) {} ns   f64(simd) {} ns",
+        bench9.score_f64_scalar_ns, bench9.score_f64_simd_ns
     );
     for r in &bench10.checkpoints {
         println!(

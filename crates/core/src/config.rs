@@ -27,11 +27,6 @@ pub struct ExperimentConfig {
     /// reproduces the paper; the bounded policies cap refit and retraining
     /// cost for long streams.
     pub pool_policy: PoolPolicy,
-    /// GEMM kernel backend override (DESIGN.md §14). `None` = auto: runtime
-    /// feature detection picks SIMD when available, scalar otherwise. All
-    /// backends are bit-identical on f64, so this is a throughput knob only;
-    /// the resolved choice is recorded in the `RunRecord` for provenance.
-    pub kernel_backend: Option<faction_linalg::KernelBackend>,
 }
 
 impl Default for ExperimentConfig {
@@ -45,7 +40,6 @@ impl Default for ExperimentConfig {
             learning_rate: 0.05,
             loss: TotalLossConfig::default(),
             pool_policy: PoolPolicy::Unbounded,
-            kernel_backend: None,
         }
     }
 }
@@ -67,7 +61,6 @@ impl ExperimentConfig {
             learning_rate: 0.05,
             loss: TotalLossConfig::default(),
             pool_policy: PoolPolicy::Unbounded,
-            kernel_backend: None,
         }
     }
 

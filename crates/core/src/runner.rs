@@ -65,9 +65,9 @@ pub struct RunRecord {
     pub records: Vec<TaskRecord>,
     /// Total wall-clock seconds for the whole stream.
     pub total_seconds: f64,
-    /// GEMM kernel backend the run resolved to (`"scalar"` / `"simd"` /
-    /// `"parallel"`; empty when unrecorded, e.g. legacy artifacts). Pure
-    /// provenance: all backends are bit-identical on f64, so this never
+    /// GEMM kernel backend the run dispatched to (`"scalar"` / `"simd"`;
+    /// empty when unrecorded, e.g. legacy artifacts). Pure provenance: both
+    /// backends are bit-identical on f64, so this never
     /// encodes an algorithmic difference — [`RunRecord::canonicalized`]
     /// clears it alongside the timings.
     pub kernel_backend: String,
@@ -140,7 +140,7 @@ impl RunRecord {
     /// the timings are: it records which (bit-identical) implementation a
     /// particular host happened to dispatch to, not anything about the
     /// results — canonical records of the same `(dataset, strategy, seed,
-    /// config)` must compare equal across scalar, SIMD, and parallel hosts.
+    /// config)` must compare equal across scalar and SIMD hosts.
     pub fn canonicalized(&self) -> RunRecord {
         let mut out = self.clone();
         out.total_seconds = 0.0;
@@ -183,18 +183,7 @@ pub fn run_experiment(
     // Clock — the workspace's sanctioned wall-clock boundary.
     let run_start = Clock::start();
     telemetry::counter_add("core.runner.runs", 1);
-    // Resolve the GEMM backend for this run: an explicit config choice pins
-    // the process-global dispatch; `None` keeps whatever feature detection
-    // (or an earlier run) selected. Recorded from the local resolution, not
-    // re-read from the global, so concurrent runs label themselves
-    // correctly. Bit-identity across backends makes the mid-run store safe.
-    let kernel_backend = match cfg.kernel_backend {
-        Some(b) => {
-            faction_linalg::dispatch::set_active_backend(b);
-            b
-        }
-        None => faction_linalg::dispatch::active_backend(),
-    };
+    let kernel_backend = faction_linalg::dispatch::active_backend();
     let mut session =
         OnlineSession::new(arch, cfg, seed, stream.num_classes, strategy.training_loss());
 
@@ -399,12 +388,9 @@ mod tests {
     #[test]
     fn kernel_backend_recorded_but_not_canonical() {
         let stream = tiny_stream();
-        let cfg = ExperimentConfig {
-            kernel_backend: Some(faction_linalg::KernelBackend::Scalar),
-            ..tiny_cfg()
-        };
-        let record = run_experiment(&stream, &mut Random, &arch_for(&stream), &cfg, 7);
-        assert_eq!(record.kernel_backend, "scalar");
+        let record = run_experiment(&stream, &mut Random, &arch_for(&stream), &tiny_cfg(), 7);
+        let backend = faction_linalg::dispatch::active_backend().as_str();
+        assert_eq!(record.kernel_backend, backend);
         // Canonical form drops the provenance field entirely, so canonical
         // serializations never mention it (golden fixtures stay stable).
         let canon = record.canonicalized();
@@ -413,9 +399,9 @@ mod tests {
         assert!(!json.contains("kernel_backend"), "{json}");
         // Non-canonical serialization carries it and round-trips.
         let full = serde_json::to_string(&record).unwrap();
-        assert!(full.contains("\"kernel_backend\":\"scalar\""), "{full}");
+        assert!(full.contains(&format!("\"kernel_backend\":\"{backend}\"")), "{full}");
         let back: RunRecord = serde_json::from_str(&full).unwrap();
-        assert_eq!(back.kernel_backend, "scalar");
+        assert_eq!(back.kernel_backend, backend);
         // Legacy artifacts without the field parse to the empty default.
         let legacy: RunRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(legacy.kernel_backend, "");

@@ -98,9 +98,6 @@ struct FactionScratch {
     z: Matrix,
     probs: Matrix,
     density: DensityScratch,
-    /// Single-precision scoring scratch; stays empty (no allocations)
-    /// unless the config opts into `ScorePrecision::F32`.
-    density32: faction_density::DensityScratch32,
     log_density: Vec<f64>,
     gaps: Matrix,
     /// Streaming-GDA mirror of the pool (only under
@@ -337,7 +334,6 @@ impl Faction {
             z,
             probs,
             density,
-            density32,
             log_density,
             gaps,
             incr,
@@ -394,19 +390,9 @@ impl Faction {
         log_density.clear();
         log_density.resize(n, 0.0);
         let mut scores = Vec::with_capacity(n);
-        // The f32 scoring path is a strict opt-in: only an explicit
-        // `ScorePrecision::F32` in the density config reaches it, and it
-        // shares the exact downstream acquisition math — only the batched
-        // density/gap computation runs in single precision.
-        let use_f32 = self.params.density.precision == faction_density::ScorePrecision::F32;
         if self.params.fair_select {
             mlp.predict_proba_into(ctx.candidates, ws, probs);
-            let scored = if use_f32 {
-                estimator.score_batch_f32_into(z, density32, log_density, gaps)
-            } else {
-                estimator.score_batch_into(z, density, log_density, gaps)
-            };
-            if scored.is_err() {
+            if estimator.score_batch_into(z, density, log_density, gaps).is_err() {
                 // Unreachable for consistent dimensions; treat like the
                 // degenerate-pool case.
                 return vec![0.0; n];
@@ -418,14 +404,7 @@ impl Faction {
                 scores.push(ld - self.params.lambda * fairness_term);
             }
         } else {
-            let scored = if use_f32 {
-                // The f32 path computes densities and gaps in one pass; the
-                // gaps are simply unused when fair selection is off.
-                estimator.score_batch_f32_into(z, density32, log_density, gaps)
-            } else {
-                estimator.log_density_batch_into(z, density, log_density)
-            };
-            if scored.is_err() {
+            if estimator.log_density_batch_into(z, density, log_density).is_err() {
                 return vec![0.0; n];
             }
             scores.extend_from_slice(log_density);

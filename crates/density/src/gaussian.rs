@@ -72,17 +72,6 @@ impl Gaussian {
         &self.mean
     }
 
-    /// The Cholesky factor of the covariance (crate-internal: the f32
-    /// scoring path packs `L` into single precision).
-    pub(crate) fn chol(&self) -> &Cholesky {
-        &self.chol
-    }
-
-    /// The cached log normalization constant (crate-internal, same reason).
-    pub(crate) fn log_norm_const(&self) -> f64 {
-        self.log_norm_const
-    }
-
     /// Log-density `log N(z; μ, Σ)`.
     ///
     /// # Errors

@@ -6,9 +6,6 @@
 
 use std::collections::BTreeMap;
 
-use faction_linalg::matrix32::{
-    demote, logsumexp32, solve_lower_batch32_into, sq_col_norms32, Matrix32,
-};
 use faction_linalg::{vector, Matrix};
 
 use crate::gaussian::Gaussian;
@@ -65,103 +62,6 @@ impl Default for DensityScratch {
     }
 }
 
-/// Reusable buffers for the opt-in single-precision scoring path
-/// ([`FairDensityEstimator::score_batch_f32_into`]).
-///
-/// Same scratch-reuse contract as [`DensityScratch`]: buffers reshape
-/// lazily, reach their high-water size once, then every call is
-/// allocation-free. Kept separate from the f64 scratch so a strategy that
-/// stays on the default precision never pays for f32 buffers.
-#[derive(Debug, Clone, Default)]
-pub struct DensityScratch32 {
-    /// `N × d` packed candidates.
-    feat: Matrix32,
-    /// `d × N` transposed candidates.
-    ct: Matrix32,
-    /// `d × N` centered columns for the current component.
-    centered: Matrix32,
-    /// `d × N` forward-substitution workspace.
-    solve: Matrix32,
-    /// `d × d` packed Cholesky factor of the current component.
-    l32: Matrix32,
-    /// `num_components × N` per-component log densities.
-    comp_lp: Matrix32,
-    /// Per-sample squared Mahalanobis distances.
-    sq: Vec<f32>,
-    /// Packed per-component log priors.
-    priors: Vec<f32>,
-    /// Per-sample mixture terms.
-    terms: Vec<f32>,
-}
-
-impl DensityScratch32 {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Numeric precision of the batched scoring path.
-///
-/// [`ScorePrecision::F64`] (the default, and the only value any built-in
-/// configuration ever sets) scores through the double-precision kernels and
-/// is bit-identical across every kernel backend. [`ScorePrecision::F32`] is
-/// an explicit opt-in that packs candidates, Cholesky factors, and means
-/// into single precision before the batched solve — roughly halving the
-/// memory traffic of the scoring hot loop at a documented accuracy cost
-/// (DESIGN.md §14): log densities match the f64 reference to about
-/// `1e-3 · (1 + |log g(z)|)` and top-K acquisition ranks agree on
-/// well-separated pools, but results are *not* bit-stable across hosts.
-/// The `f32_crosscheck` suite in this crate pins both properties.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScorePrecision {
-    /// Double precision: the bit-reproducible reference (default).
-    #[default]
-    F64,
-    /// Single precision: opt-in throughput mode for the batch scorer.
-    F32,
-}
-
-impl ScorePrecision {
-    /// Stable lowercase name used in configs and CLI flags.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ScorePrecision::F64 => "f64",
-            ScorePrecision::F32 => "f32",
-        }
-    }
-
-    /// Parses a precision name (`"f64"` / `"f32"`); `None` otherwise.
-    pub fn parse(s: &str) -> Option<ScorePrecision> {
-        match s {
-            "f64" => Some(ScorePrecision::F64),
-            "f32" => Some(ScorePrecision::F32),
-            _ => None,
-        }
-    }
-}
-
-// Hand-written serde: the workspace serde stand-in derives structs only.
-// Serialized as the stable name string, so configs read naturally.
-impl serde::Serialize for ScorePrecision {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.as_str().to_string())
-    }
-}
-
-impl serde::Deserialize for ScorePrecision {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        match v {
-            serde::Value::Str(s) => ScorePrecision::parse(s).ok_or_else(|| {
-                serde::DeError::custom(format!("unknown score precision {s:?}"))
-            }),
-            other => Err(serde::DeError::custom(format!(
-                "expected precision string, got {other:?}"
-            ))),
-        }
-    }
-}
-
 /// Fitting configuration for [`FairDensityEstimator`].
 #[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
 pub struct FairDensityConfig {
@@ -177,17 +77,11 @@ pub struct FairDensityConfig {
     /// gets its own covariance. This is one of the ablation axes listed in
     /// `DESIGN.md` §5.
     pub shared_covariance: bool,
-    /// Precision of the batched scoring path. Defaults to
-    /// [`ScorePrecision::F64`]; `F32` is never selected implicitly — a
-    /// config (or CLI flag) must ask for it, and legacy serialized configs
-    /// without the field deserialize to `F64`.
-    #[serde(default)]
-    pub precision: ScorePrecision,
 }
 
 impl Default for FairDensityConfig {
     fn default() -> Self {
-        FairDensityConfig { ridge: 1e-3, shared_covariance: false, precision: ScorePrecision::F64 }
+        FairDensityConfig { ridge: 1e-3, shared_covariance: false }
     }
 }
 
@@ -657,112 +551,6 @@ impl FairDensityEstimator {
                     hi = hi.max(lp);
                 }
                 *gap = hi - lo;
-            }
-        }
-        Ok(())
-    }
-
-    /// Single-precision variant of [`Self::score_batch_into`] — the opt-in
-    /// [`ScorePrecision::F32`] scoring path.
-    ///
-    /// Candidates, component Cholesky factors, means, normalization
-    /// constants, and priors are packed into `f32`; the centered transpose,
-    /// batched forward substitution, squared-norm reduction, and
-    /// log-sum-exp all run in single precision with the *same loop
-    /// structure and accumulation order* as the f64 pipeline, and the
-    /// results are widened back to `f64` on output. The only divergence
-    /// from the reference is rounding width.
-    ///
-    /// Accuracy contract (pinned by the `f32_crosscheck` suite, policy in
-    /// DESIGN.md §14): per-sample log densities and gaps match the f64
-    /// reference within `1e-3 · (1 + |reference|)`; this is *approximate*
-    /// scoring — never enabled by default, and not bit-stable across hosts.
-    ///
-    /// # Errors
-    /// Returns [`DensityError::DimensionMismatch`] on any shape
-    /// disagreement, exactly as the f64 path would.
-    // analyzer:hot-path
-    pub fn score_batch_f32_into(
-        &self,
-        features: &Matrix,
-        scratch: &mut DensityScratch32,
-        log_density: &mut [f64],
-        gaps: &mut Matrix,
-    ) -> Result<(), DensityError> {
-        if features.cols() != self.dim {
-            return Err(DensityError::DimensionMismatch {
-                expected: self.dim,
-                got: features.cols(),
-            });
-        }
-        let n = features.rows();
-        if log_density.len() != n {
-            return Err(DensityError::DimensionMismatch { expected: n, got: log_density.len() });
-        }
-        faction_telemetry::counter_add("density.gda.score_batches_f32", 1);
-        faction_telemetry::observe("density.gda.score_batch_f32_rows", n as u64);
-        let DensityScratch32 { feat, ct, centered, solve, l32, comp_lp, sq, priors, terms } =
-            scratch;
-        feat.pack_from(features);
-        feat.transpose_into(ct);
-        comp_lp.reset_to_zeros(self.components.len(), n);
-        sq.clear();
-        sq.resize(n, 0.0);
-        priors.clear();
-        for (c_idx, (_, g, log_prior)) in self.components.iter().enumerate() {
-            priors.push(demote(*log_prior));
-            // Center the transposed candidates against this component's
-            // mean (mirrors `Gaussian::log_pdf_batch_into`).
-            centered.reset_to_zeros(self.dim, n);
-            centered.as_mut_slice().copy_from_slice(ct.as_slice());
-            for (j, &mj) in g.mean().iter().enumerate() {
-                let mj32 = demote(mj);
-                for v in centered.row_mut(j) {
-                    *v -= mj32;
-                }
-            }
-            l32.pack_from(g.chol().factor_l());
-            solve_lower_batch32_into(l32, centered, solve);
-            sq_col_norms32(solve, sq);
-            let lnc = demote(g.log_norm_const());
-            for (o, &m) in comp_lp.row_mut(c_idx).iter_mut().zip(sq.iter()) {
-                *o = lnc - 0.5 * m;
-            }
-        }
-        // Mixture density: same component order and log-sum-exp scheme as
-        // the f64 reduction.
-        for (i, o) in log_density.iter_mut().enumerate() {
-            terms.clear();
-            for (c_idx, &prior) in priors.iter().enumerate() {
-                terms.push(comp_lp.get(c_idx, i) + prior);
-            }
-            *o = f64::from(logsumexp32(terms));
-        }
-        // Per-class fairness gaps over the same contiguous component runs
-        // as the f64 path, widened on write.
-        gaps.reset_to_zeros(self.num_classes, n);
-        let mut idx = 0;
-        for c in 0..self.num_classes {
-            while idx < self.components.len() && self.components[idx].0.class < c {
-                idx += 1;
-            }
-            let start = idx;
-            while idx < self.components.len() && self.components[idx].0.class == c {
-                idx += 1;
-            }
-            if idx - start < 2 {
-                continue; // fewer than two groups: no fairness signal, gap 0
-            }
-            let gap_row = gaps.row_mut(c);
-            for (i, gap) in gap_row.iter_mut().enumerate() {
-                let mut lo = f32::INFINITY;
-                let mut hi = f32::NEG_INFINITY;
-                for row in start..idx {
-                    let lp = comp_lp.get(row, i);
-                    lo = lo.min(lp);
-                    hi = hi.max(lp);
-                }
-                *gap = f64::from(hi - lo);
             }
         }
         Ok(())

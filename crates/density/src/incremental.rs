@@ -746,6 +746,46 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_with_legacy_precision_field_decode_to_the_same_state() {
+        // Configs and estimators serialized before the single-precision
+        // scoring path was removed carry `"precision":"f64"` in their
+        // density config. The field is ignored on read, so such snapshots
+        // decode to exactly the state a current snapshot does.
+        let legacy_cfg: FairDensityConfig = serde_json::from_str(
+            r#"{"ridge":0.001,"shared_covariance":false,"precision":"f64"}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            serde_json::to_string(&legacy_cfg).unwrap(),
+            serde_json::to_string(&cfg()).unwrap()
+        );
+
+        let d = 3;
+        let mut rng = SeedRng::new(19);
+        let mut inc = IncrementalGda::new(d, 2, cfg()).unwrap();
+        for i in 0..24u64 {
+            let class = (i % 2) as usize;
+            let z = random_row(&mut rng, d, class as f64);
+            inc.insert(i, &z, class, if i % 3 == 0 { 1 } else { -1 }).unwrap();
+        }
+        let current = serde::Serialize::to_value(&inc);
+        let mut legacy = current.clone();
+        let serde::Value::Object(fields) = &mut legacy else {
+            panic!("IncrementalGda: not an object")
+        };
+        let (_, cfg_value) = fields.iter_mut().find(|(k, _)| k == "cfg").unwrap();
+        let serde::Value::Object(cfg_fields) = cfg_value else { panic!("cfg: not an object") };
+        cfg_fields.push(("precision".to_string(), serde::Value::Str("f64".to_string())));
+
+        let back: IncrementalGda = serde::Deserialize::from_value(&legacy).unwrap();
+        assert_eq!(serde::Serialize::to_value(&back), current);
+        let probe = random_row(&mut rng, d, 0.5);
+        let a = inc.estimator().unwrap().log_density(&probe).unwrap();
+        let b = back.estimator().unwrap().log_density(&probe).unwrap();
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+
+    #[test]
     fn single_member_cell_matches_batch_bootstrap() {
         // Batch: single-sample covariance is exactly ridge·I. The incremental
         // bootstrap must agree to fp precision.

@@ -28,10 +28,7 @@ pub mod gda;
 pub mod incremental;
 
 pub use gaussian::Gaussian;
-pub use gda::{
-    ComponentKey, DensityScratch, DensityScratch32, FairDensityConfig, FairDensityEstimator,
-    ScorePrecision,
-};
+pub use gda::{ComponentKey, DensityScratch, FairDensityConfig, FairDensityEstimator};
 pub use incremental::IncrementalGda;
 
 /// Errors produced by density-estimation routines.

@@ -55,11 +55,9 @@
 pub mod engine;
 pub mod job;
 pub mod journal;
-pub mod kernel_bridge;
 pub mod pool;
 
 pub use engine::{BatchOutcome, Engine, EngineConfig, GridOutcome, JobFailure};
-pub use kernel_bridge::install_kernel_parallelism;
 pub use job::{build_strategy, grid, ArchPreset, ExperimentJob, STRATEGY_NAMES};
 pub use journal::{JobEvent, Journal, JournalReplay, JournalSummary};
 pub use pool::{

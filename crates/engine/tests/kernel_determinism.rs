@@ -1,113 +1,21 @@
-//! Kernel-backend determinism suite (PR 9 satellite #3).
+//! Kernel-backend determinism suite: the end-to-end half of the dispatch
+//! facade's bit-identity contract.
 //!
-//! Two layers of the same contract:
+//! An 8-strategy lineup produces canonically identical `RunRecord`s whether
+//! the GEMMs run on the scalar blocked kernel or the AVX2 micro-kernel. The
+//! backend is pinned per run through the `set_active_backend` test seam,
+//! and the resolved backend is recorded in the (non-canonical)
+//! `kernel_backend` field.
 //!
-//! 1. **Macro-kernel**: the band-parallel GEMM is byte-identical to the
-//!    serial blocked kernel at workers 1/2/8 and under the adversarial
-//!    `ChaosSchedule{1,2,3}` scheduler — each worker owns a disjoint
-//!    64-row output band and runs the identical tile sweep inside it, so
-//!    the result is a pure function of shape, never of interleaving.
-//! 2. **End-to-end**: an 8-strategy lineup produces canonically identical
-//!    `RunRecord`s whether the f64 scoring path runs on the scalar blocked
-//!    kernel or the AVX2 micro-kernel, and the resolved backend is
-//!    recorded in the (non-canonical) `kernel_backend` field.
-//!
-//! `check.sh` runs this suite as the blocking `kernel-equivalence` stage
-//! together with the linalg-level property suite.
+//! `check.sh` runs this suite as the blocking `kernel-determinism` stage;
+//! the GEMM-level property suite is the `kernel-equivalence` stage.
 
 use faction_core::ExperimentConfig;
 use faction_data::datasets::Dataset;
 use faction_data::Scale;
 use faction_engine::job::ArchPreset;
-use faction_engine::{scoped_for_each, scoped_for_each_chaos, ChaosSchedule, ExperimentJob};
-use faction_linalg::kernels::matmul_blocked;
-use faction_linalg::parallel::{matmul_parallel_with, BAND_ROWS};
-use faction_linalg::{KernelBackend, SeedRng};
-
-fn random_mat(rows: usize, cols: usize, rng: &mut SeedRng) -> Vec<f64> {
-    (0..rows * cols).map(|_| rng.uniform_range(-2.0, 2.0)).collect()
-}
-
-/// Runs `m×k×n` through the band-parallel kernel with the given pool shape
-/// and chaos seed, returning the raw output buffer.
-fn parallel_gemm(
-    m: usize,
-    k: usize,
-    n: usize,
-    workers: usize,
-    chaos: Option<ChaosSchedule>,
-) -> Vec<f64> {
-    let mut rng = SeedRng::new(0xC0FFEE);
-    let a = random_mat(m, k, &mut rng);
-    let b = random_mat(k, n, &mut rng);
-    let mut out = vec![0.0; m * n];
-    matmul_parallel_with(
-        |bands, body| {
-            let indices: Vec<usize> = (0..bands).collect();
-            match chaos {
-                Some(seed) => {
-                    scoped_for_each_chaos(workers, &indices, seed, |_slot, &band| body(band));
-                }
-                None => {
-                    scoped_for_each(workers, &indices, |_slot, &band| body(band));
-                }
-            }
-        },
-        &a,
-        &b,
-        &mut out,
-        m,
-        k,
-        n,
-    );
-    out
-}
-
-#[test]
-fn parallel_macro_kernel_is_byte_identical_across_worker_counts() {
-    // Several bands' worth of rows plus a ragged tail, so the partition is
-    // non-trivial at every worker count.
-    let (m, k, n) = (5 * BAND_ROWS + 17, 43, 29);
-    let mut rng = SeedRng::new(0xC0FFEE);
-    let a = random_mat(m, k, &mut rng);
-    let b = random_mat(k, n, &mut rng);
-    let mut reference = vec![0.0; m * n];
-    matmul_blocked(&a, &b, &mut reference, m, k, n);
-
-    for workers in [1usize, 2, 8] {
-        let got = parallel_gemm(m, k, n, workers, None);
-        for (i, (r, g)) in reference.iter().zip(&got).enumerate() {
-            assert_eq!(
-                r.to_bits(),
-                g.to_bits(),
-                "workers={workers} elem {i}: {r} vs {g}"
-            );
-        }
-    }
-}
-
-#[test]
-fn parallel_macro_kernel_survives_schedule_chaos() {
-    let (m, k, n) = (3 * BAND_ROWS + 5, 37, 33);
-    let mut rng = SeedRng::new(0xC0FFEE);
-    let a = random_mat(m, k, &mut rng);
-    let b = random_mat(k, n, &mut rng);
-    let mut reference = vec![0.0; m * n];
-    matmul_blocked(&a, &b, &mut reference, m, k, n);
-
-    for seed in [1u64, 2, 3] {
-        for workers in [2usize, 8] {
-            let got = parallel_gemm(m, k, n, workers, Some(ChaosSchedule(seed)));
-            for (i, (r, g)) in reference.iter().zip(&got).enumerate() {
-                assert_eq!(
-                    r.to_bits(),
-                    g.to_bits(),
-                    "chaos={seed} workers={workers} elem {i}: {r} vs {g}"
-                );
-            }
-        }
-    }
-}
+use faction_engine::ExperimentJob;
+use faction_linalg::{dispatch, KernelBackend};
 
 /// The 8-strategy end-to-end lineup: every acquisition family in the
 /// registry (full FACTION, its incremental variant, both FAL baselines'
@@ -124,7 +32,7 @@ const LINEUP: [&str; 8] = [
     "random",
 ];
 
-fn lineup_job(strategy: &str, backend: KernelBackend) -> ExperimentJob {
+fn lineup_job(strategy: &str) -> ExperimentJob {
     let cfg = ExperimentConfig {
         budget: 20,
         acquisition_batch: 10,
@@ -132,7 +40,6 @@ fn lineup_job(strategy: &str, backend: KernelBackend) -> ExperimentJob {
         epochs_per_iteration: 2,
         train_batch_size: 32,
         learning_rate: 0.05,
-        kernel_backend: Some(backend),
         ..ExperimentConfig::quick()
     };
     let mut job = ExperimentJob::new(Dataset::Rcmnist, strategy, 1, cfg, Scale::Quick);
@@ -142,15 +49,20 @@ fn lineup_job(strategy: &str, backend: KernelBackend) -> ExperimentJob {
     job
 }
 
+/// Runs the lineup job for `strategy` with the process-global GEMM
+/// backend pinned to `backend`. This is the suite's only test, so nothing
+/// else in the process flips the backend mid-run.
+fn run_on(strategy: &str, backend: KernelBackend) -> faction_core::RunRecord {
+    dispatch::set_active_backend(backend);
+    lineup_job(strategy).run().unwrap_or_else(|e| panic!("{strategy} {backend}: {e}"))
+}
+
 #[test]
 fn lineup_is_canonically_identical_scalar_vs_simd() {
+    let prev = dispatch::active_backend();
     for strategy in LINEUP {
-        let scalar = lineup_job(strategy, KernelBackend::Scalar)
-            .run()
-            .unwrap_or_else(|e| panic!("{strategy} scalar: {e}"));
-        let simd = lineup_job(strategy, KernelBackend::Simd)
-            .run()
-            .unwrap_or_else(|e| panic!("{strategy} simd: {e}"));
+        let scalar = run_on(strategy, KernelBackend::Scalar);
+        let simd = run_on(strategy, KernelBackend::Simd);
 
         // The resolved backend is recorded as machine provenance…
         assert_eq!(scalar.kernel_backend, "scalar", "{strategy}");
@@ -163,28 +75,5 @@ fn lineup_is_canonically_identical_scalar_vs_simd() {
         assert!(!a.contains("kernel_backend"), "{strategy}: canonical form leaks provenance");
         assert_eq!(a, b, "{strategy}: scalar vs simd canonical records diverged");
     }
-}
-
-#[test]
-fn lineup_parallel_backend_matches_scalar() {
-    // The Parallel backend with the engine's band runner installed must
-    // also reproduce the scalar records exactly. One strategy from each
-    // end of the cost spectrum keeps this inside the unit-test budget; the
-    // full lineup is covered by the scalar-vs-simd sweep above plus the
-    // GEMM-level worker/chaos sweeps.
-    faction_engine::install_kernel_parallelism(Some(2));
-    for strategy in ["faction", "random"] {
-        let scalar = lineup_job(strategy, KernelBackend::Scalar)
-            .run()
-            .unwrap_or_else(|e| panic!("{strategy} scalar: {e}"));
-        let parallel = lineup_job(strategy, KernelBackend::Parallel)
-            .run()
-            .unwrap_or_else(|e| panic!("{strategy} parallel: {e}"));
-        assert_eq!(parallel.kernel_backend, "parallel", "{strategy}");
-        assert_eq!(
-            serde_json::to_string(&scalar.canonicalized()).unwrap(),
-            serde_json::to_string(&parallel.canonicalized()).unwrap(),
-            "{strategy}: scalar vs parallel canonical records diverged"
-        );
-    }
+    dispatch::set_active_backend(prev);
 }

@@ -1,9 +1,9 @@
-//! Runtime kernel-backend selection for the dense GEMM hot path.
+//! Runtime kernel backend selection for the dense GEMM hot path.
 //!
 //! The blocked scalar kernels in [`crate::kernels`] are the always-available
-//! bit-reference. This module decides, once per process (or per run when a
-//! config overrides it), which *implementation* of the same arithmetic the
-//! `Matrix` products dispatch to:
+//! bit-reference. This module decides, once per process, which
+//! *implementation* of the same arithmetic the `Matrix` products dispatch
+//! to:
 //!
 //! * [`KernelBackend::Scalar`] — the blocked/packed reference kernels.
 //! * [`KernelBackend::Simd`] — the AVX2 micro-kernel in [`crate::simd`]
@@ -12,27 +12,15 @@
 //!   multiply and add (never FMA), so every output element keeps the exact
 //!   ascending-`k` accumulation order of the scalar loop and results stay
 //!   **bit-identical** across backends.
-//! * [`KernelBackend::Parallel`] — the band-parallel macro-kernel in
-//!   [`crate::parallel`]: disjoint output row bands with a fixed per-band
-//!   tiling order, so jobs=1 ≡ jobs=N stays byte-identical. Uses the SIMD
-//!   micro-kernel inside each band when available.
 //!
-//! Because all three backends produce bit-identical f64 results (proven by
-//! the `kernel_equivalence` property tests and the end-to-end `RunRecord`
-//! equality suite), the backend is a pure *throughput* knob: artifacts are
-//! reproducible byte-for-byte regardless of what a given host dispatches to.
-//!
-//! # The band-runner hook
-//!
-//! `faction-linalg` sits below `faction-engine` in the crate graph, so it
-//! cannot call the engine's work-stealing pool directly. Instead the engine
-//! installs a [`BandRunner`] function pointer at startup
-//! (`faction_engine::install_kernel_parallelism`) that fans band indices
-//! over `scoped_for_each`; until one is installed, the parallel backend
-//! degrades to a serial in-order sweep with identical results.
+//! The choice is made by [`simd_available`]; it is not configurable. Both
+//! backends produce bit-identical f64 results (proven by the
+//! `kernel_equivalence` property tests and the end-to-end `RunRecord`
+//! equality suite), so artifacts are reproducible byte-for-byte regardless
+//! of what a given host dispatches to. [`set_active_backend`] exists only
+//! as a test and bench seam for comparing the two paths in one build.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::RwLock;
 
 /// Which GEMM implementation the `Matrix` products dispatch to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,42 +29,19 @@ pub enum KernelBackend {
     Scalar,
     /// AVX2 micro-kernel, runtime-detected; scalar fallback elsewhere.
     Simd,
-    /// Band-parallel macro-kernel over the installed [`BandRunner`].
-    Parallel,
 }
 
-/// Every backend, in display order (CLI help, benches, tests).
-pub const ALL_BACKENDS: [KernelBackend; 3] =
-    [KernelBackend::Scalar, KernelBackend::Simd, KernelBackend::Parallel];
-
 impl KernelBackend {
-    /// Stable lowercase name used in configs, CLI flags, and `RunRecord`s.
+    /// Stable lowercase name recorded in `RunRecord`s and bench reports.
     pub fn as_str(self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
             KernelBackend::Simd => "simd",
-            KernelBackend::Parallel => "parallel",
-        }
-    }
-
-    /// Parses a backend name as written in configs/CLI (`"scalar"`,
-    /// `"simd"`, `"parallel"`). Returns `None` for anything else; `"auto"`
-    /// is deliberately not a variant — resolve it with [`detect`].
-    pub fn parse(s: &str) -> Option<KernelBackend> {
-        match s {
-            "scalar" => Some(KernelBackend::Scalar),
-            "simd" => Some(KernelBackend::Simd),
-            "parallel" => Some(KernelBackend::Parallel),
-            _ => None,
         }
     }
 
     /// Feature-detected default for this host: [`KernelBackend::Simd`] when
     /// the AVX2 micro-kernel can run, otherwise [`KernelBackend::Scalar`].
-    ///
-    /// `Parallel` is never auto-selected: fanning a GEMM over the worker
-    /// pool only pays off for large products and an explicitly provisioned
-    /// band runner, so it stays an opt-in (config/CLI) choice.
     pub fn detect() -> KernelBackend {
         if simd_available() {
             KernelBackend::Simd
@@ -111,7 +76,6 @@ fn encode(b: KernelBackend) -> u8 {
     match b {
         KernelBackend::Scalar => 1,
         KernelBackend::Simd => 2,
-        KernelBackend::Parallel => 3,
     }
 }
 
@@ -124,7 +88,6 @@ pub fn active_backend() -> KernelBackend {
     match ACTIVE.load(Ordering::Relaxed) {
         1 => KernelBackend::Scalar,
         2 => KernelBackend::Simd,
-        3 => KernelBackend::Parallel,
         _ => {
             let detected = KernelBackend::detect();
             // Racing first-readers all store the same detected value.
@@ -134,37 +97,12 @@ pub fn active_backend() -> KernelBackend {
     }
 }
 
-/// Overrides the process-global backend (config/CLI plumbing, benches).
+/// Overrides the process-global backend (tests and benches only).
 ///
-/// Safe at any time: all backends are bit-identical on f64, so a mid-run
+/// Safe at any time: both backends are bit-identical on f64, so a mid-run
 /// switch changes throughput, never results.
 pub fn set_active_backend(b: KernelBackend) {
     ACTIVE.store(encode(b), Ordering::Relaxed);
-}
-
-/// Runs `body(band)` for every band in `0..n_bands`, possibly in parallel.
-///
-/// Contract: `body` must be called **exactly once** per index, from any
-/// thread, in any order — each band writes a disjoint output row range, so
-/// any schedule produces byte-identical results.
-pub type BandRunner = fn(n_bands: usize, body: &(dyn Fn(usize) + Sync));
-
-/// Installed band runner; `None` until the engine (or a harness) provides
-/// one. RwLock rather than OnceLock so harnesses can swap runners between
-/// measurements.
-static BAND_RUNNER: RwLock<Option<BandRunner>> = RwLock::new(None);
-
-/// Installs the fan-out used by [`KernelBackend::Parallel`]. The engine
-/// calls this at startup with an adapter over its work-stealing pool.
-pub fn install_band_runner(runner: BandRunner) {
-    // analyzer:allow(unwrap-in-lib): the lock only guards a fn-pointer store; a poisoned lock means a runner install itself panicked, which is unrecoverable setup failure
-    *BAND_RUNNER.write().expect("band-runner lock poisoned") = Some(runner);
-}
-
-/// The currently installed band runner, if any.
-pub fn installed_band_runner() -> Option<BandRunner> {
-    // analyzer:allow(unwrap-in-lib): see install_band_runner — the guarded value is a Copy fn pointer, so no user code runs under the lock and poisoning cannot occur in practice
-    *BAND_RUNNER.read().expect("band-runner lock poisoned")
 }
 
 #[cfg(test)]
@@ -172,18 +110,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_round_trip() {
-        for b in ALL_BACKENDS {
-            assert_eq!(KernelBackend::parse(b.as_str()), Some(b));
+    fn names_are_stable() {
+        assert_eq!(KernelBackend::Scalar.as_str(), "scalar");
+        assert_eq!(KernelBackend::Simd.as_str(), "simd");
+        for b in [KernelBackend::Scalar, KernelBackend::Simd] {
             assert_eq!(format!("{b}"), b.as_str());
         }
-        assert_eq!(KernelBackend::parse("auto"), None);
-        assert_eq!(KernelBackend::parse("AVX2"), None);
     }
 
     #[test]
-    fn detect_never_picks_parallel() {
-        assert_ne!(KernelBackend::detect(), KernelBackend::Parallel);
+    fn detect_follows_simd_availability() {
+        let want = if simd_available() { KernelBackend::Simd } else { KernelBackend::Scalar };
+        assert_eq!(KernelBackend::detect(), want);
     }
 
     #[test]
@@ -193,22 +131,7 @@ mod tests {
         // enough for a same-thread round trip.
         let prev = active_backend();
         set_active_backend(KernelBackend::Scalar);
-        assert_eq!(
-            [KernelBackend::Scalar, KernelBackend::Simd, KernelBackend::Parallel]
-                .contains(&active_backend()),
-            true
-        );
+        assert!([KernelBackend::Scalar, KernelBackend::Simd].contains(&active_backend()));
         set_active_backend(prev);
-    }
-
-    #[test]
-    fn serial_fallback_covers_every_band_once() {
-        // The parallel kernel's fallback path (no runner installed) must
-        // visit 0..n in order; emulate it here.
-        let mut seen = Vec::new();
-        for band in 0..5 {
-            seen.push(band);
-        }
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
     }
 }

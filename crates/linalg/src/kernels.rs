@@ -74,20 +74,15 @@ pub fn matmul_simple(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, 
 /// the caller), dispatched to the backend selected by
 /// [`crate::dispatch::active_backend`].
 ///
-/// All three backends — the scalar blocked reference, the AVX2 micro-kernel
-/// and the band-parallel macro-kernel — preserve the exact per-element
-/// ascending-`k` accumulation order, so the result is **bit-identical**
-/// regardless of what this dispatches to (the `kernel_equivalence` property
-/// suite proves it). The backend is a throughput knob, never a results
-/// knob.
+/// Both backends — the scalar blocked reference and the AVX2 micro-kernel —
+/// preserve the exact per-element ascending-`k` accumulation order, so the
+/// result is **bit-identical** regardless of what this dispatches to (the
+/// `kernel_equivalence` property suite proves it).
 // analyzer:hot-path
 pub fn matmul_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     match crate::dispatch::active_backend() {
         crate::dispatch::KernelBackend::Scalar => matmul_blocked(a, b, out, m, k, n),
         crate::dispatch::KernelBackend::Simd => crate::simd::matmul_simd_into(a, b, out, m, k, n),
-        crate::dispatch::KernelBackend::Parallel => {
-            crate::parallel::matmul_parallel_into(a, b, out, m, k, n)
-        }
     }
 }
 
@@ -106,19 +101,13 @@ pub fn matmul_blocked(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize,
         matmul_simple(a, b, out, m, k, n);
         return;
     }
-    blocked_sweep(a, b, out, m, k, n, 0, m, kernel_full);
+    blocked_sweep(a, b, out, m, k, n, kernel_full);
 }
 
 /// The shared macro-kernel: packs A micro-panels and sweeps register tiles
-/// over the output rows `row_start..row_end`, calling `full_tile` for full
-/// `MR × NR` tiles and the scalar [`kernel_edge`] for remainders.
-///
-/// `row_start` must be a multiple of [`MR`] (band boundaries are aligned to
-/// the register tile) so the tile grid over any band union equals the
-/// serial full-range grid — that is what makes the band-parallel backend
-/// byte-identical to the serial sweep.
+/// over every output row, calling `full_tile` for full `MR × NR` tiles and
+/// the scalar [`kernel_edge`] for remainders.
 // analyzer:hot-path
-#[allow(clippy::too_many_arguments)] // macro-kernel: raw slices + band coordinates
 pub(crate) fn blocked_sweep(
     a: &[f64],
     b: &[f64],
@@ -126,20 +115,16 @@ pub(crate) fn blocked_sweep(
     m: usize,
     k: usize,
     n: usize,
-    row_start: usize,
-    row_end: usize,
     full_tile: FullTile,
 ) {
-    debug_assert!(row_start.is_multiple_of(MR), "band start must align to the register tile");
-    debug_assert!(row_end <= m);
     // Packed A micro-panel, k-major: apack[kk * MR + ii] = a[ib+ii][kb+kk].
     let mut apack = [0.0f64; MR * KC];
     let mut kb = 0;
     while kb < k {
         let klen = KC.min(k - kb);
-        let mut ib = row_start;
-        while ib < row_end {
-            let ilen = MR.min(row_end - ib);
+        let mut ib = 0;
+        while ib < m {
+            let ilen = MR.min(m - ib);
             for kk in 0..klen {
                 for ii in 0..ilen {
                     apack[kk * MR + ii] = a[(ib + ii) * k + kb + kk];

@@ -11,20 +11,17 @@
 //!
 //! The crate keeps a simple surface — row-major dense `f64` storage, no
 //! expression templates — but the hot products behind [`Matrix::matmul`]
-//! dispatch through a runtime-selected [`KernelBackend`]: the packed/blocked
-//! scalar reference kernels in [`kernels`], the explicit AVX2 micro-kernel
-//! in [`simd`], or the band-parallel macro-kernel in [`parallel`]. All three
+//! dispatch through a [`KernelBackend`] chosen by runtime feature detection:
+//! the explicit AVX2 micro-kernel in [`simd`] when the host has it, the
+//! packed/blocked scalar reference kernels in [`kernels`] otherwise. Both
 //! produce **bit-identical** f64 results (the SIMD kernel vectorizes across
-//! output lanes with separate multiply and add, and the parallel kernel
-//! partitions output rows into fixed bands), so the backend is a pure
-//! throughput knob and artifacts stay reproducible byte-for-byte. Reference
-//! implementations are retained as `*_naive`/`*_simple` so benches and
-//! property tests can always compare the paths in the same build. An opt-in
-//! single-precision substrate for the batch scorer lives in [`matrix32`].
+//! output lanes with separate multiply and add), so artifacts stay
+//! reproducible byte-for-byte on any host. Reference implementations are
+//! retained as `*_naive`/`*_simple` so benches and property tests can always
+//! compare the paths in the same build.
 //!
-//! `unsafe` is denied crate-wide except in the two kernel modules that need
-//! it ([`simd`] for `core::arch` intrinsics, [`parallel`] for disjoint
-//! band slices); every unsafe site there carries an
+//! `unsafe` is denied crate-wide except in [`simd`], which needs it for
+//! `core::arch` intrinsics; every unsafe site there carries an
 //! `analyzer:unsafe(invariant)` audit marker enforced by the workspace
 //! analyzer.
 
@@ -37,9 +34,6 @@ pub mod eigen;
 pub mod error;
 pub mod kernels;
 pub mod matrix;
-pub mod matrix32;
-#[allow(unsafe_code)]
-pub mod parallel;
 pub mod rng;
 #[allow(unsafe_code)]
 pub mod simd;
@@ -51,7 +45,6 @@ pub use dispatch::KernelBackend;
 pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use matrix32::Matrix32;
 pub use rng::SeedRng;
 
 /// Convenience result alias for fallible linear-algebra operations.

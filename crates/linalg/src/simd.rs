@@ -45,7 +45,7 @@ pub fn matmul_simd_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usiz
         matmul_simple(a, b, out, m, k, n);
         return;
     }
-    crate::kernels::blocked_sweep(a, b, out, m, k, n, 0, m, select_full_tile());
+    crate::kernels::blocked_sweep(a, b, out, m, k, n, select_full_tile());
 }
 
 /// The best available full-tile micro-kernel for this host: AVX2 when the

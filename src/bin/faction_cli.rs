@@ -23,28 +23,22 @@ USAGE:
   faction_cli list
   faction_cli run   --dataset NAME [--strategy NAME] [--seeds N] [--budget B]
                     [--mu F] [--lambda F] [--jobs N] [--quick]
-                    [--pool-policy SPEC] [--kernel-backend B] [--journal PATH]
-                    [--metrics-out PATH] [--debug-export]
+                    [--pool-policy SPEC] [--journal PATH] [--metrics-out PATH]
+                    [--debug-export]
   faction_cli grid  [--datasets A,B|--dataset NAME] [--strategies X,Y] [--seeds N]
                     [--budget B] [--mu F] [--lambda F] [--jobs N] [--quick]
-                    [--pool-policy SPEC] [--kernel-backend B] [--out DIR] [--checkpoint-dir DIR]
+                    [--pool-policy SPEC] [--out DIR] [--checkpoint-dir DIR]
                     [--journal PATH] [--metrics-out PATH] [--debug-export]
   faction_cli drift --dataset NAME [--quick]
   faction_cli stats --dataset NAME [--quick]
   faction_cli serve --workload PATH [--jobs N] [--chaos-seed N]
                     [--max-sessions N] [--inbox-capacity N] [--tenant-budget N]
                     [--budget B] [--mu F] [--quick] [--pool-policy SPEC]
-                    [--kernel-backend B] [--session NAME] [--out PATH] [--journal PATH]
+                    [--session NAME] [--out PATH] [--journal PATH]
                     [--metrics-out PATH] [--debug-export]
 
   --jobs N          worker threads for the execution engine (0 = auto-detect);
                     results are byte-identical for every N.
-  --kernel-backend B GEMM kernel implementation: auto (default, runtime
-                    feature detection) | scalar | simd | parallel. All
-                    backends are bit-identical on f64 — this is a throughput
-                    knob, recorded in each RunRecord for provenance. 'simd'
-                    errors on hosts without AVX2; 'parallel' fans the
-                    macro-kernel over the --jobs worker pool.
   --pool-policy S   labeled-pool retention: unbounded (default, the paper
                     protocol) | window:N (keep newest N) | reservoir:N[:SEED]
                     (uniform sample of the whole stream).
@@ -157,36 +151,8 @@ fn config_from_flags(flags: &Flags) -> (ExperimentConfig, Scale, bool) {
         cfg.pool_policy = PoolPolicy::parse(spec)
             .unwrap_or_else(|e| usage_error(&format!("invalid --pool-policy: {e}")));
     }
-    cfg.kernel_backend = kernel_backend_from_flags(flags);
     let scale = if quick { Scale::Quick } else { Scale::Full };
     (cfg, scale, quick)
-}
-
-/// Resolves `--kernel-backend`: validates the name, refuses `simd` on hosts
-/// without AVX2 (a usage error, not a silent fallback — an explicit request
-/// the host cannot honor should be loud), and provisions the engine band
-/// runner when `parallel` is selected. `auto` / absent → `None`, letting
-/// runtime feature detection decide (and be recorded) per run.
-fn kernel_backend_from_flags(flags: &Flags) -> Option<faction::linalg::KernelBackend> {
-    use faction::linalg::KernelBackend;
-    let name = flags.get("kernel-backend")?;
-    if name == "auto" {
-        return None;
-    }
-    let backend = KernelBackend::parse(name).unwrap_or_else(|| {
-        usage_error(&format!(
-            "invalid value '{name}' for --kernel-backend (expected auto, scalar, simd, parallel)"
-        ))
-    });
-    if backend == KernelBackend::Simd && !faction::linalg::dispatch::simd_available() {
-        usage_error("--kernel-backend simd requested but this host does not support AVX2");
-    }
-    if backend == KernelBackend::Parallel {
-        let workers =
-            faction::engine::install_kernel_parallelism(flags.parse_value("jobs", "integer"));
-        eprintln!("kernel: parallel macro-kernel over {workers} worker(s)");
-    }
-    Some(backend)
 }
 
 /// Builds the engine; when `--metrics-out` is set, a telemetry [`Registry`]
@@ -254,7 +220,6 @@ fn cmd_run(flags: &Flags) {
             "jobs",
             "quick",
             "pool-policy",
-            "kernel-backend",
             "journal",
             "metrics-out",
             "debug-export",
@@ -346,7 +311,6 @@ fn cmd_grid(flags: &Flags) {
             "jobs",
             "quick",
             "pool-policy",
-            "kernel-backend",
             "out",
             "checkpoint-dir",
             "journal",
@@ -534,7 +498,6 @@ fn cmd_serve(flags: &Flags) {
             "mu",
             "quick",
             "pool-policy",
-            "kernel-backend",
             "session",
             "out",
             "journal",
@@ -545,11 +508,6 @@ fn cmd_serve(flags: &Flags) {
     // The same validated parsers the batch commands use: a malformed
     // --pool-policy or --jobs is a usage error here too, never a panic.
     let (base_cfg, _scale, _quick) = config_from_flags(flags);
-    // Serve drives sessions directly (no run_experiment boundary to resolve
-    // the backend per run), so pin the process-global dispatch here.
-    if let Some(backend) = base_cfg.kernel_backend {
-        faction::linalg::dispatch::set_active_backend(backend);
-    }
     let path = flags
         .get("workload")
         .unwrap_or_else(|| usage_error("--workload is required (newline-delimited request file)"));
