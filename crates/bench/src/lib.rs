@@ -15,8 +15,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod pr4;
-
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -53,60 +51,84 @@ pub struct HarnessOptions {
     pub pool_policy: PoolPolicy,
 }
 
+/// Usage text printed with every command-line error.
+const USAGE: &str = "\
+usage: <harness> [--quick] [--seeds N] [--dataset NAME] [--out DIR]
+                 [--jobs N] [--pool-policy SPEC]
+       fig5_runtime also takes a positional `fair` (default) or `ablation`.
+
+  --quick           reduced scale; lowers the default seed count to 2
+  --seeds N         repetitions (default 5; an explicit value always wins)
+  --dataset NAME    one of RCMNIST, CelebA, FairFace, FFHQ, NYSF (default: all)
+  --out DIR         results directory (default: results)
+  --jobs N          engine worker threads (0 = auto; results are identical)
+  --pool-policy S   unbounded (default) | window:N | reservoir:N[:SEED]";
+
 impl HarnessOptions {
-    /// Parses `std::env::args()`. Unknown flags abort with a usage message.
+    /// Parses `std::env::args()`. A malformed command line prints an error
+    /// naming the flag plus the usage text and exits with code 2.
     pub fn from_args() -> HarnessOptions {
-        let mut options = HarnessOptions {
-            quick: false,
-            seeds: 5,
-            dataset: None,
-            out_dir: PathBuf::from("results"),
-            jobs: 1,
-            pool_policy: PoolPolicy::Unbounded,
-        };
-        let mut args = std::env::args().skip(1);
+        HarnessOptions::parse(std::env::args().skip(1)).unwrap_or_else(|message| {
+            eprintln!("error: {message}\n\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses harness arguments (without the program name). Flag order
+    /// does not matter: `--quick` lowers only the *default* seed count, so
+    /// an explicit `--seeds` wins wherever it appears.
+    ///
+    /// # Errors
+    /// Returns a message naming the flag on an unknown flag, a missing
+    /// value, or a value that does not parse.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<HarnessOptions, String> {
+        let mut quick = false;
+        let mut seeds = None;
+        let mut dataset = None;
+        let mut out_dir = PathBuf::from("results");
+        let mut jobs = 1;
+        let mut pool_policy = PoolPolicy::Unbounded;
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
             match arg.as_str() {
-                "--quick" => {
-                    options.quick = true;
-                    options.seeds = options.seeds.min(2);
-                }
+                "--quick" => quick = true,
                 "--seeds" => {
-                    let v = args.next().expect("--seeds needs a value");
-                    options.seeds = v.parse().expect("--seeds must be an integer");
+                    let v = value()?;
+                    seeds = Some(v.parse().map_err(|_| {
+                        format!("invalid value '{v}' for --seeds (expected a non-negative integer)")
+                    })?);
                 }
                 "--dataset" => {
-                    let v = args.next().expect("--dataset needs a value");
-                    options.dataset = Some(
-                        Dataset::from_name(&v)
-                            .unwrap_or_else(|| panic!("unknown dataset '{v}'")),
-                    );
+                    let v = value()?;
+                    dataset = Some(Dataset::from_name(&v).ok_or_else(|| {
+                        format!(
+                            "unknown dataset '{v}' for --dataset \
+                             (one of RCMNIST, CelebA, FairFace, FFHQ, NYSF)"
+                        )
+                    })?);
                 }
-                "--out" => {
-                    let v = args.next().expect("--out needs a value");
-                    options.out_dir = PathBuf::from(v);
-                }
+                "--out" => out_dir = PathBuf::from(value()?),
                 "--jobs" => {
-                    let v = args.next().expect("--jobs needs a value");
-                    let requested: usize = v.parse().expect("--jobs must be an integer");
-                    options.jobs = faction_engine::resolve_workers(Some(requested));
+                    let v = value()?;
+                    let requested = v.parse().map_err(|_| {
+                        format!("invalid value '{v}' for --jobs (expected a non-negative integer)")
+                    })?;
+                    jobs = faction_engine::resolve_workers(Some(requested));
                 }
                 "--pool-policy" => {
-                    let v = args.next().expect("--pool-policy needs a value");
-                    options.pool_policy = PoolPolicy::parse(&v)
-                        .unwrap_or_else(|e| panic!("invalid --pool-policy: {e}"));
+                    pool_policy = PoolPolicy::parse(&value()?)
+                        .map_err(|e| format!("invalid --pool-policy: {e}"))?;
                 }
                 other if !other.starts_with("--") => {
                     // Positional argument (e.g. fig5's `fair` / `ablation`
                     // selector) — left for the binary to re-read.
                 }
-                other => panic!(
-                    "unknown flag '{other}' \
-                     (try --quick/--seeds/--dataset/--out/--jobs/--pool-policy)"
-                ),
+                other => return Err(format!("unknown flag '{other}'")),
             }
         }
-        options
+        let seeds = seeds.unwrap_or(if quick { 2 } else { 5 });
+        Ok(HarnessOptions { quick, seeds, dataset, out_dir, jobs, pool_policy })
     }
 
     /// The generation scale implied by `--quick`.
@@ -250,6 +272,53 @@ pub fn write_output(options: &HarnessOptions, name: &str, text: &str, json: &imp
 mod tests {
     use super::*;
     use faction_core::strategies::{EntropyAl, Random};
+
+    fn parse(args: &[&str]) -> Result<HarnessOptions, String> {
+        HarnessOptions::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn quick_lowers_only_the_default_seed_count() {
+        assert_eq!(parse(&[]).unwrap().seeds, 5);
+        assert_eq!(parse(&["--quick"]).unwrap().seeds, 2);
+        for args in [["--seeds", "5", "--quick"], ["--quick", "--seeds", "5"]] {
+            let options = parse(&args).unwrap();
+            assert!(options.quick, "{args:?}");
+            assert_eq!(options.seeds, 5, "{args:?}");
+        }
+        assert_eq!(parse(&["--seeds", "1", "--quick"]).unwrap().seeds, 1);
+    }
+
+    #[test]
+    fn positional_selector_and_every_flag_parse() {
+        let options = parse(&[
+            "ablation", "--dataset", "NYSF", "--out", "o", "--jobs", "1", "--pool-policy", "window:8",
+        ])
+        .unwrap();
+        assert_eq!(options.dataset, Some(Dataset::Nysf));
+        assert_eq!(options.out_dir, PathBuf::from("o"));
+        assert_eq!(options.jobs, 1);
+        assert_eq!(options.pool_policy, PoolPolicy::SlidingWindow(8));
+    }
+
+    #[test]
+    fn malformed_flags_are_named_errors() {
+        for (args, flag) in [
+            (&["--seeds", "five"][..], "--seeds"),
+            (&["--seeds", "-1"], "--seeds"),
+            (&["--jobs", "many"], "--jobs"),
+            (&["--dataset", "MNIST"], "--dataset"),
+            (&["--pool-policy", "window:0"], "--pool-policy"),
+            (&["--quick", "--seeds"], "--seeds"),
+            (&["--jobs"], "--jobs"),
+            (&["--dataset"], "--dataset"),
+            (&["--out"], "--out"),
+            (&["--kernel-backend", "simd"], "--kernel-backend"),
+        ] {
+            let message = parse(args).expect_err(&format!("{args:?} must be rejected"));
+            assert!(message.contains(flag), "{args:?}: {message:?} does not name {flag}");
+        }
+    }
 
     #[test]
     fn run_lineup_aggregates_each_factory() {

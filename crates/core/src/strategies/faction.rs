@@ -318,7 +318,7 @@ impl Faction {
     }
 
     /// Computes the raw Eq. (6) scores `u(x)` (lower = query first) for a
-    /// candidate batch. Exposed for the scoring micro-benchmarks.
+    /// candidate batch.
     ///
     /// The whole candidate batch is scored through the batched density path
     /// ([`FairDensityEstimator::score_batch_into`]) with long-lived scratch

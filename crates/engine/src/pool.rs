@@ -160,6 +160,14 @@ impl Scheduler {
     /// Pushes a requeued job (a retry) onto the global injector and wakes a
     /// parked worker. `outstanding` is unchanged: the job was never retired.
     fn requeue(&self, idx: usize) {
+        // Book the job as queued before it becomes visible in the injector:
+        // another worker may pop it (and book it out) the instant it is
+        // pushed, so counting after the push can underflow `queued` and
+        // leave the other workers spinning on a job that is not there.
+        let mut p = lock(&self.park);
+        p.queued += 1;
+        p.high_water = p.high_water.max(p.queued);
+        drop(p);
         let depth = {
             let mut inj = lock(&self.injector);
             inj.push_back(idx);
@@ -167,10 +175,6 @@ impl Scheduler {
         };
         self.recorder.counter_add("engine.pool.requeues", 1);
         self.recorder.gauge_set("engine.pool.injector_depth", depth as u64);
-        let mut p = lock(&self.park);
-        p.queued += 1;
-        p.high_water = p.high_water.max(p.queued);
-        drop(p);
         self.cv.notify_one();
     }
 
@@ -384,7 +388,7 @@ where
 
 /// Runs `f(index, item)` for every item of `items` on `workers` threads and
 /// blocks until all complete. The primitive behind the engine's batch
-/// executor and the bench crate's scaling harness: items may borrow from the
+/// executor and the bench crate's `run_lineup`: items may borrow from the
 /// caller, results are typically written into a locked slot table so output
 /// order is submission order regardless of schedule.
 pub fn scoped_for_each<T, F>(workers: usize, items: &[T], f: F) -> PoolStats

@@ -26,9 +26,9 @@ use faction_telemetry::{Handle, Registry};
 /// values are arbitrary but fixed so failures reproduce.
 const CHAOS_SEEDS: [u64; 3] = [1, 2, 3];
 
-/// The 24-job sanitizer grid: 2 datasets × 3 strategies × 4 seeds, the same
-/// shape as the BENCH_PR3 scaling grid but truncated harder so the sweep
-/// (1 baseline + 3 chaos runs) stays in test-suite budget.
+/// The 24-job sanitizer grid: 2 datasets × 3 strategies × 4 seeds, with
+/// tasks truncated hard so the sweep (1 baseline + 3 chaos runs) stays in
+/// test-suite budget.
 fn sanitizer_grid() -> Vec<ExperimentJob> {
     let cfg = ExperimentConfig {
         budget: 20,

@@ -167,7 +167,8 @@ impl Matrix {
     /// tombstone offset advances and the dead prefix is reclaimed in one
     /// bulk `drain` only once dead rows outnumber live ones, so the buffer
     /// never holds more than ~2× the live data and no per-eviction
-    /// O(rows · cols) memmove happens (the BENCH_PR6 residual). Removing an
+    /// O(rows · cols) memmove happens (that memmove made the round cost of
+    /// a sliding-window pool grow with its size). Removing an
     /// interior row (reservoir pools never do; they overwrite in place) is
     /// the original O((rows − r) · cols) shift.
     ///
@@ -294,7 +295,9 @@ impl Matrix {
     /// Matrix–matrix product `self * other`.
     ///
     /// Dispatches to the packed/blocked kernel in [`crate::kernels`]; the
-    /// result is bit-identical to [`Matrix::matmul_naive`].
+    /// result is bit-identical to the i-k-j reference
+    /// [`crate::kernels::matmul_simple`] (same ascending-`k` accumulation
+    /// per element, no zero-skipping, so `0 · ∞` is `NaN` on both paths).
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] if inner dimensions differ.
@@ -321,40 +324,6 @@ impl Matrix {
             other.cols,
         );
         Ok(())
-    }
-
-    /// Reference matrix–matrix product: the original i-k-j loop with a
-    /// sparsity short-circuit on `a[i][k] == 0`.
-    ///
-    /// Kept as the baseline the benches and property tests compare the
-    /// blocked kernel against.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::ShapeMismatch`] if inner dimensions differ.
-    pub fn matmul_naive(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                left: format!("{}x{}", self.rows, self.cols),
-                right: format!("{}x{}", other.rows, other.cols),
-                op: "matmul_naive",
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for (k, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                let out_row = out.row_mut(i);
-                for (j, &bkj) in b_row.iter().enumerate() {
-                    // analyzer:ordered: ascending-k accumulation matches kernels::matmul_simple
-                    out_row[j] += aik * bkj;
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Writes `selfᵀ * other` into `out` without materializing the

@@ -1,7 +1,7 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use faction_linalg::rng::block_rotation;
-use faction_linalg::{vector, Cholesky, Matrix, SeedRng};
+use faction_linalg::{kernels, vector, Cholesky, Matrix, SeedRng};
 use proptest::prelude::*;
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -150,7 +150,7 @@ proptest! {
     }
 
     #[test]
-    fn blocked_matmul_matches_naive(
+    fn blocked_matmul_matches_simple_bitwise(
         seed in 0u64..200,
         m in 1usize..48,
         k in 1usize..48,
@@ -162,9 +162,10 @@ proptest! {
         let b = Matrix::from_vec(k, n, (0..k * n).map(|_| rng.uniform_range(-2.0, 2.0)).collect())
             .unwrap();
         let blocked = a.matmul(&b).unwrap();
-        let naive = a.matmul_naive(&b).unwrap();
-        for (x, y) in blocked.as_slice().iter().zip(naive.as_slice()) {
-            prop_assert!((x - y).abs() <= 1e-10, "blocked {x} vs naive {y}");
+        let mut simple = vec![0.0; m * n];
+        kernels::matmul_simple(a.as_slice(), b.as_slice(), &mut simple, m, k, n);
+        for (x, y) in blocked.as_slice().iter().zip(&simple) {
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "blocked {} vs simple {}", x, y);
         }
     }
 
