@@ -1,8 +1,10 @@
 //! Packed/blocked dense kernels behind [`crate::Matrix`]'s hot operations.
 //!
 //! The FACTION selection loop multiplies feature blocks (hundreds of rows,
-//! 16–128 columns) every round, so `A·B` is the single hottest kernel in the
-//! reproduction. The implementation here is a classic three-level blocking:
+//! 16–128 columns) every round, and every retrain step runs a forward
+//! `A·B` plus the two backprop products `Aᵀ·B` (weight gradient) and
+//! `A·Bᵀ` (input gradient) per layer. All three go through one macro-kernel,
+//! [`blocked_sweep`], a classic three-level blocking:
 //!
 //! * a **k-panel** (`KC` deep) bounds the working set so the packed slab of
 //!   `A` stays in L1 across the whole j sweep;
@@ -13,14 +15,23 @@
 //!   whole k-panel in locals, touching the output matrix once per panel
 //!   instead of once per scalar multiply-add.
 //!
+//! The three products differ only in how operands are read ([`Layout`]):
+//! `Aᵀ·B` packs its A micro-panels from the stored-transposed operand (a
+//! contiguous read per k step), and `A·Bᵀ` additionally packs each
+//! `NR`-wide column panel of `Bᵀ` k-major into a stack buffer so the
+//! micro-kernel sees the same row-contiguous B tile as `A·B`, at a row
+//! stride of its own.
+//!
 //! Every kernel preserves the *exact* floating-point accumulation order of
-//! the straightforward i-k-j loop: each output element is a left-to-right
-//! sum over ascending `k` (partial sums flow through the register tile in
-//! the same sequence the scalar loop would store them). The blocked products
-//! are therefore bit-identical to [`matmul_simple`], which the property
-//! tests in `faction-linalg` assert. Keeping bit parity matters beyond
-//! testing: experiment JSON artifacts are reproducible byte-for-byte whether
-//! or not a given build dispatches to the blocked path.
+//! the straightforward loops: each output element is a left-to-right sum
+//! over ascending `k`, one rounded multiply then one rounded add per step
+//! (partial sums flow through the register tile in the same sequence the
+//! scalar loop would store them). The blocked products are therefore
+//! bit-identical to [`matmul_simple`], [`matmul_tn_simple`] and
+//! [`matmul_nt_simple`], which the property tests in `faction-linalg`
+//! assert. Keeping bit parity matters beyond testing: experiment JSON
+//! artifacts are reproducible byte-for-byte whether or not a given build
+//! dispatches to the blocked path.
 //!
 //! All functions take raw row-major slices plus dimensions; the `Matrix`
 //! methods in [`crate::matrix`] do shape checking and call in here. The
@@ -42,11 +53,23 @@ pub(crate) const SMALL_VOLUME: usize = 16 * 16 * 16;
 
 /// Full-tile micro-kernel ABI shared by the scalar reference
 /// ([`kernel_full`]) and the AVX2 kernel (`crate::simd`): packed A panel,
-/// panel depth, `b`, panel/tile coordinates, output, tile row. Every
+/// panel depth, B tile and its row stride, output tile and its row stride.
+/// The B and output slices start at the tile's first element. Every
 /// implementation must keep the per-element ascending-`k` accumulation
 /// order — that is the bit-identity contract the dispatch facade rests on.
-pub(crate) type FullTile =
-    fn(&[f64], usize, &[f64], usize, usize, usize, &mut [f64], usize);
+pub(crate) type FullTile = fn(&[f64], usize, &[f64], usize, &mut [f64], usize);
+
+/// How [`blocked_sweep`] reads its operands for `out += op(a) · op(b)`
+/// (`out` is always `m×n`, the contraction depth is `k`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Layout {
+    /// `a` is `m×k`, `b` is `k×n`.
+    Nn,
+    /// `a` is stored transposed (`k×m`), `b` is `k×n`.
+    Tn,
+    /// `a` is `m×k`, `b` is stored transposed (`n×k`).
+    Nt,
+}
 
 /// Reference i-k-j product: `out += a · b` with `out` pre-zeroed by the
 /// caller. Branch-free dense inner loop (no sparsity short-circuit).
@@ -97,17 +120,39 @@ pub fn matmul_blocked(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize,
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), k * n);
     assert_eq!(out.len(), m * n);
-    if m * k * n <= SMALL_VOLUME || n < NR {
+    if is_small(m, k, n) {
         matmul_simple(a, b, out, m, k, n);
         return;
     }
-    blocked_sweep(a, b, out, m, k, n, kernel_full);
+    blocked_sweep(a, b, out, m, k, n, Layout::Nn, kernel_full);
 }
 
-/// The shared macro-kernel: packs A micro-panels and sweeps register tiles
-/// over every output row, calling `full_tile` for full `MR × NR` tiles and
-/// the scalar [`kernel_edge`] for remainders.
+/// Whether a product is below the blocked path's break-even: too little
+/// volume to amortize packing, or narrower than one register tile.
+#[inline]
+pub(crate) fn is_small(m: usize, k: usize, n: usize) -> bool {
+    m * k * n <= SMALL_VOLUME || n < NR
+}
+
+/// The full-tile micro-kernel of the backend selected by
+/// [`crate::dispatch::active_backend`].
+fn active_full_tile() -> FullTile {
+    match crate::dispatch::active_backend() {
+        crate::dispatch::KernelBackend::Scalar => kernel_full,
+        crate::dispatch::KernelBackend::Simd => crate::simd::select_full_tile(),
+    }
+}
+
+/// The shared macro-kernel for all three operand layouts: packs A
+/// micro-panels (and, for [`Layout::Nt`], `Bᵀ` column panels) and sweeps
+/// register tiles over every output row, calling `full_tile` for full
+/// `MR × NR` tiles and the scalar [`kernel_edge`] for remainders.
+///
+/// Every output element accumulates onto its current `out` value over
+/// ascending `k`, so the caller's seed (`0.0` for a plain product, `-0.0`
+/// for the row-dot-compatible `A·Bᵀ`) is the first addend.
 // analyzer:hot-path
+#[allow(clippy::too_many_arguments)] // two operands, output, three extents, layout, micro-kernel
 pub(crate) fn blocked_sweep(
     a: &[f64],
     b: &[f64],
@@ -115,36 +160,106 @@ pub(crate) fn blocked_sweep(
     m: usize,
     k: usize,
     n: usize,
+    layout: Layout,
     full_tile: FullTile,
 ) {
-    // Packed A micro-panel, k-major: apack[kk * MR + ii] = a[ib+ii][kb+kk].
+    // Packed A micro-panel, k-major: apack[kk * MR + ii] = op(a)[ib+ii][kb+kk].
     let mut apack = [0.0f64; MR * KC];
     let mut kb = 0;
     while kb < k {
         let klen = KC.min(k - kb);
-        let mut ib = 0;
-        while ib < m {
-            let ilen = MR.min(m - ib);
-            for kk in 0..klen {
-                for ii in 0..ilen {
-                    apack[kk * MR + ii] = a[(ib + ii) * k + kb + kk];
-                }
-            }
+        if layout == Layout::Nt {
+            // Packed Bᵀ column panel, k-major: bpack[kk * NR + jj] =
+            // b[jb+jj][kb+kk]. It gathers NR rows of `b` against the A
+            // panel's MR, so it is the pack done once per k-panel, with
+            // every row block swept under it and A repacked per panel.
+            let mut bpack = [0.0f64; KC * NR];
             let mut jb = 0;
-            while jb + NR <= n {
-                if ilen == MR {
-                    full_tile(&apack, klen, b, kb, jb, n, out, ib);
-                } else {
-                    kernel_edge(&apack, klen, ilen, b, kb, jb, NR, n, out, ib);
+            while jb < n {
+                let jlen = NR.min(n - jb);
+                for jj in 0..jlen {
+                    let col = &b[(jb + jj) * k + kb..(jb + jj) * k + kb + klen];
+                    for (kk, &v) in col.iter().enumerate() {
+                        bpack[kk * NR + jj] = v;
+                    }
+                }
+                let mut ib = 0;
+                while ib < m {
+                    let ilen = pack_a(a, layout, m, k, kb, klen, ib, &mut apack);
+                    let out_tile = &mut out[ib * n + jb..];
+                    tile(&apack, klen, ilen, &bpack, NR, jlen, out_tile, n, full_tile);
+                    ib += MR;
                 }
                 jb += NR;
             }
-            if jb < n {
-                kernel_edge(&apack, klen, ilen, b, kb, jb, n - jb, n, out, ib);
+        } else {
+            let mut ib = 0;
+            while ib < m {
+                let ilen = pack_a(a, layout, m, k, kb, klen, ib, &mut apack);
+                let mut jb = 0;
+                while jb < n {
+                    let jlen = NR.min(n - jb);
+                    let (b_tile, out_tile) = (&b[kb * n + jb..], &mut out[ib * n + jb..]);
+                    tile(&apack, klen, ilen, b_tile, n, jlen, out_tile, n, full_tile);
+                    jb += NR;
+                }
+                ib += MR;
             }
-            ib += MR;
         }
         kb += KC;
+    }
+}
+
+/// Packs the A micro-panel at rows `ib..` of `op(a)`, k-panel `kb..kb+klen`
+/// (k-major, see [`blocked_sweep`]); returns its height (`MR` or the tail).
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn pack_a(
+    a: &[f64],
+    layout: Layout,
+    m: usize,
+    k: usize,
+    kb: usize,
+    klen: usize,
+    ib: usize,
+    apack: &mut [f64; MR * KC],
+) -> usize {
+    let ilen = MR.min(m - ib);
+    if layout == Layout::Tn {
+        for (kk, dst) in apack.chunks_exact_mut(MR).take(klen).enumerate() {
+            let src = (kb + kk) * m + ib;
+            dst[..ilen].copy_from_slice(&a[src..src + ilen]);
+        }
+    } else {
+        for ii in 0..ilen {
+            let row = &a[(ib + ii) * k + kb..(ib + ii) * k + kb + klen];
+            for (dst, &v) in apack.chunks_exact_mut(MR).zip(row) {
+                dst[ii] = v;
+            }
+        }
+    }
+    ilen
+}
+
+/// One register tile: `full_tile` when it is a full `MR × NR`, the scalar
+/// [`kernel_edge`] otherwise.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn tile(
+    apack: &[f64],
+    klen: usize,
+    ilen: usize,
+    b: &[f64],
+    ldb: usize,
+    jlen: usize,
+    out: &mut [f64],
+    ldo: usize,
+    full_tile: FullTile,
+) {
+    if ilen == MR && jlen == NR {
+        full_tile(apack, klen, b, ldb, out, ldo);
+    } else {
+        kernel_edge(apack, klen, ilen, b, ldb, jlen, out, ldo);
     }
 }
 
@@ -154,25 +269,21 @@ pub(crate) fn blocked_sweep(
 /// sums) and written back once, so per-element accumulation order stays the
 /// scalar loop's ascending-k order.
 #[inline]
-#[allow(clippy::too_many_arguments)] // micro-kernel: raw slices + tile coordinates
 // analyzer:ordered: ascending-k accumulation into the register block matches matmul_simple
 pub(crate) fn kernel_full(
     apack: &[f64],
     klen: usize,
     b: &[f64],
-    kb: usize,
-    jb: usize,
-    n: usize,
+    ldb: usize,
     out: &mut [f64],
-    ib: usize,
+    ldo: usize,
 ) {
     let mut acc = [[0.0f64; NR]; MR];
     for (ii, acc_row) in acc.iter_mut().enumerate() {
-        let row = &out[(ib + ii) * n + jb..(ib + ii) * n + jb + NR];
-        acc_row.copy_from_slice(row);
+        acc_row.copy_from_slice(&out[ii * ldo..ii * ldo + NR]);
     }
     for kk in 0..klen {
-        let b_row = &b[(kb + kk) * n + jb..(kb + kk) * n + jb + NR];
+        let b_row = &b[kk * ldb..kk * ldb + NR];
         for (ii, acc_row) in acc.iter_mut().enumerate() {
             let aik = apack[kk * MR + ii];
             for (jj, av) in acc_row.iter_mut().enumerate() {
@@ -181,8 +292,7 @@ pub(crate) fn kernel_full(
         }
     }
     for (ii, acc_row) in acc.iter().enumerate() {
-        let row = &mut out[(ib + ii) * n + jb..(ib + ii) * n + jb + NR];
-        row.copy_from_slice(acc_row);
+        out[ii * ldo..ii * ldo + NR].copy_from_slice(acc_row);
     }
 }
 
@@ -196,18 +306,16 @@ pub(crate) fn kernel_edge(
     klen: usize,
     ilen: usize,
     b: &[f64],
-    kb: usize,
-    jb: usize,
+    ldb: usize,
     jlen: usize,
-    n: usize,
     out: &mut [f64],
-    ib: usize,
+    ldo: usize,
 ) {
     for ii in 0..ilen {
-        let out_row = &mut out[(ib + ii) * n + jb..(ib + ii) * n + jb + jlen];
+        let out_row = &mut out[ii * ldo..ii * ldo + jlen];
         for kk in 0..klen {
             let aik = apack[kk * MR + ii];
-            let b_row = &b[(kb + kk) * n + jb..(kb + kk) * n + jb + jlen];
+            let b_row = &b[kk * ldb..kk * ldb + jlen];
             for (o, &bv) in out_row.iter_mut().zip(b_row) {
                 *o += aik * bv;
             }
@@ -218,12 +326,29 @@ pub(crate) fn kernel_edge(
 /// Transposed-LHS product `out = aᵀ · b` without materializing `aᵀ`.
 ///
 /// `a` is `k×m`, `b` is `k×n`, `out` is `m×n` (pre-zeroed). This is the
-/// backprop `grad_w = xᵀ · δ` shape; the k-outer axpy sweep reads both
-/// operands row-contiguously and keeps per-element ascending-k order, so it
-/// is bit-identical to `a.transpose().matmul(b)`.
+/// backprop `grad_w = xᵀ · δ` shape. Runs the shared macro-kernel on the
+/// active backend, packing A micro-panels straight from the transposed
+/// storage; small shapes take [`matmul_tn_simple`]. Both keep per-element
+/// ascending-k order, so the result is bit-identical to
+/// `a.transpose().matmul(b)` on every backend.
+// analyzer:hot-path
+pub fn matmul_tn_into(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize, n: usize) {
+    assert_eq!(a.len(), k * m);
+    assert_eq!(b.len(), k * n);
+    assert_eq!(out.len(), m * n);
+    if is_small(m, k, n) {
+        matmul_tn_simple(a, b, out, k, m, n);
+        return;
+    }
+    blocked_sweep(a, b, out, m, k, n, Layout::Tn, active_full_tile());
+}
+
+/// Reference `out += aᵀ · b` (shapes as [`matmul_tn_into`]): the k-outer
+/// axpy sweep, which reads both operands row-contiguously. The small-shape
+/// path of [`matmul_tn_into`] and its bit-reference.
 // analyzer:hot-path
 // analyzer:ordered: k-outer axpy keeps per-element ascending-k order (bit-identical to transpose+matmul)
-pub fn matmul_tn_into(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize, n: usize) {
+pub fn matmul_tn_simple(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize, n: usize) {
     assert_eq!(a.len(), k * m);
     assert_eq!(b.len(), k * n);
     assert_eq!(out.len(), m * n);
@@ -242,10 +367,29 @@ pub fn matmul_tn_into(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize,
 /// Transposed-RHS product `out = a · bᵀ` without materializing `bᵀ`.
 ///
 /// `a` is `m×k`, `b` is `n×k`, `out` is `m×n` (overwritten). This is the
-/// backprop `dx = δ · wᵀ` shape; each output element is a contiguous
-/// row·row dot, bit-identical to `a.matmul(&b.transpose())`.
+/// backprop `dx = δ · wᵀ` shape. The output is seeded with `-0.0` — the
+/// identity `f64`'s `Sum` folds from — and then runs the shared
+/// macro-kernel on the active backend, so every element (zero signs
+/// included) is bit-identical to the row·row dot of [`matmul_nt_simple`],
+/// which small shapes take directly.
 // analyzer:hot-path
 pub fn matmul_nt_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k);
+    assert_eq!(b.len(), n * k);
+    assert_eq!(out.len(), m * n);
+    if is_small(m, k, n) {
+        matmul_nt_simple(a, b, out, m, k, n);
+        return;
+    }
+    out.fill(-0.0);
+    blocked_sweep(a, b, out, m, k, n, Layout::Nt, active_full_tile());
+}
+
+/// Reference `out = a · bᵀ` (shapes as [`matmul_nt_into`]): one contiguous
+/// row·row [`crate::vector::dot`] per output element. The small-shape path
+/// of [`matmul_nt_into`] and its bit-reference.
+// analyzer:hot-path
+pub fn matmul_nt_simple(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), n * k);
     assert_eq!(out.len(), m * n);

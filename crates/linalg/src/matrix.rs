@@ -327,7 +327,8 @@ impl Matrix {
     }
 
     /// Writes `selfᵀ * other` into `out` without materializing the
-    /// transpose (the backprop `xᵀ·δ` shape).
+    /// transpose (the backprop `xᵀ·δ` shape), through the blocked kernel on
+    /// the active backend; bit-identical to `self.transpose().matmul(other)`.
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] if `self.rows() !=
@@ -347,7 +348,8 @@ impl Matrix {
     }
 
     /// Writes `self * otherᵀ` into `out` without materializing the
-    /// transpose (the backprop `δ·wᵀ` shape).
+    /// transpose (the backprop `δ·wᵀ` shape), through the blocked kernel on
+    /// the active backend; bit-identical to one row·row dot per element.
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() !=
@@ -441,10 +443,30 @@ impl Matrix {
             });
         }
         let mut out = vec![0.0; self.cols];
-        for (r, &xr) in x.iter().enumerate() {
-            crate::vector::axpy(xr, self.row(r), &mut out);
-        }
+        self.tr_matvec_into(x, &mut out)?;
         Ok(out)
+    }
+
+    /// Writes `selfᵀ * x` into `out` without allocating: the row-by-row
+    /// axpy of [`Matrix::tr_matvec`] (ascending rows onto a zeroed `out`),
+    /// so the two are bit-identical.
+    ///
+    /// # Errors
+    /// Returns [`LinalgError::ShapeMismatch`] if `x.len() != self.rows()` or
+    /// `out.len() != self.cols()`.
+    pub fn tr_matvec_into(&self, x: &[f64], out: &mut [f64]) -> Result<()> {
+        if x.len() != self.rows || out.len() != self.cols {
+            return Err(LinalgError::ShapeMismatch {
+                left: format!("{}x{}", self.rows, self.cols),
+                right: format!("x len {}, out len {}", x.len(), out.len()),
+                op: "tr_matvec_into",
+            });
+        }
+        out.fill(0.0);
+        for (r, &xr) in x.iter().enumerate() {
+            crate::vector::axpy(xr, self.row(r), out);
+        }
+        Ok(())
     }
 
     /// In-place element-wise addition.
@@ -623,6 +645,12 @@ mod tests {
         // A^T y computed two ways.
         let t = a.transpose();
         assert_eq!(a.tr_matvec(&y).unwrap(), t.matvec(&y).unwrap());
+        // The allocation-free sibling overwrites stale contents.
+        let mut out = vec![f64::NAN; 2];
+        a.tr_matvec_into(&y, &mut out).unwrap();
+        assert_eq!(out, a.tr_matvec(&y).unwrap());
+        assert!(a.tr_matvec_into(&y, &mut [0.0; 3]).is_err());
+        assert!(a.tr_matvec_into(&x, &mut out).is_err());
     }
 
     #[test]

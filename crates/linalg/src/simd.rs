@@ -1,7 +1,8 @@
 //! Explicit AVX2 micro-kernel for the 4×8 GEMM register tile.
 //!
 //! This is the [`crate::dispatch::KernelBackend::Simd`] implementation of
-//! the blocked product in [`crate::kernels`]. Only the *full-tile*
+//! the blocked products in [`crate::kernels`] — `A·B`, `Aᵀ·B` and `A·Bᵀ`
+//! all reach it through the one macro-kernel. Only the *full-tile*
 //! micro-kernel is vectorized: it is where all the flops are, and the edge
 //! tiles (`ilen < MR` or `jlen < NR`) keep the scalar reference code.
 //!
@@ -28,7 +29,7 @@
 //! enforced by the workspace analyzer, and this file's `#[cfg(test)]`
 //! region cross-checks the kernel against the scalar reference.
 
-use crate::kernels::{kernel_full, matmul_simple, MR, NR, SMALL_VOLUME};
+use crate::kernels::{is_small, kernel_full, matmul_simple, Layout, MR, NR};
 
 /// Blocked, packed product `out += a · b` using the AVX2 micro-kernel for
 /// full register tiles (`out` pre-zeroed by the caller for a plain
@@ -41,11 +42,11 @@ pub fn matmul_simd_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usiz
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), k * n);
     assert_eq!(out.len(), m * n);
-    if m * k * n <= SMALL_VOLUME || n < NR {
+    if is_small(m, k, n) {
         matmul_simple(a, b, out, m, k, n);
         return;
     }
-    crate::kernels::blocked_sweep(a, b, out, m, k, n, select_full_tile());
+    crate::kernels::blocked_sweep(a, b, out, m, k, n, Layout::Nn, select_full_tile());
 }
 
 /// The best available full-tile micro-kernel for this host: AVX2 when the
@@ -63,24 +64,21 @@ pub(crate) fn select_full_tile() -> crate::kernels::FullTile {
 /// Safe wrapper matching [`crate::kernels::FullTile`]: re-verifies the CPU
 /// feature (cached atomic in std) and dispatches to the AVX2 kernel, or to
 /// the scalar reference when the feature is absent.
-#[allow(clippy::too_many_arguments)] // micro-kernel ABI shared with the scalar tile
 pub(crate) fn kernel_full_simd(
     apack: &[f64],
     klen: usize,
     b: &[f64],
-    kb: usize,
-    jb: usize,
-    n: usize,
+    ldb: usize,
     out: &mut [f64],
-    ib: usize,
+    ldo: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
     if crate::dispatch::simd_available() {
         // analyzer:unsafe(invariant): avx2 verified by is_x86_feature_detected on the line above; tile bounds are re-asserted inside the kernel before any raw load/store
-        unsafe { kernel_full_avx2(apack, klen, b, kb, jb, n, out, ib) };
+        unsafe { kernel_full_avx2(apack, klen, b, ldb, out, ldo) };
         return;
     }
-    kernel_full(apack, klen, b, kb, jb, n, out, ib);
+    kernel_full(apack, klen, b, ldb, out, ldo);
 }
 
 /// AVX2 full-tile micro-kernel: `MR × NR` = 4 rows × 8 columns, each row's
@@ -92,23 +90,20 @@ pub(crate) fn kernel_full_simd(
 /// # Safety
 /// Caller must ensure the `avx2` target feature is available. Slice bounds
 /// are asserted on entry: `apack` covers `klen` packed k-steps of `MR`
-/// rows, `b` rows `kb..kb+klen` and `out` rows `ib..ib+MR` must contain
-/// columns `jb..jb+NR` at row stride `n`; all raw loads/stores below stay
-/// inside those asserted ranges.
+/// rows, `b` holds `klen` rows of `NR` columns at row stride `ldb` and
+/// `out` holds `MR` rows of `NR` columns at row stride `ldo`; all raw
+/// loads/stores below stay inside those asserted ranges.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 // analyzer:ordered: lane-parallel across j, ascending-k per lane with separate mul+add — the scalar kernel_full order
 // analyzer:unsafe(invariant): bounds asserted on entry (apack/b/out cover the tile); loads and stores are unaligned and stay within the asserted slice ranges; no FMA so rounding matches the scalar reference
 unsafe fn kernel_full_avx2(
     apack: &[f64],
     klen: usize,
     b: &[f64],
-    kb: usize,
-    jb: usize,
-    n: usize,
+    ldb: usize,
     out: &mut [f64],
-    ib: usize,
+    ldo: usize,
 ) {
     use core::arch::x86_64::{
         _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd,
@@ -117,8 +112,8 @@ unsafe fn kernel_full_avx2(
     // release-mode shape checks: every raw pointer below is derived from a
     // base + offset proven in-bounds here.
     assert!(apack.len() >= klen * MR);
-    assert!((kb + klen).saturating_sub(1) * n + jb + NR <= b.len() || klen == 0);
-    assert!((ib + MR - 1) * n + jb + NR <= out.len());
+    assert!(klen == 0 || (klen - 1) * ldb + NR <= b.len());
+    assert!((MR - 1) * ldo + NR <= out.len());
 
     let mut acc0;
     let mut acc1;
@@ -130,17 +125,17 @@ unsafe fn kernel_full_avx2(
     let mut acc7;
     {
         let o = out.as_ptr();
-        acc0 = _mm256_loadu_pd(o.add(ib * n + jb));
-        acc1 = _mm256_loadu_pd(o.add(ib * n + jb + 4));
-        acc2 = _mm256_loadu_pd(o.add((ib + 1) * n + jb));
-        acc3 = _mm256_loadu_pd(o.add((ib + 1) * n + jb + 4));
-        acc4 = _mm256_loadu_pd(o.add((ib + 2) * n + jb));
-        acc5 = _mm256_loadu_pd(o.add((ib + 2) * n + jb + 4));
-        acc6 = _mm256_loadu_pd(o.add((ib + 3) * n + jb));
-        acc7 = _mm256_loadu_pd(o.add((ib + 3) * n + jb + 4));
+        acc0 = _mm256_loadu_pd(o);
+        acc1 = _mm256_loadu_pd(o.add(4));
+        acc2 = _mm256_loadu_pd(o.add(ldo));
+        acc3 = _mm256_loadu_pd(o.add(ldo + 4));
+        acc4 = _mm256_loadu_pd(o.add(2 * ldo));
+        acc5 = _mm256_loadu_pd(o.add(2 * ldo + 4));
+        acc6 = _mm256_loadu_pd(o.add(3 * ldo));
+        acc7 = _mm256_loadu_pd(o.add(3 * ldo + 4));
     }
     for kk in 0..klen {
-        let b_row = b.as_ptr().add((kb + kk) * n + jb);
+        let b_row = b.as_ptr().add(kk * ldb);
         let b0 = _mm256_loadu_pd(b_row);
         let b1 = _mm256_loadu_pd(b_row.add(4));
         let ap = apack.as_ptr().add(kk * MR);
@@ -158,14 +153,14 @@ unsafe fn kernel_full_avx2(
         acc7 = _mm256_add_pd(acc7, _mm256_mul_pd(a3, b1));
     }
     let o = out.as_mut_ptr();
-    _mm256_storeu_pd(o.add(ib * n + jb), acc0);
-    _mm256_storeu_pd(o.add(ib * n + jb + 4), acc1);
-    _mm256_storeu_pd(o.add((ib + 1) * n + jb), acc2);
-    _mm256_storeu_pd(o.add((ib + 1) * n + jb + 4), acc3);
-    _mm256_storeu_pd(o.add((ib + 2) * n + jb), acc4);
-    _mm256_storeu_pd(o.add((ib + 2) * n + jb + 4), acc5);
-    _mm256_storeu_pd(o.add((ib + 3) * n + jb), acc6);
-    _mm256_storeu_pd(o.add((ib + 3) * n + jb + 4), acc7);
+    _mm256_storeu_pd(o, acc0);
+    _mm256_storeu_pd(o.add(4), acc1);
+    _mm256_storeu_pd(o.add(ldo), acc2);
+    _mm256_storeu_pd(o.add(ldo + 4), acc3);
+    _mm256_storeu_pd(o.add(2 * ldo), acc4);
+    _mm256_storeu_pd(o.add(2 * ldo + 4), acc5);
+    _mm256_storeu_pd(o.add(3 * ldo), acc6);
+    _mm256_storeu_pd(o.add(3 * ldo + 4), acc7);
 }
 
 #[cfg(test)]

@@ -13,10 +13,19 @@
 //! the process-global dispatch; the global facade
 //! (`Matrix::matmul_into` under `set_active_backend`) is covered once under
 //! a local mutex.
+//!
+//! The backprop products `Aᵀ·B` (`matmul_tn_into`) and `A·Bᵀ`
+//! (`matmul_nt_into`) run the same macro-kernel on whichever backend the
+//! global dispatch holds, so they are checked under the mutex with each
+//! backend pinned in turn, bitwise against an explicit transpose followed
+//! by [`matmul_simple`] and against their own simple loops.
 
 use std::sync::Mutex;
 
-use faction_linalg::kernels::{matmul_blocked, matmul_simple, KC, MR, NR};
+use faction_linalg::kernels::{
+    matmul_blocked, matmul_nt_into, matmul_nt_simple, matmul_simple, matmul_tn_into,
+    matmul_tn_simple, transpose_into, KC, MR, NR,
+};
 use faction_linalg::simd::matmul_simd_into;
 use faction_linalg::{dispatch, KernelBackend, Matrix, SeedRng};
 use proptest::prelude::*;
@@ -57,6 +66,143 @@ fn assert_all_backends_agree(m: usize, k: usize, n: usize, seed: u64) {
     }
 }
 
+fn assert_bits_eq(want: &[f64], got: &[f64], what: &str) {
+    assert_eq!(want.len(), got.len(), "{what}: length");
+    for (i, (w, g)) in want.iter().zip(got).enumerate() {
+        assert_eq!(w.to_bits(), g.to_bits(), "{what} elem {i}: {w} vs {g}");
+    }
+}
+
+/// `out = aᵀ · b` (`a` is `k×m`) through the facade kernel under each
+/// backend, bitwise against transpose-then-[`matmul_simple`] and the k-outer
+/// axpy reference. The caller holds [`GLOBAL_BACKEND`].
+fn check_tn(a: &[f64], b: &[f64], k: usize, m: usize, n: usize) {
+    let mut at = vec![0.0; m * k];
+    transpose_into(a, &mut at, k, m);
+    let mut want = vec![0.0; m * n];
+    matmul_simple(&at, b, &mut want, m, k, n);
+    let mut simple = vec![0.0; m * n];
+    matmul_tn_simple(a, b, &mut simple, k, m, n);
+    assert_bits_eq(&want, &simple, &format!("tn simple {k}x{m}x{n}"));
+    for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
+        dispatch::set_active_backend(backend);
+        let mut got = vec![0.0; m * n];
+        matmul_tn_into(a, b, &mut got, k, m, n);
+        assert_eq!(dispatch::active_backend(), backend);
+        assert_bits_eq(&want, &got, &format!("tn {backend} {k}x{m}x{n}"));
+    }
+}
+
+/// `out = a · bᵀ` (`b` is `n×k`) through the facade kernel under each
+/// backend, bitwise against the row·row dot reference and against
+/// transpose-then-[`matmul_simple`] accumulated onto `-0.0` (the identity
+/// the dot's `Sum` folds from). The caller holds [`GLOBAL_BACKEND`].
+fn check_nt(a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+    let mut bt = vec![0.0; k * n];
+    transpose_into(b, &mut bt, n, k);
+    let mut want = vec![-0.0; m * n];
+    matmul_simple(a, &bt, &mut want, m, k, n);
+    let mut row_dot = vec![f64::NAN; m * n];
+    matmul_nt_simple(a, b, &mut row_dot, m, k, n);
+    assert_bits_eq(&want, &row_dot, &format!("nt row-dot {m}x{k}x{n}"));
+    for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
+        dispatch::set_active_backend(backend);
+        // Stale output contents must not leak: the product overwrites.
+        let mut got = vec![f64::NAN; m * n];
+        matmul_nt_into(a, b, &mut got, m, k, n);
+        assert_eq!(dispatch::active_backend(), backend);
+        assert_bits_eq(&want, &got, &format!("nt {backend} {m}x{k}x{n}"));
+    }
+}
+
+/// Runs [`check_tn`] and [`check_nt`] on random operands of one shape,
+/// restoring the global backend afterwards.
+fn check_transposed_products(m: usize, k: usize, n: usize, seed: u64) {
+    let _guard = GLOBAL_BACKEND.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = dispatch::active_backend();
+    let mut rng = SeedRng::new(seed);
+    let at = random_mat(k, m, &mut rng);
+    let b = random_mat(k, n, &mut rng);
+    check_tn(&at, &b, k, m, n);
+    let a = random_mat(m, k, &mut rng);
+    let bt = random_mat(n, k, &mut rng);
+    check_nt(&a, &bt, m, k, n);
+    dispatch::set_active_backend(prev);
+}
+
+#[test]
+fn transposed_products_match_explicit_transpose_at_training_shapes() {
+    // The `[in, 64, 32, C]` MLP at mini-batch 64: per layer `fan_in →
+    // fan_out`, the weight gradient is `xᵀ·δ` (k = 64 rows, m = fan_in,
+    // n = fan_out) and the input gradient is `δ·wᵀ` (m = 64, k = fan_out,
+    // n = fan_in).
+    for (s, &fan_in) in [16usize, 32, 64, 128].iter().enumerate() {
+        for (t, &fan_out) in [2usize, 32, 64].iter().enumerate() {
+            let seed = 100 + (s * 3 + t) as u64;
+            let _guard = GLOBAL_BACKEND.lock().unwrap_or_else(|e| e.into_inner());
+            let prev = dispatch::active_backend();
+            let mut rng = SeedRng::new(seed);
+            let x = random_mat(64, fan_in, &mut rng);
+            let delta = random_mat(64, fan_out, &mut rng);
+            let w = random_mat(fan_in, fan_out, &mut rng);
+            check_tn(&x, &delta, 64, fan_in, fan_out);
+            check_nt(&delta, &w, 64, fan_out, fan_in);
+            dispatch::set_active_backend(prev);
+        }
+    }
+}
+
+#[test]
+fn transposed_products_match_explicit_transpose_on_tile_and_panel_tails() {
+    // m and n off the MR/NR grid, and k spanning one, two and three
+    // k-panels.
+    for (i, &(m, k, n)) in [
+        (4 * MR + 1, 29, 5 * NR + 3),
+        (MR + 3, 70, NR + 1),
+        (63, 17, 23),
+        (5, 70, 9),
+        (9, KC + 37, 24),
+        (2 * MR + 2, 2 * KC + 5, 2 * NR + 7),
+        (1, KC + 1, NR),
+    ]
+    .iter()
+    .enumerate()
+    {
+        check_transposed_products(m, k, n, 200 + i as u64);
+    }
+}
+
+#[test]
+fn nt_seed_keeps_zero_signs_of_the_row_dot() {
+    // All-zero and negative-zero rows on both sides: `-0.0 + (-0.0)` stays
+    // `-0.0` while `0.0 + (-0.0)` is `+0.0`, so this pins the `-0.0`
+    // accumulator seed against today's row·row dot, not just magnitudes.
+    let _guard = GLOBAL_BACKEND.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = dispatch::active_backend();
+    let (m, k, n) = (3 * MR + 1, 37, 3 * NR + 2);
+    let mut rng = SeedRng::new(300);
+    let mut a = random_mat(m, k, &mut rng);
+    let mut b = random_mat(n, k, &mut rng);
+    a[..k].fill(0.0);
+    a[k..2 * k].fill(-0.0);
+    for (kk, v) in a[5 * k..6 * k].iter_mut().enumerate() {
+        *v = if kk % 2 == 0 { -0.0 } else { 0.0 };
+    }
+    b[..k].fill(-0.0);
+    b[3 * k..4 * k].fill(0.0);
+    // Negative entries against a positive-zero row give `-0.0` products.
+    for v in &mut b[9 * k..10 * k] {
+        *v = -v.abs();
+    }
+    check_nt(&a, &b, m, k, n);
+    let mut got = vec![0.0; m * n];
+    dispatch::set_active_backend(KernelBackend::Simd);
+    matmul_nt_into(&a, &b, &mut got, m, k, n);
+    assert!(got[0].is_sign_negative(), "(+0)·(-0) row sums to -0.0 like the dot");
+    assert!(got[n + 3].is_sign_negative(), "(-0)·(+0) row sums to -0.0 like the dot");
+    dispatch::set_active_backend(prev);
+}
+
 proptest! {
     #[test]
     fn gemm_backends_agree_on_random_shapes(
@@ -83,46 +229,30 @@ proptest! {
 
     #[test]
     fn transposed_products_and_matvec_agree_under_every_backend(
-        m in 1usize..24,
-        k in 1usize..20,
-        n in 1usize..24,
+        m in 1usize..80,
+        k in 1usize..70,
+        n in 1usize..60,
         seed in 0u64..1000,
     ) {
-        // matmul_tn_into / matmul_nt_into / matvec_into are part of the
-        // public product surface the issue names: pin that their results do
-        // not depend on the active backend (they share the facade's
-        // bit-identity contract trivially today; this test keeps it true if
-        // they are ever routed through the dispatch).
-        let _guard = GLOBAL_BACKEND.lock().unwrap();
+        // The NN property's shape range, so most draws take the blocked
+        // macro-kernel rather than the small-shape loops.
+        check_transposed_products(m, k, n, seed);
+        // matvec_into is part of the public product surface too: pin that
+        // its result does not depend on the active backend.
+        let _guard = GLOBAL_BACKEND.lock().unwrap_or_else(|e| e.into_inner());
         let prev = dispatch::active_backend();
         let mut rng = SeedRng::new(seed);
-        let at = Matrix::from_vec(k, m, random_mat(k, m, &mut rng)).unwrap();
-        let b = Matrix::from_vec(k, n, random_mat(k, n, &mut rng)).unwrap();
-        let bt = Matrix::from_vec(n, k, random_mat(n, k, &mut rng)).unwrap();
         let a = Matrix::from_vec(m, k, random_mat(m, k, &mut rng)).unwrap();
         let x = random_mat(k, 1, &mut rng);
-
-        let mut results: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = Vec::new();
+        let mut results = Vec::new();
         for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
             dispatch::set_active_backend(backend);
-            let mut tn = Matrix::zeros(m, n);
-            at.matmul_tn_into(&b, &mut tn).unwrap();
-            let mut nt = Matrix::zeros(m, n);
-            a.matmul_nt_into(&bt, &mut nt).unwrap();
             let mut mv = vec![0.0; m];
             a.matvec_into(&x, &mut mv).unwrap();
-            results.push((tn.as_slice().to_vec(), nt.as_slice().to_vec(), mv));
+            results.push(mv);
         }
         dispatch::set_active_backend(prev);
-        let (tn0, nt0, mv0) = &results[0];
-        for (tn, nt, mv) in &results[1..] {
-            prop_assert!(tn0.iter().zip(tn).all(|(x, y)| (x - y).abs() <= 1e-10));
-            prop_assert!(nt0.iter().zip(nt).all(|(x, y)| (x - y).abs() <= 1e-10));
-            prop_assert!(mv0.iter().zip(mv).all(|(x, y)| (x - y).abs() <= 1e-10));
-            prop_assert!(tn0.iter().zip(tn).all(|(x, y)| x.to_bits() == y.to_bits()));
-            prop_assert!(nt0.iter().zip(nt).all(|(x, y)| x.to_bits() == y.to_bits()));
-            prop_assert!(mv0.iter().zip(mv).all(|(x, y)| x.to_bits() == y.to_bits()));
-        }
+        prop_assert!(results[0].iter().zip(&results[1]).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 }
 

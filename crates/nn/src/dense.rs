@@ -81,6 +81,7 @@ impl Dense {
     ///
     /// # Panics
     /// Panics if `x.cols() != fan_in` (programming error in model wiring).
+    // analyzer:hot-path
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
         out.reset_to_zeros(x.rows(), self.fan_out());
         // analyzer:allow(unwrap-in-lib): documented panic contract (see `# Panics` above)
@@ -107,16 +108,30 @@ impl Dense {
     /// transpose-free GEMM kernels (`XᵀΔ` and `ΔWᵀ` without materializing
     /// either transpose), so the only state touched is the layer's own
     /// gradient buffers and `dx`.
+    // analyzer:hot-path
     pub fn backward_into(&mut self, x: &Matrix, delta: &Matrix, dx: &mut Matrix) {
-        debug_assert_eq!(x.rows(), delta.rows(), "batch size mismatch");
-        // analyzer:allow(unwrap-in-lib): gradient buffers are layer-shaped by construction
-        x.matmul_tn_into(delta, &mut self.grad_w).expect("dense backward shape");
-        for c in 0..delta.cols() {
-            self.grad_b[c] = (0..delta.rows()).map(|r| delta.get(r, c)).sum();
-        }
+        self.backward_params(x, delta);
         dx.reset_to_zeros(delta.rows(), self.fan_in());
         // analyzer:allow(unwrap-in-lib): `dx` reset to the matching shape on the line above
         delta.matmul_nt_into(&self.w, dx).expect("dense backward dX shape");
+    }
+
+    /// Parameters-only backward pass: fills `dL/dW` and `dL/db` exactly as
+    /// [`Dense::backward_into`] does (bit for bit) but skips `dL/dX`. This is
+    /// the input layer's backward step, whose input gradient nobody reads.
+    pub fn backward_params(&mut self, x: &Matrix, delta: &Matrix) {
+        debug_assert_eq!(x.rows(), delta.rows(), "batch size mismatch");
+        // analyzer:allow(unwrap-in-lib): gradient buffers are layer-shaped by construction
+        x.matmul_tn_into(delta, &mut self.grad_w).expect("dense backward shape");
+        // dL/db is the column sum of delta, accumulated row by row in
+        // ascending r from `-0.0` (the identity `f64`'s `Sum` folds from), so
+        // it equals a per-column `.sum()` bit for bit.
+        self.grad_b.fill(-0.0);
+        for row in delta.iter_rows() {
+            for (g, &d) in self.grad_b.iter_mut().zip(row) {
+                *g += d;
+            }
+        }
     }
 
     /// Yields `(params, grads)` slice pairs for the optimizer, weights first
@@ -197,6 +212,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn params_only_backward_matches_full_backward_bitwise() {
+        let mut rng = SeedRng::new(8);
+        let mut full = Dense::new(&mut rng, 5, 3, true);
+        let mut params_only = full.clone();
+        // A zero column and a column of negative zeros pin the `-0.0`
+        // seed of the bias-gradient sum.
+        let x = Matrix::from_vec(6, 5, (0..30).map(|_| rng.uniform_range(-1.0, 1.0)).collect())
+            .unwrap();
+        let mut delta =
+            Matrix::from_vec(6, 3, (0..18).map(|_| rng.uniform_range(-1.0, 1.0)).collect())
+                .unwrap();
+        for r in 0..6 {
+            delta.set(r, 1, 0.0);
+            delta.set(r, 2, -0.0);
+        }
+        full.backward(&x, &delta);
+        params_only.backward_params(&x, &delta);
+        let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(full.grad_w.as_slice()), bits(params_only.grad_w.as_slice()));
+        assert_eq!(bits(&full.grad_b), bits(&params_only.grad_b));
+        // And both equal the explicit-transpose product and the per-column
+        // `.sum()` reference.
+        let want_w = x.transpose().matmul(&delta).unwrap();
+        assert_eq!(bits(full.grad_w.as_slice()), bits(want_w.as_slice()));
+        let want: Vec<f64> = (0..3).map(|c| (0..6).map(|r| delta.get(r, c)).sum()).collect();
+        assert_eq!(bits(&full.grad_b), bits(&want));
+        assert!(full.grad_b[2].is_sign_negative(), "all -0.0 column sums to -0.0");
     }
 
     #[test]

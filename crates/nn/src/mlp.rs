@@ -13,7 +13,8 @@ use crate::spectral::{self, SpectralConfig};
 ///
 /// One workspace amortizes every per-layer allocation of the hot path:
 /// `acts`/`pres` cache hidden activations and pre-activations (needed for
-/// backprop), `delta`/`dx` ping-pong the gradient flowing backwards. Buffers
+/// backprop), `delta`/`dx` ping-pong the gradient flowing backwards, and
+/// `sigma_v` is the spectral power iteration's right-vector scratch. Buffers
 /// grow to the high-water batch size on first use and are reshaped in place
 /// afterwards ([`Matrix::reset_to_zeros`]), so steady-state training and
 /// scoring perform zero heap allocations per call. A workspace is tied to
@@ -24,6 +25,7 @@ pub struct MlpWorkspace {
     pres: Vec<Matrix>,
     delta: Matrix,
     dx: Matrix,
+    sigma_v: Vec<f64>,
 }
 
 impl MlpWorkspace {
@@ -251,9 +253,13 @@ impl Mlp {
     }
 
     /// [`Mlp::train_step`] with caller-provided buffers: the whole
-    /// forward/backward pass reuses `ws`, so steady-state training allocates
-    /// only the loss gradient (one matrix per step, recycled into the
-    /// workspace). Bit-identical to [`Mlp::train_step`].
+    /// forward/backward pass and the spectral power iteration reuse `ws`,
+    /// so steady-state training allocates only the loss gradient (one
+    /// matrix per step, recycled into the workspace). The backward pass
+    /// stops at the input layer's parameter gradients: `dL/dX` of the
+    /// network input is never formed, since nothing reads it. Bit-identical
+    /// to [`Mlp::train_step`].
+    // analyzer:hot-path
     pub fn train_step_with(
         &mut self,
         x: &Matrix,
@@ -268,19 +274,16 @@ impl Mlp {
         let logits = &ws.pres[n_layers - 1];
         let (loss_value, grad_logits) = loss.loss_and_grad(logits, meta);
         // Backward pass: `delta`/`dx` ping-pong so each layer writes its
-        // input gradient into the buffer the previous iteration vacated.
+        // input gradient into the buffer the previous iteration vacated. The
+        // input layer takes the parameters-only step.
         ws.delta = grad_logits;
-        {
-            let MlpWorkspace { acts, pres, delta, dx } = &mut *ws;
-            for i in (0..n_layers).rev() {
-                let input: &Matrix = if i == 0 { x } else { &acts[i - 1] };
-                self.layers[i].backward_into(input, delta, dx);
-                std::mem::swap(delta, dx);
-                if i > 0 {
-                    relu_backward(delta, &pres[i - 1]);
-                }
-            }
+        let MlpWorkspace { acts, pres, delta, dx, sigma_v } = &mut *ws;
+        for i in (1..n_layers).rev() {
+            self.layers[i].backward_into(&acts[i - 1], delta, dx);
+            std::mem::swap(delta, dx);
+            relu_backward(delta, &pres[i - 1]);
         }
+        self.layers[0].backward_params(x, delta);
         // Optimizer updates, then spectral cap enforcement.
         for (i, layer) in self.layers.iter_mut().enumerate() {
             for (k, (params, grads)) in layer.params_and_grads_mut().into_iter().enumerate() {
@@ -289,7 +292,7 @@ impl Mlp {
         }
         if let Some(cfg) = self.spectral {
             for layer in &mut self.layers {
-                spectral::enforce(layer, &cfg);
+                spectral::enforce(layer, &cfg, sigma_v);
             }
         }
         loss_value

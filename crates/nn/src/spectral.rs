@@ -38,38 +38,50 @@ impl Default for SpectralConfig {
 /// # Panics
 /// Panics if `u.len() != w.rows()`.
 pub fn estimate_sigma(w: &Matrix, u: &mut [f64], iterations: u32) -> f64 {
-    assert_eq!(u.len(), w.rows(), "power iteration u must match fan_in");
     let mut v = vec![0.0; w.cols()];
+    estimate_sigma_into(w, u, &mut v, iterations)
+}
+
+/// [`estimate_sigma`] without allocating: `v` (length `w.cols()`) is the
+/// right-vector scratch and ends holding the normalized `Wᵀu` estimate.
+/// Bit-identical to [`estimate_sigma`].
+///
+/// # Panics
+/// Panics if `u.len() != w.rows()` or `v.len() != w.cols()`.
+pub fn estimate_sigma_into(w: &Matrix, u: &mut [f64], v: &mut [f64], iterations: u32) -> f64 {
+    assert_eq!(u.len(), w.rows(), "power iteration u must match fan_in");
+    assert_eq!(v.len(), w.cols(), "power iteration v must match fan_out");
     for _ in 0..iterations.max(1) {
         // v ← normalize(Wᵀ u)
         // analyzer:allow(unwrap-in-lib): `u`/`v` sized to `w` at entry (asserted above)
-        v = w.tr_matvec(u).expect("shape checked");
-        let nv = vector::norm2(&v).max(f64::MIN_POSITIVE);
-        vector::scale(&mut v, 1.0 / nv);
-        // u ← normalize(W v)
-        // analyzer:allow(unwrap-in-lib): `v` has `w.cols()` entries by construction
-        let new_u = w.matvec(&v).expect("shape checked");
-        let nu = vector::norm2(&new_u).max(f64::MIN_POSITIVE);
-        for (ui, &nui) in u.iter_mut().zip(&new_u) {
-            *ui = nui / nu;
+        w.tr_matvec_into(u, v).expect("shape checked");
+        let nv = vector::norm2(v).max(f64::MIN_POSITIVE);
+        vector::scale(v, 1.0 / nv);
+        // u ← normalize(W v), formed in place: the old `u` is dead once `v`
+        // is.
+        // analyzer:allow(unwrap-in-lib): `u`/`v` sized to `w` at entry (asserted above)
+        w.matvec_into(v, u).expect("shape checked");
+        let nu = vector::norm2(u).max(f64::MIN_POSITIVE);
+        for ui in u.iter_mut() {
+            *ui /= nu;
         }
     }
-    // σ ≈ uᵀ W v.
-    // analyzer:allow(unwrap-in-lib): `v` has `w.cols()` entries by construction
-    let wv = w.matvec(&v).expect("shape checked");
-    vector::dot(u, &wv)
+    // σ ≈ uᵀ W v: the same products, summed in the same ascending order, as
+    // `dot(u, W v)` with `W v` materialized.
+    u.iter().zip(w.iter_rows()).map(|(&ui, row)| ui * vector::dot(row, v)).sum()
 }
 
 /// Enforces the spectral cap on a dense layer in place. Returns the sigma
-/// estimate before rescaling (diagnostics).
-pub fn enforce(layer: &mut Dense, cfg: &SpectralConfig) -> f64 {
+/// estimate before rescaling (diagnostics). `v` is the power iteration's
+/// scratch; it is resized to the layer's `fan_out` and allocates only while
+/// it grows.
+pub fn enforce(layer: &mut Dense, cfg: &SpectralConfig, v: &mut Vec<f64>) -> f64 {
     faction_telemetry::counter_add(
         "nn.spectral.power_iterations",
         u64::from(cfg.power_iterations),
     );
-    let mut u = std::mem::take(&mut layer.power_u);
-    let sigma = estimate_sigma(&layer.w, &mut u, cfg.power_iterations);
-    layer.power_u = u;
+    v.resize(layer.fan_out(), 0.0);
+    let sigma = estimate_sigma_into(&layer.w, &mut layer.power_u, v, cfg.power_iterations);
     if sigma > cfg.cap && sigma.is_finite() && sigma > 0.0 {
         layer.w.scale(cfg.cap / sigma);
     }
@@ -115,7 +127,7 @@ mod tests {
         let cfg = SpectralConfig { cap: 1.0, power_iterations: 3 };
         // A few enforcement rounds emulate training-time repeated calls.
         for _ in 0..30 {
-            enforce(&mut layer, &cfg);
+            enforce(&mut layer, &cfg, &mut Vec::new());
         }
         let sigma = top_singular_value_exact(&layer.w);
         assert!(sigma <= 1.05, "sigma after cap {sigma}");
@@ -127,7 +139,7 @@ mod tests {
         let mut layer = Dense::new(&mut rng, 5, 5, true);
         layer.w.scale(1e-3);
         let before = layer.w.clone();
-        enforce(&mut layer, &SpectralConfig { cap: 3.0, power_iterations: 2 });
+        enforce(&mut layer, &SpectralConfig { cap: 3.0, power_iterations: 2 }, &mut Vec::new());
         assert_eq!(layer.w, before);
     }
 
@@ -136,9 +148,40 @@ mod tests {
         let mut rng = SeedRng::new(19);
         let mut layer = Dense::new(&mut rng, 4, 4, true);
         let u_before = layer.power_u.clone();
-        enforce(&mut layer, &SpectralConfig::default());
+        enforce(&mut layer, &SpectralConfig::default(), &mut Vec::new());
         assert_ne!(layer.power_u, u_before, "power-iteration state must advance");
         assert!((vector::norm2(&layer.power_u) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn in_place_power_iteration_matches_allocating_form_bitwise() {
+        // The allocating formulation, step for step: fresh `Wᵀu`, fresh
+        // `W v`, and a materialized `W v` for the final Rayleigh quotient.
+        fn reference(w: &Matrix, u: &mut [f64], iterations: u32) -> f64 {
+            let mut v = Vec::new();
+            for _ in 0..iterations.max(1) {
+                v = w.tr_matvec(u).unwrap();
+                let nv = vector::norm2(&v).max(f64::MIN_POSITIVE);
+                vector::scale(&mut v, 1.0 / nv);
+                let new_u = w.matvec(&v).unwrap();
+                let nu = vector::norm2(&new_u).max(f64::MIN_POSITIVE);
+                for (ui, &nui) in u.iter_mut().zip(&new_u) {
+                    *ui = nui / nu;
+                }
+            }
+            vector::dot(u, &w.matvec(&v).unwrap())
+        }
+        let mut rng = SeedRng::new(23);
+        let mut scratch = Vec::new();
+        for &(fan_in, fan_out, iterations) in &[(16, 64, 1), (64, 32, 1), (32, 2, 3), (7, 7, 0)] {
+            let mut layer = Dense::new(&mut rng, fan_in, fan_out, true);
+            let mut u_ref = layer.power_u.clone();
+            let want = reference(&layer.w, &mut u_ref, iterations);
+            let cfg = SpectralConfig { cap: f64::INFINITY, power_iterations: iterations };
+            let got = enforce(&mut layer, &cfg, &mut scratch);
+            assert_eq!(got.to_bits(), want.to_bits(), "{fan_in}x{fan_out}");
+            assert!(layer.power_u.iter().zip(&u_ref).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
     }
 
     #[test]
