@@ -11,9 +11,9 @@
 //! the pool at every AL iteration, so they are reconstructible and
 //! excluding them keeps checkpoints small and forward-compatible.
 //!
-//! Loading sniffs the wire magic, so checkpoints written by older
-//! JSON-era builds still restore; JSON stays available as an explicit
-//! debug export ([`Checkpoint::save_debug_json`]).
+//! The wire container is the only format loading accepts: any other file
+//! is [`CheckpointError::Corrupt`] naming the path. `faction_cli inspect`
+//! renders a checkpoint as JSON for human eyes.
 
 use std::fs;
 use std::path::Path;
@@ -99,7 +99,7 @@ pub const CURRENT_VERSION: u32 = 1;
 /// `fs::rename` within a directory is atomic on POSIX, so a job killed at
 /// any instant leaves either the old complete file or the new complete
 /// file — never a torn one.
-pub(crate) fn atomic_write(path: &Path, contents: &[u8]) -> Result<(), CheckpointError> {
+fn atomic_write(path: &Path, contents: &[u8]) -> Result<(), CheckpointError> {
     use std::io::Write;
     let mut file_name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
     file_name.push(format!(".{}.tmp", std::process::id()));
@@ -143,22 +143,6 @@ fn fsync_parent_dir(path: &Path) -> Result<(), CheckpointError> {
     Ok(())
 }
 
-/// Reads and parses a checkpoint-family JSON file, mapping parse failures
-/// to [`CheckpointError::Corrupt`] so the message names the file. Binary
-/// garbage (invalid UTF-8) is corruption too — the operator should see
-/// "delete this file", not a bare I/O error.
-pub(crate) fn read_json_file<T: serde::Deserialize>(path: &Path) -> Result<T, CheckpointError> {
-    let bytes = fs::read(path)?;
-    let text = String::from_utf8(bytes).map_err(|e| CheckpointError::Corrupt {
-        path: path.to_path_buf(),
-        detail: format!("not valid UTF-8 ({e}) and not a wire container"),
-    })?;
-    serde_json::from_str(&text).map_err(|e| CheckpointError::Corrupt {
-        path: path.to_path_buf(),
-        detail: e.to_string(),
-    })
-}
-
 /// Maps a wire-format failure on `path` into checkpoint terms: a
 /// future container version keeps its "upgrade this build" meaning, and
 /// everything else is file corruption naming the path.
@@ -180,21 +164,15 @@ pub(crate) fn save_wire<T: serde::Serialize>(
     atomic_write(path, &bytes)
 }
 
-/// Loads a checkpoint-family artifact, sniffing the format: files starting
-/// with the wire magic decode strictly as a single-record container of
-/// `kind`; anything else takes the legacy JSON path (so pre-wire
-/// checkpoints and `--debug-export` files both restore).
-pub(crate) fn load_wire_or_json<T: serde::Deserialize>(
+/// Loads a checkpoint-family artifact: a strict read of a single-record
+/// wire container of `kind`. Anything else — a torn or bit-flipped
+/// container, trailing bytes, a JSON file — is corruption naming `path`.
+pub(crate) fn load_wire<T: serde::Deserialize>(
     path: &Path,
     kind: PayloadKind,
 ) -> Result<T, CheckpointError> {
     let bytes = fs::read(path)?;
-    if bytes.starts_with(&faction_wire::MAGIC) {
-        return faction_wire::from_wire(kind, &bytes).map_err(|e| wire_error(path, e));
-    }
-    // Legacy / debug-export JSON: cold path, so the extra read inside the
-    // shared JSON reader is irrelevant next to the parse.
-    read_json_file(path)
+    faction_wire::from_wire(kind, &bytes).map_err(|e| wire_error(path, e))
 }
 
 impl Checkpoint {
@@ -208,27 +186,6 @@ impl Checkpoint {
         }
     }
 
-    /// Serializes to a JSON string.
-    ///
-    /// # Errors
-    /// Returns [`CheckpointError::Serde`] on serialization failure.
-    pub fn to_json(&self) -> Result<String, CheckpointError> {
-        Ok(serde_json::to_string(self)?)
-    }
-
-    /// Deserializes from a JSON string, rejecting newer format versions.
-    ///
-    /// # Errors
-    /// Returns [`CheckpointError::Serde`] for malformed input and
-    /// [`CheckpointError::UnsupportedVersion`] for newer formats.
-    pub fn from_json(json: &str) -> Result<Self, CheckpointError> {
-        let checkpoint: Checkpoint = serde_json::from_str(json)?;
-        if checkpoint.version > CURRENT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(checkpoint.version));
-        }
-        Ok(checkpoint)
-    }
-
     /// Writes the checkpoint to `path` crash-safely in the wire binary
     /// format: staged to a fsynced `.tmp` sibling, atomically renamed into
     /// place, then the parent directory is fsynced, so a process killed at
@@ -240,25 +197,15 @@ impl Checkpoint {
         save_wire(path, PayloadKind::Checkpoint, self)
     }
 
-    /// Writes a human-readable pretty-JSON export of the checkpoint, for
-    /// `--debug-export` and diffing. The load path accepts it too.
-    ///
-    /// # Errors
-    /// Propagates filesystem and serialization failures.
-    pub fn save_debug_json(&self, path: &Path) -> Result<(), CheckpointError> {
-        atomic_write(path, serde_json::to_string_pretty(self)?.as_bytes())
-    }
-
-    /// Reads a checkpoint from `path`, accepting both the wire binary
-    /// format (by magic sniff) and legacy/debug JSON. A file that exists
-    /// but does not parse — e.g. truncated by a crash predating crash-safe
-    /// saves, or bit-flipped on disk — is rejected as
-    /// [`CheckpointError::Corrupt`] naming the path.
+    /// Reads a checkpoint from `path` (wire binary format). A file that
+    /// exists but does not parse — e.g. truncated by a crash predating
+    /// crash-safe saves, bit-flipped on disk, or not a wire container at
+    /// all — is rejected as [`CheckpointError::Corrupt`] naming the path.
     ///
     /// # Errors
     /// Propagates filesystem and format failures.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let checkpoint: Checkpoint = load_wire_or_json(path, PayloadKind::Checkpoint)?;
+        let checkpoint: Checkpoint = load_wire(path, PayloadKind::Checkpoint)?;
         if checkpoint.version > CURRENT_VERSION {
             return Err(CheckpointError::UnsupportedVersion(checkpoint.version));
         }
@@ -297,23 +244,15 @@ impl RunCheckpoint {
         save_wire(path, PayloadKind::RunCheckpoint, self)
     }
 
-    /// Writes a human-readable pretty-JSON export, for `--debug-export`.
-    ///
-    /// # Errors
-    /// Propagates filesystem and serialization failures.
-    pub fn save_debug_json(&self, path: &Path) -> Result<(), CheckpointError> {
-        atomic_write(path, serde_json::to_string_pretty(self)?.as_bytes())
-    }
-
-    /// Reads a run checkpoint (wire binary or legacy JSON, by magic
-    /// sniff), rejecting torn files and newer versions.
+    /// Reads a run checkpoint (wire binary format), rejecting torn files,
+    /// non-wire files and newer versions.
     ///
     /// # Errors
     /// [`CheckpointError::Io`] for missing files, [`CheckpointError::Corrupt`]
     /// for unparseable ones, [`CheckpointError::UnsupportedVersion`] for
     /// newer formats.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let ckpt: RunCheckpoint = load_wire_or_json(path, PayloadKind::RunCheckpoint)?;
+        let ckpt: RunCheckpoint = load_wire(path, PayloadKind::RunCheckpoint)?;
         if ckpt.version > CURRENT_VERSION {
             return Err(CheckpointError::UnsupportedVersion(ckpt.version));
         }
@@ -349,11 +288,22 @@ mod tests {
         (mlp, pool)
     }
 
+    /// Saves `checkpoint` under a per-test directory and loads it back.
+    fn save_and_load(checkpoint: &Checkpoint, test: &str) -> Result<Checkpoint, CheckpointError> {
+        let dir = std::env::temp_dir().join(format!("faction_checkpoint_{test}"));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt.wire");
+        checkpoint.save(&path).unwrap();
+        let loaded = Checkpoint::load(&path);
+        fs::remove_file(&path).ok();
+        loaded
+    }
+
     #[test]
-    fn json_roundtrip_preserves_predictions() {
+    fn wire_roundtrip_preserves_predictions() {
         let (mlp, pool) = trained_state();
         let checkpoint = Checkpoint::capture(&mlp, &pool, 7);
-        let restored = Checkpoint::from_json(&checkpoint.to_json().unwrap()).unwrap();
+        let restored = save_and_load(&checkpoint, "roundtrip_test").unwrap();
         assert_eq!(restored.next_task, 7);
         assert_eq!(restored.pool.len(), pool.len());
         let probe = Matrix::from_rows(&[vec![1.0, 0.3], vec![-1.2, 0.1]]).unwrap();
@@ -379,18 +329,9 @@ mod tests {
         let (mlp, pool) = trained_state();
         let mut checkpoint = Checkpoint::capture(&mlp, &pool, 0);
         checkpoint.version = CURRENT_VERSION + 5;
-        let json = serde_json::to_string(&checkpoint).unwrap();
         assert!(matches!(
-            Checkpoint::from_json(&json),
-            Err(CheckpointError::UnsupportedVersion(_))
-        ));
-    }
-
-    #[test]
-    fn malformed_json_rejected() {
-        assert!(matches!(
-            Checkpoint::from_json("{not json"),
-            Err(CheckpointError::Serde(_))
+            save_and_load(&checkpoint, "newer_version_test"),
+            Err(CheckpointError::UnsupportedVersion(v)) if v == CURRENT_VERSION + 5
         ));
     }
 
@@ -420,19 +361,21 @@ mod tests {
     }
 
     #[test]
-    fn valid_json_prefix_with_trailing_garbage_is_rejected() {
+    fn valid_wire_record_with_trailing_record_is_rejected() {
         // The nastier corruption shape: the file *starts* with a complete,
-        // parseable checkpoint and then carries trailing bytes (interrupted
-        // rewrite-in-place, concatenated writes). A parser that stops at
-        // the first complete value would silently resume from it; the
-        // loader must reject the whole file as corrupt instead. Exercises
-        // the legacy JSON path the magic sniff falls back to.
+        // CRC-valid checkpoint record and then carries a second one
+        // (interrupted rewrite-in-place, concatenated writes). A reader
+        // that stops at the first complete record would silently resume
+        // from it; the loader must reject the whole file as corrupt.
         let (mlp, pool) = trained_state();
         let dir = std::env::temp_dir().join("faction_checkpoint_trailing_test");
         fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
-        let full = Checkpoint::capture(&mlp, &pool, 3).to_json().unwrap();
-        fs::write(&path, format!("{full}{{\"version\":1}}")).unwrap();
+        let path = dir.join("ckpt.wire");
+        Checkpoint::capture(&mlp, &pool, 3).save(&path).unwrap();
+        let mut full = fs::read(&path).unwrap();
+        let record = full[faction_wire::HEADER_LEN..].to_vec();
+        full.extend_from_slice(&record);
+        fs::write(&path, &full).unwrap();
         let err = Checkpoint::load(&path).unwrap_err();
         assert!(matches!(err, CheckpointError::Corrupt { .. }), "got {err:?}");
         assert!(err.to_string().contains("trailing"), "detail should say what failed: {err}");
@@ -470,32 +413,30 @@ mod tests {
         let err = Checkpoint::load(&path).unwrap_err();
         assert!(matches!(err, CheckpointError::Corrupt { .. }), "got {err:?}");
         assert!(err.to_string().contains("ckpt.json"), "message should name the file: {err}");
-        // The shared JSON reader (used by legacy paths) classifies the
-        // same bytes the same way.
-        let err = read_json_file::<Checkpoint>(&path).unwrap_err();
-        assert!(matches!(err, CheckpointError::Corrupt { .. }), "got {err:?}");
         fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn legacy_json_checkpoint_still_loads() {
-        // Files written by JSON-era builds (no wire magic) must restore
-        // unchanged through the sniffing loader.
+    fn json_checkpoint_is_corrupt_naming_the_file() {
+        // The wire container is the only format: a checkpoint written as
+        // JSON (compact or pretty, as JSON-era builds did) or malformed
+        // JSON is corruption naming the file, never a restore.
         let (mlp, pool) = trained_state();
-        let dir = std::env::temp_dir().join("faction_checkpoint_legacy_test");
+        let dir = std::env::temp_dir().join("faction_checkpoint_json_test");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.json");
         let checkpoint = Checkpoint::capture(&mlp, &pool, 11);
-        fs::write(&path, checkpoint.to_json().unwrap()).unwrap();
-        let restored = Checkpoint::load(&path).unwrap();
-        assert_eq!(restored.next_task, 11);
-        assert_eq!(restored.pool.len(), pool.len());
-        // And the explicit debug export loads too.
-        let pretty = dir.join("ckpt.debug.json");
-        checkpoint.save_debug_json(&pretty).unwrap();
-        assert_eq!(Checkpoint::load(&pretty).unwrap().next_task, 11);
+        for text in [
+            serde_json::to_string(&checkpoint).unwrap(),
+            serde_json::to_string_pretty(&checkpoint).unwrap(),
+            "{not json".to_string(),
+        ] {
+            fs::write(&path, text).unwrap();
+            let err = Checkpoint::load(&path).unwrap_err();
+            assert!(matches!(err, CheckpointError::Corrupt { .. }), "got {err:?}");
+            assert!(err.to_string().contains("ckpt.json"), "message should name the file: {err}");
+        }
         fs::remove_file(&path).ok();
-        fs::remove_file(&pretty).ok();
     }
 
     #[test]
@@ -594,7 +535,7 @@ mod tests {
         };
         let dir = std::env::temp_dir().join("faction_run_checkpoint_test");
         fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("NYSF-random-s5.run.json");
+        let path = dir.join("NYSF-random-s5.run.wire");
         RunCheckpoint::capture(&record).save(&path).unwrap();
         let restored = RunCheckpoint::load(&path).unwrap();
         assert_eq!(restored.version, CURRENT_VERSION);
@@ -613,7 +554,7 @@ mod tests {
         // Restore, then keep training — the resumed model must still learn.
         let (mlp, pool) = trained_state();
         let checkpoint = Checkpoint::capture(&mlp, &pool, 0);
-        let mut restored = Checkpoint::from_json(&checkpoint.to_json().unwrap()).unwrap();
+        let mut restored = save_and_load(&checkpoint, "resume_test").unwrap();
         let mut opt = Sgd::new(0.1);
         let mut rng = SeedRng::new(9);
         let losses = restored.model.fit(

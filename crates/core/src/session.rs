@@ -120,26 +120,16 @@ impl SessionSnapshot {
         checkpoint::save_wire(path, faction_wire::PayloadKind::SessionSnapshot, self)
     }
 
-    /// Writes a human-readable pretty-JSON export, for `--debug-export`.
-    ///
-    /// # Errors
-    /// Propagates filesystem and serialization failures.
-    pub fn save_debug_json(&self, path: &Path) -> Result<(), CheckpointError> {
-        checkpoint::atomic_write(path, serde_json::to_string_pretty(self)?.as_bytes())
-    }
-
-    /// Reads a snapshot (wire binary or legacy JSON, by magic sniff),
-    /// rejecting torn files and newer format versions.
+    /// Reads a snapshot (wire binary format), rejecting torn files,
+    /// non-wire files and newer format versions.
     ///
     /// # Errors
     /// [`CheckpointError::Io`] for missing files, [`CheckpointError::Corrupt`]
     /// for unparseable ones, [`CheckpointError::UnsupportedVersion`] for
     /// newer formats.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let snap: SessionSnapshot = checkpoint::load_wire_or_json(
-            path,
-            faction_wire::PayloadKind::SessionSnapshot,
-        )?;
+        let snap: SessionSnapshot =
+            checkpoint::load_wire(path, faction_wire::PayloadKind::SessionSnapshot)?;
         if snap.version > checkpoint::CURRENT_VERSION {
             return Err(CheckpointError::UnsupportedVersion(snap.version));
         }

@@ -8,23 +8,19 @@ use faction_nn::{BatchLoss, CrossEntropyLoss};
 use crate::pool::{LabeledPool, OnlineModel};
 use crate::selection::AcquisitionMode;
 
-pub mod coreset;
 pub mod ddu;
 pub mod decoupled;
 pub mod entropy;
 pub mod faction;
 pub mod fal;
 pub mod falcur;
-pub mod margin;
 pub mod qufur;
 pub mod random;
 
-pub use coreset::Coreset;
 pub use ddu::Ddu;
 pub use decoupled::Decoupled;
 pub use entropy::EntropyAl;
 pub use faction::{Faction, FactionParams, RefitMode};
-pub use margin::MarginAl;
 pub use fal::Fal;
 pub use falcur::FalCur;
 pub use qufur::QuFur;

@@ -39,18 +39,13 @@ pub struct EngineConfig {
     pub max_retries: u32,
     /// When set, completed grid jobs are checkpointed here as
     /// `<key>.run.wire` (binary wire containers) and finished work is
-    /// skipped on the next run. Legacy `<key>.run.json` checkpoints from
-    /// JSON-era builds resume too (the wire file is tried first).
+    /// skipped on the next run.
     pub checkpoint_dir: Option<PathBuf>,
     /// When set, `run_grid` streams its journal here as CRC-framed wire
     /// records, one fsync-backed append per event — a killed batch leaves
     /// a salvageable prefix ([`Journal::replay`]). `None` keeps the
-    /// journal in memory only (callers can still render it).
+    /// journal in memory only ([`GridOutcome::journal`]).
     pub journal_path: Option<PathBuf>,
-    /// When true, every binary artifact the engine writes gets a
-    /// human-readable pretty-JSON sibling (`<key>.run.json` next to
-    /// `<key>.run.wire`) — the `--debug-export` path.
-    pub debug_export: bool,
     /// Telemetry sink. The default is the no-op recorder; install a
     /// `faction_telemetry::Registry` handle to collect engine counters and
     /// the per-phase histograms recorded inside job bodies (the engine
@@ -70,7 +65,6 @@ impl Default for EngineConfig {
             max_retries: 1,
             checkpoint_dir: None,
             journal_path: None,
-            debug_export: false,
             recorder: Handle::noop(),
             chaos: None,
         }
@@ -122,8 +116,9 @@ pub struct GridOutcome {
     pub stats: PoolStats,
     /// Batch summary (job counts, retries, wall seconds, queue depth).
     pub summary: JournalSummary,
-    /// The journal rendered as JSON lines (events + summary).
-    pub journal_jsonl: String,
+    /// The event journal of this grid (resumes, checkpoint problems and
+    /// every executed attempt).
+    pub journal: Journal,
 }
 
 impl GridOutcome {
@@ -339,16 +334,7 @@ impl Engine {
                 continue;
             }
             if let Some(dir) = &self.config.checkpoint_dir {
-                // Wire checkpoints are the write format; a grid upgraded
-                // mid-flight still resumes its JSON-era completions.
-                let wire_path = dir.join(format!("{key}.run.wire"));
-                let loaded = match RunCheckpoint::load(&wire_path) {
-                    Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                        RunCheckpoint::load(&dir.join(format!("{key}.run.json")))
-                    }
-                    other => other,
-                };
-                match loaded {
+                match RunCheckpoint::load(&dir.join(format!("{key}.run.wire"))) {
                     Ok(ckpt) => {
                         // Guard against key collisions from a foreign grid
                         // sharing the directory.
@@ -397,7 +383,6 @@ impl Engine {
         }
 
         let checkpoint_dir = self.config.checkpoint_dir.clone();
-        let debug_export = self.config.debug_export;
         // Execution journals directly into the grid journal: events hit
         // the streaming sink (when configured) the moment they happen, so
         // a killed batch's journal file already holds everything that
@@ -414,14 +399,6 @@ impl Engine {
                     let path = dir.join(format!("{}.run.wire", job.key()));
                     if let Err(e) = ckpt.save(&path) {
                         return Err(format!("run succeeded but checkpoint save failed: {e}"));
-                    }
-                    if debug_export {
-                        let json = dir.join(format!("{}.run.json", job.key()));
-                        if let Err(e) = ckpt.save_debug_json(&json) {
-                            return Err(format!(
-                                "run succeeded but checkpoint debug export failed: {e}"
-                            ));
-                        }
                     }
                 }
                 Ok(record)
@@ -447,14 +424,13 @@ impl Engine {
         if sink_errors > 0 {
             self.config.recorder.counter_add("engine.journal.write_errors", sink_errors);
         }
-        let journal_jsonl = journal.render_jsonl_with_summary(&summary);
         GridOutcome {
             records,
             failures,
             resumed,
             stats,
             summary,
-            journal_jsonl,
+            journal,
         }
     }
 }

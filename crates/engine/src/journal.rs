@@ -15,9 +15,10 @@
 //! Before this, events lived in memory until an end-of-batch render — a
 //! crash lost the whole journal, which is exactly when it matters most.
 //!
-//! JSON-lines rendering (one event object per line, then one summary
-//! object) remains as the `--debug-export` view. Event *order* in the
-//! journal follows wall-clock completion and is therefore
+//! `faction_cli inspect <journal>` renders the file as JSON lines (one
+//! event object per line, then one summary object) through
+//! [`Journal::record_value`]. Event *order* in the journal follows
+//! wall-clock completion and is therefore
 //! schedule-dependent; the journal is observability output and
 //! deliberately outside the engine's determinism contract (job *results*
 //! are pure functions of job values; see `DESIGN.md` §8).
@@ -240,6 +241,19 @@ impl Journal {
         Ok(JournalReplay { events, summary, dropped: salvage.dropped })
     }
 
+    /// Decodes one journal record's payload (an event or the summary) to
+    /// its value tree, without its discriminator byte: the JSON render of
+    /// that value is the record's JSON line.
+    ///
+    /// # Errors
+    /// An empty record or a payload that does not decode.
+    pub fn record_value(record: &[u8]) -> Result<serde::Value, faction_wire::WireError> {
+        match record.split_first() {
+            Some((_, payload)) => faction_wire::decode_payload(payload),
+            None => Err(faction_wire::WireError::Codec("empty journal record".to_string())),
+        }
+    }
+
     /// [`Self::replay_bytes`] from a file path.
     ///
     /// # Errors
@@ -314,29 +328,6 @@ impl Journal {
             metrics,
         }
     }
-
-    /// Renders the journal as JSON lines: one event per line, then the
-    /// summary object as the final line.
-    pub fn render_jsonl(&self, jobs: usize, stats: PoolStats) -> String {
-        self.render_jsonl_with_summary(&self.summarize(jobs, stats))
-    }
-
-    /// [`Self::render_jsonl`] against a prebuilt summary (so callers that
-    /// attach a metrics block render the same summary they return).
-    pub fn render_jsonl_with_summary(&self, summary: &JournalSummary) -> String {
-        let mut out = String::new();
-        for event in self.events() {
-            if let Ok(line) = serde_json::to_string(&event) {
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-        if let Ok(line) = serde_json::to_string(summary) {
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -344,17 +335,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn events_round_trip_through_jsonl() {
+    fn events_and_summary_are_recorded() {
         let journal = Journal::start();
         journal.record("NYSF-random-s0", "started", 1, 0, 0.0, "");
         journal.record("NYSF-random-s0", "finished", 1, 0, 0.25, "");
-        let rendered = journal.render_jsonl(1, PoolStats { workers: 2, queue_high_water: 1 });
-        let lines: Vec<&str> = rendered.lines().collect();
-        assert_eq!(lines.len(), 3);
-        let first: JobEvent = serde_json::from_str(lines[0]).unwrap();
-        assert_eq!(first.kind, "started");
-        assert_eq!(first.job, "NYSF-random-s0");
-        let summary: JournalSummary = serde_json::from_str(lines[2]).unwrap();
+        let events = journal.events();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].kind, "started");
+        assert_eq!(events[0].job, "NYSF-random-s0");
+        let summary = journal.summarize(1, PoolStats { workers: 2, queue_high_water: 1 });
         assert_eq!(summary.jobs, 1);
         assert_eq!(summary.finished, 1);
         assert_eq!(summary.workers, 2);

@@ -18,7 +18,8 @@
 //!   result collection, and per-job checkpoint/resume through
 //!   `faction_core::checkpoint`;
 //! * [`journal`] — the per-job event journal (start/finish/retry/resume,
-//!   durations, queue-depth high-water mark) rendered as JSON lines.
+//!   durations, queue-depth high-water mark), streamed as CRC-framed wire
+//!   records.
 //!
 //! ## Determinism contract
 //!

@@ -171,21 +171,16 @@ fn journal_reconstructs_the_run() {
     let outcome = Engine::with_workers(2).run_grid(&grid);
     assert!(outcome.failures.is_empty());
 
-    let lines: Vec<&str> = outcome.journal_jsonl.lines().collect();
-    // 8 jobs × (started + finished) + summary.
-    assert_eq!(lines.len(), grid.len() * 2 + 1);
-    let events: Vec<faction_engine::JobEvent> = lines[..lines.len() - 1]
-        .iter()
-        .map(|l| serde_json::from_str(l).unwrap())
-        .collect();
+    let events = outcome.journal.events();
+    // 8 jobs × (started + finished).
+    assert_eq!(events.len(), grid.len() * 2);
     for job in &grid {
         let key = job.key();
         assert!(events.iter().any(|e| e.job == key && e.kind == "started"), "no start for {key}");
         let done = events.iter().find(|e| e.job == key && e.kind == "finished");
         assert!(done.is_some_and(|e| e.seconds >= 0.0), "no finish for {key}");
     }
-    let summary: faction_engine::JournalSummary =
-        serde_json::from_str(lines[lines.len() - 1]).unwrap();
+    let summary = &outcome.summary;
     assert_eq!(summary.jobs, grid.len());
     assert_eq!(summary.finished, grid.len());
     assert_eq!(summary.failed, 0);

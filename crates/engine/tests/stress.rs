@@ -149,9 +149,9 @@ fn grid_resume_over_corrupt_checkpoint_reconciles_all_ledgers() {
 
     // Journal: exactly one corruption event, naming the victim job.
     let corrupt_events: Vec<JobEvent> = second
-        .journal_jsonl
-        .lines()
-        .filter_map(|l| serde_json::from_str::<JobEvent>(l).ok())
+        .journal
+        .events()
+        .into_iter()
         .filter(|e| e.kind == "checkpoint-corrupt")
         .collect();
     assert_eq!(corrupt_events.len(), 1);
@@ -204,7 +204,7 @@ fn killed_batch_journal_replays_valid_prefix_at_every_truncation() {
     let summary = clean.summary.expect("finished batch persists its summary");
     assert_eq!(summary.jobs, grid.len());
     assert_eq!(summary.finished, grid.len());
-    assert_eq!(clean.events.len(), outcome.journal_jsonl.lines().count() - 1);
+    assert_eq!(clean.events.len(), outcome.journal.events().len());
     let expect_kinds: Vec<&str> = clean.events.iter().map(|e| e.kind.as_str()).collect();
     assert!(expect_kinds.contains(&"started") && expect_kinds.contains(&"finished"));
 
@@ -237,9 +237,10 @@ fn killed_batch_journal_replays_valid_prefix_at_every_truncation() {
 }
 
 #[test]
-fn grid_resumes_legacy_json_checkpoints() {
-    // Checkpoints written by JSON-era builds (`<key>.run.json`, no wire
-    // file) must still short-circuit the job on resume.
+fn grid_ignores_legacy_json_checkpoints() {
+    // A JSON checkpoint as JSON-era builds wrote it, beside where the wire
+    // file belongs, is not a checkpoint: the job re-runs and returns the
+    // same records.
     let dir = std::env::temp_dir().join(format!("faction_engine_legacy_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
@@ -256,20 +257,22 @@ fn grid_resumes_legacy_json_checkpoints() {
 
     // Rewrite the checkpoint as a JSON-era build would have left it.
     let wire_path = dir.join(format!("{}.run.wire", job.key()));
-    let json_path = dir.join(format!("{}.run.json", job.key()));
+    let json_path = wire_path.with_extension("json");
     let ckpt = faction_core::checkpoint::RunCheckpoint::load(&wire_path).unwrap();
-    ckpt.save_debug_json(&json_path).unwrap();
+    std::fs::write(&json_path, serde_json::to_string_pretty(&ckpt).unwrap()).unwrap();
     std::fs::remove_file(&wire_path).unwrap();
 
     let registry = Arc::new(Registry::new());
     let second = Engine::new(config(Handle::from(registry.clone()))).run_grid(&[job.clone()]);
     assert!(second.failures.is_empty(), "{:?}", second.failures);
-    assert_eq!(second.resumed, 1, "legacy JSON checkpoint must resume");
-    assert_eq!(registry.snapshot().counter("engine.checkpoint.salvaged"), Some(1));
+    assert_eq!(second.resumed, 0, "a JSON checkpoint must not resume");
+    let snapshot = registry.snapshot();
+    assert_eq!(snapshot.counter("engine.checkpoint.salvaged"), None);
+    assert_eq!(snapshot.counter("engine.pool.jobs_completed"), Some(1), "the job re-ran");
     assert_eq!(
         first.canonical_json().unwrap(),
         second.canonical_json().unwrap(),
-        "legacy resume must return the same records"
+        "the re-run must return the same records"
     );
 
     std::fs::remove_dir_all(&dir).ok();
@@ -311,9 +314,9 @@ fn grid_resume_names_both_jobs_on_checkpoint_identity_mismatch() {
     assert_eq!(outcome.records[0].as_ref().unwrap().dataset, "NYSF", "the claiming job re-ran");
 
     let mismatch_events: Vec<JobEvent> = outcome
-        .journal_jsonl
-        .lines()
-        .filter_map(|l| serde_json::from_str::<JobEvent>(l).ok())
+        .journal
+        .events()
+        .into_iter()
         .filter(|e| e.kind == "checkpoint-mismatch")
         .collect();
     assert_eq!(mismatch_events.len(), 1);

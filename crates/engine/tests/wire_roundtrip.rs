@@ -1,6 +1,7 @@
 //! The blocking `wire-roundtrip` gate (check.sh): binary persistence must
 //! be *lossless* — a value round-tripped through the wire container
-//! renders byte-identically to its JSON debug export — and the corruption
+//! renders to byte-identical JSON, which is what `faction_cli inspect`
+//! prints — and the corruption
 //! matrix (torn tail, bit flip, truncation at every byte, future version)
 //! must behave exactly as DESIGN.md §15 specifies, for the real payload
 //! types the engine persists: `Checkpoint`, `RunCheckpoint`, `JobEvent`.
@@ -69,7 +70,7 @@ fn run_record_fixture(seed: u64, tasks: usize) -> RunRecord {
 
 proptest! {
     #[test]
-    fn checkpoint_binary_roundtrip_matches_json_debug_export(
+    fn checkpoint_binary_roundtrip_matches_json_render(
         seed in 0u64..1000,
         rows in 1usize..24,
         next_task in 0usize..50,
@@ -77,8 +78,8 @@ proptest! {
         let original = checkpoint_fixture(seed, rows, next_task);
         let bytes = to_wire(PayloadKind::Checkpoint, &original).unwrap();
         let decoded: Checkpoint = from_wire(PayloadKind::Checkpoint, &bytes).unwrap();
-        // Compact render (the legacy on-disk format) and pretty render
-        // (the --debug-export format) must both be byte-identical.
+        // Compact render (an inspected journal line) and pretty render
+        // (an inspected checkpoint) must both be byte-identical.
         prop_assert_eq!(
             serde_json::to_string(&original).unwrap(),
             serde_json::to_string(&decoded).unwrap()
@@ -90,7 +91,7 @@ proptest! {
     }
 
     #[test]
-    fn run_checkpoint_binary_roundtrip_matches_json_debug_export(
+    fn run_checkpoint_binary_roundtrip_matches_json_render(
         seed in 0u64..10_000,
         tasks in 0usize..12,
     ) {
@@ -143,9 +144,9 @@ proptest! {
 
 #[test]
 fn non_finite_floats_render_identically_on_both_routes() {
-    // NaN/Inf cannot appear in JSON; both the JSON writer and the wire
-    // debug-export comparison rely on the shared null convention. The
-    // binary side must not diverge from it after a round trip.
+    // NaN/Inf cannot appear in JSON; the JSON writer renders them as
+    // null. The binary side must not diverge from that render after a
+    // round trip.
     let mut record = run_record_fixture(3, 2);
     record.total_seconds = f64::NAN;
     record.records[0].accuracy = f64::INFINITY;

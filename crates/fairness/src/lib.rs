@@ -16,13 +16,11 @@
 //!   DDP, equalized-odds difference (EOD), mutual information (MI) between
 //!   predictions and the sensitive attribute, and accuracy.
 //!
-//! Two extensions the paper sketches are implemented as well:
+//! One extension the paper sketches is implemented as well:
 //!
 //! * [`multi`] — multi-valued sensitive attributes (Sec. III-A): max
 //!   pairwise-gap generalizations of DDP/EOD/MI and one-vs-rest relaxed
-//!   disparities;
-//! * [`individual`] — the individual-fairness consistency penalty of
-//!   Sec. IV-H (similar samples must receive similar outputs).
+//!   disparities.
 //!
 //! This crate is dependency-free and purely numerical: everything operates
 //! on plain slices so it can be unit-tested exhaustively and reused by the
@@ -32,13 +30,11 @@
 #![deny(unsafe_code)]
 
 pub mod calibration;
-pub mod individual;
 pub mod loss;
 pub mod metrics;
 pub mod multi;
 pub mod notion;
 
-pub use individual::IndividualFairness;
 pub use loss::{FairnessPenalty, TotalLossConfig};
 pub use metrics::{accuracy, ddp, eod, mutual_information, GroupConfusion};
 pub use multi::{ddp_multi, eod_multi, mutual_information_multi};

@@ -30,7 +30,6 @@
 
 pub mod cholesky;
 pub mod dispatch;
-pub mod eigen;
 pub mod error;
 pub mod kernels;
 pub mod matrix;
@@ -42,7 +41,6 @@ pub mod vector;
 
 pub use cholesky::Cholesky;
 pub use dispatch::KernelBackend;
-pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use rng::SeedRng;

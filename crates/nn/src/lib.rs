@@ -28,7 +28,6 @@
 
 pub mod activation;
 pub mod dense;
-pub mod diagnostics;
 pub mod init;
 pub mod loss;
 pub mod mlp;

@@ -86,7 +86,7 @@ pub fn entropy_per_row(probs: &Matrix) -> Vec<f64> {
 }
 
 /// Margin (difference of top-two probabilities) per row; small margin means
-/// high ambiguity. Used by margin-based baselines.
+/// high ambiguity.
 pub fn margin_per_row(probs: &Matrix) -> Vec<f64> {
     probs
         .iter_rows()

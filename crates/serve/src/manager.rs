@@ -636,20 +636,6 @@ impl SessionManager {
         }
         out
     }
-
-    /// Lifecycle journal as JSONL (open/shed/busy/snapshot/restore/close
-    /// events). Timestamps are observability output: the journal is *not*
-    /// part of the deterministic trace.
-    pub fn journal_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in self.journal.events() {
-            if let Ok(line) = serde_json::to_string(&event) {
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-        out
-    }
 }
 
 // ---- Phase A bodies (per-session pure; no shared state) -------------------
@@ -817,9 +803,9 @@ mod tests {
         assert_eq!(snapshot.counter("core.runner.rounds"), Some(1));
         assert_eq!(snapshot.counter("core.oracle.queries"), Some(5));
 
-        let journal = manager.journal_jsonl();
-        for kind in ["\"open\"", "\"snapshot\"", "\"close\""] {
-            assert!(journal.contains(kind), "journal missing {kind}: {journal}");
+        let journal = manager.journal.events();
+        for kind in ["open", "snapshot", "close"] {
+            assert!(journal.iter().any(|e| e.kind == kind), "journal missing {kind}: {journal:?}");
         }
         assert_eq!(manager.open_sessions(), 0);
     }

@@ -1,11 +1,12 @@
 //! The payload codec: a tagged binary encoding of the `serde::Value` tree.
 //!
 //! One codec covers every persistent artifact because every artifact
-//! serializes through the same value tree the JSON stub renders. The
-//! encoding is deterministic (field order and key-dictionary order follow
-//! the tree), self-delimiting, and loses nothing the JSON path keeps —
-//! floats are stored as raw IEEE-754 bit patterns, so `-0.0` and NaN
-//! payloads survive where JSON would already have flattened them.
+//! serializes through the same value tree. The encoding is deterministic
+//! (field order and key-dictionary order follow the tree), self-delimiting,
+//! and lossless on that tree — floats are stored as raw IEEE-754 bit
+//! patterns, so `-0.0` and NaN payloads survive; only a JSON render of the
+//! decoded tree (`faction_cli inspect`) flattens non-finite floats to
+//! `null`.
 //!
 //! ## Wire tags
 //!

@@ -67,8 +67,9 @@ pub struct SalvageDrop {
     pub detail: String,
 }
 
-/// Checks the header and returns the record region.
-fn check_header(bytes: &[u8], kind: PayloadKind) -> Result<&[u8], WireError> {
+/// Checks length, magic and format version, and returns the header's
+/// payload-kind code.
+fn header_kind_code(bytes: &[u8]) -> Result<u16, WireError> {
     if bytes.len() < HEADER_LEN {
         return Err(WireError::TooShort { len: bytes.len() });
     }
@@ -81,7 +82,29 @@ fn check_header(bytes: &[u8], kind: PayloadKind) -> Result<&[u8], WireError> {
     if version == 0 || version > FORMAT_VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
-    let found = u16::from_le_bytes([bytes[6], bytes[7]]);
+    Ok(u16::from_le_bytes([bytes[6], bytes[7]]))
+}
+
+/// The payload kind a container's header declares, so a reader that
+/// accepts any artifact (`faction_cli inspect`) can pick the read mode.
+/// Validates the magic and format version on the way; a kind code this
+/// build does not know is [`WireError::UnknownKind`].
+pub fn payload_kind(bytes: &[u8]) -> Result<PayloadKind, WireError> {
+    let code = header_kind_code(bytes)?;
+    [
+        PayloadKind::Checkpoint,
+        PayloadKind::RunCheckpoint,
+        PayloadKind::Journal,
+        PayloadKind::SessionSnapshot,
+    ]
+    .into_iter()
+    .find(|kind| kind.code() == code)
+    .ok_or(WireError::UnknownKind(code))
+}
+
+/// Checks the header and returns the record region.
+fn check_header(bytes: &[u8], kind: PayloadKind) -> Result<&[u8], WireError> {
+    let found = header_kind_code(bytes)?;
     if found != kind.code() {
         return Err(WireError::WrongKind { expected: kind.code(), found });
     }
@@ -346,6 +369,24 @@ mod tests {
             read_container_strict(&bytes, PayloadKind::Journal),
             Err(WireError::BadMagic)
         );
+    }
+
+    #[test]
+    fn payload_kind_reads_every_known_code_and_names_unknown_ones() {
+        for kind in [
+            PayloadKind::Checkpoint,
+            PayloadKind::RunCheckpoint,
+            PayloadKind::Journal,
+            PayloadKind::SessionSnapshot,
+        ] {
+            let bytes = encode_container(kind, &[b"x".as_slice()]).unwrap();
+            assert_eq!(payload_kind(&bytes), Ok(kind));
+        }
+        let mut bytes = three_record_container();
+        bytes[6] = 0x2A;
+        assert_eq!(payload_kind(&bytes), Err(WireError::UnknownKind(0x2A)));
+        assert_eq!(payload_kind(b"{}"), Err(WireError::TooShort { len: 2 }));
+        assert_eq!(payload_kind(b"{\"version\": 1}"), Err(WireError::BadMagic));
     }
 
     #[test]

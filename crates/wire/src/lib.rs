@@ -5,8 +5,10 @@
 //! used to be JSON through the compat stubs. That is fine for a 24-job
 //! grid and wrong for million-session serving: floats render at ~19 bytes
 //! each, field names repeat per record, and a half-written JSON file is
-//! indistinguishable from a corrupt one. This crate is the replacement
-//! substrate, with JSON demoted to a `--debug-export` path.
+//! indistinguishable from a corrupt one. This crate is the replacement and
+//! the only persistence format: loaders read nothing else, and
+//! `faction_cli inspect <file>` renders any container as JSON for human
+//! eyes ([`payload_kind`] tells it which artifact it holds).
 //!
 //! ## Container layout (all integers little-endian)
 //!
@@ -36,8 +38,10 @@
 //! raw little-endian f64 bit patterns, length-prefixed UTF-8, packed
 //! homogeneous float/int arrays, and per-payload object-key interning.
 //! Because both this codec and the JSON stub render the *same* value tree,
-//! binary ≡ JSON losslessness holds by construction for every payload type
-//! (the engine's `wire_roundtrip` suite pins it with proptests).
+//! a decoded payload renders to the same JSON as the value that was
+//! encoded, for every payload type (the engine's `wire_roundtrip` suite
+//! pins it with proptests), which is what lets `inspect` print exactly
+//! the JSON the typed value would.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +52,7 @@ mod crc;
 
 pub use codec::{decode_payload, encode_payload};
 pub use container::{
-    encode_container, from_wire, from_wire_salvage, read_container_salvage,
+    encode_container, from_wire, from_wire_salvage, payload_kind, read_container_salvage,
     read_container_strict, to_wire, ContainerWriter, PayloadKind, Salvage, SalvageDrop,
     FORMAT_VERSION, HEADER_LEN, MAGIC, RECORD_FRAME_LEN,
 };
@@ -66,6 +70,8 @@ pub enum WireError {
     BadMagic,
     /// The container's format version is newer than this build understands.
     UnsupportedVersion(u16),
+    /// The header declares a payload kind code this build does not know.
+    UnknownKind(u16),
     /// The container holds a different payload kind than the caller
     /// expected (e.g. a journal opened as a checkpoint).
     WrongKind {
@@ -115,6 +121,7 @@ impl std::fmt::Display for WireError {
                 f,
                 "unsupported wire format version {v} (this build supports <= {FORMAT_VERSION})"
             ),
+            WireError::UnknownKind(code) => write!(f, "unknown payload kind {code}"),
             WireError::WrongKind { expected, found } => {
                 write!(f, "wrong payload kind: expected {expected}, found {found}")
             }

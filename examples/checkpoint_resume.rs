@@ -35,7 +35,7 @@ fn main() {
     println!("processed {half} tasks; pool holds {} labeled samples", pool.len());
 
     // Checkpoint to disk.
-    let path = std::env::temp_dir().join("faction_example_checkpoint.json");
+    let path = std::env::temp_dir().join("faction_example_checkpoint.wire");
     Checkpoint::capture(model.mlp(), &pool, half)
         .save(&path)
         .expect("checkpoint saved");

@@ -13,7 +13,8 @@
 # | engine determinism (jobs=1 == jobs=8)         | crates/engine/tests/determinism.rs              |
 # | chaos determinism (adversarial schedules)     | crates/engine/tests/chaos_determinism.rs        |
 # | serve determinism (jobs=1 == jobs=8 == chaos) | crates/serve/tests/determinism.rs               |
-# | wire round-trip (binary == JSON, corruption)  | crates/engine/tests/wire_roundtrip.rs           |
+# | wire round-trip (lossless decode, corruption) | crates/engine/tests/wire_roundtrip.rs           |
+# | inspect/CLI untrusted-input contract          | tests/cli_usage.rs                              |
 # | kernel equivalence (scalar == simd, bitwise)  | crates/linalg/tests/kernel_equivalence.rs       |
 # | kernel determinism (8-strategy lineup)        | crates/engine/tests/kernel_determinism.rs       |
 # | telemetry inertness (recording on == off)     | crates/telemetry/tests/inertness.rs             |

@@ -5,6 +5,7 @@
 //! cargo run --release --bin faction_cli -- run --dataset NYSF --strategy faction --seeds 3 --quick
 //! cargo run --release --bin faction_cli -- grid --strategies faction,random --seeds 3 --jobs 4 --quick
 //! cargo run --release --bin faction_cli -- drift --dataset RCMNIST --quick
+//! cargo run --release --bin faction_cli -- inspect ck/NYSF-faction-s0.run.wire
 //! ```
 
 use std::str::FromStr;
@@ -24,18 +25,18 @@ USAGE:
   faction_cli run   --dataset NAME [--strategy NAME] [--seeds N] [--budget B]
                     [--mu F] [--lambda F] [--jobs N] [--quick]
                     [--pool-policy SPEC] [--journal PATH] [--metrics-out PATH]
-                    [--debug-export]
   faction_cli grid  [--datasets A,B|--dataset NAME] [--strategies X,Y] [--seeds N]
                     [--budget B] [--mu F] [--lambda F] [--jobs N] [--quick]
                     [--pool-policy SPEC] [--out DIR] [--checkpoint-dir DIR]
-                    [--journal PATH] [--metrics-out PATH] [--debug-export]
+                    [--journal PATH] [--metrics-out PATH]
   faction_cli drift --dataset NAME [--quick]
   faction_cli stats --dataset NAME [--quick]
   faction_cli serve --workload PATH [--jobs N] [--chaos-seed N]
                     [--max-sessions N] [--inbox-capacity N] [--tenant-budget N]
                     [--budget B] [--mu F] [--quick] [--pool-policy SPEC]
                     [--session NAME] [--out PATH] [--journal PATH]
-                    [--metrics-out PATH] [--debug-export]
+                    [--metrics-out PATH]
+  faction_cli inspect FILE
 
   --jobs N          worker threads for the execution engine (0 = auto-detect);
                     results are byte-identical for every N.
@@ -48,9 +49,6 @@ USAGE:
   --journal P       stream the event journal to P as a crash-safe binary
                     wire container (one CRC-framed record per event; a
                     killed run leaves a replayable valid prefix).
-  --debug-export    write human-readable pretty-JSON siblings next to every
-                    binary artifact: <key>.run.json beside each checkpoint
-                    and <journal>.jsonl beside the journal.
 
   serve reads a newline-delimited request script (open/task/round/snapshot/
   restore/close/drain — see README \"Serving\") and prints the decision
@@ -58,6 +56,10 @@ USAGE:
   change), --session NAME prints one session's slice of the trace, and the
   protocol flags (--budget/--mu/--quick/--pool-policy) set the base config
   that `open` lines override per session.
+
+  inspect prints any wire file (checkpoint, run checkpoint, session
+  snapshot, journal) as JSON: a single-record artifact pretty-printed, a
+  journal one line per record (a torn tail is reported on stderr).
 
 STRATEGIES: faction, faction-incremental, faction-no-select, faction-no-reg,
             faction-uncertainty, fal, fal-cur, decoupled, qufur, ddu, entropy,
@@ -73,42 +75,57 @@ fn usage_error(message: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Parsed flags in command-line order. A `Vec` rather than a `HashMap`:
-/// lookups are linear over a handful of entries and validation can iterate
-/// deterministically.
-struct Flags(Vec<(String, String)>);
+/// Flags that never take a value: the token after one is positional.
+const SWITCHES: &[&str] = &["quick"];
+
+/// Parsed flags in command-line order, plus the positional arguments. A
+/// `Vec` rather than a `HashMap`: lookups are linear over a handful of
+/// entries and validation can iterate deterministically.
+struct Flags {
+    flags: Vec<(String, String)>,
+    positionals: Vec<String>,
+}
 
 impl Flags {
+    /// Parses the arguments after the command name.
     fn parse(args: &[String]) -> Flags {
         let mut flags = Vec::new();
+        let mut positionals = Vec::new();
         let mut i = 0;
         while i < args.len() {
             if let Some(key) = args[i].strip_prefix("--") {
-                let value = if i + 1 < args.len() && !args[i + 1].starts_with("--") {
+                let takes_value = !SWITCHES.contains(&key);
+                let value = if takes_value && i + 1 < args.len() && !args[i + 1].starts_with("--") {
                     i += 1;
                     args[i].clone()
                 } else {
                     "true".into()
                 };
                 flags.push((key.to_string(), value));
+            } else {
+                positionals.push(args[i].clone());
             }
             i += 1;
         }
-        Flags(flags)
+        Flags { flags, positionals }
     }
 
-    /// Rejects flags the command does not understand, naming the first
+    /// Rejects flags the command does not understand and positional
+    /// arguments beyond the `positional` it takes, naming the first
     /// offender.
-    fn expect_known(&self, command: &str, known: &[&str]) {
-        for (key, _) in &self.0 {
+    fn expect_known(&self, command: &str, known: &[&str], positional: usize) {
+        for (key, _) in &self.flags {
             if !known.contains(&key.as_str()) {
                 usage_error(&format!("unknown flag '--{key}' for '{command}'"));
             }
         }
+        if let Some(stray) = self.positionals.get(positional) {
+            usage_error(&format!("unexpected argument '{stray}' for '{command}'"));
+        }
     }
 
     fn get(&self, key: &str) -> Option<&str> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+        self.flags.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
 
     fn has(&self, key: &str) -> bool {
@@ -162,17 +179,14 @@ fn engine_from_flags(flags: &Flags) -> (Engine, Option<Arc<Registry>>) {
     let workers = faction::engine::resolve_workers(flags.parse_value("jobs", "integer"));
     let checkpoint_dir = flags.get("checkpoint-dir").map(std::path::PathBuf::from);
     // The journal streams to disk as a binary wire container (crash-safe,
-    // CRC-framed); --debug-export adds human-readable JSON siblings for
-    // both the journal and every checkpoint.
+    // CRC-framed); `inspect` renders it as JSON.
     let journal_path = flags.get("journal").map(std::path::PathBuf::from);
-    let debug_export = flags.has("debug-export");
     let registry = flags.has("metrics-out").then(|| Arc::new(Registry::new()));
     let recorder = registry.clone().map(Handle::from).unwrap_or_default();
     let engine = Engine::new(EngineConfig {
         workers,
         checkpoint_dir,
         journal_path,
-        debug_export,
         recorder,
         ..EngineConfig::default()
     });
@@ -192,7 +206,8 @@ fn write_metrics(flags: &Flags, registry: Option<&Arc<Registry>>) {
     }
 }
 
-fn cmd_list() {
+fn cmd_list(flags: &Flags) {
+    flags.expect_known("list", &[], 0);
     println!("datasets:");
     for ds in Dataset::ALL {
         let stream = ds.stream(0, Scale::Quick);
@@ -222,8 +237,8 @@ fn cmd_run(flags: &Flags) {
             "pool-policy",
             "journal",
             "metrics-out",
-            "debug-export",
         ],
+        0,
     );
     let (cfg, scale, quick) = config_from_flags(flags);
     let dataset = flags.dataset("dataset").unwrap_or_else(|| {
@@ -258,13 +273,6 @@ fn cmd_run(flags: &Flags) {
     // container, one flushed record per event); nothing to write here.
     if let Some(path) = flags.get("journal") {
         eprintln!("journal: {path}");
-        if flags.has("debug-export") {
-            let jsonl = format!("{path}.jsonl");
-            match std::fs::write(&jsonl, &outcome.journal_jsonl) {
-                Ok(()) => eprintln!("journal debug export: {jsonl}"),
-                Err(e) => eprintln!("warning: could not write journal debug export to {jsonl}: {e}"),
-            }
-        }
     }
 
     for failure in &outcome.failures {
@@ -315,8 +323,8 @@ fn cmd_grid(flags: &Flags) {
             "checkpoint-dir",
             "journal",
             "metrics-out",
-            "debug-export",
         ],
+        0,
     );
     let (cfg, scale, quick) = config_from_flags(flags);
     let seeds: u64 = flags.parse_value("seeds", "integer").unwrap_or(3);
@@ -374,13 +382,6 @@ fn cmd_grid(flags: &Flags) {
     // container, one flushed record per event); nothing to write here.
     if let Some(path) = flags.get("journal") {
         eprintln!("journal: {path}");
-        if flags.has("debug-export") {
-            let jsonl = format!("{path}.jsonl");
-            match std::fs::write(&jsonl, &outcome.journal_jsonl) {
-                Ok(()) => eprintln!("journal debug export: {jsonl}"),
-                Err(e) => eprintln!("warning: could not write journal debug export to {jsonl}: {e}"),
-            }
-        }
     }
 
     // One summary row per (dataset, strategy): aggregate that cell's seeds.
@@ -439,7 +440,7 @@ fn cmd_grid(flags: &Flags) {
 }
 
 fn cmd_drift(flags: &Flags) {
-    flags.expect_known("drift", &["dataset", "quick"]);
+    flags.expect_known("drift", &["dataset", "quick"], 0);
     let quick = flags.has("quick");
     let dataset = flags.dataset("dataset").unwrap_or(Dataset::Rcmnist);
     let scale = if quick { Scale::Quick } else { Scale::Full };
@@ -470,7 +471,7 @@ fn cmd_drift(flags: &Flags) {
 }
 
 fn cmd_stats(flags: &Flags) {
-    flags.expect_known("stats", &["dataset", "quick"]);
+    flags.expect_known("stats", &["dataset", "quick"], 0);
     let quick = flags.has("quick");
     let scale = if quick { Scale::Quick } else { Scale::Full };
     let datasets: Vec<Dataset> = match flags.dataset("dataset") {
@@ -502,8 +503,8 @@ fn cmd_serve(flags: &Flags) {
             "out",
             "journal",
             "metrics-out",
-            "debug-export",
         ],
+        0,
     );
     // The same validated parsers the batch commands use: a malformed
     // --pool-policy or --jobs is a usage error here too, never a panic.
@@ -548,13 +549,6 @@ fn cmd_serve(flags: &Flags) {
         } else {
             eprintln!("warning: journal stream to {path} had write errors");
         }
-        if flags.has("debug-export") {
-            let jsonl = format!("{path}.jsonl");
-            match std::fs::write(&jsonl, manager.journal_jsonl()) {
-                Ok(()) => eprintln!("journal debug export: {jsonl}"),
-                Err(e) => eprintln!("warning: could not write journal debug export to {jsonl}: {e}"),
-            }
-        }
     }
     let trace = match flags.get("session") {
         Some(name) => manager.session_trace(name),
@@ -577,12 +571,48 @@ fn cmd_serve(flags: &Flags) {
     );
 }
 
+/// `inspect FILE`: decodes any wire artifact to JSON on stdout. The header
+/// names the payload kind; a journal is salvage-read and printed one
+/// compact line per record, every other kind is a strict single-record
+/// read printed pretty. A file that is not a readable container exits 1.
+fn cmd_inspect(flags: &Flags) {
+    flags.expect_known("inspect", &[], 1);
+    let Some(path) = flags.positionals.first() else {
+        usage_error("'inspect' takes one FILE argument");
+    };
+    let fail = |e: &dyn std::fmt::Display| -> ! {
+        eprintln!("error: {path}: {e}");
+        std::process::exit(1);
+    };
+    let bytes = std::fs::read(path).unwrap_or_else(|e| fail(&e));
+    let kind = faction_wire::payload_kind(&bytes).unwrap_or_else(|e| fail(&e));
+    if kind == faction_wire::PayloadKind::Journal {
+        let salvage =
+            faction_wire::read_container_salvage(&bytes, kind).unwrap_or_else(|e| fail(&e));
+        for record in &salvage.records {
+            let value = faction::engine::Journal::record_value(record).unwrap_or_else(|e| fail(&e));
+            println!("{}", serde_json::to_string(&value).expect("a value tree renders as JSON"));
+        }
+        if let Some(drop) = salvage.dropped {
+            eprintln!(
+                "warning: {path}: dropped a torn tail of {} byte(s) at offset {} ({})",
+                drop.bytes, drop.offset, drop.detail
+            );
+        }
+    } else {
+        let value: serde_json::Value =
+            faction_wire::from_wire(kind, &bytes).unwrap_or_else(|e| fail(&e));
+        println!("{}", serde_json::to_string_pretty(&value).expect("a value tree renders as JSON"));
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("help");
-    let flags = Flags::parse(&args);
+    let flags = Flags::parse(args.get(1..).unwrap_or_default());
     match command {
-        "list" => cmd_list(),
+        "list" => cmd_list(&flags),
+        "inspect" => cmd_inspect(&flags),
         "run" => cmd_run(&flags),
         "grid" => cmd_grid(&flags),
         "drift" => cmd_drift(&flags),
