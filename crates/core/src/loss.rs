@@ -10,8 +10,35 @@
 
 use faction_fairness::TotalLossConfig;
 use faction_linalg::Matrix;
-use faction_nn::loss::softmax;
-use faction_nn::{BatchLoss, BatchMeta, CrossEntropyLoss};
+use faction_nn::loss::cross_entropy_into;
+use faction_nn::{BatchLoss, BatchMeta, LossScratch};
+
+/// Index of the "positive" class whose probability plays the role of the
+/// real-valued classifier output `h(x, θ)` in Eq. (1).
+const POSITIVE_CLASS: usize = 1;
+
+/// Fills `h` with each row's positive-class probability.
+fn positive_outputs(probs: &Matrix, h: &mut Vec<f64>) {
+    h.clear();
+    h.extend((0..probs.rows()).map(|r| probs.get(r, POSITIVE_CLASS)));
+}
+
+/// Adds `dh_r · ∂p₁/∂logit_k = dh_r · p₁ (δ_{k,1} − p_k)` to each gradient
+/// row: the chain rule from a fairness term's `dL/dh` through the softmax.
+fn add_fairness_chain(probs: &Matrix, dh: &[f64], grad: &mut Matrix) {
+    for (r, &dhr) in dh.iter().enumerate() {
+        if dhr == 0.0 {
+            continue;
+        }
+        let p1 = probs.get(r, POSITIVE_CLASS);
+        for k in 0..grad.cols() {
+            let delta = if k == POSITIVE_CLASS { 1.0 } else { 0.0 };
+            let jac = p1 * (delta - probs.get(r, k));
+            let v = grad.get(r, k);
+            grad.set(r, k, v + dhr * jac);
+        }
+    }
+}
 
 /// Cross-entropy plus the fairness regularizer of Eq. (9).
 #[derive(Debug, Clone, Copy)]
@@ -25,33 +52,22 @@ impl FairTotalLoss {
     pub fn new(config: TotalLossConfig) -> Self {
         FairTotalLoss { config }
     }
-
-    /// Index of the "positive" class whose probability plays the role of
-    /// the real-valued classifier output `h(x, θ)` in Eq. (1).
-    const POSITIVE_CLASS: usize = 1;
 }
 
 impl BatchLoss for FairTotalLoss {
-    fn loss_and_grad(&self, logits: &Matrix, meta: &BatchMeta<'_>) -> (f64, Matrix) {
-        let (ce, mut grad) = CrossEntropyLoss.loss_and_grad(logits, meta);
-        let probs = softmax(logits);
-        let h: Vec<f64> = (0..probs.rows()).map(|r| probs.get(r, Self::POSITIVE_CLASS)).collect();
-        let (fair_value, dfair_dh) =
-            self.config.fairness_term(&h, meta.sensitive, Some(meta.labels));
-        // Chain rule through the softmax for the positive-class probability.
-        for (r, &dh) in dfair_dh.iter().enumerate() {
-            if dh == 0.0 {
-                continue;
-            }
-            let p1 = probs.get(r, Self::POSITIVE_CLASS);
-            for k in 0..grad.cols() {
-                let delta = if k == Self::POSITIVE_CLASS { 1.0 } else { 0.0 };
-                let jac = p1 * (delta - probs.get(r, k));
-                let v = grad.get(r, k);
-                grad.set(r, k, v + dh * jac);
-            }
-        }
-        (ce + fair_value, grad)
+    fn loss_grad_into(
+        &self,
+        logits: &Matrix,
+        meta: &BatchMeta<'_>,
+        scratch: &mut LossScratch,
+        grad: &mut Matrix,
+    ) -> f64 {
+        let LossScratch { probs, h, dh, .. } = scratch;
+        let ce = cross_entropy_into(logits, meta.labels, probs, grad);
+        positive_outputs(probs, h);
+        let fair_value = self.config.fairness_term(h, meta.sensitive, Some(meta.labels), dh);
+        add_fairness_chain(probs, dh, grad);
+        ce + fair_value
     }
 }
 
@@ -76,24 +92,31 @@ impl MultiGroupFairLoss {
 }
 
 impl BatchLoss for MultiGroupFairLoss {
-    fn loss_and_grad(&self, logits: &Matrix, meta: &BatchMeta<'_>) -> (f64, Matrix) {
-        let (ce, mut grad) = CrossEntropyLoss.loss_and_grad(logits, meta);
-        let probs = softmax(logits);
+    fn loss_grad_into(
+        &self,
+        logits: &Matrix,
+        meta: &BatchMeta<'_>,
+        scratch: &mut LossScratch,
+        grad: &mut Matrix,
+    ) -> f64 {
+        let LossScratch { probs, h, dh, groups } = scratch;
+        let ce = cross_entropy_into(logits, meta.labels, probs, grad);
         let n = probs.rows();
-        let h: Vec<f64> = (0..n).map(|r| probs.get(r, 1)).collect();
+        positive_outputs(probs, h);
         // Penalty: the mean of all one-vs-rest gaps, `Σ_g |v_g| / k`.
         // (A max-only penalty has a subgradient that touches one group per
         // batch and converges far more slowly; the mean drives every
         // group's disparity simultaneously and reduces to the binary
         // symmetric penalty for two groups.)
-        let values = faction_fairness::multi::one_vs_rest_values(&h, meta.sensitive);
-        if values.is_empty() {
-            return (ce - self.mu * self.epsilon, grad);
+        faction_fairness::multi::one_vs_rest_values_into(h, meta.sensitive, groups);
+        if groups.is_empty() {
+            return ce - self.mu * self.epsilon;
         }
-        let k = values.len() as f64;
-        let mut dh = vec![0.0; n];
+        let k = groups.len() as f64;
+        dh.clear();
+        dh.resize(n, 0.0);
         let mut penalty = 0.0;
-        for &(group, v) in &values {
+        for &(group, v) in groups.iter() {
             penalty += v.abs() / k;
             let n_in = meta.sensitive.iter().filter(|&&s| s == group).count();
             let n_out = n - n_in;
@@ -107,19 +130,8 @@ impl BatchLoss for MultiGroupFairLoss {
                 dh[r] += self.mu * sign * coeff / k;
             }
         }
-        for (r, &dhr) in dh.iter().enumerate() {
-            if dhr == 0.0 {
-                continue;
-            }
-            let p1 = probs.get(r, 1);
-            for c in 0..grad.cols() {
-                let delta = if c == 1 { 1.0 } else { 0.0 };
-                let jac = p1 * (delta - probs.get(r, c));
-                let cur = grad.get(r, c);
-                grad.set(r, c, cur + dhr * jac);
-            }
-        }
-        (ce + self.mu * (penalty - self.epsilon), grad)
+        add_fairness_chain(probs, dh, grad);
+        ce + self.mu * (penalty - self.epsilon)
     }
 }
 
@@ -128,6 +140,7 @@ mod tests {
     use super::*;
     use faction_fairness::notion::FairnessNotion;
     use faction_fairness::FairnessPenalty;
+    use faction_nn::CrossEntropyLoss;
 
     #[test]
     fn multi_group_loss_reduces_to_ce_for_single_group() {

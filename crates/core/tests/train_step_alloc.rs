@@ -1,0 +1,130 @@
+//! Allocation gate for the SGD step.
+//!
+//! Retraining on the labeled pool is most of a round's time, and every step
+//! of it goes through `Mlp::train_step_with`. Once its `MlpWorkspace` has
+//! seen the batch shape (one warm-up step, which also creates the
+//! optimizer's momentum state), a step must make no heap allocation at all:
+//! the forward pass, the loss and its gradient, backprop and the spectral
+//! power iteration all write into reused buffers. This suite counts every
+//! allocation the test thread makes during a step with a counting global
+//! allocator and asserts zero at the standard preset (`[16, 64, 32, 2]`,
+//! mini-batch 64) under both training losses.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use faction_core::FairTotalLoss;
+use faction_fairness::TotalLossConfig;
+use faction_linalg::{Matrix, SeedRng};
+use faction_nn::{presets, BatchLoss, BatchMeta, CrossEntropyLoss, Mlp, MlpWorkspace, Sgd};
+
+/// Forwards to the system allocator, counting allocations made on a thread
+/// while its `COUNTING` flag is set.
+struct CountingAlloc;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    // `try_with`: the allocator can run while thread-locals are torn down.
+    let _ = COUNTING.try_with(|counting| {
+        if counting.get() {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+// analyzer:unsafe(invariant): every method forwards its arguments unchanged to `System`, which upholds the GlobalAlloc contract; the counting touches only const-initialized thread-locals, which never allocate
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // analyzer:unsafe(invariant): caller's layout passed through to System unchanged
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // analyzer:unsafe(invariant): caller's layout passed through to System unchanged
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        // analyzer:unsafe(invariant): ptr/layout came from this allocator, i.e. from System
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // analyzer:unsafe(invariant): ptr/layout came from this allocator, i.e. from System
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap allocations (including reallocations) `f` makes on this thread.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    ALLOCATIONS.with(|n| n.set(0));
+    COUNTING.with(|c| c.set(true));
+    f();
+    COUNTING.with(|c| c.set(false));
+    ALLOCATIONS.with(Cell::get)
+}
+
+const BATCH: usize = 64;
+const INPUT_DIM: usize = 16;
+
+/// Warms a standard-preset model up with one step, then asserts that each
+/// of the next few steps allocates nothing.
+fn assert_steady_state_steps_allocate_nothing(loss: &dyn BatchLoss, name: &str) {
+    let mut mlp = Mlp::new(&presets::standard(INPUT_DIM, 2, 11));
+    // The optimizer the online model trains with.
+    let mut opt = Sgd::new(0.05).with_momentum(0.9);
+    let mut rng = SeedRng::new(5);
+    let data = (0..BATCH * INPUT_DIM).map(|_| rng.normal(0.0, 1.0)).collect();
+    let x = Matrix::from_vec(BATCH, INPUT_DIM, data).expect("batch shape");
+    // Both classes and both groups, so the fairness term is live.
+    let labels: Vec<usize> = (0..BATCH).map(|i| (i / 3) % 2).collect();
+    let sensitive: Vec<i8> = (0..BATCH).map(|i| if i % 2 == 0 { 1 } else { -1 }).collect();
+    let meta = BatchMeta { labels: &labels, sensitive: &sensitive };
+    let mut ws = MlpWorkspace::new();
+    mlp.train_step_with(&x, &meta, loss, &mut opt, &mut ws);
+    for step in 1..=4 {
+        let mut value = f64::NAN;
+        let allocations = allocations_during(|| {
+            value = mlp.train_step_with(&x, &meta, loss, &mut opt, &mut ws);
+        });
+        assert!(value.is_finite(), "{name}: step {step} loss {value}");
+        assert_eq!(allocations, 0, "{name}: step {step} made {allocations} heap allocations");
+    }
+}
+
+#[test]
+fn cross_entropy_step_allocates_nothing_after_warm_up() {
+    assert_steady_state_steps_allocate_nothing(&CrossEntropyLoss, "CrossEntropyLoss");
+}
+
+#[test]
+fn fair_total_loss_step_allocates_nothing_after_warm_up() {
+    let loss = FairTotalLoss::new(TotalLossConfig::default());
+    assert_steady_state_steps_allocate_nothing(&loss, "FairTotalLoss");
+}
+
+#[test]
+fn the_counter_sees_allocations() {
+    // Guards the gate against vacuity: a step on a fresh workspace must
+    // register its buffer allocations.
+    let mut mlp = Mlp::new(&presets::standard(INPUT_DIM, 2, 3));
+    let mut opt = Sgd::new(0.05).with_momentum(0.9);
+    let x = Matrix::zeros(BATCH, INPUT_DIM);
+    let labels = vec![0usize; BATCH];
+    let sensitive = vec![1i8; BATCH];
+    let meta = BatchMeta { labels: &labels, sensitive: &sensitive };
+    let allocations = allocations_during(|| {
+        mlp.train_step_with(&x, &meta, &CrossEntropyLoss, &mut opt, &mut MlpWorkspace::new());
+    });
+    assert!(allocations > 0, "a cold step must allocate its workspace");
+}

@@ -86,7 +86,8 @@ impl Default for TotalLossConfig {
 impl TotalLossConfig {
     /// The fairness term `μ (L_fair − ε)` for a batch of classifier outputs.
     ///
-    /// Returns `(term_value, dTerm/dh)` where the gradient is per output.
+    /// Returns the term's value and writes `dTerm/dh`, one entry per output,
+    /// into `grad` (cleared and refilled; allocates only while it grows).
     /// The `−ε` offset is a constant and does not contribute to the
     /// gradient; it only shifts the reported loss, matching Eq. (9).
     pub fn fairness_term(
@@ -94,14 +95,15 @@ impl TotalLossConfig {
         outputs: &[f64],
         sensitive: &[i8],
         labels: Option<&[usize]>,
-    ) -> (f64, Vec<f64>) {
-        let relaxed = RelaxedFairness::new(self.notion);
-        let coeffs = relaxed.coefficients(sensitive, labels);
-        let v: f64 = coeffs.iter().zip(outputs).map(|(c, h)| c * h).sum();
-        let value = self.mu * (self.penalty.value(v) - self.epsilon);
+        grad: &mut Vec<f64>,
+    ) -> f64 {
+        RelaxedFairness::new(self.notion).coefficients_into(sensitive, labels, grad);
+        let v: f64 = grad.iter().zip(outputs).map(|(c, h)| c * h).sum();
         let dv = self.mu * self.penalty.derivative(v);
-        let grad = coeffs.into_iter().map(|c| dv * c).collect();
-        (value, grad)
+        for c in grad.iter_mut() {
+            *c *= dv;
+        }
+        self.mu * (self.penalty.value(v) - self.epsilon)
     }
 
     /// The raw relaxed fairness value `v` for a batch (diagnostics and the
@@ -122,6 +124,11 @@ mod tests {
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-10
+    }
+
+    fn term(cfg: &TotalLossConfig, outputs: &[f64], sensitive: &[i8]) -> (f64, Vec<f64>) {
+        let mut grad = Vec::new();
+        (cfg.fairness_term(outputs, sensitive, None, &mut grad), grad)
     }
 
     #[test]
@@ -146,15 +153,15 @@ mod tests {
         let cfg = TotalLossConfig { mu: 1.3, epsilon: 0.05, ..Default::default() };
         let sensitive = [1i8, -1, 1, -1];
         let outputs = [0.8, 0.1, 0.7, 0.4];
-        let (_, grad) = cfg.fairness_term(&outputs, &sensitive, None);
+        let (_, grad) = term(&cfg, &outputs, &sensitive);
         let eps = 1e-7;
         for i in 0..outputs.len() {
             let mut hp = outputs;
             hp[i] += eps;
             let mut hm = outputs;
             hm[i] -= eps;
-            let (fp, _) = cfg.fairness_term(&hp, &sensitive, None);
-            let (fm, _) = cfg.fairness_term(&hm, &sensitive, None);
+            let (fp, _) = term(&cfg, &hp, &sensitive);
+            let (fm, _) = term(&cfg, &hm, &sensitive);
             let numeric = (fp - fm) / (2.0 * eps);
             assert!(
                 (numeric - grad[i]).abs() < 1e-6,
@@ -170,8 +177,8 @@ mod tests {
         let outputs = [0.9, 0.1];
         let a = TotalLossConfig { epsilon: 0.0, ..Default::default() };
         let b = TotalLossConfig { epsilon: 0.3, ..Default::default() };
-        let (va, ga) = a.fairness_term(&outputs, &sensitive, None);
-        let (vb, gb) = b.fairness_term(&outputs, &sensitive, None);
+        let (va, ga) = term(&a, &outputs, &sensitive);
+        let (vb, gb) = term(&b, &outputs, &sensitive);
         assert!(close(va - vb, a.mu * 0.3));
         assert_eq!(ga, gb);
     }
@@ -182,8 +189,8 @@ mod tests {
         let outputs = [0.9, 0.1];
         let base = TotalLossConfig { mu: 1.0, epsilon: 0.0, ..Default::default() };
         let double = TotalLossConfig { mu: 2.0, epsilon: 0.0, ..Default::default() };
-        let (v1, g1) = base.fairness_term(&outputs, &sensitive, None);
-        let (v2, g2) = double.fairness_term(&outputs, &sensitive, None);
+        let (v1, g1) = term(&base, &outputs, &sensitive);
+        let (v2, g2) = term(&double, &outputs, &sensitive);
         assert!(close(v2, 2.0 * v1));
         for (a, b) in g1.iter().zip(&g2) {
             assert!(close(2.0 * a, *b));
@@ -195,7 +202,7 @@ mod tests {
         let cfg = TotalLossConfig::default();
         let sensitive = [1i8, -1, 1, -1];
         let outputs = [0.5, 0.5, 0.5, 0.5];
-        let (value, grad) = cfg.fairness_term(&outputs, &sensitive, None);
+        let (value, grad) = term(&cfg, &outputs, &sensitive);
         assert!(close(value, -cfg.mu * cfg.epsilon));
         assert!(grad.iter().all(|g| close(*g, 0.0)));
     }
@@ -209,7 +216,7 @@ mod tests {
             ..Default::default()
         };
         // Disadvantaged s=+1 group: v < 0.
-        let (value, grad) = cfg.fairness_term(&[0.1, 0.9], &[1, -1], None);
+        let (value, grad) = term(&cfg, &[0.1, 0.9], &[1, -1]);
         assert!(close(value, 0.0));
         assert!(grad.iter().all(|g| close(*g, 0.0)));
     }

@@ -122,13 +122,29 @@ pub fn mutual_information_multi(preds: &[usize], sensitive: &[i8]) -> f64 {
 /// the complement's mean output (the natural generalization of the Eq. 1
 /// relaxed DDP, which this reduces to for binary `s`).
 ///
-/// Returns `(group, v_g)` pairs; groups covering the whole batch (no
-/// complement) or empty groups yield no entry.
+/// Returns `(group, v_g)` pairs in ascending group order; groups covering
+/// the whole batch (no complement) or empty groups yield no entry.
 pub fn one_vs_rest_values(outputs: &[f64], sensitive: &[i8]) -> Vec<(i8, f64)> {
-    assert_eq!(outputs.len(), sensitive.len(), "outputs/sensitive length mismatch");
-    let groups = groups_of(sensitive);
     let mut values = Vec::new();
-    for &g in &groups {
+    one_vs_rest_values_into(outputs, sensitive, &mut values);
+    values
+}
+
+/// [`one_vs_rest_values`] into a caller buffer (cleared and refilled;
+/// allocates only while it grows). The groups present are found with a
+/// stack table over every `i8` code, visited in ascending order.
+///
+/// # Panics
+/// Panics on length mismatch.
+pub fn one_vs_rest_values_into(outputs: &[f64], sensitive: &[i8], values: &mut Vec<(i8, f64)>) {
+    assert_eq!(outputs.len(), sensitive.len(), "outputs/sensitive length mismatch");
+    let slot = |g: i8| (i16::from(g) + 128) as usize;
+    let mut present = [false; 256];
+    for &s in sensitive {
+        present[slot(s)] = true;
+    }
+    values.clear();
+    for g in (i8::MIN..=i8::MAX).filter(|&g| present[slot(g)]) {
         let (mut sum_in, mut n_in, mut sum_out, mut n_out) = (0.0, 0usize, 0.0, 0usize);
         for (&h, &s) in outputs.iter().zip(sensitive) {
             if s == g {
@@ -143,7 +159,6 @@ pub fn one_vs_rest_values(outputs: &[f64], sensitive: &[i8]) -> Vec<(i8, f64)> {
             values.push((g, sum_in / n_in as f64 - sum_out / n_out as f64));
         }
     }
-    values
 }
 
 /// The scalar multi-group fairness penalty: the largest absolute

@@ -56,41 +56,53 @@ impl RelaxedFairness {
     /// # Panics
     /// Panics if `labels` is needed but absent, or lengths disagree.
     pub fn coefficients(&self, sensitive: &[i8], labels: Option<&[usize]>) -> Vec<f64> {
+        let mut out = Vec::with_capacity(sensitive.len());
+        self.coefficients_into(sensitive, labels, &mut out);
+        out
+    }
+
+    /// [`RelaxedFairness::coefficients`] into a caller buffer (cleared and
+    /// refilled; allocates only while it grows).
+    ///
+    /// # Panics
+    /// As [`RelaxedFairness::coefficients`].
+    pub fn coefficients_into(
+        &self,
+        sensitive: &[i8],
+        labels: Option<&[usize]>,
+        out: &mut Vec<f64>,
+    ) {
         let n = sensitive.len();
-        let mask: Vec<bool> = match self.notion {
-            FairnessNotion::DemographicParity => vec![true; n],
+        let labels = match self.notion {
+            FairnessNotion::DemographicParity => None,
             FairnessNotion::EqualOpportunity => {
                 // analyzer:allow(unwrap-in-lib): documented panic contract (see `# Panics` above)
                 let labels = labels.expect("EqualOpportunity requires labels");
                 assert_eq!(labels.len(), n, "labels length mismatch");
-                labels.iter().map(|&y| y == 1).collect()
+                Some(labels)
             }
         };
-        let m = mask.iter().filter(|&&b| b).count();
-        if m == 0 {
-            return vec![0.0; n];
-        }
-        let positives = sensitive
-            .iter()
-            .zip(&mask)
-            .filter(|(&s, &b)| b && s == 1)
-            .count();
-        let p1 = positives as f64 / m as f64;
+        // Whether sample i is inside the notion's expectation.
+        let counted = |i: usize| match labels {
+            None => true,
+            Some(l) => l[i] == 1,
+        };
+        out.clear();
+        let m = (0..n).filter(|&i| counted(i)).count();
+        let positives = (0..n).filter(|&i| counted(i) && sensitive[i] == 1).count();
+        let p1 = if m == 0 { 0.0 } else { positives as f64 / m as f64 };
         if p1 <= 0.0 || p1 >= 1.0 {
-            return vec![0.0; n];
+            out.resize(n, 0.0);
+            return;
         }
         let denom = p1 * (1.0 - p1) * m as f64;
-        sensitive
-            .iter()
-            .zip(&mask)
-            .map(|(&s, &b)| {
-                if !b {
-                    0.0
-                } else {
-                    ((f64::from(s) + 1.0) / 2.0 - p1) / denom
-                }
-            })
-            .collect()
+        out.extend(sensitive.iter().enumerate().map(|(i, &s)| {
+            if !counted(i) {
+                0.0
+            } else {
+                ((f64::from(s) + 1.0) / 2.0 - p1) / denom
+            }
+        }));
     }
 
     /// Evaluates `v = Σ_i c_i h_i`.

@@ -15,12 +15,20 @@
 //!   whole k-panel in locals, touching the output matrix once per panel
 //!   instead of once per scalar multiply-add.
 //!
+//! Each backend supplies a pair of micro-kernels ([`Tiles`]): one for the
+//! full `MR × NR` tile and one for the edge tiles. The edge kernel's hot
+//! case is the full-height **narrow tile** (`MR` rows, `jlen < NR`
+//! columns): the class head's products have `n = C = 2`, so every one of
+//! their tiles is narrow. The scalar backend uses [`kernel_edge`] for all
+//! edges; the AVX2 backend runs narrow tiles lane-parallel across the `MR`
+//! rows and hands short tiles (`ilen < MR`) to [`kernel_edge`].
+//!
 //! The three products differ only in how operands are read ([`Layout`]):
 //! `Aᵀ·B` packs its A micro-panels from the stored-transposed operand (a
-//! contiguous read per k step), and `A·Bᵀ` additionally packs each
-//! `NR`-wide column panel of `Bᵀ` k-major into a stack buffer so the
-//! micro-kernel sees the same row-contiguous B tile as `A·B`, at a row
-//! stride of its own.
+//! contiguous read per k step), and `A·Bᵀ` packs a whole column block of
+//! `Bᵀ` k-major into one stack buffer per k-panel, then sweeps every row
+//! block under it the way `A·B` does, so each A micro-panel is packed once
+//! per column block rather than once per `NR`-wide panel.
 //!
 //! Every kernel preserves the *exact* floating-point accumulation order of
 //! the straightforward loops: each output element is a left-to-right sum
@@ -47,9 +55,19 @@ pub const NR: usize = 8;
 /// Depth of the packed k-panel.
 pub const KC: usize = 256;
 
-/// Below this total flop-ish volume the blocked path's packing overhead is
-/// not worth it and the simple loop wins.
-pub(crate) const SMALL_VOLUME: usize = 16 * 16 * 16;
+/// Capacity, in f64, of the stack buffer [`Layout::Nt`] packs a `Bᵀ`
+/// column block into (32 KiB). A block is as many `NR`-wide panels as fit
+/// at the k-panel's depth: `2 * NR` columns at `klen = KC`, 128 at
+/// `klen = 32`, so every standard-preset input gradient packs its whole
+/// `Bᵀ` once.
+const NT_PACK: usize = 2 * KC * NR;
+
+/// The blocked break-even, in multiply-adds: at or below it the simple
+/// loops win, because setting up the packed operands (the zeroed stack
+/// buffers, the `Bᵀ` block above all) costs more than the register tile
+/// saves. Above it the blocked path wins for all three layouts, narrow
+/// class-head products (`n < NR`) included; see [`is_small`].
+pub(crate) const SMALL_VOLUME: usize = 16 * 8 * 8;
 
 /// Full-tile micro-kernel ABI shared by the scalar reference
 /// ([`kernel_full`]) and the AVX2 kernel (`crate::simd`): packed A panel,
@@ -58,6 +76,23 @@ pub(crate) const SMALL_VOLUME: usize = 16 * 16 * 16;
 /// implementation must keep the per-element ascending-`k` accumulation
 /// order — that is the bit-identity contract the dispatch facade rests on.
 pub(crate) type FullTile = fn(&[f64], usize, &[f64], usize, &mut [f64], usize);
+
+/// Edge-tile micro-kernel ABI ([`kernel_edge`]'s): [`FullTile`]'s arguments
+/// plus the tile's height `ilen ≤ MR` and width `jlen ≤ NR`, at least one
+/// of them short. Same ascending-`k` contract.
+pub(crate) type EdgeTile = fn(&[f64], usize, usize, &[f64], usize, usize, &mut [f64], usize);
+
+/// One backend's micro-kernels for [`blocked_sweep`].
+#[derive(Clone, Copy)]
+pub(crate) struct Tiles {
+    /// Full `MR × NR` tiles.
+    pub(crate) full: FullTile,
+    /// Every other tile: narrow (`jlen < NR`) and/or short (`ilen < MR`).
+    pub(crate) edge: EdgeTile,
+}
+
+/// The scalar reference micro-kernels.
+pub(crate) const SCALAR_TILES: Tiles = Tiles { full: kernel_full, edge: kernel_edge };
 
 /// How [`blocked_sweep`] reads its operands for `out += op(a) · op(b)`
 /// (`out` is always `m×n`, the contraction depth is `k`).
@@ -97,7 +132,7 @@ pub fn matmul_simple(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, 
 /// the caller), dispatched to the backend selected by
 /// [`crate::dispatch::active_backend`].
 ///
-/// Both backends — the scalar blocked reference and the AVX2 micro-kernel —
+/// Both backends — the scalar blocked reference and the AVX2 micro-kernels —
 /// preserve the exact per-element ascending-`k` accumulation order, so the
 /// result is **bit-identical** regardless of what this dispatches to (the
 /// `kernel_equivalence` property suite proves it).
@@ -124,35 +159,38 @@ pub fn matmul_blocked(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize,
         matmul_simple(a, b, out, m, k, n);
         return;
     }
-    blocked_sweep(a, b, out, m, k, n, Layout::Nn, kernel_full);
+    blocked_sweep(a, b, out, m, k, n, Layout::Nn, SCALAR_TILES);
 }
 
 /// Whether a product is below the blocked path's break-even: too little
-/// volume to amortize packing, or narrower than one register tile.
+/// volume to amortize packing ([`SMALL_VOLUME`]), or shorter than one
+/// register tile (`m < MR`, so every tile would be a scalar edge tile).
+/// Width is no criterion: a product narrower than `NR` runs the narrow
+/// tile.
 #[inline]
 pub(crate) fn is_small(m: usize, k: usize, n: usize) -> bool {
-    m * k * n <= SMALL_VOLUME || n < NR
+    m * k * n <= SMALL_VOLUME || m < MR
 }
 
-/// The full-tile micro-kernel of the backend selected by
+/// The micro-kernels of the backend selected by
 /// [`crate::dispatch::active_backend`].
-fn active_full_tile() -> FullTile {
+fn active_tiles() -> Tiles {
     match crate::dispatch::active_backend() {
-        crate::dispatch::KernelBackend::Scalar => kernel_full,
-        crate::dispatch::KernelBackend::Simd => crate::simd::select_full_tile(),
+        crate::dispatch::KernelBackend::Scalar => SCALAR_TILES,
+        crate::dispatch::KernelBackend::Simd => crate::simd::select_tiles(),
     }
 }
 
 /// The shared macro-kernel for all three operand layouts: packs A
-/// micro-panels (and, for [`Layout::Nt`], `Bᵀ` column panels) and sweeps
-/// register tiles over every output row, calling `full_tile` for full
-/// `MR × NR` tiles and the scalar [`kernel_edge`] for remainders.
+/// micro-panels (and, for [`Layout::Nt`], `Bᵀ` column blocks) and sweeps
+/// register tiles over every output row, calling `tiles.full` for full
+/// `MR × NR` tiles and `tiles.edge` for the rest.
 ///
 /// Every output element accumulates onto its current `out` value over
 /// ascending `k`, so the caller's seed (`0.0` for a plain product, `-0.0`
 /// for the row-dot-compatible `A·Bᵀ`) is the first addend.
 // analyzer:hot-path
-#[allow(clippy::too_many_arguments)] // two operands, output, three extents, layout, micro-kernel
+#[allow(clippy::too_many_arguments)] // two operands, output, three extents, layout, micro-kernels
 pub(crate) fn blocked_sweep(
     a: &[f64],
     b: &[f64],
@@ -161,7 +199,7 @@ pub(crate) fn blocked_sweep(
     k: usize,
     n: usize,
     layout: Layout,
-    full_tile: FullTile,
+    tiles: Tiles,
 ) {
     // Packed A micro-panel, k-major: apack[kk * MR + ii] = op(a)[ib+ii][kb+kk].
     let mut apack = [0.0f64; MR * KC];
@@ -169,28 +207,35 @@ pub(crate) fn blocked_sweep(
     while kb < k {
         let klen = KC.min(k - kb);
         if layout == Layout::Nt {
-            // Packed Bᵀ column panel, k-major: bpack[kk * NR + jj] =
-            // b[jb+jj][kb+kk]. It gathers NR rows of `b` against the A
-            // panel's MR, so it is the pack done once per k-panel, with
-            // every row block swept under it and A repacked per panel.
-            let mut bpack = [0.0f64; KC * NR];
-            let mut jb = 0;
-            while jb < n {
-                let jlen = NR.min(n - jb);
-                for jj in 0..jlen {
-                    let col = &b[(jb + jj) * k + kb..(jb + jj) * k + kb + klen];
-                    for (kk, &v) in col.iter().enumerate() {
-                        bpack[kk * NR + jj] = v;
+            // Packed Bᵀ column block, one k-major `NR`-wide panel after
+            // another: bpack[p * klen * NR + kk * NR + jj] = b[jb+jj][kb+kk]
+            // for the panel starting at column jb = cb + p * NR. The block
+            // is as wide as the buffer holds at this depth, so A is packed
+            // once per (row block, k-panel, column block).
+            let mut bpack = [0.0f64; NT_PACK];
+            let block = (NT_PACK / klen / NR) * NR;
+            let mut cb = 0;
+            while cb < n {
+                let cend = n.min(cb + block);
+                for (jb, panel) in (cb..cend).step_by(NR).zip(bpack.chunks_exact_mut(klen * NR)) {
+                    for jj in 0..NR.min(cend - jb) {
+                        let col = &b[(jb + jj) * k + kb..(jb + jj) * k + kb + klen];
+                        for (dst, &v) in panel.chunks_exact_mut(NR).zip(col) {
+                            dst[jj] = v;
+                        }
                     }
                 }
                 let mut ib = 0;
                 while ib < m {
                     let ilen = pack_a(a, layout, m, k, kb, klen, ib, &mut apack);
-                    let out_tile = &mut out[ib * n + jb..];
-                    tile(&apack, klen, ilen, &bpack, NR, jlen, out_tile, n, full_tile);
+                    for (jb, panel) in (cb..cend).step_by(NR).zip(bpack.chunks_exact(klen * NR)) {
+                        let jlen = NR.min(cend - jb);
+                        let out_tile = &mut out[ib * n + jb..];
+                        tile(&apack, klen, ilen, panel, NR, jlen, out_tile, n, tiles);
+                    }
                     ib += MR;
                 }
-                jb += NR;
+                cb = cend;
             }
         } else {
             let mut ib = 0;
@@ -200,7 +245,7 @@ pub(crate) fn blocked_sweep(
                 while jb < n {
                     let jlen = NR.min(n - jb);
                     let (b_tile, out_tile) = (&b[kb * n + jb..], &mut out[ib * n + jb..]);
-                    tile(&apack, klen, ilen, b_tile, n, jlen, out_tile, n, full_tile);
+                    tile(&apack, klen, ilen, b_tile, n, jlen, out_tile, n, tiles);
                     jb += NR;
                 }
                 ib += MR;
@@ -231,18 +276,24 @@ fn pack_a(
             dst[..ilen].copy_from_slice(&a[src..src + ilen]);
         }
     } else {
-        for ii in 0..ilen {
-            let row = &a[(ib + ii) * k + kb..(ib + ii) * k + kb + klen];
-            for (dst, &v) in apack.chunks_exact_mut(MR).zip(row) {
-                dst[ii] = v;
+        // Gather one k step across the panel's rows at a time, so each packed
+        // group of MR is written contiguously. A short tail panel repeats its
+        // last row in the lanes past `ilen`, which no kernel reads.
+        let rows: [&[f64]; MR] = std::array::from_fn(|ii| {
+            let r = ib + ii.min(ilen - 1);
+            &a[r * k + kb..r * k + kb + klen]
+        });
+        for (kk, dst) in apack.chunks_exact_mut(MR).take(klen).enumerate() {
+            for (d, row) in dst.iter_mut().zip(&rows) {
+                *d = row[kk];
             }
         }
     }
     ilen
 }
 
-/// One register tile: `full_tile` when it is a full `MR × NR`, the scalar
-/// [`kernel_edge`] otherwise.
+/// One register tile: `tiles.full` when it is a full `MR × NR`,
+/// `tiles.edge` otherwise.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn tile(
@@ -254,12 +305,12 @@ fn tile(
     jlen: usize,
     out: &mut [f64],
     ldo: usize,
-    full_tile: FullTile,
+    tiles: Tiles,
 ) {
     if ilen == MR && jlen == NR {
-        full_tile(apack, klen, b, ldb, out, ldo);
+        (tiles.full)(apack, klen, b, ldb, out, ldo);
     } else {
-        kernel_edge(apack, klen, ilen, b, ldb, jlen, out, ldo);
+        (tiles.edge)(apack, klen, ilen, b, ldb, jlen, out, ldo);
     }
 }
 
@@ -296,8 +347,10 @@ pub(crate) fn kernel_full(
     }
 }
 
-/// Remainder tile (`ilen < MR` and/or `jlen < NR`): plain axpy sweep with
-/// the same ascending-k order as the full kernel.
+/// Edge tile (`ilen < MR` and/or `jlen < NR`): plain axpy sweep with the
+/// same ascending-k order as the full kernel. The scalar backend's
+/// [`EdgeTile`], narrow tiles included, and the AVX2 backend's fallback for
+/// short ones.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 // analyzer:ordered: ascending-k accumulation on the edge tiles matches matmul_simple
@@ -340,7 +393,7 @@ pub fn matmul_tn_into(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize,
         matmul_tn_simple(a, b, out, k, m, n);
         return;
     }
-    blocked_sweep(a, b, out, m, k, n, Layout::Tn, active_full_tile());
+    blocked_sweep(a, b, out, m, k, n, Layout::Tn, active_tiles());
 }
 
 /// Reference `out += aᵀ · b` (shapes as [`matmul_tn_into`]): the k-outer
@@ -382,7 +435,7 @@ pub fn matmul_nt_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize,
         return;
     }
     out.fill(-0.0);
-    blocked_sweep(a, b, out, m, k, n, Layout::Nt, active_full_tile());
+    blocked_sweep(a, b, out, m, k, n, Layout::Nt, active_tiles());
 }
 
 /// Reference `out = a · bᵀ` (shapes as [`matmul_nt_into`]): one contiguous

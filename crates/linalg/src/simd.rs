@@ -1,17 +1,24 @@
-//! Explicit AVX2 micro-kernel for the 4×8 GEMM register tile.
+//! Explicit AVX2 micro-kernels for the 4×8 GEMM register tile and its
+//! full-height narrow tiles.
 //!
 //! This is the [`crate::dispatch::KernelBackend::Simd`] implementation of
 //! the blocked products in [`crate::kernels`] — `A·B`, `Aᵀ·B` and `A·Bᵀ`
-//! all reach it through the one macro-kernel. Only the *full-tile*
-//! micro-kernel is vectorized: it is where all the flops are, and the edge
-//! tiles (`ilen < MR` or `jlen < NR`) keep the scalar reference code.
+//! all reach it through the one macro-kernel. Two tile shapes are
+//! vectorized: the full `MR × NR` tile, where most flops are, and the
+//! narrow tile (`MR` rows, `jlen < NR` columns), which is every tile of the
+//! class head's `n = C` products. Short tiles (`ilen < MR`) keep the scalar
+//! reference code.
 //!
 //! # Bit-identity contract
 //!
 //! The scalar micro-kernel computes, for each output element `(i, j)`, a
-//! left-to-right sum over ascending `k` of `a[i][k] * b[k][j]`. The AVX2
-//! kernel vectorizes across the **j lanes** of the register tile — each of
-//! the 8 output columns lives in its own vector lane — and performs a
+//! left-to-right sum over ascending `k` of `a[i][k] * b[k][j]`. The
+//! full-tile kernel vectorizes across the **j lanes** of the register tile
+//! — each of the 8 output columns lives in its own vector lane; the narrow
+//! kernel vectorizes across the **i lanes** — each of the `MR = 4` packed
+//! rows lives in its own lane, one accumulator per column, multiplied by a
+//! broadcast `b[k][j]` (IEEE multiplication is commutative, so
+//! `a[i][k] * b[k][j]` rounds the same either way round). Both perform a
 //! separate `_mm256_mul_pd` + `_mm256_add_pd` per `k` step (never
 //! `_mm256_fmadd_pd`: fusing would skip the intermediate rounding the
 //! scalar loop performs and break bit parity). Per lane, the arithmetic
@@ -27,14 +34,15 @@
 //! established by the same slice-length assertions the scalar kernels run.
 //! Every unsafe site carries an `analyzer:unsafe(invariant)` audit marker,
 //! enforced by the workspace analyzer, and this file's `#[cfg(test)]`
-//! region cross-checks the kernel against the scalar reference.
+//! region cross-checks the kernels against the scalar reference.
 
-use crate::kernels::{is_small, kernel_full, matmul_simple, Layout, MR, NR};
+use crate::kernels::{
+    is_small, kernel_edge, kernel_full, matmul_simple, Layout, Tiles, MR, NR, SCALAR_TILES,
+};
 
-/// Blocked, packed product `out += a · b` using the AVX2 micro-kernel for
-/// full register tiles (`out` pre-zeroed by the caller for a plain
-/// product). Falls back to the scalar blocked path bit-identically when
-/// AVX2 is not available.
+/// Blocked, packed product `out += a · b` using the AVX2 micro-kernels
+/// (`out` pre-zeroed by the caller for a plain product). Falls back to the
+/// scalar blocked path bit-identically when AVX2 is not available.
 ///
 /// `a` is `m×k`, `b` is `k×n`, `out` is `m×n`, all row-major.
 // analyzer:hot-path
@@ -46,18 +54,17 @@ pub fn matmul_simd_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usiz
         matmul_simple(a, b, out, m, k, n);
         return;
     }
-    crate::kernels::blocked_sweep(a, b, out, m, k, n, Layout::Nn, select_full_tile());
+    crate::kernels::blocked_sweep(a, b, out, m, k, n, Layout::Nn, select_tiles());
 }
 
-/// The best available full-tile micro-kernel for this host: AVX2 when the
-/// runtime check passes, the scalar reference otherwise. Both produce
-/// bit-identical output (see module docs), so the choice is pure
-/// throughput.
-pub(crate) fn select_full_tile() -> crate::kernels::FullTile {
+/// The best available micro-kernels for this host: AVX2 when the runtime
+/// check passes, the scalar reference otherwise. Both produce bit-identical
+/// output (see module docs), so the choice is pure throughput.
+pub(crate) fn select_tiles() -> Tiles {
     if crate::dispatch::simd_available() {
-        kernel_full_simd
+        Tiles { full: kernel_full_simd, edge: kernel_edge_simd }
     } else {
-        kernel_full
+        SCALAR_TILES
     }
 }
 
@@ -79,6 +86,40 @@ pub(crate) fn kernel_full_simd(
         return;
     }
     kernel_full(apack, klen, b, ldb, out, ldo);
+}
+
+/// Safe wrapper matching [`crate::kernels::EdgeTile`]: a full-height narrow
+/// tile (`ilen == MR`, `jlen < NR`) runs the AVX2 narrow kernel, monomorphized
+/// per width; short tiles, and every tile on a host without AVX2, take the
+/// scalar [`kernel_edge`].
+#[allow(clippy::too_many_arguments)] // the EdgeTile ABI
+pub(crate) fn kernel_edge_simd(
+    apack: &[f64],
+    klen: usize,
+    ilen: usize,
+    b: &[f64],
+    ldb: usize,
+    jlen: usize,
+    out: &mut [f64],
+    ldo: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if ilen == MR && crate::dispatch::simd_available() {
+        let narrow = match jlen {
+            1 => kernel_narrow_avx2::<1>,
+            2 => kernel_narrow_avx2::<2>,
+            3 => kernel_narrow_avx2::<3>,
+            4 => kernel_narrow_avx2::<4>,
+            5 => kernel_narrow_avx2::<5>,
+            6 => kernel_narrow_avx2::<6>,
+            7 => kernel_narrow_avx2::<7>,
+            _ => unreachable!("an edge tile of full height is narrower than NR"),
+        };
+        // analyzer:unsafe(invariant): avx2 verified by is_x86_feature_detected on the line above; tile bounds are re-asserted inside the kernel before any raw load/store
+        unsafe { narrow(apack, klen, b, ldb, out, ldo) };
+        return;
+    }
+    kernel_edge(apack, klen, ilen, b, ldb, jlen, out, ldo);
 }
 
 /// AVX2 full-tile micro-kernel: `MR × NR` = 4 rows × 8 columns, each row's
@@ -163,6 +204,59 @@ unsafe fn kernel_full_avx2(
     _mm256_storeu_pd(o.add(3 * ldo + 4), acc7);
 }
 
+/// AVX2 narrow-tile micro-kernel: `MR` = 4 rows × `J < NR` columns, one
+/// `__m256d` accumulator per column holding its 4 rows in the 4 lanes,
+/// seeded from `out` and written back once per k-panel. Each k step
+/// multiplies the packed A column `apack[kk*MR..kk*MR+4]` by a broadcast
+/// `b[kk][j]` and adds, as two separately rounded operations — per lane
+/// the exact sequence of the scalar [`kernel_edge`].
+///
+/// # Safety
+/// Caller must ensure the `avx2` target feature is available. Slice bounds
+/// are asserted on entry: `apack` covers `klen` packed k-steps of `MR`
+/// rows, `b` holds `klen` rows of `J` columns at row stride `ldb` and `out`
+/// holds `MR` rows of `J` columns at row stride `ldo`; every raw load below
+/// stays inside those asserted ranges.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// analyzer:ordered: lane-parallel across the MR rows, ascending-k per lane with separate mul+add — the scalar kernel_edge order
+// analyzer:unsafe(invariant): bounds asserted on entry (apack/b/out cover the tile); raw loads stay within the asserted slice ranges and the output goes through checked indexing; no FMA so rounding matches the scalar reference
+unsafe fn kernel_narrow_avx2<const J: usize>(
+    apack: &[f64],
+    klen: usize,
+    b: &[f64],
+    ldb: usize,
+    out: &mut [f64],
+    ldo: usize,
+) {
+    use core::arch::x86_64::{
+        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_set_pd,
+        _mm256_storeu_pd,
+    };
+    assert!(apack.len() >= klen * MR);
+    assert!(klen == 0 || (klen - 1) * ldb + J <= b.len());
+    assert!((MR - 1) * ldo + J <= out.len());
+
+    let mut acc = [_mm256_set1_pd(0.0); J];
+    for (j, acc_j) in acc.iter_mut().enumerate() {
+        *acc_j = _mm256_set_pd(out[3 * ldo + j], out[2 * ldo + j], out[ldo + j], out[j]);
+    }
+    for kk in 0..klen {
+        let a = _mm256_loadu_pd(apack.as_ptr().add(kk * MR));
+        let b_row = b.as_ptr().add(kk * ldb);
+        for (j, acc_j) in acc.iter_mut().enumerate() {
+            *acc_j = _mm256_add_pd(*acc_j, _mm256_mul_pd(a, _mm256_set1_pd(*b_row.add(j))));
+        }
+    }
+    let mut lanes = [0.0f64; MR];
+    for (j, acc_j) in acc.iter().enumerate() {
+        _mm256_storeu_pd(lanes.as_mut_ptr(), *acc_j);
+        for (ii, &v) in lanes.iter().enumerate() {
+            out[ii * ldo + j] = v;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,7 +269,8 @@ mod tests {
 
     /// The analyzer-mandated cross-check region: the SIMD product must be
     /// bit-identical to the scalar reference on every shape class the
-    /// blocked sweep produces (full tiles, i/j edges, multiple k-panels).
+    /// blocked sweep produces (full tiles, narrow tiles, i/j edges,
+    /// multiple k-panels).
     #[test]
     fn simd_matches_simple_bitwise() {
         let mut rng = SeedRng::new(41);
@@ -186,6 +281,9 @@ mod tests {
             (65, 13, 9),
             (9, crate::kernels::KC + 37, 24),
             (128, 128, 128),
+            (64, 32, 2),
+            (13, 40, 7),
+            (MR, crate::kernels::KC + 37, 1),
         ] {
             let a = random(m, k, &mut rng);
             let b = random(k, n, &mut rng);

@@ -19,6 +19,10 @@
 //! global dispatch holds, so they are checked under the mutex with each
 //! backend pinned in turn, bitwise against an explicit transpose followed
 //! by [`matmul_simple`] and against their own simple loops.
+//!
+//! Narrow products (`n < NR`, the class head's `n = C`) run full-height
+//! narrow tiles, and `A·Bᵀ` packs `Bᵀ` a column block at a time; both get
+//! fixed cases and properties of their own below.
 
 use std::sync::Mutex;
 
@@ -203,7 +207,100 @@ fn nt_seed_keeps_zero_signs_of_the_row_dot() {
     dispatch::set_active_backend(prev);
 }
 
+#[test]
+fn narrow_products_match_the_simple_loops_in_every_layout() {
+    // Every width below one register tile, at heights of one tile, two
+    // tiles plus a short tail, and the training batch; k = 32 is the head's
+    // depth and KC + 37 keeps the one-tile-high products above the blocked
+    // break-even while spanning two k-panels.
+    for n in 1..NR {
+        for &m in &[MR, 2 * MR + 1, 64] {
+            for &k in &[32, KC + 37] {
+                let seed = (n * 1000 + m * 10 + k) as u64;
+                assert_all_backends_agree(m, k, n, seed);
+                check_transposed_products(m, k, n, seed);
+            }
+        }
+    }
+}
+
+#[test]
+fn nt_matches_the_row_dot_at_depths_one_to_three() {
+    // The class head's input gradient is `δ·wᵀ` with k = C = 2.
+    for k in 1..=3 {
+        for &(m, n) in &[(64, 32), (64, 16), (2 * MR + 1, 5 * NR + 3), (64, NR - 1)] {
+            check_transposed_products(m, k, n, (400 + k * 100 + n) as u64);
+        }
+    }
+}
+
+#[test]
+fn nt_spans_several_column_blocks_and_k_panels() {
+    // At a full k-panel a packed `Bᵀ` block is only a few register tiles
+    // wide, so these widths split every k-panel into several blocks, the
+    // last one narrow.
+    for (i, &(m, k, n)) in
+        [(13, KC + 37, 120), (MR, 2 * KC, 5 * NR + 3), (64, KC + 1, 17 * NR + 5)].iter().enumerate()
+    {
+        check_transposed_products(m, k, n, 500 + i as u64);
+    }
+}
+
+#[test]
+fn nt_seed_keeps_zero_signs_on_a_narrow_tile() {
+    // The zero-sign pin of `nt_seed_keeps_zero_signs_of_the_row_dot` on a
+    // product narrower than one register tile, so every signed zero passes
+    // through the narrow kernel.
+    let _guard = GLOBAL_BACKEND.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = dispatch::active_backend();
+    let (m, k, n) = (3 * MR, 37, 3);
+    let mut rng = SeedRng::new(600);
+    let mut a = random_mat(m, k, &mut rng);
+    let mut b = random_mat(n, k, &mut rng);
+    a[..k].fill(0.0);
+    a[k..2 * k].fill(-0.0);
+    b[..k].fill(-0.0);
+    for v in &mut b[k..2 * k] {
+        *v = v.abs();
+    }
+    for v in &mut b[2 * k..3 * k] {
+        *v = -v.abs();
+    }
+    check_nt(&a, &b, m, k, n);
+    for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
+        dispatch::set_active_backend(backend);
+        let mut got = vec![f64::NAN; m * n];
+        matmul_nt_into(&a, &b, &mut got, m, k, n);
+        assert!(got[0].is_sign_negative(), "{backend}: (+0)·(-0) sums to -0.0 like the dot");
+        assert!(got[2].is_sign_negative(), "{backend}: (+0)·(neg) sums to -0.0 like the dot");
+        assert!(got[n].is_sign_positive(), "{backend}: (-0)·(-0) sums to +0.0 like the dot");
+        assert!(got[n + 1].is_sign_negative(), "{backend}: (-0)·(pos) sums to -0.0 like the dot");
+    }
+    dispatch::set_active_backend(prev);
+}
+
 proptest! {
+    #[test]
+    fn narrow_products_agree_under_every_backend(
+        m in 1usize..80,
+        k in 1usize..70,
+        n in 1usize..NR,
+        seed in 0u64..1000,
+    ) {
+        assert_all_backends_agree(m, k, n, seed);
+        check_transposed_products(m, k, n, seed);
+    }
+
+    #[test]
+    fn shallow_nt_agrees_under_every_backend(
+        m in MR..80,
+        k in 1usize..4,
+        n in 1usize..150,
+        seed in 0u64..1000,
+    ) {
+        check_transposed_products(m, k, n, seed);
+    }
+
     #[test]
     fn gemm_backends_agree_on_random_shapes(
         m in 1usize..80,

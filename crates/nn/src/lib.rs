@@ -35,7 +35,7 @@ pub mod optimizer;
 pub mod presets;
 pub mod spectral;
 
-pub use loss::{BatchLoss, BatchMeta, CrossEntropyLoss};
+pub use loss::{BatchLoss, BatchMeta, CrossEntropyLoss, LossScratch};
 pub use mlp::{Mlp, MlpConfig, MlpWorkspace, TrainOptions};
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use spectral::SpectralConfig;

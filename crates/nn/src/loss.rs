@@ -29,8 +29,40 @@ pub struct BatchMeta<'a> {
 /// losses are plain numeric configuration, so this costs implementors
 /// nothing.
 pub trait BatchLoss: Send {
-    /// Returns `(mean loss, dL/dlogits)` for the batch.
-    fn loss_and_grad(&self, logits: &Matrix, meta: &BatchMeta<'_>) -> (f64, Matrix);
+    /// Writes `dL/dlogits` for the batch into `grad` (reshaped to the
+    /// logits' shape) and returns the mean loss. Intermediates live in
+    /// `scratch`, so once `grad` and `scratch` have reached the batch shape
+    /// a call allocates nothing.
+    fn loss_grad_into(
+        &self,
+        logits: &Matrix,
+        meta: &BatchMeta<'_>,
+        scratch: &mut LossScratch,
+        grad: &mut Matrix,
+    ) -> f64;
+
+    /// `(mean loss, dL/dlogits)` in fresh buffers: [`BatchLoss::loss_grad_into`]
+    /// for tests and one-off evaluation.
+    fn loss_and_grad(&self, logits: &Matrix, meta: &BatchMeta<'_>) -> (f64, Matrix) {
+        let mut grad = Matrix::default();
+        (self.loss_grad_into(logits, meta, &mut LossScratch::default(), &mut grad), grad)
+    }
+}
+
+/// Reusable intermediates of a [`BatchLoss`], each computed once per call:
+/// the softmax probabilities, and for the fairness losses the classifier
+/// outputs `h`, the fairness coefficients `dL_fair/dh` and the per-group
+/// values. Buffers grow to the high-water batch size and are reused after.
+#[derive(Debug, Clone, Default)]
+pub struct LossScratch {
+    /// Row-wise softmax of the logits.
+    pub probs: Matrix,
+    /// Per-row classifier output `h_i` (the positive-class probability).
+    pub h: Vec<f64>,
+    /// Per-row fairness coefficient `dL_fair/dh_i`.
+    pub dh: Vec<f64>,
+    /// `(group, v_g)` fairness values of a multi-group loss.
+    pub groups: Vec<(i8, f64)>,
 }
 
 /// Row-wise numerically stable softmax.
@@ -45,17 +77,24 @@ pub fn softmax(logits: &Matrix) -> Matrix {
 /// prediction paths.
 pub fn softmax_in_place(out: &mut Matrix) {
     for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
+        softmax_row(out.row_mut(r));
     }
+}
+
+/// Softmax of one row in place. Returns the row maximum and the sum of
+/// `exp(v − max)` it normalized by, from which the row's log-sum-exp
+/// follows without a second pass of `exp`.
+fn softmax_row(row: &mut [f64]) -> (f64, f64) {
+    let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    for v in row.iter_mut() {
+        *v /= sum;
+    }
+    (max, sum)
 }
 
 /// Row-wise log-softmax (stable).
@@ -85,29 +124,41 @@ pub fn entropy_per_row(probs: &Matrix) -> Vec<f64> {
         .collect()
 }
 
-/// Margin (difference of top-two probabilities) per row; small margin means
-/// high ambiguity.
-pub fn margin_per_row(probs: &Matrix) -> Vec<f64> {
-    probs
-        .iter_rows()
-        .map(|row| {
-            let mut top = f64::NEG_INFINITY;
-            let mut second = f64::NEG_INFINITY;
-            for &p in row {
-                if p > top {
-                    second = top;
-                    top = p;
-                } else if p > second {
-                    second = p;
-                }
-            }
-            if second == f64::NEG_INFINITY {
-                top
-            } else {
-                top - second
-            }
-        })
-        .collect()
+/// The cross-entropy part every [`BatchLoss`] here shares: writes the
+/// softmax of `logits` into `probs` and `(probs − onehot(labels)) / n` into
+/// `grad` (both reshaped), and returns the mean cross-entropy.
+///
+/// Each row's log-softmax entry at its label is `logit − lse`, with the
+/// log-sum-exp rebuilt from the softmax's own max and exp-sum: the same
+/// operations, in the same order, as [`faction_linalg::vector::logsumexp`]
+/// (whose `Sum` of positive terms equals the softmax's running sum), so
+/// the value matches [`log_softmax`] bit for bit.
+///
+/// # Panics
+/// Panics if `labels.len() != logits.rows()`.
+pub fn cross_entropy_into(
+    logits: &Matrix,
+    labels: &[usize],
+    probs: &mut Matrix,
+    grad: &mut Matrix,
+) -> f64 {
+    assert_eq!(logits.rows(), labels.len(), "cross-entropy batch mismatch");
+    let (rows, cols) = logits.shape();
+    let n = rows.max(1) as f64;
+    probs.reset_to_zeros(rows, cols);
+    probs.as_mut_slice().copy_from_slice(logits.as_slice());
+    grad.reset_to_zeros(rows, cols);
+    let mut loss = 0.0;
+    for (r, &y) in labels.iter().enumerate() {
+        let (max, sum) = softmax_row(probs.row_mut(r));
+        let lse = if max == f64::NEG_INFINITY { f64::NEG_INFINITY } else { max + sum.ln() };
+        loss -= logits.get(r, y) - lse;
+        let g = grad.row_mut(r);
+        g.copy_from_slice(probs.row(r));
+        g[y] -= 1.0;
+    }
+    grad.scale(1.0 / n);
+    loss / n
 }
 
 /// Plain mean cross-entropy over the batch.
@@ -131,20 +182,14 @@ impl CrossEntropyLoss {
 }
 
 impl BatchLoss for CrossEntropyLoss {
-    fn loss_and_grad(&self, logits: &Matrix, meta: &BatchMeta<'_>) -> (f64, Matrix) {
-        assert_eq!(logits.rows(), meta.labels.len(), "cross-entropy batch mismatch");
-        let n = logits.rows().max(1) as f64;
-        let probs = softmax(logits);
-        let logp = log_softmax(logits);
-        let mut loss = 0.0;
-        let mut grad = probs;
-        for (r, &y) in meta.labels.iter().enumerate() {
-            loss -= logp.get(r, y);
-            let v = grad.get(r, y);
-            grad.set(r, y, v - 1.0);
-        }
-        grad.scale(1.0 / n);
-        (loss / n, grad)
+    fn loss_grad_into(
+        &self,
+        logits: &Matrix,
+        meta: &BatchMeta<'_>,
+        scratch: &mut LossScratch,
+        grad: &mut Matrix,
+    ) -> f64 {
+        cross_entropy_into(logits, meta.labels, &mut scratch.probs, grad)
     }
 }
 
@@ -193,15 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn margin_distinguishes_confidence() {
-        let p = Matrix::from_rows(&[vec![0.9, 0.1], vec![0.55, 0.45]]).unwrap();
-        let m = margin_per_row(&p);
-        assert!(close(m[0], 0.8));
-        assert!(close(m[1], 0.1 + 1e-17) || (m[1] - 0.1).abs() < 1e-9);
-        assert!(m[0] > m[1]);
-    }
-
-    #[test]
     fn cross_entropy_of_perfect_prediction_is_small() {
         let logits = Matrix::from_rows(&[vec![20.0, -20.0]]).unwrap();
         let (loss, _) = CrossEntropyLoss.loss_and_grad(
@@ -241,6 +277,37 @@ mod tests {
                     grad.get(r, c)
                 );
             }
+        }
+    }
+
+    #[test]
+    fn cross_entropy_into_matches_the_log_softmax_form_bitwise() {
+        // The two-pass formulation: a softmax for the gradient and a
+        // separate log-softmax for the loss.
+        fn reference(logits: &Matrix, labels: &[usize]) -> (f64, Matrix) {
+            let n = logits.rows().max(1) as f64;
+            let logp = log_softmax(logits);
+            let mut grad = softmax(logits);
+            let mut loss = 0.0;
+            for (r, &y) in labels.iter().enumerate() {
+                loss -= logp.get(r, y);
+                let v = grad.get(r, y);
+                grad.set(r, y, v - 1.0);
+            }
+            grad.scale(1.0 / n);
+            (loss / n, grad)
+        }
+        let mut rng = faction_linalg::SeedRng::new(31);
+        let (mut probs, mut grad) = (Matrix::default(), Matrix::default());
+        for &(rows, cols, spread) in &[(64, 2, 4.0), (7, 3, 40.0), (1, 5, 700.0)] {
+            let data = (0..rows * cols).map(|_| rng.uniform_range(-spread, spread)).collect();
+            let logits = Matrix::from_vec(rows, cols, data).unwrap();
+            let labels: Vec<usize> = (0..rows).map(|r| (r * 7 + 1) % cols).collect();
+            let (want_loss, want_grad) = reference(&logits, &labels);
+            let loss = cross_entropy_into(&logits, &labels, &mut probs, &mut grad);
+            assert_eq!(loss.to_bits(), want_loss.to_bits(), "{rows}x{cols}");
+            assert!(grad.as_slice().iter().zip(want_grad.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!(probs, softmax(&logits));
         }
     }
 

@@ -5,7 +5,7 @@ use faction_linalg::{Matrix, SeedRng};
 
 use crate::activation::{relu_backward, relu_into};
 use crate::dense::Dense;
-use crate::loss::{softmax_in_place, BatchLoss, BatchMeta};
+use crate::loss::{softmax_in_place, BatchLoss, BatchMeta, LossScratch};
 use crate::optimizer::Optimizer;
 use crate::spectral::{self, SpectralConfig};
 
@@ -13,19 +13,23 @@ use crate::spectral::{self, SpectralConfig};
 ///
 /// One workspace amortizes every per-layer allocation of the hot path:
 /// `acts`/`pres` cache hidden activations and pre-activations (needed for
-/// backprop), `delta`/`dx` ping-pong the gradient flowing backwards, and
-/// `sigma_v` is the spectral power iteration's right-vector scratch. Buffers
-/// grow to the high-water batch size on first use and are reshaped in place
-/// afterwards ([`Matrix::reset_to_zeros`]), so steady-state training and
-/// scoring perform zero heap allocations per call. A workspace is tied to
-/// nothing — the same one can serve different models and batch shapes.
+/// backprop), `delta`/`dx` ping-pong the gradient flowing backwards (the
+/// loss writes the logits gradient straight into `delta`), `loss` holds the
+/// loss's intermediates, and `sigma` is the spectral power iteration's
+/// scratch. Buffers grow to the high-water batch size on first use and are
+/// reshaped in place afterwards ([`Matrix::reset_to_zeros`]), so once a
+/// workspace has seen the batch shape, training steps and scoring calls
+/// make no heap allocation (given an optimizer whose state already exists).
+/// A workspace is tied to nothing — the same one can serve different models
+/// and batch shapes.
 #[derive(Debug, Clone, Default)]
 pub struct MlpWorkspace {
     acts: Vec<Matrix>,
     pres: Vec<Matrix>,
     delta: Matrix,
     dx: Matrix,
-    sigma_v: Vec<f64>,
+    loss: LossScratch,
+    sigma: Vec<f64>,
 }
 
 impl MlpWorkspace {
@@ -252,13 +256,12 @@ impl Mlp {
         self.train_step_with(x, meta, loss, opt, &mut MlpWorkspace::default())
     }
 
-    /// [`Mlp::train_step`] with caller-provided buffers: the whole
-    /// forward/backward pass and the spectral power iteration reuse `ws`,
-    /// so steady-state training allocates only the loss gradient (one
-    /// matrix per step, recycled into the workspace). The backward pass
-    /// stops at the input layer's parameter gradients: `dL/dX` of the
-    /// network input is never formed, since nothing reads it. Bit-identical
-    /// to [`Mlp::train_step`].
+    /// [`Mlp::train_step`] with caller-provided buffers: the forward pass,
+    /// the loss and its gradient, the backward pass and the spectral power
+    /// iteration all reuse `ws`, so after a warm-up step at the batch shape
+    /// a step makes no heap allocation. The backward pass stops at the input
+    /// layer's parameter gradients: `dL/dX` of the network input is never
+    /// formed, since nothing reads it. Bit-identical to [`Mlp::train_step`].
     // analyzer:hot-path
     pub fn train_step_with(
         &mut self,
@@ -271,13 +274,11 @@ impl Mlp {
         faction_telemetry::counter_add("nn.train.steps", 1);
         let n_layers = self.layers.len();
         self.forward_with(x, ws);
-        let logits = &ws.pres[n_layers - 1];
-        let (loss_value, grad_logits) = loss.loss_and_grad(logits, meta);
+        let MlpWorkspace { acts, pres, delta, dx, loss: loss_scratch, sigma } = &mut *ws;
+        let loss_value = loss.loss_grad_into(&pres[n_layers - 1], meta, loss_scratch, delta);
         // Backward pass: `delta`/`dx` ping-pong so each layer writes its
         // input gradient into the buffer the previous iteration vacated. The
         // input layer takes the parameters-only step.
-        ws.delta = grad_logits;
-        let MlpWorkspace { acts, pres, delta, dx, sigma_v } = &mut *ws;
         for i in (1..n_layers).rev() {
             self.layers[i].backward_into(&acts[i - 1], delta, dx);
             std::mem::swap(delta, dx);
@@ -292,7 +293,7 @@ impl Mlp {
         }
         if let Some(cfg) = self.spectral {
             for layer in &mut self.layers {
-                spectral::enforce(layer, &cfg, sigma_v);
+                spectral::enforce(layer, &cfg, sigma);
             }
         }
         loss_value

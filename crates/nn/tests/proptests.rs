@@ -1,7 +1,7 @@
 //! Property-based tests for the neural-network substrate.
 
 use faction_linalg::{Matrix, SeedRng};
-use faction_nn::loss::{entropy_per_row, log_softmax, margin_per_row, softmax};
+use faction_nn::loss::{entropy_per_row, log_softmax, softmax};
 use faction_nn::{BatchLoss, BatchMeta, CrossEntropyLoss, Mlp, MlpConfig, Optimizer, Sgd};
 use proptest::prelude::*;
 
@@ -49,14 +49,6 @@ proptest! {
         for h in entropy_per_row(&p) {
             prop_assert!(h >= -1e-12);
             prop_assert!(h <= 4f64.ln() + 1e-9);
-        }
-    }
-
-    #[test]
-    fn margin_bounds(m in logits_matrix(5, 3)) {
-        let p = softmax(&m);
-        for margin in margin_per_row(&p) {
-            prop_assert!((-1e-12..=1.0).contains(&margin));
         }
     }
 

@@ -17,6 +17,7 @@
 # | inspect/CLI untrusted-input contract          | tests/cli_usage.rs                              |
 # | kernel equivalence (scalar == simd, bitwise)  | crates/linalg/tests/kernel_equivalence.rs       |
 # | kernel determinism (8-strategy lineup)        | crates/engine/tests/kernel_determinism.rs       |
+# | allocation-free SGD step (after warm-up)      | crates/core/tests/train_step_alloc.rs           |
 # | telemetry inertness (recording on == off)     | crates/telemetry/tests/inertness.rs             |
 # | analyzer golden fixtures + clean self-scan    | crates/analyzer/tests/golden.rs                 |
 #
