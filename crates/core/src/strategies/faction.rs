@@ -28,7 +28,7 @@ use faction_linalg::{Matrix, SeedRng};
 use faction_nn::{BatchLoss, CrossEntropyLoss, Mlp, MlpWorkspace};
 
 use crate::loss::FairTotalLoss;
-use crate::pool::LabeledPool;
+use crate::pool::{LabeledPool, PoolDelta};
 use crate::selection::{desirability_from_scores, AcquisitionMode};
 use crate::strategies::{SelectionContext, Strategy};
 
@@ -39,13 +39,16 @@ pub enum RefitMode {
     /// protocol; cost grows with the pool).
     #[default]
     Full,
-    /// Maintain `G(z)` by rank-1 Cholesky up/downdates driven by the pool's
-    /// delta log, re-anchoring with one clean batch fit every
-    /// `reanchor_every` rounds. Per-round cost is flat in pool size; on a
-    /// stationary stream with a frozen extractor the scores track the full
-    /// refit within 1e-8 (a blocking CI gate). While the extractor `θ` is
-    /// still training, components mix features from slightly different `θ`
-    /// snapshots between anchors — the re-anchor bounds that drift.
+    /// Maintain each cell's mean and centered scatter by exact rank-1
+    /// updates driven by the pool's delta log, factoring each cell's
+    /// covariance once per round, and re-anchor with one clean batch pass
+    /// every `reanchor_every` rounds. Per-round cost is flat in pool size;
+    /// right after an anchor the scores equal the full refit bit for bit,
+    /// and on a stationary stream with a frozen extractor they track it
+    /// within 1e-8 between anchors (a blocking CI gate). While the
+    /// extractor `θ` is still training, components mix features from
+    /// slightly different `θ` snapshots between anchors — the re-anchor
+    /// bounds that drift.
     Incremental {
         /// Rounds between clean batch re-anchors (0 anchors every round).
         reanchor_every: usize,
@@ -104,10 +107,10 @@ struct FactionScratch {
     /// [`RefitMode::Incremental`]); `None` until the first anchor and after
     /// any invalidation.
     incr: Option<IncrementalState>,
-    /// 1×d input scratch for extracting a single pool row's features.
-    row_x: Matrix,
-    /// 1×f output scratch for the same.
-    row_z: Matrix,
+    /// Input rows added to the pool since the last replay.
+    added_x: Matrix,
+    /// Their features.
+    added_z: Matrix,
 }
 
 /// The incremental refit state: the streaming estimator plus its position
@@ -180,8 +183,8 @@ fn replay_deltas(
     mlp: &Mlp,
     pool: &LabeledPool,
     ws: &mut MlpWorkspace,
-    row_x: &mut Matrix,
-    row_z: &mut Matrix,
+    added_x: &mut Matrix,
+    added_z: &mut Matrix,
 ) -> Result<(), DensityError> {
     let deltas = pool
         .deltas_since(state.cursor)
@@ -190,31 +193,39 @@ fn replay_deltas(
     // the estimator; collect the backlog's evicted uids to skip such pairs.
     let evicted_later: std::collections::BTreeSet<u64> =
         deltas.iter().filter(|d| d.evicted).map(|d| d.uid).collect();
+    let survives = |d: &PoolDelta| !d.evicted && !evicted_later.contains(&d.uid);
+    // Extract the surviving added rows' features in one batch: every output
+    // row of the forward products is its own ascending-k sum, so this is
+    // bit-identical to one call per row.
+    let added = deltas
+        .iter()
+        .filter(|d| survives(d))
+        .map(|d| {
+            pool.index_of_uid(d.uid).ok_or_else(|| DensityError::Incremental {
+                what: format!("added uid {} not found in pool", d.uid),
+            })
+        })
+        .collect::<Result<Vec<usize>, _>>()?;
+    if !added.is_empty() {
+        faction_nn::mlp::gather_rows_into(pool.features(), &added, added_x);
+        mlp.features_into(added_x, ws, added_z);
+    }
     state.dirty = true;
-    let d = pool.features().cols();
+    let mut r = 0;
     for delta in deltas {
         if delta.evicted {
             if state.gda.contains(delta.uid) {
                 state.gda.remove(delta.uid)?;
             }
-        } else {
-            if evicted_later.contains(&delta.uid) {
-                continue;
-            }
-            let at = pool.index_of_uid(delta.uid).ok_or_else(|| {
-                DensityError::Incremental {
-                    what: format!("added uid {} not found in pool", delta.uid),
-                }
-            })?;
-            row_x.reset_to_zeros(1, d);
-            row_x.row_mut(0).copy_from_slice(pool.features().row(at));
-            mlp.features_into(row_x, ws, row_z);
+        } else if survives(delta) {
+            let at = added[r];
             state.gda.insert(
                 delta.uid,
-                row_z.row(0),
+                added_z.row(r),
                 pool.labels()[at],
                 pool.sensitives()[at],
             )?;
+            r += 1;
         }
     }
     state.dirty = false;
@@ -237,8 +248,8 @@ fn incremental_estimator(
     reanchor_every: usize,
     ws: &mut MlpWorkspace,
     pool_z: &mut Matrix,
-    row_x: &mut Matrix,
-    row_z: &mut Matrix,
+    added_x: &mut Matrix,
+    added_z: &mut Matrix,
     incr: &mut Option<IncrementalState>,
 ) -> Option<FairDensityEstimator> {
     if pool.is_empty() {
@@ -258,7 +269,7 @@ fn incremental_estimator(
         false
     } else {
         match incr.as_mut() {
-            Some(s) => replay_deltas(s, mlp, pool, ws, row_x, row_z).is_err(),
+            Some(s) => replay_deltas(s, mlp, pool, ws, added_x, added_z).is_err(),
             None => false,
         }
     };
@@ -337,13 +348,13 @@ impl Faction {
             log_density,
             gaps,
             incr,
-            row_x,
-            row_z,
+            added_x,
+            added_z,
         } = &mut *scratch;
         let mlp = ctx.model.mlp();
         // Fit G(z) on the pool's learned features (Algorithm 1, lines 9–18).
         // Under `RefitMode::Incremental` the estimator is maintained by
-        // rank-1 updates from the pool's delta log; any round it cannot
+        // rank-1 scatter updates from the pool's delta log; any round it cannot
         // serve falls through to the batch fit below (which owns the ridge
         // escalation ladder of DESIGN.md §10).
         let estimator = {
@@ -357,8 +368,8 @@ impl Faction {
                     reanchor_every,
                     ws,
                     pool_z,
-                    row_x,
-                    row_z,
+                    added_x,
+                    added_z,
                     incr,
                 ),
                 RefitMode::Full => None,
@@ -391,7 +402,7 @@ impl Faction {
         log_density.resize(n, 0.0);
         let mut scores = Vec::with_capacity(n);
         if self.params.fair_select {
-            mlp.predict_proba_into(ctx.candidates, ws, probs);
+            mlp.proba_from_features_into(z, probs);
             if estimator.score_batch_into(z, density, log_density, gaps).is_err() {
                 // Unreachable for consistent dimensions; treat like the
                 // degenerate-pool case.
@@ -522,7 +533,7 @@ mod tests {
 
     #[test]
     fn incremental_refit_tracks_full_refit_under_eviction() {
-        // A sliding window drives the rank-1 *downdate* path every round.
+        // A sliding window drives the rank-1 *removal* path every round.
         let mut fixture = Fixture::new(32);
         let mut pool = crate::pool::LabeledPool::with_policy(
             crate::pool::PoolPolicy::SlidingWindow(70),

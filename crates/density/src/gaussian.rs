@@ -48,20 +48,6 @@ impl Gaussian {
         Ok(Gaussian { mean, chol, log_norm_const })
     }
 
-    /// Builds a Gaussian directly from a mean and a ready-made Cholesky
-    /// factor of its covariance, skipping refactorization.
-    ///
-    /// This is the incremental-GDA entry point: the streaming estimator
-    /// maintains factors by rank-1 updates and materializes components
-    /// without ever reassembling a covariance matrix. The normalization
-    /// constant is computed exactly as in [`Gaussian::from_mean_cov`], so a
-    /// factor equal to the batch path's produces identical densities.
-    pub(crate) fn from_mean_chol(mean: Vec<f64>, chol: Cholesky) -> Self {
-        let d = mean.len() as f64;
-        let log_norm_const = -0.5 * (d * LN_2PI + chol.log_det());
-        Gaussian { mean, chol, log_norm_const }
-    }
-
     /// Dimensionality of the component.
     pub fn dim(&self) -> usize {
         self.mean.len()

@@ -302,7 +302,7 @@ impl FairDensityEstimator {
     }
 
     /// Assembles an estimator from pre-built components (the incremental
-    /// GDA path, which maintains per-cell Gaussians by rank-1 updates).
+    /// GDA path, which factors one Gaussian per maintained cell scatter).
     ///
     /// `components` must be sorted by [`ComponentKey`] — the caller
     /// (`IncrementalGda::estimator`) iterates a `BTreeMap`, which guarantees

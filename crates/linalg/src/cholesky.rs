@@ -257,194 +257,6 @@ impl Cholesky {
             // analyzer:allow(unwrap-in-lib): L is square, so L·Lᵀ cannot shape-mismatch
             .expect("factor is square; product cannot fail")
     }
-
-    /// Wraps an existing lower-triangular factor without refactorizing.
-    ///
-    /// The incremental GDA path maintains factors through rank-1 updates and
-    /// needs to rebuild a `Cholesky` from a matrix it assembled itself (for
-    /// example `√ridge · I` when a component is bootstrapped from a single
-    /// sample). The strict upper triangle is zeroed so the invariants of
-    /// [`Cholesky::reconstruct`] hold regardless of what the caller left
-    /// there.
-    ///
-    /// # Errors
-    /// * [`LinalgError::ShapeMismatch`] if `l` is not square.
-    /// * [`LinalgError::NotPositiveDefinite`] if any diagonal entry is not
-    ///   strictly positive and finite.
-    pub fn from_lower(mut l: Matrix) -> Result<Self> {
-        let n = l.rows();
-        if l.cols() != n {
-            return Err(LinalgError::ShapeMismatch {
-                left: format!("{}x{}", l.rows(), l.cols()),
-                right: "square".into(),
-                op: "cholesky_from_lower",
-            });
-        }
-        for i in 0..n {
-            let d = l.get(i, i);
-            if d <= 0.0 || !d.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite { pivot: i });
-            }
-            for j in (i + 1)..n {
-                l.set(i, j, 0.0);
-            }
-        }
-        Ok(Cholesky { l })
-    }
-
-    /// Returns a copy of the factor scaled by `alpha`, i.e. the factor of
-    /// `alpha² · A`.
-    ///
-    /// Used by the incremental GDA estimator, which maintains the factor of
-    /// the *unnormalized* scatter `Λ = Σᵢ uᵢuᵢᵀ + m·ridge·I` and derives the
-    /// factor of the ML covariance `Σ = Λ/m` as `chol(Λ)/√m`.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::InvalidArgument`] unless `alpha` is finite and
-    /// strictly positive (a non-positive scale would break the positive
-    /// diagonal invariant).
-    pub fn scaled(&self, alpha: f64) -> Result<Self> {
-        if !(alpha.is_finite() && alpha > 0.0) {
-            return Err(LinalgError::InvalidArgument {
-                what: format!("cholesky scale must be finite and positive, got {alpha}"),
-            });
-        }
-        let mut l = self.l.clone();
-        l.scale(alpha);
-        Ok(Cholesky { l })
-    }
-
-    /// Rank-1 **update**: rewrites the factor in place so it factors
-    /// `A + v vᵀ`, in O(d²) instead of the O(d³) of refactorization.
-    ///
-    /// Uses the classical Givens-style recurrence (Golub & Van Loan §6.5.4):
-    /// sweeping columns left to right, each step rotates the carried vector
-    /// into the diagonal. Leading zeros of `v` are skipped — the rotation is
-    /// exactly the identity there — so an update by `α·eⱼ` costs only
-    /// O((d−j)²); the incremental GDA estimator applies per-sample ridge
-    /// increments as `d` such sparse updates.
-    ///
-    /// An update cannot lose positive definiteness, so with finite inputs
-    /// (checked up front) the sweep cannot fail and the factor is never left
-    /// in a partial state.
-    ///
-    /// # Errors
-    /// * [`LinalgError::ShapeMismatch`] if `v.len() != dim()`.
-    /// * [`LinalgError::InvalidArgument`] if `v` has non-finite entries
-    ///   (returned before any mutation).
-    pub fn rank1_update(&mut self, v: &[f64]) -> Result<()> {
-        let n = self.dim();
-        if v.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                left: format!("{n}x{n}"),
-                right: format!("len {}", v.len()),
-                op: "rank1_update",
-            });
-        }
-        if v.iter().any(|x| !x.is_finite()) {
-            return Err(LinalgError::InvalidArgument {
-                what: "rank1_update vector has non-finite entries".into(),
-            });
-        }
-        let mut work = v.to_vec();
-        for k in 0..n {
-            let wk = work[k];
-            if wk == 0.0 {
-                continue;
-            }
-            let lkk = self.l.get(k, k);
-            let r = (lkk * lkk + wk * wk).sqrt();
-            let c = r / lkk;
-            let s = wk / lkk;
-            self.l.set(k, k, r);
-            for (i, wi) in work.iter_mut().enumerate().skip(k + 1) {
-                let lik = (self.l.get(i, k) + s * *wi) / c;
-                self.l.set(i, k, lik);
-                *wi = c * *wi - s * lik;
-            }
-        }
-        Ok(())
-    }
-
-    /// Rank-1 **downdate**: rewrites the factor so it factors `A − v vᵀ`,
-    /// in O(d²).
-    ///
-    /// Uses hyperbolic rotations: the mirror of [`Cholesky::rank1_update`]
-    /// with each pivot shrunk as `r = √(Lₖₖ² − wₖ²)`. Unlike an update, a
-    /// downdate can reach a matrix that is no longer positive definite — the
-    /// sweep runs on a scratch copy and commits only on success, so on error
-    /// the factor is untouched and the caller can fall back to a full
-    /// refactorization (the incremental GDA estimator does exactly that).
-    ///
-    /// # Errors
-    /// * [`LinalgError::ShapeMismatch`] if `v.len() != dim()`.
-    /// * [`LinalgError::InvalidArgument`] if `v` has non-finite entries.
-    /// * [`LinalgError::NotPositiveDefinite`] if the downdated matrix loses
-    ///   positive definiteness (pivot reports the failing column); the
-    ///   existing factor is left intact.
-    pub fn rank1_downdate(&mut self, v: &[f64]) -> Result<()> {
-        let n = self.dim();
-        if v.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                left: format!("{n}x{n}"),
-                right: format!("len {}", v.len()),
-                op: "rank1_downdate",
-            });
-        }
-        if v.iter().any(|x| !x.is_finite()) {
-            return Err(LinalgError::InvalidArgument {
-                what: "rank1_downdate vector has non-finite entries".into(),
-            });
-        }
-        let mut scratch = self.l.clone();
-        let mut work = v.to_vec();
-        for k in 0..n {
-            let wk = work[k];
-            if wk == 0.0 {
-                continue;
-            }
-            let lkk = scratch.get(k, k);
-            let r_sq = lkk * lkk - wk * wk;
-            if r_sq <= 0.0 || !r_sq.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite { pivot: k });
-            }
-            let r = r_sq.sqrt();
-            let c = r / lkk;
-            let s = wk / lkk;
-            scratch.set(k, k, r);
-            for (i, wi) in work.iter_mut().enumerate().skip(k + 1) {
-                let lik = (scratch.get(i, k) - s * *wi) / c;
-                scratch.set(i, k, lik);
-                *wi = c * *wi - s * lik;
-            }
-        }
-        self.l = scratch;
-        Ok(())
-    }
-}
-
-/// Serialization emits the lower-triangular factor; deserialization routes
-/// through [`Cholesky::from_lower`], so a tampered or corrupted checkpoint
-/// (non-square factor, non-positive diagonal) is rejected instead of
-/// producing a silently broken factor. The factor's strict upper triangle
-/// is zero by construction, so the round trip is bit-exact.
-impl serde::Serialize for Cholesky {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![("l".to_string(), serde::Serialize::to_value(&self.l))])
-    }
-}
-
-impl serde::Deserialize for Cholesky {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        let fields =
-            v.as_object().ok_or_else(|| serde::DeError::custom("expected Cholesky object"))?;
-        let l: Matrix = serde::Deserialize::from_value(
-            serde::find_field(fields, "l")
-                .ok_or_else(|| serde::DeError::custom("Cholesky missing `l`"))?,
-        )?;
-        Cholesky::from_lower(l)
-            .map_err(|e| serde::DeError::custom(format!("invalid Cholesky factor: {e}")))
-    }
 }
 
 #[cfg(test)]
@@ -459,20 +271,6 @@ mod tests {
             vec![0.6, 1.0, 3.0],
         ])
         .unwrap()
-    }
-
-    #[test]
-    fn serde_round_trip_is_bit_exact_and_validated() {
-        let c = Cholesky::factor(&spd3()).unwrap();
-        let v = serde::Serialize::to_value(&c);
-        let back: Cholesky = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(c.factor_l(), back.factor_l());
-        // A non-positive diagonal in the stored factor must be rejected.
-        let bad = serde::Value::Object(vec![(
-            "l".to_string(),
-            serde::Serialize::to_value(&Matrix::zeros(2, 2)),
-        )]);
-        assert!(<Cholesky as serde::Deserialize>::from_value(&bad).is_err());
     }
 
     #[test]
@@ -592,116 +390,5 @@ mod tests {
         let c = Cholesky::factor(&Matrix::identity(3)).unwrap();
         assert!(c.solve(&[1.0]).is_err());
         assert!(c.quadratic_form(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn rank1_update_matches_refactorization() {
-        let a = spd3();
-        let v = [0.7, -1.1, 0.4];
-        let mut c = Cholesky::factor(&a).unwrap();
-        c.rank1_update(&v).unwrap();
-        let mut want = a.clone();
-        want.add_assign(&Matrix::outer(&v, &v)).unwrap();
-        let got = c.reconstruct();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((got.get(i, j) - want.get(i, j)).abs() < 1e-10, "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn rank1_downdate_inverts_update() {
-        let a = spd3();
-        let v = [0.5, 2.0, -0.25];
-        let mut c = Cholesky::factor(&a).unwrap();
-        c.rank1_update(&v).unwrap();
-        c.rank1_downdate(&v).unwrap();
-        let got = c.reconstruct();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((got.get(i, j) - a.get(i, j)).abs() < 1e-9, "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn rank1_downdate_to_singular_fails_and_preserves_factor() {
-        // I − e₀e₀ᵀ is singular: the downdate must refuse and leave the
-        // factor exactly as it was.
-        let mut c = Cholesky::factor(&Matrix::identity(2)).unwrap();
-        let before = c.factor_l().clone();
-        let err = c.rank1_downdate(&[1.0, 0.0]).unwrap_err();
-        assert!(matches!(err, LinalgError::NotPositiveDefinite { pivot: 0 }));
-        assert_eq!(c.factor_l().as_slice(), before.as_slice());
-    }
-
-    #[test]
-    fn rank1_sparse_basis_update_touches_trailing_block_only() {
-        let a = spd3();
-        let mut c = Cholesky::factor(&a).unwrap();
-        let before = c.factor_l().clone();
-        c.rank1_update(&[0.0, 0.0, 0.9]).unwrap();
-        // Columns before the basis index are untouched (identity rotations
-        // are skipped outright).
-        for i in 0..3 {
-            for j in 0..2 {
-                assert_eq!(c.factor_l().get(i, j).to_bits(), before.get(i, j).to_bits());
-            }
-        }
-        // With no leading rotations the carried vector reaches the last
-        // pivot unchanged: l'₂₂² = l₂₂² + 0.9².
-        assert!(
-            (c.factor_l().get(2, 2).powi(2) - (before.get(2, 2).powi(2) + 0.81)).abs() < 1e-12
-        );
-    }
-
-    #[test]
-    fn rank1_rejects_bad_inputs() {
-        let mut c = Cholesky::factor(&spd3()).unwrap();
-        assert!(matches!(
-            c.rank1_update(&[1.0]),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-        assert!(matches!(
-            c.rank1_update(&[f64::NAN, 0.0, 0.0]),
-            Err(LinalgError::InvalidArgument { .. })
-        ));
-        assert!(matches!(
-            c.rank1_downdate(&[1.0, 2.0]),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-        assert!(matches!(
-            c.rank1_downdate(&[f64::INFINITY, 0.0, 0.0]),
-            Err(LinalgError::InvalidArgument { .. })
-        ));
-    }
-
-    #[test]
-    fn from_lower_zeroes_upper_and_validates_diagonal() {
-        let l = Matrix::from_rows(&[vec![2.0, 99.0], vec![1.0, 3.0]]).unwrap();
-        let c = Cholesky::from_lower(l).unwrap();
-        assert_eq!(c.factor_l().get(0, 1), 0.0);
-        assert!((c.reconstruct().get(0, 0) - 4.0).abs() < 1e-12);
-        let bad = Matrix::from_rows(&[vec![0.0, 0.0], vec![1.0, 3.0]]).unwrap();
-        assert!(matches!(
-            Cholesky::from_lower(bad),
-            Err(LinalgError::NotPositiveDefinite { pivot: 0 })
-        ));
-        assert!(Cholesky::from_lower(Matrix::zeros(2, 3)).is_err());
-    }
-
-    #[test]
-    fn scaled_factor_scales_matrix_quadratically() {
-        let a = spd3();
-        let c = Cholesky::factor(&a).unwrap().scaled(0.5).unwrap();
-        let got = c.reconstruct();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((got.get(i, j) - 0.25 * a.get(i, j)).abs() < 1e-12, "({i},{j})");
-            }
-        }
-        assert!(Cholesky::factor(&a).unwrap().scaled(0.0).is_err());
-        assert!(Cholesky::factor(&a).unwrap().scaled(f64::NAN).is_err());
     }
 }

@@ -27,6 +27,53 @@ pub fn mean_vector(rows: &[&[f64]]) -> Result<Vec<f64>> {
     Ok(mean)
 }
 
+/// Column mean and centered scatter `S = Σᵢ (xᵢ−μ)(xᵢ−μ)ᵀ` of a row set.
+///
+/// The rows are centered into one `n × d` matrix `Xc` and `S = Xcᵀ·Xc` is
+/// formed by the packed `Aᵀ·B` kernel ([`Matrix::matmul_tn_into`]). Every
+/// entry is the ascending-row sum of `(xᵣᵢ−μᵢ)·(xᵣⱼ−μⱼ)` seeded with `+0.0`,
+/// so `S` is exactly symmetric and bit-identical to accumulating one
+/// rank-1 term per row in row order.
+///
+/// # Errors
+/// Returns [`LinalgError::EmptyInput`] for an empty set and
+/// [`LinalgError::ShapeMismatch`] for ragged rows.
+pub fn mean_and_scatter(rows: &[&[f64]]) -> Result<(Vec<f64>, Matrix)> {
+    let mean = mean_vector(rows)?;
+    let d = mean.len();
+    let mut centered = Matrix::zeros(rows.len(), d);
+    for (r, row) in rows.iter().enumerate() {
+        for ((c, &x), &m) in centered.row_mut(r).iter_mut().zip(row.iter()).zip(&mean) {
+            *c = x - m;
+        }
+    }
+    let mut scatter = Matrix::zeros(d, d);
+    centered.matmul_tn_into(&centered, &mut scatter)?;
+    Ok((mean, scatter))
+}
+
+/// The maximum-likelihood covariance `S/n + ridge·I` of `n` rows whose
+/// centered scatter is `S` (see [`mean_and_scatter`]).
+///
+/// Reads only the lower triangle of `scatter` and mirrors it, so a caller
+/// that maintains just that triangle (the incremental GDA) gets the same
+/// matrix, bit for bit, as [`covariance`] over the same scatter. The
+/// caller validates `ridge` (non-negative).
+pub fn covariance_from_scatter(scatter: &Matrix, n: usize, ridge: f64) -> Matrix {
+    let d = scatter.rows();
+    let inv_n = 1.0 / n as f64;
+    let mut cov = Matrix::zeros(d, d);
+    for i in 0..d {
+        for j in 0..=i {
+            let v = scatter.get(i, j) * inv_n;
+            cov.set(i, j, v);
+            cov.set(j, i, v);
+        }
+    }
+    cov.add_diagonal(ridge);
+    cov
+}
+
 /// Empirical covariance matrix with additive ridge on the diagonal.
 ///
 /// Uses the maximum-likelihood normalization (divide by `n`) plus
@@ -40,53 +87,22 @@ pub fn mean_vector(rows: &[&[f64]]) -> Result<Vec<f64>> {
 /// Returns [`LinalgError::EmptyInput`] for an empty set,
 /// [`LinalgError::ShapeMismatch`] for ragged rows, and
 /// [`LinalgError::InvalidArgument`] for a negative ridge.
-// analyzer:ordered: row-major rank-1 accumulation over samples in stream order
 pub fn covariance(rows: &[&[f64]], ridge: f64) -> Result<Matrix> {
+    Ok(mean_and_covariance(rows, ridge)?.1)
+}
+
+/// Mean and covariance from one centering pass over the same rows.
+///
+/// # Errors
+/// As [`covariance`].
+pub fn mean_and_covariance(rows: &[&[f64]], ridge: f64) -> Result<(Vec<f64>, Matrix)> {
     if ridge < 0.0 {
         return Err(LinalgError::InvalidArgument {
             what: format!("ridge must be non-negative, got {ridge}"),
         });
     }
-    let mean = mean_vector(rows)?;
-    let d = mean.len();
-    let mut cov = Matrix::zeros(d, d);
-    let mut centered = vec![0.0; d];
-    for row in rows {
-        for (c, (&x, &m)) in row.iter().zip(&mean).enumerate() {
-            centered[c] = x - m;
-        }
-        // Accumulate the lower triangle only; mirror at the end.
-        for i in 0..d {
-            let ci = centered[i];
-            if ci == 0.0 {
-                continue;
-            }
-            let cov_row = cov.row_mut(i);
-            for j in 0..=i {
-                cov_row[j] += ci * centered[j];
-            }
-        }
-    }
-    let inv_n = 1.0 / rows.len() as f64;
-    for i in 0..d {
-        for j in 0..=i {
-            let v = cov.get(i, j) * inv_n;
-            cov.set(i, j, v);
-            cov.set(j, i, v);
-        }
-    }
-    cov.add_diagonal(ridge);
-    Ok(cov)
-}
-
-/// Mean and covariance in one pass over the same rows.
-///
-/// # Errors
-/// Propagates the errors of [`mean_vector`] and [`covariance`].
-pub fn mean_and_covariance(rows: &[&[f64]], ridge: f64) -> Result<(Vec<f64>, Matrix)> {
-    let mean = mean_vector(rows)?;
-    let cov = covariance(rows, ridge)?;
-    Ok((mean, cov))
+    let (mean, scatter) = mean_and_scatter(rows)?;
+    Ok((mean, covariance_from_scatter(&scatter, rows.len(), ridge)))
 }
 
 /// Pearson correlation between two equal-length samples.

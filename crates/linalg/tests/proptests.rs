@@ -209,95 +209,85 @@ proptest! {
     }
 
     #[test]
-    fn rank1_update_matches_refactorization(seed in 0u64..300, d in 1usize..12) {
+    fn covariance_matches_the_rank1_row_loop_bitwise(
+        seed in 0u64..200,
+        n in 1usize..160,
+        d in 1usize..40,
+        relu in any::<bool>(),
+    ) {
+        // ReLU features carry exact zeros, whose rank-1 terms the row loop
+        // skips; the packed product adds them and must still agree bit for
+        // bit (a sum seeded with +0.0 never turns into -0.0).
         let mut rng = SeedRng::new(seed);
-        let g = Matrix::from_vec(d, d, (0..d * d).map(|_| rng.uniform_range(-1.0, 1.0)).collect())
-            .unwrap();
-        let mut spd = g.matmul(&g.transpose()).unwrap();
-        spd.add_diagonal(1.0);
-        let v: Vec<f64> = (0..d).map(|_| rng.uniform_range(-2.0, 2.0)).collect();
-        let mut chol = Cholesky::factor(&spd).unwrap();
-        chol.rank1_update(&v).unwrap();
-        let mut want = spd.clone();
-        want.add_assign(&Matrix::outer(&v, &v)).unwrap();
-        let got = chol.reconstruct();
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                (0..d)
+                    .map(|_| {
+                        let x = rng.uniform_range(-3.0, 3.0);
+                        if relu { x.max(0.0) } else { x }
+                    })
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let want = covariance_by_row_loop(&refs, 1e-3);
+        let got = faction_linalg::stats::covariance(&refs, 1e-3).unwrap();
+        for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "packed {} vs row loop {}", x, y);
+        }
+    }
+}
+
+#[test]
+fn covariance_matches_the_row_loop_at_pool_shapes() {
+    // Labeled-pool cells of ReLU features: d = 32, a few hundred rows, so
+    // the product runs the blocked kernel across several k-panels.
+    let mut rng = SeedRng::new(5);
+    for n in [100usize, 375, 800] {
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..32).map(|_| rng.normal(0.2, 1.0).max(0.0)).collect())
+            .collect();
+        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let want = covariance_by_row_loop(&refs, 1e-3);
+        let (mean, got) = faction_linalg::stats::mean_and_covariance(&refs, 1e-3).unwrap();
+        assert_eq!(mean, faction_linalg::stats::mean_vector(&refs).unwrap());
+        for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "n = {n}: packed {x} vs row loop {y}");
+        }
+    }
+}
+
+/// The row-by-row covariance `stats::covariance` used before it went
+/// through the packed `Aᵀ·B` kernel: one lower-triangle rank-1 term per
+/// row (zero terms skipped), scaled by `1/n`, mirrored, plus `ridge·I`.
+fn covariance_by_row_loop(rows: &[&[f64]], ridge: f64) -> Matrix {
+    let mean = faction_linalg::stats::mean_vector(rows).unwrap();
+    let d = mean.len();
+    let mut cov = Matrix::zeros(d, d);
+    let mut centered = vec![0.0; d];
+    for row in rows {
+        for (c, (&x, &m)) in row.iter().zip(&mean).enumerate() {
+            centered[c] = x - m;
+        }
         for i in 0..d {
-            for j in 0..d {
-                prop_assert!(
-                    (got.get(i, j) - want.get(i, j)).abs() <= 1e-10 * (1.0 + want.get(i, j).abs()),
-                    "({}, {})", i, j
-                );
+            let ci = centered[i];
+            if ci == 0.0 {
+                continue;
+            }
+            let cov_row = cov.row_mut(i);
+            for j in 0..=i {
+                cov_row[j] += ci * centered[j];
             }
         }
     }
-
-    #[test]
-    fn rank1_downdate_matches_refactorization(seed in 0u64..300, d in 1usize..12) {
-        // Build A = G·Gᵀ + I + vvᵀ so that A − vvᵀ is safely SPD, then check
-        // the downdated factor against a from-scratch factorization.
-        let mut rng = SeedRng::new(seed);
-        let g = Matrix::from_vec(d, d, (0..d * d).map(|_| rng.uniform_range(-1.0, 1.0)).collect())
-            .unwrap();
-        let mut base = g.matmul(&g.transpose()).unwrap();
-        base.add_diagonal(1.0);
-        let v: Vec<f64> = (0..d).map(|_| rng.uniform_range(-2.0, 2.0)).collect();
-        let mut a = base.clone();
-        a.add_assign(&Matrix::outer(&v, &v)).unwrap();
-        let mut chol = Cholesky::factor(&a).unwrap();
-        chol.rank1_downdate(&v).unwrap();
-        let got = chol.reconstruct();
-        for i in 0..d {
-            for j in 0..d {
-                prop_assert!(
-                    (got.get(i, j) - base.get(i, j)).abs() <= 1e-10 * (1.0 + base.get(i, j).abs()),
-                    "({}, {})", i, j
-                );
-            }
+    let inv_n = 1.0 / rows.len() as f64;
+    for i in 0..d {
+        for j in 0..=i {
+            let v = cov.get(i, j) * inv_n;
+            cov.set(i, j, v);
+            cov.set(j, i, v);
         }
     }
-
-    #[test]
-    fn rank1_update_downdate_roundtrips(seed in 0u64..300, d in 1usize..12) {
-        let mut rng = SeedRng::new(seed);
-        let g = Matrix::from_vec(d, d, (0..d * d).map(|_| rng.uniform_range(-1.0, 1.0)).collect())
-            .unwrap();
-        let mut spd = g.matmul(&g.transpose()).unwrap();
-        spd.add_diagonal(1.0);
-        let v: Vec<f64> = (0..d).map(|_| rng.uniform_range(-2.0, 2.0)).collect();
-        let mut chol = Cholesky::factor(&spd).unwrap();
-        chol.rank1_update(&v).unwrap();
-        chol.rank1_downdate(&v).unwrap();
-        let got = chol.reconstruct();
-        for i in 0..d {
-            for j in 0..d {
-                prop_assert!(
-                    (got.get(i, j) - spd.get(i, j)).abs() <= 1e-9 * (1.0 + spd.get(i, j).abs()),
-                    "({}, {})", i, j
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn rank1_downdate_to_singular_errors_nondestructively(seed in 0u64..300, d in 1usize..12) {
-        // A = G·Gᵀ + x xᵀ downdated by the full row x of the generator plus a
-        // little extra mass must fail: the result would not be PD. The
-        // factor must be byte-identical afterwards (fallback contract).
-        let mut rng = SeedRng::new(seed);
-        let g = Matrix::from_vec(d, d, (0..d * d).map(|_| rng.uniform_range(-1.0, 1.0)).collect())
-            .unwrap();
-        let mut spd = g.matmul(&g.transpose()).unwrap();
-        spd.add_diagonal(1e-3);
-        let mut chol = Cholesky::factor(&spd).unwrap();
-        let before: Vec<u64> =
-            chol.factor_l().as_slice().iter().map(|x| x.to_bits()).collect();
-        // Downdating by √(A[0][0] + margin)·e₀ drives the (0,0) entry
-        // negative, which no PD matrix allows.
-        let mut v = vec![0.0; d];
-        v[0] = (spd.get(0, 0) + 1.0).sqrt();
-        prop_assert!(chol.rank1_downdate(&v).is_err());
-        let after: Vec<u64> =
-            chol.factor_l().as_slice().iter().map(|x| x.to_bits()).collect();
-        prop_assert_eq!(before, after);
-    }
+    cov.add_diagonal(ridge);
+    cov
 }

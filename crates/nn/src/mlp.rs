@@ -236,6 +236,17 @@ impl Mlp {
         softmax_in_place(out);
     }
 
+    /// Writes softmax class probabilities into `out` from penultimate
+    /// features `z` — the output of [`Mlp::features_into`] for a batch —
+    /// running only the class head. Bit-identical to
+    /// [`Mlp::predict_proba_into`] on the batch `z` came from, without
+    /// recomputing the hidden stack.
+    pub fn proba_from_features_into(&self, z: &Matrix, out: &mut Matrix) {
+        // analyzer:allow(unwrap-in-lib): `Mlp::new` rejects empty architectures
+        self.layers.last().expect("non-empty").forward_into(z, out);
+        softmax_in_place(out);
+    }
+
     /// Hard class predictions (argmax of logits).
     pub fn predict(&self, x: &Matrix) -> Vec<usize> {
         self.logits(x)
@@ -443,6 +454,24 @@ mod tests {
         let p = mlp.predict_proba(&x);
         for r in 0..2 {
             assert!((p.row(r).iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn head_on_features_matches_full_forward_bitwise() {
+        let (x, ..) = blobs(40, 5);
+        for sizes in [vec![2, 2], vec![2, 16, 8, 3]] {
+            let mlp = Mlp::new(&MlpConfig::new(sizes, 9));
+            let mut ws = MlpWorkspace::new();
+            let (mut z, mut want, mut got) =
+                (Matrix::default(), Matrix::default(), Matrix::default());
+            mlp.predict_proba_into(&x, &mut ws, &mut want);
+            mlp.features_into(&x, &mut ws, &mut z);
+            mlp.proba_from_features_into(&z, &mut got);
+            assert_eq!(got.shape(), want.shape());
+            for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 

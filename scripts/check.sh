@@ -8,7 +8,7 @@
 #
 # | guarantee                                     | enforced by                                     |
 # |-----------------------------------------------|-------------------------------------------------|
-# | incremental-GDA equivalence (<=1e-8)          | crates/density/tests/incremental_equivalence.rs |
+# | incremental GDA (anchor bitwise, drift<=1e-8) | crates/density/tests/incremental_equivalence.rs |
 # | fault injection (poisoned streams)            | crates/core/tests/fault_injection.rs            |
 # | engine determinism (jobs=1 == jobs=8)         | crates/engine/tests/determinism.rs              |
 # | chaos determinism (adversarial schedules)     | crates/engine/tests/chaos_determinism.rs        |
