@@ -2,13 +2,14 @@
 //! facade's bit-identity contract.
 //!
 //! An 8-strategy lineup produces canonically identical `RunRecord`s whether
-//! the GEMMs run on the scalar blocked kernel or the AVX2 micro-kernel. The
-//! backend is pinned per run through the `set_active_backend` test seam,
-//! and the resolved backend is recorded in the (non-canonical)
-//! `kernel_backend` field.
+//! the GEMMs run on the scalar blocked kernel, the AVX2 tiles or the AVX2
+//! tiles plus the AVX-512 pair tile — every backend this host can run; the
+//! others are named on stderr as skipped. The backend is pinned per run
+//! through the `set_active_backend` test seam, and the pinned backend's name
+//! is recorded in the (non-canonical) `kernel_backend` field.
 //!
-//! `check.sh` runs this suite as the blocking `kernel-determinism` stage;
-//! the GEMM-level property suite is the `kernel-equivalence` stage.
+//! `scripts/check.sh` runs this suite in its workspace test stage; the
+//! GEMM-level property suite is `crates/linalg/tests/kernel_equivalence.rs`.
 
 use faction_core::ExperimentConfig;
 use faction_data::datasets::Dataset;
@@ -58,22 +59,33 @@ fn run_on(strategy: &str, backend: KernelBackend) -> faction_core::RunRecord {
 }
 
 #[test]
-fn lineup_is_canonically_identical_scalar_vs_simd() {
+fn lineup_is_canonically_identical_on_every_backend() {
     let prev = dispatch::active_backend();
+    let (backends, skipped): (Vec<_>, Vec<_>) =
+        KernelBackend::ALL.into_iter().partition(|b| b.available());
+    for b in skipped {
+        eprintln!("kernel_determinism: skipped backend {b}: this host lacks its CPU features");
+    }
     for strategy in LINEUP {
-        let scalar = run_on(strategy, KernelBackend::Scalar);
-        let simd = run_on(strategy, KernelBackend::Simd);
-
-        // The resolved backend is recorded as machine provenance…
-        assert_eq!(scalar.kernel_backend, "scalar", "{strategy}");
-        assert_eq!(simd.kernel_backend, "simd", "{strategy}");
-        // …and stripped from the canonical form, which must then be
-        // byte-identical: vectorizing across the j lanes preserves the
-        // exact per-element ascending-k accumulation order.
-        let a = serde_json::to_string(&scalar.canonicalized()).unwrap();
-        let b = serde_json::to_string(&simd.canonicalized()).unwrap();
-        assert!(!a.contains("kernel_backend"), "{strategy}: canonical form leaks provenance");
-        assert_eq!(a, b, "{strategy}: scalar vs simd canonical records diverged");
+        let mut canonical = Vec::new();
+        for &backend in &backends {
+            let record = run_on(strategy, backend);
+            // The pinned backend is recorded as machine provenance…
+            assert_eq!(record.kernel_backend, backend.as_str(), "{strategy}");
+            // …and stripped from the canonical form, which must then be
+            // byte-identical: every tile set preserves the exact
+            // per-element ascending-k accumulation order.
+            let json = serde_json::to_string(&record.canonicalized()).unwrap();
+            assert!(
+                !json.contains("kernel_backend"),
+                "{strategy}: canonical form leaks provenance"
+            );
+            canonical.push((backend, json));
+        }
+        let (first, want) = &canonical[0];
+        for (backend, got) in &canonical[1..] {
+            assert_eq!(want, got, "{strategy}: {first} vs {backend} canonical records diverged");
+        }
     }
     dispatch::set_active_backend(prev);
 }

@@ -15,13 +15,21 @@
 //!   whole k-panel in locals, touching the output matrix once per panel
 //!   instead of once per scalar multiply-add.
 //!
-//! Each backend supplies a pair of micro-kernels ([`Tiles`]): one for the
-//! full `MR × NR` tile and one for the edge tiles. The edge kernel's hot
-//! case is the full-height **narrow tile** (`MR` rows, `jlen < NR`
-//! columns): the class head's products have `n = C = 2`, so every one of
-//! their tiles is narrow. The scalar backend uses [`kernel_edge`] for all
-//! edges; the AVX2 backend runs narrow tiles lane-parallel across the `MR`
-//! rows and hands short tiles (`ilen < MR`) to [`kernel_edge`].
+//! Each backend supplies its micro-kernels as [`Tiles`]: one for the full
+//! `MR × NR` tile, one for the edge tiles and, optionally, a **pair tile**
+//! of `MR × 2·NR` that covers two adjacent `NR`-wide panels at once. The
+//! sweep hands every full-height run of two full panels to the pair tile
+//! when the backend has one (AVX-512: 8 zmm accumulators, twice the AVX2
+//! tile's width per k step), and the leftover single panel to the full
+//! tile. Packing is the same either way: the pair tile reads the second
+//! panel at a fixed offset from the first (`NR` columns to the right in a
+//! row-major `B`, one packed panel further on in a packed `Bᵀ` block).
+//! The edge kernel's hot case is the full-height **narrow tile** (`MR`
+//! rows, `jlen < NR` columns): the class head's products have
+//! `n = C = 2`, so every one of their tiles is narrow. The scalar backend
+//! uses [`kernel_edge`] for all edges; the AVX2 tiles run narrow tiles
+//! lane-parallel across the `MR` rows and hand short tiles (`ilen < MR`)
+//! to [`kernel_edge`].
 //!
 //! The three products differ only in how operands are read ([`Layout`]):
 //! `Aᵀ·B` packs its A micro-panels from the stored-transposed operand (a
@@ -82,6 +90,13 @@ pub(crate) type FullTile = fn(&[f64], usize, &[f64], usize, &mut [f64], usize);
 /// of them short. Same ascending-`k` contract.
 pub(crate) type EdgeTile = fn(&[f64], usize, usize, &[f64], usize, usize, &mut [f64], usize);
 
+/// Pair-tile micro-kernel ABI: an `MR × 2·NR` tile over two adjacent
+/// `NR`-wide B panels. [`FullTile`]'s arguments plus the offset, in f64,
+/// from the first panel to the second (both read at row stride `ldb`); the
+/// output tile is `2·NR` contiguous columns per row. Same ascending-`k`
+/// contract, so it equals two [`FullTile`] calls bit for bit.
+pub(crate) type PairTile = fn(&[f64], usize, &[f64], usize, usize, &mut [f64], usize);
+
 /// One backend's micro-kernels for [`blocked_sweep`].
 #[derive(Clone, Copy)]
 pub(crate) struct Tiles {
@@ -89,10 +104,13 @@ pub(crate) struct Tiles {
     pub(crate) full: FullTile,
     /// Every other tile: narrow (`jlen < NR`) and/or short (`ilen < MR`).
     pub(crate) edge: EdgeTile,
+    /// Two adjacent full tiles at once, where the backend has a wider
+    /// register file; `None` sweeps them one [`Tiles::full`] at a time.
+    pub(crate) pair: Option<PairTile>,
 }
 
 /// The scalar reference micro-kernels.
-pub(crate) const SCALAR_TILES: Tiles = Tiles { full: kernel_full, edge: kernel_edge };
+pub(crate) const SCALAR_TILES: Tiles = Tiles { full: kernel_full, edge: kernel_edge, pair: None };
 
 /// How [`blocked_sweep`] reads its operands for `out += op(a) · op(b)`
 /// (`out` is always `m×n`, the contraction depth is `k`).
@@ -132,26 +150,35 @@ pub fn matmul_simple(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, 
 /// the caller), dispatched to the backend selected by
 /// [`crate::dispatch::active_backend`].
 ///
-/// Both backends — the scalar blocked reference and the AVX2 micro-kernels —
-/// preserve the exact per-element ascending-`k` accumulation order, so the
-/// result is **bit-identical** regardless of what this dispatches to (the
-/// `kernel_equivalence` property suite proves it).
+/// Every backend preserves the exact per-element ascending-`k` accumulation
+/// order, so the result is **bit-identical** regardless of what this
+/// dispatches to (the `kernel_equivalence` property suite proves it).
 // analyzer:hot-path
 pub fn matmul_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    match crate::dispatch::active_backend() {
-        crate::dispatch::KernelBackend::Scalar => matmul_blocked(a, b, out, m, k, n),
-        crate::dispatch::KernelBackend::Simd => crate::simd::matmul_simd_into(a, b, out, m, k, n),
-    }
+    matmul_on(crate::dispatch::active_backend(), a, b, out, m, k, n);
 }
 
-/// Blocked, packed product: `out = a · b` (`out` pre-zeroed by the caller).
-/// The always-available scalar reference every other backend is proven
-/// against.
+/// Blocked, packed product `out = a · b` (`out` pre-zeroed by the caller)
+/// on the tiles of an explicit `backend`, without reading or changing the
+/// process-global dispatch; [`KernelBackend::Scalar`] is the
+/// always-available reference every other backend is proven against. A
+/// backend the host cannot run falls back as [`crate::dispatch`] describes.
 ///
 /// Dispatches small problems to [`matmul_simple`]; the result is
 /// bit-identical either way (see module docs).
+///
+/// [`KernelBackend::Scalar`]: crate::dispatch::KernelBackend::Scalar
 // analyzer:hot-path
-pub fn matmul_blocked(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+#[allow(clippy::too_many_arguments)] // backend, two operands, output, three extents
+pub fn matmul_on(
+    backend: crate::dispatch::KernelBackend,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), k * n);
     assert_eq!(out.len(), m * n);
@@ -159,7 +186,7 @@ pub fn matmul_blocked(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize,
         matmul_simple(a, b, out, m, k, n);
         return;
     }
-    blocked_sweep(a, b, out, m, k, n, Layout::Nn, SCALAR_TILES);
+    blocked_sweep(a, b, out, m, k, n, Layout::Nn, crate::simd::select_tiles(backend));
 }
 
 /// Whether a product is below the blocked path's break-even: too little
@@ -175,16 +202,12 @@ pub(crate) fn is_small(m: usize, k: usize, n: usize) -> bool {
 /// The micro-kernels of the backend selected by
 /// [`crate::dispatch::active_backend`].
 fn active_tiles() -> Tiles {
-    match crate::dispatch::active_backend() {
-        crate::dispatch::KernelBackend::Scalar => SCALAR_TILES,
-        crate::dispatch::KernelBackend::Simd => crate::simd::select_tiles(),
-    }
+    crate::simd::select_tiles(crate::dispatch::active_backend())
 }
 
 /// The shared macro-kernel for all three operand layouts: packs A
 /// micro-panels (and, for [`Layout::Nt`], `Bᵀ` column blocks) and sweeps
-/// register tiles over every output row, calling `tiles.full` for full
-/// `MR × NR` tiles and `tiles.edge` for the rest.
+/// register tiles over every output row ([`sweep_panels`]).
 ///
 /// Every output element accumulates onto its current `out` value over
 /// ascending `k`, so the caller's seed (`0.0` for a plain product, `-0.0`
@@ -228,11 +251,9 @@ pub(crate) fn blocked_sweep(
                 let mut ib = 0;
                 while ib < m {
                     let ilen = pack_a(a, layout, m, k, kb, klen, ib, &mut apack);
-                    for (jb, panel) in (cb..cend).step_by(NR).zip(bpack.chunks_exact(klen * NR)) {
-                        let jlen = NR.min(cend - jb);
-                        let out_tile = &mut out[ib * n + jb..];
-                        tile(&apack, klen, ilen, panel, NR, jlen, out_tile, n, tiles);
-                    }
+                    let out_row = &mut out[ib * n + cb..];
+                    let (width, stride) = (cend - cb, klen * NR);
+                    sweep_panels(&apack, klen, ilen, width, &bpack, NR, stride, out_row, n, tiles);
                     ib += MR;
                 }
                 cb = cend;
@@ -241,13 +262,8 @@ pub(crate) fn blocked_sweep(
             let mut ib = 0;
             while ib < m {
                 let ilen = pack_a(a, layout, m, k, kb, klen, ib, &mut apack);
-                let mut jb = 0;
-                while jb < n {
-                    let jlen = NR.min(n - jb);
-                    let (b_tile, out_tile) = (&b[kb * n + jb..], &mut out[ib * n + jb..]);
-                    tile(&apack, klen, ilen, b_tile, n, jlen, out_tile, n, tiles);
-                    jb += NR;
-                }
+                let (b_panel, out_row) = (&b[kb * n..], &mut out[ib * n..]);
+                sweep_panels(&apack, klen, ilen, n, b_panel, n, NR, out_row, n, tiles);
                 ib += MR;
             }
         }
@@ -292,25 +308,46 @@ fn pack_a(
     ilen
 }
 
-/// One register tile: `tiles.full` when it is a full `MR × NR`,
-/// `tiles.edge` otherwise.
+/// Sweeps one packed A micro-panel (`ilen` rows) across `width` output
+/// columns, `NR` at a time: panel `p`'s B tile starts at
+/// `b[p * stride..]` with row stride `ldb` (`stride = NR` in a row-major
+/// `B`, one packed panel's length in a packed `Bᵀ` block), and its output
+/// tile at `out[p * NR..]` with row stride `ldo`. A full-height run of two
+/// full panels takes `tiles.pair` when the backend has one, another full
+/// panel `tiles.full`, and the rest `tiles.edge`.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn tile(
+fn sweep_panels(
     apack: &[f64],
     klen: usize,
     ilen: usize,
+    width: usize,
     b: &[f64],
     ldb: usize,
-    jlen: usize,
+    stride: usize,
     out: &mut [f64],
     ldo: usize,
     tiles: Tiles,
 ) {
-    if ilen == MR && jlen == NR {
-        (tiles.full)(apack, klen, b, ldb, out, ldo);
-    } else {
-        (tiles.edge)(apack, klen, ilen, b, ldb, jlen, out, ldo);
+    let mut jb = 0;
+    while jb < width {
+        let jlen = width - jb;
+        let (b_tile, out_tile) = (&b[jb / NR * stride..], &mut out[jb..]);
+        let step = match tiles.pair {
+            Some(pair) if ilen == MR && jlen >= 2 * NR => {
+                pair(apack, klen, b_tile, ldb, stride, out_tile, ldo);
+                2 * NR
+            }
+            _ if ilen == MR && jlen >= NR => {
+                (tiles.full)(apack, klen, b_tile, ldb, out_tile, ldo);
+                NR
+            }
+            _ => {
+                (tiles.edge)(apack, klen, ilen, b_tile, ldb, jlen.min(NR), out_tile, ldo);
+                NR
+            }
+        };
+        jb += step;
     }
 }
 
@@ -349,7 +386,7 @@ pub(crate) fn kernel_full(
 
 /// Edge tile (`ilen < MR` and/or `jlen < NR`): plain axpy sweep with the
 /// same ascending-k order as the full kernel. The scalar backend's
-/// [`EdgeTile`], narrow tiles included, and the AVX2 backend's fallback for
+/// [`EdgeTile`], narrow tiles included, and the AVX2 tiles' fallback for
 /// short ones.
 #[inline]
 #[allow(clippy::too_many_arguments)]
@@ -455,6 +492,39 @@ pub fn matmul_nt_simple(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usiz
     }
 }
 
+/// Rows whose dots [`gemv_into`] carries at once.
+const MV_ROWS: usize = 8;
+
+/// `out = a · x` for an `m×k` row-major `a`, `MV_ROWS` row dots at a time
+/// with one accumulator each, so the adds of different rows overlap
+/// instead of queuing on one row's dependency chain. Every row still sums
+/// its products over ascending `k` starting from `-0.0` — the fold
+/// [`crate::vector::dot`]'s `Sum` runs — so each element is bit-identical
+/// to that row's `dot`, zero signs included; the `m % MV_ROWS` tail rows
+/// call `dot` directly.
+// analyzer:hot-path
+// analyzer:ordered: per-row ascending-k accumulation from -0.0, the vector::dot fold
+pub fn gemv_into(a: &[f64], x: &[f64], out: &mut [f64], m: usize, k: usize) {
+    assert_eq!(a.len(), m * k);
+    assert_eq!(x.len(), k);
+    assert_eq!(out.len(), m);
+    let full = m - m % MV_ROWS;
+    for (rb, ob) in out[..full].chunks_exact_mut(MV_ROWS).enumerate() {
+        let block = &a[rb * MV_ROWS * k..(rb + 1) * MV_ROWS * k];
+        let rows: [&[f64]; MV_ROWS] = std::array::from_fn(|r| &block[r * k..(r + 1) * k]);
+        let mut acc = [-0.0f64; MV_ROWS];
+        for (kk, &xk) in x.iter().enumerate() {
+            for (acc_r, row) in acc.iter_mut().zip(&rows) {
+                *acc_r += row[kk] * xk;
+            }
+        }
+        ob.copy_from_slice(&acc);
+    }
+    for (i, o) in out.iter_mut().enumerate().skip(full) {
+        *o = crate::vector::dot(&a[i * k..(i + 1) * k], x);
+    }
+}
+
 /// Cache-blocked transpose: `out[c][r] = a[r][c]` for an `m×n` input.
 ///
 /// Walks `TB×TB` tiles so both the strided reads and the strided writes stay
@@ -557,6 +627,33 @@ mod tests {
             // sequence, so these are bit-equal too.
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    #[test]
+    fn gemv_keeps_the_dots_zero_signs() {
+        // Zero rows in the 8-row block and in the per-row tail: `-0.0`
+        // products onto the `-0.0` seed stay `-0.0`, one `+0.0` product
+        // makes `+0.0` — exactly what `vector::dot` returns.
+        let (m, k) = (11, 5);
+        let mut a = vec![1.5; m * k];
+        a[..k].fill(-0.0);
+        a[3 * k..4 * k].fill(0.0);
+        a[9 * k..10 * k].fill(0.0);
+        a[10 * k..].fill(-0.0);
+        let x = vec![2.0; k];
+        let mut out = vec![f64::NAN; m];
+        gemv_into(&a, &x, &mut out, m, k);
+        for (row, negative) in [(0, true), (3, false), (9, false), (10, true)] {
+            assert_eq!(out[row], 0.0);
+            assert_eq!(out[row].is_sign_negative(), negative, "row {row}");
+        }
+        for (i, v) in out.iter().enumerate() {
+            assert_eq!(v.to_bits(), crate::vector::dot(&a[i * k..(i + 1) * k], &x).to_bits());
+        }
+        // k = 0: every row is the empty dot, `-0.0`.
+        let mut out = vec![f64::NAN; 9];
+        gemv_into(&[], &[], &mut out, 9, 0);
+        assert!(out.iter().all(|v| v.to_bits() == (-0.0f64).to_bits()));
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! The crate keeps a simple surface — row-major dense `f64` storage, no
 //! expression templates — but the hot products behind [`Matrix::matmul`]
 //! dispatch through a [`KernelBackend`] chosen by runtime feature detection:
-//! the explicit AVX2 micro-kernel in [`simd`] when the host has it, the
-//! packed/blocked scalar reference kernels in [`kernels`] otherwise. Both
-//! produce **bit-identical** f64 results (the SIMD kernel vectorizes across
-//! output lanes with separate multiply and add), so artifacts stay
-//! reproducible byte-for-byte on any host. Reference implementations are
+//! the explicit AVX-512 and AVX2 micro-kernels in [`simd`] when the host has
+//! them, the packed/blocked scalar reference kernels in [`kernels`]
+//! otherwise. All produce **bit-identical** f64 results (the SIMD kernels
+//! vectorize across output lanes with separate multiply and add), so
+//! artifacts stay reproducible byte-for-byte on any host. Reference implementations are
 //! retained as `*_naive`/`*_simple` so benches and property tests can always
 //! compare the paths in the same build.
 //!

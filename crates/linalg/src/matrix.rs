@@ -408,7 +408,9 @@ impl Matrix {
                 op: "matvec",
             });
         }
-        Ok(self.iter_rows().map(|row| crate::vector::dot(row, x)).collect())
+        let mut out = vec![0.0; self.rows];
+        self.matvec_into(x, &mut out)?;
+        Ok(out)
     }
 
     /// Writes `self * x` into `out` without allocating.
@@ -424,9 +426,7 @@ impl Matrix {
                 op: "matvec_into",
             });
         }
-        for (o, row) in out.iter_mut().zip(self.iter_rows()) {
-            *o = crate::vector::dot(row, x);
-        }
+        crate::kernels::gemv_into(self.buf(), x, out, self.rows, self.cols);
         Ok(())
     }
 

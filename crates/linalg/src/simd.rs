@@ -1,70 +1,64 @@
-//! Explicit AVX2 micro-kernels for the 4×8 GEMM register tile and its
-//! full-height narrow tiles.
+//! Explicit x86 SIMD micro-kernels: the AVX2 4×8 GEMM register tile and
+//! its full-height narrow tiles, and the AVX-512 4×16 pair tile.
 //!
-//! This is the [`crate::dispatch::KernelBackend::Simd`] implementation of
-//! the blocked products in [`crate::kernels`] — `A·B`, `Aᵀ·B` and `A·Bᵀ`
-//! all reach it through the one macro-kernel. Two tile shapes are
-//! vectorized: the full `MR × NR` tile, where most flops are, and the
-//! narrow tile (`MR` rows, `jlen < NR` columns), which is every tile of the
-//! class head's `n = C` products. Short tiles (`ilen < MR`) keep the scalar
-//! reference code.
+//! These are the [`KernelBackend::Simd`] and [`KernelBackend::Avx512`]
+//! implementations of the blocked products in [`crate::kernels`] — `A·B`,
+//! `Aᵀ·B` and `A·Bᵀ` all reach them through the one macro-kernel. The AVX2
+//! tiles vectorize two shapes: the full `MR × NR` tile, where most flops
+//! are, and the narrow tile (`MR` rows, `jlen < NR` columns), which is
+//! every tile of the class head's `n = C` products. The AVX-512 backend
+//! adds the **pair tile**, `MR × 2·NR`: two adjacent packed `NR` panels in
+//! eight `__m512d` accumulators, which takes every full tile that has a
+//! full neighbour and leaves the rest (a leftover single panel, narrow and
+//! short tiles) to the AVX2 tiles. Short tiles (`ilen < MR`) keep the
+//! scalar reference code on every backend.
 //!
 //! # Bit-identity contract
 //!
 //! The scalar micro-kernel computes, for each output element `(i, j)`, a
-//! left-to-right sum over ascending `k` of `a[i][k] * b[k][j]`. The
-//! full-tile kernel vectorizes across the **j lanes** of the register tile
-//! — each of the 8 output columns lives in its own vector lane; the narrow
-//! kernel vectorizes across the **i lanes** — each of the `MR = 4` packed
-//! rows lives in its own lane, one accumulator per column, multiplied by a
-//! broadcast `b[k][j]` (IEEE multiplication is commutative, so
-//! `a[i][k] * b[k][j]` rounds the same either way round). Both perform a
-//! separate `_mm256_mul_pd` + `_mm256_add_pd` per `k` step (never
-//! `_mm256_fmadd_pd`: fusing would skip the intermediate rounding the
-//! scalar loop performs and break bit parity). Per lane, the arithmetic
-//! sequence is therefore *exactly* the scalar loop's, and the results are
-//! bit-identical — asserted by the tests below and the `kernel_equivalence`
-//! property suite.
+//! left-to-right sum over ascending `k` of `a[i][k] * b[k][j]`. The full
+//! and pair tiles vectorize across the **j lanes** of the register tile —
+//! each of the 8 (16) output columns lives in its own vector lane; the
+//! narrow kernel vectorizes across the **i lanes** — each of the `MR = 4`
+//! packed rows lives in its own lane, one accumulator per column,
+//! multiplied by a broadcast `b[k][j]` (IEEE multiplication is commutative,
+//! so `a[i][k] * b[k][j]` rounds the same either way round). All of them
+//! perform a separate multiply and add per `k` step (`_mm256_mul_pd` +
+//! `_mm256_add_pd`, `_mm512_mul_pd` + `_mm512_add_pd`; never an FMA:
+//! fusing would skip the intermediate rounding the scalar loop performs
+//! and break bit parity). Per lane, the arithmetic sequence is therefore
+//! *exactly* the scalar loop's, and the results are bit-identical —
+//! asserted by the tests below and the `kernel_equivalence` property suite.
 //!
 //! # Safety architecture
 //!
 //! The only `unsafe` here is (a) calling a `#[target_feature(enable =
-//! "avx2")]` function after a positive runtime `is_x86_feature_detected!`
-//! check, and (b) unaligned vector loads/stores whose bounds are
-//! established by the same slice-length assertions the scalar kernels run.
-//! Every unsafe site carries an `analyzer:unsafe(invariant)` audit marker,
-//! enforced by the workspace analyzer, and this file's `#[cfg(test)]`
-//! region cross-checks the kernels against the scalar reference.
+//! "avx2")]` or `"avx512f"` function after a positive runtime
+//! `is_x86_feature_detected!` check, and (b) unaligned vector loads/stores
+//! whose bounds are established by the same slice-length assertions the
+//! scalar kernels run. Every unsafe site carries an
+//! `analyzer:unsafe(invariant)` audit marker, enforced by the workspace
+//! analyzer, and this file's `#[cfg(test)]` region cross-checks the kernels
+//! against the scalar reference.
 
-use crate::kernels::{
-    is_small, kernel_edge, kernel_full, matmul_simple, Layout, Tiles, MR, NR, SCALAR_TILES,
-};
+use crate::dispatch::{avx512_available, simd_available, KernelBackend};
+use crate::kernels::{kernel_edge, kernel_full, Tiles, MR, NR, SCALAR_TILES};
 
-/// Blocked, packed product `out += a · b` using the AVX2 micro-kernels
-/// (`out` pre-zeroed by the caller for a plain product). Falls back to the
-/// scalar blocked path bit-identically when AVX2 is not available.
-///
-/// `a` is `m×k`, `b` is `k×n`, `out` is `m×n`, all row-major.
-// analyzer:hot-path
-pub fn matmul_simd_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k);
-    assert_eq!(b.len(), k * n);
-    assert_eq!(out.len(), m * n);
-    if is_small(m, k, n) {
-        matmul_simple(a, b, out, m, k, n);
-        return;
-    }
-    crate::kernels::blocked_sweep(a, b, out, m, k, n, Layout::Nn, select_tiles());
-}
+/// The AVX2 backend's tiles.
+const AVX2_TILES: Tiles = Tiles { full: kernel_full_simd, edge: kernel_edge_simd, pair: None };
 
-/// The best available micro-kernels for this host: AVX2 when the runtime
-/// check passes, the scalar reference otherwise. Both produce bit-identical
-/// output (see module docs), so the choice is pure throughput.
-pub(crate) fn select_tiles() -> Tiles {
-    if crate::dispatch::simd_available() {
-        Tiles { full: kernel_full_simd, edge: kernel_edge_simd }
-    } else {
-        SCALAR_TILES
+/// The AVX-512 backend's tiles: the AVX2 tiles plus the pair tile.
+const AVX512_TILES: Tiles = Tiles { pair: Some(kernel_pair_simd), ..AVX2_TILES };
+
+/// The micro-kernels `backend` runs on this host: its own when the runtime
+/// check passes, otherwise the widest narrower backend's (AVX-512 → AVX2 →
+/// scalar). All produce bit-identical output (see module docs), so the
+/// choice is pure throughput.
+pub(crate) fn select_tiles(backend: KernelBackend) -> Tiles {
+    match backend {
+        KernelBackend::Avx512 if avx512_available() => AVX512_TILES,
+        KernelBackend::Avx512 | KernelBackend::Simd if simd_available() => AVX2_TILES,
+        _ => SCALAR_TILES,
     }
 }
 
@@ -80,7 +74,7 @@ pub(crate) fn kernel_full_simd(
     ldo: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if crate::dispatch::simd_available() {
+    if simd_available() {
         // analyzer:unsafe(invariant): avx2 verified by is_x86_feature_detected on the line above; tile bounds are re-asserted inside the kernel before any raw load/store
         unsafe { kernel_full_avx2(apack, klen, b, ldb, out, ldo) };
         return;
@@ -104,7 +98,7 @@ pub(crate) fn kernel_edge_simd(
     ldo: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if ilen == MR && crate::dispatch::simd_available() {
+    if ilen == MR && simd_available() {
         let narrow = match jlen {
             1 => kernel_narrow_avx2::<1>,
             2 => kernel_narrow_avx2::<2>,
@@ -120,6 +114,111 @@ pub(crate) fn kernel_edge_simd(
         return;
     }
     kernel_edge(apack, klen, ilen, b, ldb, jlen, out, ldo);
+}
+
+/// Safe wrapper matching [`crate::kernels::PairTile`]: re-verifies the CPU
+/// feature and dispatches to the AVX-512 pair kernel, or runs the two
+/// panels as two [`kernel_full_simd`] tiles when the feature is absent.
+pub(crate) fn kernel_pair_simd(
+    apack: &[f64],
+    klen: usize,
+    b: &[f64],
+    ldb: usize,
+    hi: usize,
+    out: &mut [f64],
+    ldo: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512_available() {
+        // analyzer:unsafe(invariant): avx512f verified by is_x86_feature_detected on the line above; tile bounds are re-asserted inside the kernel before any raw load/store
+        unsafe { kernel_pair_avx512(apack, klen, b, ldb, hi, out, ldo) };
+        return;
+    }
+    kernel_full_simd(apack, klen, b, ldb, out, ldo);
+    kernel_full_simd(apack, klen, &b[hi..], ldb, &mut out[NR..], ldo);
+}
+
+/// AVX-512 pair-tile micro-kernel: `MR × 2·NR` = 4 rows × 16 columns over
+/// two `NR`-wide B panels, the second `hi` f64 after the first, both at row
+/// stride `ldb`. Each row's 16 accumulators are two `__m512d` (one per
+/// panel), seeded from `out` and written back once per k-panel; per k step
+/// one broadcast of each packed A value, two B loads, and a separate
+/// `_mm512_mul_pd` + `_mm512_add_pd` per accumulator — per lane exactly the
+/// sequence of the scalar [`kernel_full`], twice over.
+///
+/// # Safety
+/// Caller must ensure the `avx512f` target feature is available. Slice
+/// bounds are asserted on entry: `apack` covers `klen` packed k-steps of
+/// `MR` rows, `b` holds `klen` rows of both panels at row stride `ldb` and
+/// `out` holds `MR` rows of `2·NR` columns at row stride `ldo`; all raw
+/// loads/stores below stay inside those asserted ranges.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+// analyzer:ordered: lane-parallel across j, ascending-k per lane with separate mul+add — the scalar kernel_full order
+// analyzer:unsafe(invariant): bounds asserted on entry (apack/b/out cover the tile); loads and stores are unaligned and stay within the asserted slice ranges; no FMA so rounding matches the scalar reference
+unsafe fn kernel_pair_avx512(
+    apack: &[f64],
+    klen: usize,
+    b: &[f64],
+    ldb: usize,
+    hi: usize,
+    out: &mut [f64],
+    ldo: usize,
+) {
+    use core::arch::x86_64::{
+        _mm512_add_pd, _mm512_loadu_pd, _mm512_mul_pd, _mm512_set1_pd, _mm512_storeu_pd,
+    };
+    assert!(apack.len() >= klen * MR);
+    assert!(hi >= NR);
+    assert!(klen == 0 || (klen - 1) * ldb + hi + NR <= b.len());
+    assert!((MR - 1) * ldo + 2 * NR <= out.len());
+
+    let mut acc0;
+    let mut acc1;
+    let mut acc2;
+    let mut acc3;
+    let mut acc4;
+    let mut acc5;
+    let mut acc6;
+    let mut acc7;
+    {
+        let o = out.as_ptr();
+        acc0 = _mm512_loadu_pd(o);
+        acc1 = _mm512_loadu_pd(o.add(NR));
+        acc2 = _mm512_loadu_pd(o.add(ldo));
+        acc3 = _mm512_loadu_pd(o.add(ldo + NR));
+        acc4 = _mm512_loadu_pd(o.add(2 * ldo));
+        acc5 = _mm512_loadu_pd(o.add(2 * ldo + NR));
+        acc6 = _mm512_loadu_pd(o.add(3 * ldo));
+        acc7 = _mm512_loadu_pd(o.add(3 * ldo + NR));
+    }
+    for kk in 0..klen {
+        let b_row = b.as_ptr().add(kk * ldb);
+        let b0 = _mm512_loadu_pd(b_row);
+        let b1 = _mm512_loadu_pd(b_row.add(hi));
+        let ap = apack.as_ptr().add(kk * MR);
+        let a0 = _mm512_set1_pd(*ap);
+        acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(a0, b0));
+        acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(a0, b1));
+        let a1 = _mm512_set1_pd(*ap.add(1));
+        acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(a1, b0));
+        acc3 = _mm512_add_pd(acc3, _mm512_mul_pd(a1, b1));
+        let a2 = _mm512_set1_pd(*ap.add(2));
+        acc4 = _mm512_add_pd(acc4, _mm512_mul_pd(a2, b0));
+        acc5 = _mm512_add_pd(acc5, _mm512_mul_pd(a2, b1));
+        let a3 = _mm512_set1_pd(*ap.add(3));
+        acc6 = _mm512_add_pd(acc6, _mm512_mul_pd(a3, b0));
+        acc7 = _mm512_add_pd(acc7, _mm512_mul_pd(a3, b1));
+    }
+    let o = out.as_mut_ptr();
+    _mm512_storeu_pd(o, acc0);
+    _mm512_storeu_pd(o.add(NR), acc1);
+    _mm512_storeu_pd(o.add(ldo), acc2);
+    _mm512_storeu_pd(o.add(ldo + NR), acc3);
+    _mm512_storeu_pd(o.add(2 * ldo), acc4);
+    _mm512_storeu_pd(o.add(2 * ldo + NR), acc5);
+    _mm512_storeu_pd(o.add(3 * ldo), acc6);
+    _mm512_storeu_pd(o.add(3 * ldo + NR), acc7);
 }
 
 /// AVX2 full-tile micro-kernel: `MR × NR` = 4 rows × 8 columns, each row's
@@ -260,17 +359,17 @@ unsafe fn kernel_narrow_avx2<const J: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::matmul_into;
+    use crate::kernels::{matmul_into, matmul_on, matmul_simple};
     use crate::rng::SeedRng;
 
     fn random(m: usize, n: usize, rng: &mut SeedRng) -> Vec<f64> {
         (0..m * n).map(|_| rng.uniform_range(-2.0, 2.0)).collect()
     }
 
-    /// The analyzer-mandated cross-check region: the SIMD product must be
-    /// bit-identical to the scalar reference on every shape class the
-    /// blocked sweep produces (full tiles, narrow tiles, i/j edges,
-    /// multiple k-panels).
+    /// The analyzer-mandated cross-check region: each SIMD backend's product
+    /// must be bit-identical to the scalar reference on every shape class
+    /// the blocked sweep produces (pair tiles, a leftover single panel,
+    /// narrow tiles, i/j edges, multiple k-panels).
     #[test]
     fn simd_matches_simple_bitwise() {
         let mut rng = SeedRng::new(41);
@@ -284,32 +383,58 @@ mod tests {
             (64, 32, 2),
             (13, 40, 7),
             (MR, crate::kernels::KC + 37, 1),
+            (64, 16, 40),
         ] {
             let a = random(m, k, &mut rng);
             let b = random(k, n, &mut rng);
             let mut simple = vec![0.0; m * n];
-            let mut simd = vec![0.0; m * n];
             matmul_simple(&a, &b, &mut simple, m, k, n);
-            matmul_simd_into(&a, &b, &mut simd, m, k, n);
-            for (x, y) in simple.iter().zip(&simd) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}x{n}");
+            for backend in [KernelBackend::Simd, KernelBackend::Avx512] {
+                let mut simd = vec![0.0; m * n];
+                matmul_on(backend, &a, &b, &mut simd, m, k, n);
+                for (x, y) in simple.iter().zip(&simd) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{backend} {m}x{k}x{n}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn pair_tile_equals_two_full_tiles_at_either_panel_offset() {
+        // Row-major B (second panel NR to the right) and a packed Bᵀ block
+        // (second panel one packed panel further on), through the safe
+        // wrapper, against the AVX2 full tile run once per panel.
+        let mut rng = SeedRng::new(45);
+        let klen = 37;
+        let apack = random(klen, MR, &mut rng);
+        for (ldb, hi) in [(2 * NR + 3, NR), (NR, klen * NR)] {
+            let b = random(1, (klen - 1) * ldb + hi + NR, &mut rng);
+            let ldo = 2 * NR + 5;
+            let seed = random(MR, ldo, &mut rng);
+            let mut pair = seed.clone();
+            kernel_pair_simd(&apack, klen, &b, ldb, hi, &mut pair, ldo);
+            let mut twice = seed;
+            kernel_full_simd(&apack, klen, &b, ldb, &mut twice, ldo);
+            kernel_full_simd(&apack, klen, &b[hi..], ldb, &mut twice[NR..], ldo);
+            assert!(pair.iter().zip(&twice).all(|(x, y)| x.to_bits() == y.to_bits()), "{ldb}/{hi}");
         }
     }
 
     #[test]
     fn simd_matches_blocked_dispatch_entry() {
         // Whatever backend the global dispatch resolves, the facade entry
-        // must agree bitwise with the explicit SIMD path.
+        // must agree bitwise with each explicit backend.
         let mut rng = SeedRng::new(43);
         let (m, k, n) = (31, 47, 29);
         let a = random(m, k, &mut rng);
         let b = random(k, n, &mut rng);
         let mut via_facade = vec![0.0; m * n];
-        let mut via_simd = vec![0.0; m * n];
         matmul_into(&a, &b, &mut via_facade, m, k, n);
-        matmul_simd_into(&a, &b, &mut via_simd, m, k, n);
-        assert_eq!(via_facade, via_simd);
+        for backend in KernelBackend::ALL {
+            let mut via_backend = vec![0.0; m * n];
+            matmul_on(backend, &a, &b, &mut via_backend, m, k, n);
+            assert_eq!(via_facade, via_backend, "{backend}");
+        }
     }
 
     #[test]
@@ -318,10 +443,12 @@ mod tests {
             let a = vec![1.0; m * k];
             let b = vec![1.0; k * n];
             let mut simple = vec![0.0; m * n];
-            let mut simd = vec![0.0; m * n];
             matmul_simple(&a, &b, &mut simple, m, k, n);
-            matmul_simd_into(&a, &b, &mut simd, m, k, n);
-            assert_eq!(simple, simd, "{m}x{k}x{n}");
+            for backend in [KernelBackend::Simd, KernelBackend::Avx512] {
+                let mut simd = vec![0.0; m * n];
+                matmul_on(backend, &a, &b, &mut simd, m, k, n);
+                assert_eq!(simple, simd, "{backend} {m}x{k}x{n}");
+            }
         }
     }
 }

@@ -1,18 +1,21 @@
 //! Cross-backend equivalence property suite.
 //!
-//! The dispatch facade promises that [`KernelBackend::Scalar`] and
-//! [`KernelBackend::Simd`] are the *same arithmetic* — not merely close.
-//! This suite drives both backends over
+//! The dispatch facade promises that [`KernelBackend::Scalar`],
+//! [`KernelBackend::Simd`] (the AVX2 tiles) and [`KernelBackend::Avx512`]
+//! (the AVX2 tiles plus the 4×16 pair tile) are the *same arithmetic* — not
+//! merely close. This suite drives every backend the host can run over
 //! random shapes (including degenerate ones: `0×N`, `1×1`, `K = 0`, and
 //! tails that are not multiples of the `MR`/`NR`/`KC` tile sizes) and
 //! asserts both the ≤ 1e-10 numeric bound the issue asks for and the
-//! stronger bit-for-bit equality the kernels are engineered to provide.
+//! stronger bit-for-bit equality the kernels are engineered to provide. A
+//! backend the host lacks is reported as skipped on stderr, not run: every
+//! case pins each tile set in turn, so the AVX2 tiles stay covered on a
+//! host that detects AVX-512.
 //!
-//! The backend-specific entry points (`matmul_blocked`, `matmul_simd_into`)
-//! are exercised directly so the property runs do not race other tests over
-//! the process-global dispatch; the global facade
-//! (`Matrix::matmul_into` under `set_active_backend`) is covered once under
-//! a local mutex.
+//! The backend-explicit entry point (`matmul_on`) is exercised directly so
+//! the property runs do not race other tests over the process-global
+//! dispatch; the global facade (`Matrix::matmul_into` under
+//! `set_active_backend`) is covered once under a local mutex.
 //!
 //! The backprop products `Aᵀ·B` (`matmul_tn_into`) and `A·Bᵀ`
 //! (`matmul_nt_into`) run the same macro-kernel on whichever backend the
@@ -21,16 +24,16 @@
 //! by [`matmul_simple`] and against their own simple loops.
 //!
 //! Narrow products (`n < NR`, the class head's `n = C`) run full-height
-//! narrow tiles, and `A·Bᵀ` packs `Bᵀ` a column block at a time; both get
-//! fixed cases and properties of their own below.
+//! narrow tiles, products at least `2·NR` wide run pair tiles on AVX-512,
+//! and `A·Bᵀ` packs `Bᵀ` a column block at a time; each gets fixed cases
+//! and properties of its own below.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
 
 use faction_linalg::kernels::{
-    matmul_blocked, matmul_nt_into, matmul_nt_simple, matmul_simple, matmul_tn_into,
-    matmul_tn_simple, transpose_into, KC, MR, NR,
+    matmul_nt_into, matmul_nt_simple, matmul_on, matmul_simple, matmul_tn_into, matmul_tn_simple,
+    transpose_into, KC, MR, NR,
 };
-use faction_linalg::simd::matmul_simd_into;
 use faction_linalg::{dispatch, KernelBackend, Matrix, SeedRng};
 use proptest::prelude::*;
 
@@ -41,8 +44,22 @@ fn random_mat(rows: usize, cols: usize, rng: &mut SeedRng) -> Vec<f64> {
     (0..rows * cols).map(|_| rng.uniform_range(-3.0, 3.0)).collect()
 }
 
-/// Runs one `(m, k, n)` product through both backends and checks both
-/// the 1e-10 bound and exact bit equality against the i-k-j reference.
+/// Every backend whose own tiles run on this host, narrowest first. The
+/// rest are named on stderr as skipped, once per process (pinning one would
+/// only re-run a narrower backend's tiles through the fallback).
+fn runnable_backends() -> Vec<KernelBackend> {
+    static REPORT_SKIPPED: Once = Once::new();
+    let (run, skip): (Vec<_>, Vec<_>) = KernelBackend::ALL.into_iter().partition(|b| b.available());
+    REPORT_SKIPPED.call_once(|| {
+        for b in skip {
+            eprintln!("kernel_equivalence: skipped backend {b}: this host lacks its CPU features");
+        }
+    });
+    run
+}
+
+/// Runs one `(m, k, n)` product through every runnable backend and checks
+/// both the 1e-10 bound and exact bit equality against the i-k-j reference.
 fn assert_all_backends_agree(m: usize, k: usize, n: usize, seed: u64) {
     let mut rng = SeedRng::new(seed);
     let a = random_mat(m, k, &mut rng);
@@ -50,21 +67,15 @@ fn assert_all_backends_agree(m: usize, k: usize, n: usize, seed: u64) {
     let mut reference = vec![0.0; m * n];
     matmul_simple(&a, &b, &mut reference, m, k, n);
 
-    let mut scalar = vec![0.0; m * n];
-    matmul_blocked(&a, &b, &mut scalar, m, k, n);
-    let mut simd = vec![0.0; m * n];
-    matmul_simd_into(&a, &b, &mut simd, m, k, n);
-
-    for (name, got) in [("scalar", &scalar), ("simd", &simd)] {
+    for backend in runnable_backends() {
+        let mut got = vec![0.0; m * n];
+        matmul_on(backend, &a, &b, &mut got, m, k, n);
         for (i, (r, g)) in reference.iter().zip(got.iter()).enumerate() {
-            assert!(
-                (r - g).abs() <= 1e-10,
-                "{name} {m}x{k}x{n} elem {i}: {r} vs {g}"
-            );
+            assert!((r - g).abs() <= 1e-10, "{backend} {m}x{k}x{n} elem {i}: {r} vs {g}");
             assert_eq!(
                 r.to_bits(),
                 g.to_bits(),
-                "{name} {m}x{k}x{n} elem {i} not bit-identical"
+                "{backend} {m}x{k}x{n} elem {i} not bit-identical"
             );
         }
     }
@@ -88,7 +99,7 @@ fn check_tn(a: &[f64], b: &[f64], k: usize, m: usize, n: usize) {
     let mut simple = vec![0.0; m * n];
     matmul_tn_simple(a, b, &mut simple, k, m, n);
     assert_bits_eq(&want, &simple, &format!("tn simple {k}x{m}x{n}"));
-    for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
+    for backend in runnable_backends() {
         dispatch::set_active_backend(backend);
         let mut got = vec![0.0; m * n];
         matmul_tn_into(a, b, &mut got, k, m, n);
@@ -109,7 +120,7 @@ fn check_nt(a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
     let mut row_dot = vec![f64::NAN; m * n];
     matmul_nt_simple(a, b, &mut row_dot, m, k, n);
     assert_bits_eq(&want, &row_dot, &format!("nt row-dot {m}x{k}x{n}"));
-    for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
+    for backend in runnable_backends() {
         dispatch::set_active_backend(backend);
         // Stale output contents must not leak: the product overwrites.
         let mut got = vec![f64::NAN; m * n];
@@ -199,12 +210,94 @@ fn nt_seed_keeps_zero_signs_of_the_row_dot() {
         *v = -v.abs();
     }
     check_nt(&a, &b, m, k, n);
-    let mut got = vec![0.0; m * n];
-    dispatch::set_active_backend(KernelBackend::Simd);
-    matmul_nt_into(&a, &b, &mut got, m, k, n);
-    assert!(got[0].is_sign_negative(), "(+0)·(-0) row sums to -0.0 like the dot");
-    assert!(got[n + 3].is_sign_negative(), "(-0)·(+0) row sums to -0.0 like the dot");
+    // Columns 0 and 3 sit in the first pair tile on AVX-512.
+    for backend in runnable_backends() {
+        dispatch::set_active_backend(backend);
+        let mut got = vec![f64::NAN; m * n];
+        matmul_nt_into(&a, &b, &mut got, m, k, n);
+        assert!(got[0].is_sign_negative(), "{backend}: (+0)·(-0) row sums to -0.0 like the dot");
+        assert!(
+            got[n + 3].is_sign_negative(),
+            "{backend}: (-0)·(+0) row sums to -0.0 like the dot"
+        );
+    }
     dispatch::set_active_backend(prev);
+}
+
+#[test]
+fn nt_seed_keeps_zero_signs_through_the_pair_tile() {
+    // Exactly two panels wide and one k-panel deep, so on AVX-512 every
+    // signed zero of the output passes through the pair tile: zero rows of
+    // A against zero, positive and negative columns of `Bᵀ` in both panels.
+    let _guard = GLOBAL_BACKEND.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = dispatch::active_backend();
+    let (m, k, n) = (2 * MR, 29, 2 * NR);
+    let mut rng = SeedRng::new(310);
+    let mut a = random_mat(m, k, &mut rng);
+    let mut b = random_mat(n, k, &mut rng);
+    a[..k].fill(0.0);
+    a[k..2 * k].fill(-0.0);
+    for (col, sign) in [(0, 0), (NR, 0), (1, 1), (NR + 1, 1), (2, -1), (2 * NR - 1, -1)] {
+        for v in &mut b[col * k..(col + 1) * k] {
+            *v = match sign {
+                0 => -0.0,
+                1 => v.abs(),
+                _ => -v.abs(),
+            };
+        }
+    }
+    check_nt(&a, &b, m, k, n);
+    for backend in runnable_backends() {
+        dispatch::set_active_backend(backend);
+        let mut got = vec![f64::NAN; m * n];
+        matmul_nt_into(&a, &b, &mut got, m, k, n);
+        for col in [0, NR] {
+            assert!(got[col].is_sign_negative(), "{backend} col {col}: (+0)·(-0) sums to -0.0");
+            assert!(got[n + col].is_sign_positive(), "{backend} col {col}: (-0)·(-0) sums to +0.0");
+        }
+        for col in [1, NR + 1] {
+            assert!(
+                got[n + col].is_sign_negative(),
+                "{backend} col {col}: (-0)·(pos) sums to -0.0"
+            );
+        }
+        for col in [2, 2 * NR - 1] {
+            assert!(got[col].is_sign_negative(), "{backend} col {col}: (+0)·(neg) sums to -0.0");
+        }
+    }
+    dispatch::set_active_backend(prev);
+}
+
+#[test]
+fn pair_tile_seams_match_the_simple_loops_in_every_layout() {
+    // Widths of two panels (one pair), three (a pair plus a leftover
+    // single panel), five and eight panels; heights with and without a
+    // short row tail (`ilen < MR`); depths inside one k-panel and across
+    // two (`k > KC`).
+    for (s, &n) in [2 * NR, 3 * NR, 5 * NR, 8 * NR].iter().enumerate() {
+        for (t, &m) in [64, 2 * MR + 3].iter().enumerate() {
+            for (u, &k) in [32, KC + 37].iter().enumerate() {
+                let seed = 700 + (s * 4 + t * 2 + u) as u64;
+                assert_all_backends_agree(m, k, n, seed);
+                check_transposed_products(m, k, n, seed);
+            }
+        }
+    }
+}
+
+#[test]
+fn nt_column_block_with_an_odd_panel_count_pairs_then_finishes_single() {
+    // At k = 100 a packed `Bᵀ` column block holds 5 panels, so each block
+    // runs two pair tiles and one single full tile; n = 11 panels + 3 is two
+    // whole blocks and a last block of one full and one narrow panel.
+    // k = 2·KC + 100 hits the same block width in its last k-panel.
+    for (i, &(m, k, n)) in
+        [(13, 100, 11 * NR + 3), (64, 100, 10 * NR), (MR + 1, 2 * KC + 100, 6 * NR)]
+            .iter()
+            .enumerate()
+    {
+        check_transposed_products(m, k, n, 800 + i as u64);
+    }
 }
 
 #[test]
@@ -267,7 +360,7 @@ fn nt_seed_keeps_zero_signs_on_a_narrow_tile() {
         *v = -v.abs();
     }
     check_nt(&a, &b, m, k, n);
-    for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
+    for backend in runnable_backends() {
         dispatch::set_active_backend(backend);
         let mut got = vec![f64::NAN; m * n];
         matmul_nt_into(&a, &b, &mut got, m, k, n);
@@ -298,6 +391,22 @@ proptest! {
         n in 1usize..150,
         seed in 0u64..1000,
     ) {
+        check_transposed_products(m, k, n, seed);
+    }
+
+    #[test]
+    fn pair_tile_seams_agree_under_every_backend(
+        m in 1usize..40,
+        k in 1usize..120,
+        panels in 2usize..7,
+        tail in 0usize..NR,
+        seed in 0u64..1000,
+    ) {
+        // Two to six full panels (pairs, plus a single one when odd) and a
+        // narrow tail; k up to 119 so `A·Bᵀ` column blocks run from 4
+        // panels wide up, odd counts included.
+        let n = panels * NR + tail;
+        assert_all_backends_agree(m, k, n, seed);
         check_transposed_products(m, k, n, seed);
     }
 
@@ -342,14 +451,16 @@ proptest! {
         let a = Matrix::from_vec(m, k, random_mat(m, k, &mut rng)).unwrap();
         let x = random_mat(k, 1, &mut rng);
         let mut results = Vec::new();
-        for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
+        for backend in runnable_backends() {
             dispatch::set_active_backend(backend);
             let mut mv = vec![0.0; m];
             a.matvec_into(&x, &mut mv).unwrap();
             results.push(mv);
         }
         dispatch::set_active_backend(prev);
-        prop_assert!(results[0].iter().zip(&results[1]).all(|(x, y)| x.to_bits() == y.to_bits()));
+        for other in &results[1..] {
+            prop_assert!(results[0].iter().zip(other).all(|(x, y)| x.to_bits() == y.to_bits()));
+        }
     }
 }
 
@@ -383,7 +494,7 @@ fn facade_dispatch_honors_every_backend_bitwise() {
     let b = Matrix::from_vec(k, n, random_mat(k, n, &mut rng)).unwrap();
     let mut reference = vec![0.0; m * n];
     matmul_simple(a.as_slice(), b.as_slice(), &mut reference, m, k, n);
-    for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
+    for backend in runnable_backends() {
         dispatch::set_active_backend(backend);
         let mut out = Matrix::zeros(m, n);
         a.matmul_into(&b, &mut out).unwrap();

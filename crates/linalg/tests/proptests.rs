@@ -170,6 +170,32 @@ proptest! {
     }
 
     #[test]
+    fn matvec_matches_the_per_row_dot_bitwise(
+        seed in 0u64..300,
+        m in 1usize..40,
+        k in 0usize..70,
+        zero_row in 0usize..40,
+        negative_zero in 0usize..2,
+    ) {
+        // Row blocks of 8 dots at once plus a per-row tail, against one
+        // `vector::dot` per row, bitwise. One row is all zeros of either
+        // sign, so zero signs are compared too, and k = 0 is the empty dot.
+        let mut rng = SeedRng::new(seed);
+        let mut data: Vec<f64> = (0..m * k).map(|_| rng.uniform_range(-2.0, 2.0)).collect();
+        let z = zero_row % m;
+        let zero = if negative_zero == 1 { -0.0 } else { 0.0 };
+        data[z * k..(z + 1) * k].fill(zero);
+        let a = Matrix::from_vec(m, k, data).unwrap();
+        let x: Vec<f64> = (0..k).map(|_| rng.uniform_range(-2.0, 2.0)).collect();
+        let mut got = vec![f64::NAN; m];
+        a.matvec_into(&x, &mut got).unwrap();
+        for (i, g) in got.iter().enumerate() {
+            let want = vector::dot(&a.as_slice()[i * k..(i + 1) * k], &x);
+            prop_assert_eq!(want.to_bits(), g.to_bits(), "row {} of {}x{}", i, m, k);
+        }
+    }
+
+    #[test]
     fn blocked_transpose_matches_elementwise(seed in 0u64..200, m in 1usize..70, n in 1usize..70) {
         let mut rng = SeedRng::new(seed);
         let a = Matrix::from_vec(m, n, (0..m * n).map(|_| rng.uniform_range(-3.0, 3.0)).collect())

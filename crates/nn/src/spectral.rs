@@ -32,8 +32,15 @@ impl Default for SpectralConfig {
     }
 }
 
+/// Power-iteration steps actually run for a requested count: at least one,
+/// since `σ` is read from the last step's `W v`.
+fn iterations_run(requested: u32) -> u32 {
+    requested.max(1)
+}
+
 /// Estimates the top singular value of `w` by power iteration, warm-starting
-/// from (and updating) `u`, a vector of length `w.rows()`.
+/// from (and updating) `u`, a vector of length `w.rows()`; runs
+/// `iterations.max(1)` steps.
 ///
 /// # Panics
 /// Panics if `u.len() != w.rows()`.
@@ -63,7 +70,7 @@ pub fn estimate_sigma_into(
     assert_eq!(u.len(), w.rows(), "power iteration u must match fan_in");
     assert_eq!(v.len(), w.cols(), "power iteration v must match fan_out");
     assert_eq!(wv.len(), w.rows(), "power iteration W v must match fan_in");
-    for _ in 0..iterations.max(1) {
+    for _ in 0..iterations_run(iterations) {
         // v ← normalize(Wᵀ u)
         // analyzer:allow(unwrap-in-lib): `u`/`v` sized to `w` at entry (asserted above)
         w.tr_matvec_into(u, v).expect("shape checked");
@@ -88,7 +95,7 @@ pub fn estimate_sigma_into(
 pub fn enforce(layer: &mut Dense, cfg: &SpectralConfig, scratch: &mut Vec<f64>) -> f64 {
     faction_telemetry::counter_add(
         "nn.spectral.power_iterations",
-        u64::from(cfg.power_iterations),
+        u64::from(iterations_run(cfg.power_iterations)),
     );
     scratch.resize(layer.fan_out() + layer.fan_in(), 0.0);
     let (v, wv) = scratch.split_at_mut(layer.fan_out());
@@ -193,6 +200,26 @@ mod tests {
             assert_eq!(got.to_bits(), want.to_bits(), "{fan_in}x{fan_out}");
             assert!(layer.power_u.iter().zip(&u_ref).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
+    }
+
+    #[test]
+    fn power_iteration_counter_counts_the_steps_run() {
+        // A request for zero steps still runs one (σ needs a `W v`), and
+        // the counter must say so rather than the configured 0.
+        use std::sync::Arc;
+        let mut rng = SeedRng::new(29);
+        let mut layer = Dense::new(&mut rng, 6, 5, true);
+        let registry = Arc::new(faction_telemetry::Registry::new());
+        {
+            let handle = faction_telemetry::Handle::from(registry.clone());
+            let _scope = handle.enter();
+            let mut scratch = Vec::new();
+            for iterations in [0, 1, 3] {
+                let cfg = SpectralConfig { cap: f64::INFINITY, power_iterations: iterations };
+                enforce(&mut layer, &cfg, &mut scratch);
+            }
+        }
+        assert_eq!(registry.snapshot().counter("nn.spectral.power_iterations"), Some(1 + 1 + 3));
     }
 
     #[test]

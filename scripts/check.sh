@@ -6,20 +6,20 @@
 #
 # Each named guarantee is a test file that the workspace stage runs once:
 #
-# | guarantee                                     | enforced by                                     |
-# |-----------------------------------------------|-------------------------------------------------|
-# | incremental GDA (anchor bitwise, drift<=1e-8) | crates/density/tests/incremental_equivalence.rs |
-# | fault injection (poisoned streams)            | crates/core/tests/fault_injection.rs            |
-# | engine determinism (jobs=1 == jobs=8)         | crates/engine/tests/determinism.rs              |
-# | chaos determinism (adversarial schedules)     | crates/engine/tests/chaos_determinism.rs        |
-# | serve determinism (jobs=1 == jobs=8 == chaos) | crates/serve/tests/determinism.rs               |
-# | wire round-trip (lossless decode, corruption) | crates/engine/tests/wire_roundtrip.rs           |
-# | inspect/CLI untrusted-input contract          | tests/cli_usage.rs                              |
-# | kernel equivalence (scalar == simd, bitwise)  | crates/linalg/tests/kernel_equivalence.rs       |
-# | kernel determinism (8-strategy lineup)        | crates/engine/tests/kernel_determinism.rs       |
-# | allocation-free SGD step (after warm-up)      | crates/core/tests/train_step_alloc.rs           |
-# | telemetry inertness (recording on == off)     | crates/telemetry/tests/inertness.rs             |
-# | analyzer golden fixtures + clean self-scan    | crates/analyzer/tests/golden.rs                 |
+# | guarantee                                              | enforced by                                     |
+# |--------------------------------------------------------|-------------------------------------------------|
+# | incremental GDA (anchor bitwise, drift<=1e-8)          | crates/density/tests/incremental_equivalence.rs |
+# | fault injection (poisoned streams)                     | crates/core/tests/fault_injection.rs            |
+# | engine determinism (jobs=1 == jobs=8)                  | crates/engine/tests/determinism.rs              |
+# | chaos determinism (adversarial schedules)              | crates/engine/tests/chaos_determinism.rs        |
+# | serve determinism (jobs=1 == jobs=8 == chaos)          | crates/serve/tests/determinism.rs               |
+# | wire round-trip (lossless decode, corruption)          | crates/engine/tests/wire_roundtrip.rs           |
+# | inspect/CLI untrusted-input contract                   | tests/cli_usage.rs                              |
+# | kernel equivalence (scalar == avx2 == avx512, bitwise) | crates/linalg/tests/kernel_equivalence.rs       |
+# | kernel determinism (8-strategy lineup)                 | crates/engine/tests/kernel_determinism.rs       |
+# | allocation-free SGD step (after warm-up)               | crates/core/tests/train_step_alloc.rs           |
+# | telemetry inertness (recording on == off)              | crates/telemetry/tests/inertness.rs             |
+# | analyzer golden fixtures + clean self-scan             | crates/analyzer/tests/golden.rs                 |
 #
 # Performance is measured by perfbench/ (see perfbench/README.md and
 # BENCHMARK.json); the last stage only proves it still builds against the
@@ -44,6 +44,11 @@ run_stage() {
 
 run_stage "cargo build --release" \
     cargo build --release
+
+# The GEMM backend this host resolves to. The equivalence suite pins every
+# backend the host can run and names the ones it skipped, so this line says
+# which tile sets the test stage below actually exercised.
+cargo run --release --quiet --bin faction_cli -- list | grep '^kernel backend:'
 
 # The test profile, not --release: overflow checks stay on (Cargo.toml).
 run_stage "cargo test -q --workspace" \

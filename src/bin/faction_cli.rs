@@ -220,6 +220,7 @@ fn cmd_list(flags: &Flags) {
         );
     }
     println!("\nstrategies: {}", faction::engine::STRATEGY_NAMES.join(", "));
+    println!("\nkernel backend: {}", faction::linalg::dispatch::active_backend());
 }
 
 fn cmd_run(flags: &Flags) {

@@ -74,6 +74,17 @@ fn kernel_backend_is_an_unknown_flag_on_every_command() {
 }
 
 #[test]
+fn list_names_the_resolved_kernel_backend() {
+    // The last line is the GEMM backend feature detection resolved in the
+    // CLI process — what this host's tests and runs dispatch to.
+    let out = cli(&["list"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let want = format!("kernel backend: {}", faction::linalg::KernelBackend::detect());
+    assert_eq!(stdout.lines().last(), Some(want.as_str()), "{stdout}");
+}
+
+#[test]
 fn stray_positional_arguments_are_usage_errors() {
     assert_usage_error(&["run", "--dataset", "NYSF", "--quick", "stray"], "'stray'");
     assert_usage_error(&["grid", "--quick", "stray"], "'stray'");
