@@ -5,18 +5,19 @@
 //! cargo run -p faction-bench --release --bin fig2_curves [-- --quick --dataset NYSF --seeds 5]
 //! ```
 
-use faction_bench::{paper_factories, run_lineup, standard_arch, write_output, HarnessOptions};
+use faction_bench::{registry_factories, run_lineup, standard_arch, write_output, HarnessOptions};
 use faction_core::report::{render_curves, render_summary_table, AggregatedRun};
+use faction_engine::PAPER_METHODS;
 
 fn main() {
     let options = HarnessOptions::from_args();
     let cfg = options.experiment_config();
     let mut text = String::new();
     let mut all: Vec<AggregatedRun> = Vec::new();
+    let factories = registry_factories(PAPER_METHODS, cfg.loss, options.quick);
 
     for dataset in options.datasets() {
         eprintln!("fig2: running {} …", dataset.name());
-        let factories = paper_factories(cfg.loss, options.quick);
         let scale = options.scale();
         let aggregated = run_lineup(
             &|seed| dataset.stream(seed, scale),

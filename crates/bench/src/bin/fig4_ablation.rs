@@ -2,37 +2,36 @@
 //! Select", "w/o Fair Reg", and "w/o Fair Select & Fair Reg". The paper's
 //! claim: every simplified variant exhibits inferior fairness.
 //!
-//! With `--extended`, two additional design-choice ablations from
-//! `DESIGN.md` §5 run as well: shared-covariance GDA and deterministic
-//! (top-K) acquisition instead of Bernoulli trials.
+//! With the positional `extended`, the shared-covariance GDA design-choice
+//! ablation from `DESIGN.md` §5 runs as well.
 //!
 //! ```text
 //! cargo run -p faction-bench --release --bin fig4_ablation [-- --quick --dataset RCMNIST]
+//! cargo run -p faction-bench --release --bin fig4_ablation -- extended [--quick]
 //! ```
 
-use faction_bench::{run_lineup, standard_arch, write_output, HarnessOptions, StrategyFactory};
+use faction_bench::{registry_factories, run_lineup, standard_arch, write_output, HarnessOptions};
 use faction_core::report::{render_curves, render_summary_table, AggregatedRun};
 use faction_core::strategies::faction::{Faction, FactionParams};
 use faction_density::FairDensityConfig;
 
 fn main() {
     let options = HarnessOptions::from_args();
-    let extended = std::env::args().any(|a| a == "--extended");
+    let extended = std::env::args().skip(1).any(|a| a == "extended");
     let cfg = options.experiment_config();
     let loss = cfg.loss;
-    let base = FactionParams { loss, ..Default::default() };
 
-    let mut factories: Vec<StrategyFactory> = vec![
-        Box::new(move || Box::new(Faction::new(base))),
-        Box::new(move || Box::new(Faction::without_fair_select(base))),
-        Box::new(move || Box::new(Faction::without_fair_reg(base))),
-        Box::new(move || Box::new(Faction::uncertainty_only(base))),
-    ];
+    let mut factories = registry_factories(
+        &["faction", "faction-no-select", "faction-no-reg", "faction-uncertainty"],
+        loss,
+        options.quick,
+    );
     if extended {
         factories.push(Box::new(move || {
             Box::new(Faction::new(FactionParams {
+                loss,
                 density: FairDensityConfig { shared_covariance: true, ..Default::default() },
-                ..base
+                ..Default::default()
             }))
         }));
     }

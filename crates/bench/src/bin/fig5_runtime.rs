@@ -13,13 +13,7 @@
 //! cargo run -p faction-bench --release --bin fig5_runtime -- ablation [--quick]
 //! ```
 
-use faction_bench::{run_lineup, standard_arch, write_output, HarnessOptions, StrategyFactory};
-use faction_core::strategies::decoupled::{Decoupled, DecoupledParams};
-use faction_core::strategies::faction::{Faction, FactionParams};
-use faction_core::strategies::fal::{Fal, FalParams};
-use faction_core::strategies::falcur::FalCur;
-use faction_core::strategies::random::Random;
-use faction_core::Strategy;
+use faction_bench::{registry_factories, run_lineup, standard_arch, write_output, HarnessOptions};
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -36,41 +30,20 @@ fn main() {
         .find(|a| a == "fair" || a == "ablation")
         .unwrap_or_else(|| "fair".into());
     let cfg = options.experiment_config();
-    let loss = cfg.loss;
-    let base = FactionParams { loss, ..Default::default() };
-
-    let factories: Vec<(String, StrategyFactory)> = if mode == "fair" {
-        let fal_params = if options.quick {
-            FalParams { l: 16, retrain_subsample: 48, probe_subsample: 48, ..Default::default() }
-        } else {
-            FalParams::default()
-        };
-        let dec = if options.quick {
-            DecoupledParams { epochs: 1, ..Default::default() }
-        } else {
-            DecoupledParams::default()
-        };
-        vec![
-            ("FACTION".into(), Box::new(move || Box::new(Faction::new(base)) as Box<dyn Strategy>) as StrategyFactory),
-            ("FAL".into(), Box::new(move || Box::new(Fal::new(fal_params)))),
-            ("FAL-CUR".into(), Box::new(|| Box::new(FalCur::default()))),
-            ("Decoupled".into(), Box::new(move || Box::new(Decoupled::new(dec)))),
-        ]
+    // (row label, registry name)
+    let methods: &[(&str, &str)] = if mode == "fair" {
+        &[("FACTION", "faction"), ("FAL", "fal"), ("FAL-CUR", "fal-cur"), ("Decoupled", "decoupled")]
     } else {
-        vec![
-            ("Random".into(), Box::new(|| Box::new(Random) as Box<dyn Strategy>) as StrategyFactory),
-            (
-                "w/o fair select & fair reg".into(),
-                Box::new(move || Box::new(Faction::uncertainty_only(base))),
-            ),
-            ("w/o fair reg".into(), Box::new(move || Box::new(Faction::without_fair_reg(base)))),
-            (
-                "w/o fair select".into(),
-                Box::new(move || Box::new(Faction::without_fair_select(base))),
-            ),
-            ("FACTION".into(), Box::new(move || Box::new(Faction::new(base)))),
+        &[
+            ("Random", "random"),
+            ("w/o fair select & fair reg", "faction-uncertainty"),
+            ("w/o fair reg", "faction-no-reg"),
+            ("w/o fair select", "faction-no-select"),
+            ("FACTION", "faction"),
         ]
     };
+    let names: Vec<&str> = methods.iter().map(|&(_, name)| name).collect();
+    let factories = registry_factories(&names, cfg.loss, options.quick);
 
     let mut rows = Vec::new();
     let mut text = format!("Fig. 5{} runtimes (seconds, mean over {} seeds)\n", if mode == "fair" { 'a' } else { 'b' }, options.seeds);
@@ -78,7 +51,7 @@ fn main() {
     for dataset in options.datasets() {
         eprintln!("fig5 ({mode}): {} …", dataset.name());
         let scale = options.scale();
-        for (label, factory) in &factories {
+        for ((label, _), factory) in methods.iter().zip(&factories) {
             let aggregated = run_lineup(
                 &|seed| dataset.stream(seed, scale),
                 std::slice::from_ref(factory),
@@ -91,7 +64,7 @@ fn main() {
             text.push_str(&format!("{:<16} {:<32} {:>12.2}\n", dataset.name(), label, seconds));
             rows.push(RuntimeRow {
                 dataset: dataset.name().into(),
-                method: label.clone(),
+                method: (*label).into(),
                 mean_total_seconds: seconds,
             });
         }

@@ -8,16 +8,17 @@
 //! cargo run -p faction-bench --release --bin fig6_wide [-- --quick]
 //! ```
 
-use faction_bench::{paper_factories, run_lineup, wide_arch, write_output, HarnessOptions};
+use faction_bench::{registry_factories, run_lineup, wide_arch, write_output, HarnessOptions};
 use faction_core::report::{render_curves, render_summary_table};
 use faction_data::datasets::Dataset;
+use faction_engine::PAPER_METHODS;
 
 fn main() {
     let options = HarnessOptions::from_args();
     let cfg = options.experiment_config();
     let dataset = Dataset::CelebA;
     eprintln!("fig6: CelebA with wide architecture …");
-    let factories = paper_factories(cfg.loss, options.quick);
+    let factories = registry_factories(PAPER_METHODS, cfg.loss, options.quick);
     let scale = options.scale();
     let aggregated = run_lineup(
         &|seed| dataset.stream(seed, scale),

@@ -19,33 +19,28 @@
 //! cargo run -p faction-bench --release --bin table1_nysf [-- --quick]
 //! ```
 
-use faction_bench::{run_lineup, standard_arch, write_output, HarnessOptions, StrategyFactory};
+use faction_bench::{registry_factories, run_lineup, standard_arch, write_output, HarnessOptions};
 use faction_core::report::render_summary_table;
-use faction_core::strategies::faction::{Faction, FactionParams};
-use faction_core::strategies::random::Random;
 use faction_data::datasets::Dataset;
 
 fn main() {
     let options = HarnessOptions::from_args();
     let cfg = options.experiment_config();
-    let loss = cfg.loss;
-    let base = FactionParams { loss, ..Default::default() };
-
-    let labeled_factories: Vec<(&str, StrategyFactory)> = vec![
-        ("Random", Box::new(|| Box::new(Random))),
-        (
-            "w/o fair sel. & fair reg",
-            Box::new(move || Box::new(Faction::uncertainty_only(base))),
-        ),
-        ("w/o fair reg", Box::new(move || Box::new(Faction::without_fair_reg(base)))),
-        ("w/o fair select", Box::new(move || Box::new(Faction::without_fair_select(base)))),
-        ("FACTION", Box::new(move || Box::new(Faction::new(base)))),
+    // (row label, registry name)
+    let variants = [
+        ("Random", "random"),
+        ("w/o fair sel. & fair reg", "faction-uncertainty"),
+        ("w/o fair reg", "faction-no-reg"),
+        ("w/o fair select", "faction-no-select"),
+        ("FACTION", "faction"),
     ];
+    let names: Vec<&str> = variants.iter().map(|&(_, name)| name).collect();
+    let factories = registry_factories(&names, cfg.loss, options.quick);
 
     let dataset = Dataset::Nysf;
     let scale = options.scale();
     let mut aggregated = Vec::new();
-    for (label, factory) in &labeled_factories {
+    for ((label, _), factory) in variants.iter().zip(&factories) {
         eprintln!("table1: {label} …");
         let mut runs = run_lineup(
             &|seed| dataset.stream(seed, scale),

@@ -55,6 +55,7 @@ pub struct HarnessOptions {
 const USAGE: &str = "\
 usage: <harness> [--quick] [--seeds N] [--dataset NAME] [--out DIR]
                  [--jobs N] [--pool-policy SPEC]
+       fig4_ablation also takes a positional `extended` (adds shared-covariance GDA).
        fig5_runtime also takes a positional `fair` (default) or `ablation`.
 
   --quick           reduced scale; lowers the default seed count to 2
@@ -121,8 +122,8 @@ impl HarnessOptions {
                         .map_err(|e| format!("invalid --pool-policy: {e}"))?;
                 }
                 other if !other.starts_with("--") => {
-                    // Positional argument (e.g. fig5's `fair` / `ablation`
-                    // selector) — left for the binary to re-read.
+                    // Positional argument (fig4's `extended`, fig5's `fair` /
+                    // `ablation` selector) — left for the binary to re-read.
                 }
                 other => return Err(format!("unknown flag '{other}'")),
             }
@@ -209,39 +210,28 @@ pub fn run_lineup(
         .collect()
 }
 
-/// The full Fig. 2 method lineup as strategy factories, with cost knobs
-/// scaled down under `--quick` (FAL's `l`, Decoupled's epochs).
-pub fn paper_factories(
+/// One factory per registry name (see [`faction_engine::build_strategy`]),
+/// with the registry's `--quick` cost knobs when `quick` is set.
+///
+/// # Panics
+/// Panics on a name the registry does not know.
+pub fn registry_factories(
+    names: &[&'static str],
     loss: faction_fairness::TotalLossConfig,
     quick: bool,
 ) -> Vec<StrategyFactory> {
-    use faction_core::strategies::{
-        ddu::Ddu,
-        decoupled::{Decoupled, DecoupledParams},
-        entropy::EntropyAl,
-        faction::{Faction, FactionParams},
-        fal::{Fal, FalParams},
-        falcur::FalCur,
-        qufur::QuFur,
-        random::Random,
-    };
-    let fal_params = if quick {
-        FalParams { l: 16, retrain_subsample: 48, probe_subsample: 48, ..Default::default() }
-    } else {
-        FalParams::default()
-    };
-    let decoupled_params =
-        if quick { DecoupledParams { epochs: 1, ..Default::default() } } else { DecoupledParams::default() };
-    vec![
-        Box::new(move || Box::new(Faction::new(FactionParams { loss, ..Default::default() }))),
-        Box::new(move || Box::new(Fal::new(fal_params))),
-        Box::new(|| Box::new(FalCur::default())),
-        Box::new(move || Box::new(Decoupled::new(decoupled_params))),
-        Box::new(|| Box::new(QuFur::default())),
-        Box::new(|| Box::new(Ddu::default())),
-        Box::new(|| Box::new(EntropyAl)),
-        Box::new(|| Box::new(Random)),
-    ]
+    names
+        .iter()
+        .map(|&name| {
+            assert!(
+                faction_engine::build_strategy(name, loss, 1.0, quick).is_some(),
+                "unknown strategy '{name}'"
+            );
+            Box::new(move || {
+                faction_engine::build_strategy(name, loss, 1.0, quick).expect("checked above")
+            }) as StrategyFactory
+        })
+        .collect()
 }
 
 /// The standard architecture used by all methods in a comparison
@@ -271,7 +261,6 @@ pub fn write_output(options: &HarnessOptions, name: &str, text: &str, json: &imp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faction_core::strategies::{EntropyAl, Random};
 
     fn parse(args: &[&str]) -> Result<HarnessOptions, String> {
         HarnessOptions::parse(args.iter().map(|a| a.to_string()))
@@ -322,10 +311,7 @@ mod tests {
 
     #[test]
     fn run_lineup_aggregates_each_factory() {
-        let factories: Vec<StrategyFactory> = vec![
-            Box::new(|| Box::new(Random)),
-            Box::new(|| Box::new(EntropyAl)),
-        ];
+        let factories = registry_factories(&["random", "entropy"], Default::default(), true);
         let cfg = ExperimentConfig {
             budget: 10,
             acquisition_batch: 5,

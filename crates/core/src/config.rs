@@ -20,7 +20,7 @@ pub struct ExperimentConfig {
     pub train_batch_size: usize,
     /// Constant learning rate `γ_t` (paper keeps it constant, Sec. IV-F).
     pub learning_rate: f64,
-    /// Fairness-regularized loss configuration (μ, ε, notion) — used by
+    /// Fairness-regularized loss configuration (μ, ε) — used by
     /// strategies that opt into fair regularization.
     pub loss: TotalLossConfig,
     /// Retention policy for the labeled pool (DESIGN.md §11). `Unbounded`

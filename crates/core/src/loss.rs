@@ -1,8 +1,8 @@
 //! The fairness-regularized total loss (paper Eq. 9) as a
 //! [`faction_nn::BatchLoss`], so the standard training loop optimizes it.
 //!
-//! `L_total = L_CE + μ ([v]₊ − ε)` where `v` is the relaxed fairness notion
-//! of Eq. (1) evaluated on the classifier outputs `h_i = p(y=1 | x_i)`
+//! `L_total = L_CE + μ (|v| − ε)` where `v` is the relaxed DDP of Eq. (1)
+//! evaluated on the classifier outputs `h_i = p(y=1 | x_i)`
 //! (the positive-class softmax probability). The fairness term's gradient
 //! with respect to the logits composes the notion's constant per-sample
 //! coefficients with the softmax Jacobian row for the positive class:
@@ -43,7 +43,7 @@ fn add_fairness_chain(probs: &Matrix, dh: &[f64], grad: &mut Matrix) {
 /// Cross-entropy plus the fairness regularizer of Eq. (9).
 #[derive(Debug, Clone, Copy)]
 pub struct FairTotalLoss {
-    /// Fairness term configuration (μ, ε, notion, penalty shape).
+    /// Fairness term configuration (μ, ε).
     pub config: TotalLossConfig,
 }
 
@@ -65,7 +65,7 @@ impl BatchLoss for FairTotalLoss {
         let LossScratch { probs, h, dh, .. } = scratch;
         let ce = cross_entropy_into(logits, meta.labels, probs, grad);
         positive_outputs(probs, h);
-        let fair_value = self.config.fairness_term(h, meta.sensitive, Some(meta.labels), dh);
+        let fair_value = self.config.fairness_term(h, meta.sensitive, dh);
         add_fairness_chain(probs, dh, grad);
         ce + fair_value
     }
@@ -138,8 +138,6 @@ impl BatchLoss for MultiGroupFairLoss {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faction_fairness::notion::FairnessNotion;
-    use faction_fairness::FairnessPenalty;
     use faction_nn::CrossEntropyLoss;
 
     #[test]
@@ -232,12 +230,7 @@ mod tests {
 
     #[test]
     fn gradient_matches_finite_difference() {
-        let cfg = TotalLossConfig {
-            mu: 1.7,
-            epsilon: 0.02,
-            notion: FairnessNotion::DemographicParity,
-            penalty: FairnessPenalty::Symmetric,
-        };
+        let cfg = TotalLossConfig { mu: 1.7, epsilon: 0.02 };
         let loss = FairTotalLoss::new(cfg);
         let logits =
             Matrix::from_rows(&[vec![0.4, -0.3], vec![-0.6, 0.8], vec![0.1, 0.2], vec![1.0, -1.0]])
@@ -266,7 +259,7 @@ mod tests {
 
     #[test]
     fn fairness_term_penalizes_disparate_batches() {
-        let cfg = TotalLossConfig { mu: 2.0, epsilon: 0.0, ..Default::default() };
+        let cfg = TotalLossConfig { mu: 2.0, epsilon: 0.0 };
         let loss = FairTotalLoss::new(cfg);
         // Group +1 predicted positive, group −1 negative — maximally unfair,
         // while per-sample CE is identical across the two batches.
@@ -279,25 +272,6 @@ mod tests {
         // the sensitive assignment to make the batch balanced per group.
         let fair = eval_loss(&loss, &fair_logits, &labels, &[1, 1]);
         assert!(unfair > fair, "unfair {unfair} vs degenerate-group {fair}");
-    }
-
-    #[test]
-    fn deo_variant_uses_labels() {
-        let cfg = TotalLossConfig {
-            mu: 1.0,
-            epsilon: 0.0,
-            notion: FairnessNotion::EqualOpportunity,
-            penalty: FairnessPenalty::Symmetric,
-        };
-        let loss = FairTotalLoss::new(cfg);
-        let logits = Matrix::from_rows(&[vec![-2.0, 2.0], vec![2.0, -2.0]]).unwrap();
-        // Disparity exists only among y=0 samples → DEO term must vanish,
-        // total equals plain CE.
-        let labels = [0usize, 0];
-        let sens = [1i8, -1];
-        let (total, _) = loss.loss_and_grad(&logits, &meta(&labels, &sens));
-        let (ce, _) = CrossEntropyLoss.loss_and_grad(&logits, &meta(&labels, &sens));
-        assert!((total - ce).abs() < 1e-12);
     }
 
     #[test]
@@ -329,7 +303,7 @@ mod tests {
         let train = |mu: f64, seed: u64| {
             let mut mlp = Mlp::new(&MlpConfig::new(vec![2, 16, 2], seed));
             let mut opt = Sgd::new(0.1).with_momentum(0.9);
-            let cfg = TotalLossConfig { mu, epsilon: 0.0, ..Default::default() };
+            let cfg = TotalLossConfig { mu, epsilon: 0.0 };
             let loss = FairTotalLoss::new(cfg);
             let mut rng = SeedRng::new(seed);
             mlp.fit(

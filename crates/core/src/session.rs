@@ -521,11 +521,10 @@ impl OnlineSession {
 
 /// Evaluates the current model on a full task.
 ///
-/// Uses the multi-group metric generalizations from
-/// [`faction_fairness::multi`], which reduce exactly to the paper's binary
-/// DDP / EOD / MI when the stream has two sensitive groups — so the same
-/// protocol drives both the paper's binary benchmarks and multi-valued
-/// sensitive-attribute streams (Sec. III-A extension).
+/// The [`faction_fairness::metrics`] DDP / EOD / MI take any number of
+/// sensitive groups and reduce to the paper's binary definitions for two —
+/// so the same protocol drives both the paper's binary benchmarks and
+/// multi-valued sensitive-attribute streams (Sec. III-A extension).
 ///
 /// The calibration gap is group calibration of the positive-class
 /// probability in the binary case. With more than two classes there is no
@@ -555,9 +554,9 @@ pub(crate) fn evaluate(model: &OnlineModel, task: &Task) -> (f64, f64, f64, f64,
     };
     (
         faction_fairness::accuracy(&preds, &labels),
-        faction_fairness::multi::ddp_multi(&preds, &sens),
-        faction_fairness::multi::eod_multi(&preds, &labels, &sens),
-        faction_fairness::multi::mutual_information_multi(&preds, &sens),
+        faction_fairness::ddp(&preds, &sens),
+        faction_fairness::eod(&preds, &labels, &sens),
+        faction_fairness::mutual_information(&preds, &sens),
         calibration_gap,
     )
 }

@@ -65,7 +65,7 @@ pub struct FactionParams {
     pub alpha: f64,
     /// Density-estimator settings (ridge, covariance sharing).
     pub density: FairDensityConfig,
-    /// Fairness-regularized loss settings (μ, ε, notion) used when
+    /// Fairness-regularized loss settings (μ, ε) used when
     /// `fair_reg` is on.
     pub loss: TotalLossConfig,
     /// Include the fairness term of Eq. (6) in selection.

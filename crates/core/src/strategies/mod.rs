@@ -122,21 +122,6 @@ pub(crate) fn contain_scores(mut scores: Vec<f64>) -> Vec<f64> {
     scores
 }
 
-/// The full method lineup of Fig. 2: FACTION plus the seven baselines, with
-/// the paper's default hyperparameters.
-pub fn paper_lineup(loss: faction_fairness::TotalLossConfig) -> Vec<Box<dyn Strategy>> {
-    vec![
-        Box::new(Faction::new(faction::FactionParams { loss, ..Default::default() })),
-        Box::new(Fal::default()),
-        Box::new(FalCur::default()),
-        Box::new(Decoupled::default()),
-        Box::new(QuFur::default()),
-        Box::new(Ddu::default()),
-        Box::new(EntropyAl),
-        Box::new(Random),
-    ]
-}
-
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
@@ -217,31 +202,5 @@ pub(crate) mod testutil {
             strategy.name()
         );
         assert!(!strategy.name().is_empty());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lineup_has_eight_methods_with_unique_names() {
-        let lineup = paper_lineup(faction_fairness::TotalLossConfig::default());
-        assert_eq!(lineup.len(), 8);
-        let mut names: Vec<String> = lineup.iter().map(|s| s.name()).collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), 8, "strategy names must be unique");
-    }
-
-    #[test]
-    fn lineup_contains_faction_and_all_baselines() {
-        let lineup = paper_lineup(faction_fairness::TotalLossConfig::default());
-        let names: Vec<String> = lineup.iter().map(|s| s.name()).collect();
-        for expected in
-            ["FACTION", "FAL", "FAL-CUR", "Decoupled", "QuFUR", "DDU", "Entropy-AL", "Random"]
-        {
-            assert!(names.iter().any(|n| n == expected), "missing {expected}");
-        }
     }
 }

@@ -58,7 +58,7 @@ impl Default for TheoryConfig {
             radius: 5.0,
             gamma0: 0.5,
             steps_per_task: 1,
-            loss: TotalLossConfig { mu: 0.5, epsilon: 0.01, ..Default::default() },
+            loss: TotalLossConfig { mu: 0.5, epsilon: 0.01 },
             environments: 1,
             alpha: 1.0,
         }
@@ -167,10 +167,10 @@ fn task_loss(model: &Mlp, loss: &FairTotalLoss, x: &Matrix, y: &[usize], s: &[i8
 }
 
 /// Raw relaxed fairness value `v` of a model on a task.
-fn task_fairness(model: &Mlp, loss: &FairTotalLoss, x: &Matrix, s: &[i8], y: &[usize]) -> f64 {
+fn task_fairness(model: &Mlp, loss: &FairTotalLoss, x: &Matrix, s: &[i8]) -> f64 {
     let probs = model.predict_proba(x);
     let h: Vec<f64> = (0..probs.rows()).map(|r| probs.get(r, 1)).collect();
-    loss.config.fairness_value(&h, s, Some(y))
+    loss.config.fairness_value(&h, s)
 }
 
 /// Environment comparator: a fresh linear model trained to (approximate)
@@ -281,8 +281,8 @@ pub fn run_theory_experiment(cfg: &TheoryConfig, horizon: usize, seed: u64) -> T
         // cumulative curve is clamped at zero for reporting.
         regret = (regret + (inst - best)).max(0.0);
 
-        // Fairness violation of θ_t on this task: ‖[v]₊‖.
-        let v = task_fairness(&model, &metric_loss, &eval_x, &eval_s, &eval_y);
+        // Fairness violation of θ_t on this task: |v| (the trained penalty).
+        let v = task_fairness(&model, &metric_loss, &eval_x, &eval_s);
         violation += v.abs();
 
         // Coverage-based query complexity (see doc comment above).

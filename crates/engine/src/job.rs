@@ -10,8 +10,9 @@
 //! `--jobs 8`.
 //!
 //! The strategy registry here is the single name → [`Strategy`] table shared
-//! by `faction_cli` and the grid runner, so the CLI and the engine cannot
-//! drift apart on what `"fal-cur"` means.
+//! by `faction_cli`, the grid runner, the serve layer, the figure harnesses,
+//! the tests and the examples, so none of them can drift apart on what
+//! `"fal-cur"` means.
 
 use faction_core::strategies::decoupled::Decoupled;
 use faction_core::strategies::entropy::EntropyAl;
@@ -41,6 +42,11 @@ pub const STRATEGY_NAMES: &[&str] = &[
     "entropy",
     "random",
 ];
+
+/// The Fig. 2 method lineup by registry name: FACTION and the seven
+/// baselines of Sec. V-A2, in presentation order.
+pub const PAPER_METHODS: &[&str] =
+    &["faction", "fal", "fal-cur", "decoupled", "qufur", "ddu", "entropy", "random"];
 
 /// Builds a strategy by registry name. `quick` scales down the cost knobs
 /// of FAL (subsample sizes) exactly as the CLI and harnesses always have.
@@ -222,6 +228,32 @@ mod tests {
             );
         }
         assert!(build_strategy("nope", Default::default(), 1.0, true).is_none());
+    }
+
+    fn paper_display_names() -> Vec<String> {
+        PAPER_METHODS
+            .iter()
+            .map(|name| build_strategy(name, Default::default(), 1.0, false).unwrap().name())
+            .collect()
+    }
+
+    #[test]
+    fn lineup_has_eight_methods_with_unique_names() {
+        let mut names = paper_display_names();
+        assert_eq!(names.len(), 8);
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), 8, "strategy names must be unique");
+    }
+
+    #[test]
+    fn lineup_contains_faction_and_all_baselines() {
+        let names = paper_display_names();
+        for expected in
+            ["FACTION", "FAL", "FAL-CUR", "Decoupled", "QuFUR", "DDU", "Entropy-AL", "Random"]
+        {
+            assert!(names.iter().any(|n| n == expected), "missing {expected}");
+        }
     }
 
     #[test]

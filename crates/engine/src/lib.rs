@@ -59,7 +59,7 @@ pub mod journal;
 pub mod pool;
 
 pub use engine::{BatchOutcome, Engine, EngineConfig, GridOutcome, JobFailure};
-pub use job::{build_strategy, grid, ArchPreset, ExperimentJob, STRATEGY_NAMES};
+pub use job::{build_strategy, grid, ArchPreset, ExperimentJob, PAPER_METHODS, STRATEGY_NAMES};
 pub use journal::{JobEvent, Journal, JournalReplay, JournalSummary};
 pub use pool::{
     resolve_workers, scoped_for_each, scoped_for_each_chaos, scoped_for_each_chaos_recorded,

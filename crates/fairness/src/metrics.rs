@@ -1,68 +1,26 @@
 //! Evaluation metrics (paper Sec. V-A1): accuracy, DDP, EOD, and mutual
 //! information. Lower absolute value is better for all three fairness
 //! metrics; higher is better for accuracy.
+//!
+//! Sensitive groups are arbitrary `i8` codes: the paper's binary attribute
+//! `s ∈ {−1, +1}`, or a multi-valued one such as the seven FairFace races
+//! as `0..7` (Sec. III-A: "This study considers a binary sensitive
+//! attribute … but can extend to multi-valued sensitive attributes"). DDP
+//! and EOD are the **maximum pairwise gap** across the groups present, the
+//! standard multi-group reading of demographic parity and equalized odds,
+//! and mutual information runs over the full joint distribution. With two
+//! groups each reduces to the paper's binary definition.
 
-/// Per-group confusion counts over hard binary predictions.
-///
-/// Indexing: `counts[s][y][ŷ]` with `s` mapped `{−1 → 0, +1 → 1}` and
-/// `y, ŷ ∈ {0, 1}`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GroupConfusion {
-    counts: [[[usize; 2]; 2]; 2],
-}
+use std::collections::BTreeMap;
 
-impl GroupConfusion {
-    /// Builds the confusion tensor from aligned prediction / label /
-    /// sensitive slices. Labels and predictions other than `{0, 1}` are
-    /// clamped to 1 (the metrics in the paper are defined for binary tasks).
-    ///
-    /// # Panics
-    /// Panics on length mismatches.
-    pub fn from_slices(preds: &[usize], labels: &[usize], sensitive: &[i8]) -> Self {
-        assert_eq!(preds.len(), labels.len(), "preds/labels length mismatch");
-        assert_eq!(preds.len(), sensitive.len(), "preds/sensitive length mismatch");
-        let mut counts = [[[0usize; 2]; 2]; 2];
-        for ((&p, &y), &s) in preds.iter().zip(labels).zip(sensitive) {
-            let si = usize::from(s > 0);
-            counts[si][y.min(1)][p.min(1)] += 1;
-        }
-        GroupConfusion { counts }
-    }
+use crate::multi::positive_rates;
 
-    /// Number of samples in the sensitive group (`true` → `s=+1`).
-    pub fn group_total(&self, positive_group: bool) -> usize {
-        let s = usize::from(positive_group);
-        self.counts[s].iter().flatten().sum()
-    }
-
-    /// `P(ŷ=1 | s)` — the positive-prediction rate of a group. `None` when
-    /// the group is empty.
-    pub fn positive_rate(&self, positive_group: bool) -> Option<f64> {
-        let s = usize::from(positive_group);
-        let total = self.group_total(positive_group);
-        if total == 0 {
-            return None;
-        }
-        let pos = self.counts[s][0][1] + self.counts[s][1][1];
-        Some(pos as f64 / total as f64)
-    }
-
-    /// `P(ŷ=1 | y, s)` — the group conditional positive rate given the true
-    /// label. `None` when the `(y, s)` cell is empty.
-    pub fn conditional_positive_rate(&self, label: usize, positive_group: bool) -> Option<f64> {
-        let s = usize::from(positive_group);
-        let y = label.min(1);
-        let total = self.counts[s][y][0] + self.counts[s][y][1];
-        if total == 0 {
-            return None;
-        }
-        Some(self.counts[s][y][1] as f64 / total as f64)
-    }
-
-    /// Raw count accessor for `(s, y, ŷ)`.
-    pub fn count(&self, positive_group: bool, label: usize, pred: usize) -> usize {
-        self.counts[usize::from(positive_group)][label.min(1)][pred.min(1)]
-    }
+/// Distinct group codes present, in sorted order.
+fn groups_of(sensitive: &[i8]) -> Vec<i8> {
+    let mut g: Vec<i8> = sensitive.to_vec();
+    g.sort_unstable();
+    g.dedup();
+    g
 }
 
 /// Classification accuracy in `[0, 1]`. Returns `0.0` for empty input.
@@ -78,31 +36,60 @@ pub fn accuracy(preds: &[usize], labels: &[usize]) -> f64 {
     hits as f64 / preds.len() as f64
 }
 
-/// Difference of demographic parity over hard predictions:
-/// `|P(ŷ=1 | s=+1) − P(ŷ=1 | s=−1)|`. Returns `0.0` when either group is
-/// empty (no disparity measurable).
+/// Difference of demographic parity over hard predictions: the largest
+/// pairwise gap in positive-prediction rate,
+/// `max_{g,g'} |P(ŷ=1|g) − P(ŷ=1|g')|` — for the paper's binary attribute
+/// `|P(ŷ=1 | s=+1) − P(ŷ=1 | s=−1)|`. Zero when fewer than two groups are
+/// present (no disparity measurable).
+///
+/// # Panics
+/// Panics on length mismatch.
 pub fn ddp(preds: &[usize], sensitive: &[i8]) -> f64 {
-    let labels = vec![0usize; preds.len()];
-    let confusion = GroupConfusion::from_slices(preds, &labels, sensitive);
-    match (confusion.positive_rate(true), confusion.positive_rate(false)) {
-        (Some(a), Some(b)) => (a - b).abs(),
+    let rates = positive_rates(preds, sensitive);
+    let values: Vec<f64> = rates.values().copied().collect();
+    match (values.iter().copied().reduce(f64::min), values.iter().copied().reduce(f64::max)) {
+        (Some(lo), Some(hi)) if values.len() >= 2 => hi - lo,
         _ => 0.0,
     }
 }
 
-/// Equalized-odds difference: the larger of the true-positive-rate gap and
-/// the false-positive-rate gap between sensitive groups,
-/// `max_y |P(ŷ=1 | y, s=+1) − P(ŷ=1 | y, s=−1)|`. Cells with no data
-/// contribute no gap.
+/// Equalized-odds difference: for each true label `y`, the largest
+/// pairwise gap in `P(ŷ=1 | y, s=g)` across groups with data for that
+/// label; the metric is the worst over labels — for the paper's binary
+/// attribute the larger of the true-positive-rate and false-positive-rate
+/// gaps. Cells with no data contribute no gap.
+///
+/// # Panics
+/// Panics on length mismatches.
 pub fn eod(preds: &[usize], labels: &[usize], sensitive: &[i8]) -> f64 {
-    let confusion = GroupConfusion::from_slices(preds, labels, sensitive);
+    assert_eq!(preds.len(), labels.len(), "preds/labels length mismatch");
+    assert_eq!(preds.len(), sensitive.len(), "preds/sensitive length mismatch");
+    let groups = groups_of(sensitive);
     let mut worst = 0.0f64;
-    for y in 0..2 {
-        if let (Some(a), Some(b)) = (
-            confusion.conditional_positive_rate(y, true),
-            confusion.conditional_positive_rate(y, false),
-        ) {
-            worst = worst.max((a - b).abs());
+    for y in 0..2usize {
+        let mut lo = f64::INFINITY;
+        let mut hi = f64::NEG_INFINITY;
+        let mut seen = 0;
+        for &g in &groups {
+            let mut hits = 0usize;
+            let mut total = 0usize;
+            for ((&p, &label), &s) in preds.iter().zip(labels).zip(sensitive) {
+                if s == g && label.min(1) == y {
+                    total += 1;
+                    if p >= 1 {
+                        hits += 1;
+                    }
+                }
+            }
+            if total > 0 {
+                let rate = hits as f64 / total as f64;
+                lo = lo.min(rate);
+                hi = hi.max(rate);
+                seen += 1;
+            }
+        }
+        if seen >= 2 {
+            worst = worst.max(hi - lo);
         }
     }
     worst
@@ -111,23 +98,31 @@ pub fn eod(preds: &[usize], labels: &[usize], sensitive: &[i8]) -> f64 {
 /// Mutual information (nats) between hard predictions and the sensitive
 /// attribute, estimated from empirical joint frequencies. Zero iff the
 /// prediction is (empirically) independent of the group.
+///
+/// # Panics
+/// Panics on length mismatch.
 pub fn mutual_information(preds: &[usize], sensitive: &[i8]) -> f64 {
+    assert_eq!(preds.len(), sensitive.len(), "preds/sensitive length mismatch");
     if preds.is_empty() {
         return 0.0;
     }
     let n = preds.len() as f64;
-    let mut joint = [[0usize; 2]; 2]; // [s][ŷ]
+    let groups = groups_of(sensitive);
+    // joint[g][ŷ]
+    let mut joint: BTreeMap<i8, [f64; 2]> = groups.iter().map(|&g| (g, [0.0; 2])).collect();
+    let mut py = [0.0f64; 2];
     for (&p, &s) in preds.iter().zip(sensitive) {
-        joint[usize::from(s > 0)][p.min(1)] += 1;
+        let yi = p.min(1);
+        joint.entry(s).or_insert([0.0; 2])[yi] += 1.0;
+        py[yi] += 1.0;
     }
-    let ps: Vec<f64> = (0..2).map(|s| (joint[s][0] + joint[s][1]) as f64 / n).collect();
-    let py: Vec<f64> = (0..2).map(|p| (joint[0][p] + joint[1][p]) as f64 / n).collect();
     let mut mi = 0.0;
-    for s in 0..2 {
-        for p in 0..2 {
-            let pj = joint[s][p] as f64 / n;
-            if pj > 0.0 && ps[s] > 0.0 && py[p] > 0.0 {
-                mi += pj * (pj / (ps[s] * py[p])).ln();
+    for cells in joint.values() {
+        let pg: f64 = (cells[0] + cells[1]) / n;
+        for (yi, &c) in cells.iter().enumerate() {
+            let pj = c / n;
+            if pj > 0.0 && pg > 0.0 && py[yi] > 0.0 {
+                mi += pj * (pj / (pg * py[yi] / n)).ln();
             }
         }
     }
@@ -224,18 +219,65 @@ mod tests {
     }
 
     #[test]
-    fn confusion_counts_and_rates() {
-        let preds = [1, 0, 1, 1];
-        let labels = [1, 1, 0, 1];
-        let sens = [1i8, 1, -1, -1];
-        let c = GroupConfusion::from_slices(&preds, &labels, &sens);
-        assert_eq!(c.group_total(true), 2);
-        assert_eq!(c.group_total(false), 2);
-        assert_eq!(c.count(true, 1, 1), 1);
-        assert_eq!(c.count(true, 1, 0), 1);
-        assert!(close(c.positive_rate(true).unwrap(), 0.5));
-        assert!(close(c.conditional_positive_rate(1, true).unwrap(), 0.5));
-        assert_eq!(c.conditional_positive_rate(0, true), None); // empty cell
+    fn ddp_reduces_to_binary_rate_gap() {
+        // P(ŷ=1 | s=+1) = 2/3, P(ŷ=1 | s=−1) = 1/3.
+        let preds = [1, 1, 0, 0, 1, 0];
+        let sens = [1i8, 1, 1, -1, -1, -1];
+        assert!(close(ddp(&preds, &sens), 1.0 / 3.0));
+    }
+
+    #[test]
+    fn three_groups_max_pairwise() {
+        // rates: g0 = 1.0, g1 = 0.5, g2 = 0.0 → gap 1.0.
+        let preds = [1, 1, 1, 0, 0, 0];
+        let sens = [0i8, 0, 1, 1, 2, 2];
+        assert!(close(ddp(&preds, &sens), 1.0));
+    }
+
+    #[test]
+    fn single_group_is_zero() {
+        assert_eq!(ddp(&[1, 0], &[3, 3]), 0.0);
+        assert_eq!(eod(&[1, 0], &[1, 0], &[3, 3]), 0.0);
+    }
+
+    #[test]
+    fn eod_reduces_to_binary_rate_gaps() {
+        // s=+1: TPR 2/3, FPR 1; s=−1: TPR 0, FPR 1/2. TPR gap 2/3 wins.
+        let preds = [1, 1, 0, 1, 0, 0, 0, 1];
+        let labels = [1, 1, 1, 0, 1, 1, 0, 0];
+        let sens = [1i8, 1, 1, 1, -1, -1, -1, -1];
+        assert!(close(eod(&preds, &labels, &sens), 2.0 / 3.0));
+    }
+
+    #[test]
+    fn eod_ignores_empty_cells() {
+        // Group 2 has no y=1 samples; its absence must not poison the gap.
+        let preds = [1, 0, 0];
+        let labels = [1, 1, 0];
+        let sens = [0i8, 1, 2];
+        let v = eod(&preds, &labels, &sens);
+        assert!(close(v, 1.0)); // y=1: g0 rate 1, g1 rate 0.
+    }
+
+    #[test]
+    fn mi_reduces_to_binary_joint() {
+        // Balanced groups and predictions; joint cells 2/6 on the diagonal
+        // and 1/6 off it: MI = Σ p(s,ŷ) ln(p(s,ŷ) / (p(s) p(ŷ))).
+        let preds = [1, 1, 0, 0, 1, 0];
+        let sens = [1i8, 1, 1, -1, -1, -1];
+        let expected = (2.0 / 3.0) * (4.0f64 / 3.0).ln() + (1.0 / 3.0) * (2.0f64 / 3.0).ln();
+        assert!(close(mutual_information(&preds, &sens), expected));
+    }
+
+    #[test]
+    fn mi_perfect_dependence_three_groups() {
+        // Three equal groups; two always positive, one always negative.
+        let preds = [1, 1, 1, 1, 0, 0];
+        let sens = [0i8, 0, 1, 1, 2, 2];
+        let mi = mutual_information(&preds, &sens);
+        // H(ŷ) with P(1)=2/3: MI = H(ŷ) − H(ŷ|s) = H(2/3) − 0.
+        let h = -(2.0 / 3.0f64) * (2.0 / 3.0f64).ln() - (1.0 / 3.0) * (1.0 / 3.0f64).ln();
+        assert!(close(mi, h), "mi {mi} vs {h}");
     }
 
     #[test]

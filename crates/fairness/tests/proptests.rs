@@ -1,15 +1,13 @@
 //! Property-based tests for the fairness machinery.
 
 use faction_fairness::calibration::{brier_score, expected_calibration_error};
-use faction_fairness::multi::{ddp_multi, eod_multi, mutual_information_multi};
-use faction_fairness::notion::{FairnessNotion, RelaxedFairness};
 use faction_fairness::{ddp, eod, mutual_information, TotalLossConfig};
 use proptest::prelude::*;
 
 /// The fairness term's value and `dTerm/dh` in a fresh buffer.
 fn term(cfg: &TotalLossConfig, outputs: &[f64], sensitive: &[i8]) -> (f64, Vec<f64>) {
     let mut grad = Vec::new();
-    (cfg.fairness_term(outputs, sensitive, None, &mut grad), grad)
+    (cfg.fairness_term(outputs, sensitive, &mut grad), grad)
 }
 
 fn binary_groups(n: usize) -> impl Strategy<Value = Vec<i8>> {
@@ -25,10 +23,10 @@ proptest! {
         sens in binary_groups(6),
         shift in -5.0..5.0f64,
     ) {
-        let fairness = RelaxedFairness::new(FairnessNotion::DemographicParity);
-        let v0 = fairness.value(&outputs, &sens, None);
+        let fairness = TotalLossConfig::default();
+        let v0 = fairness.fairness_value(&outputs, &sens);
         let shifted: Vec<f64> = outputs.iter().map(|h| h + shift).collect();
-        let v1 = fairness.value(&shifted, &sens, None);
+        let v1 = fairness.fairness_value(&shifted, &sens);
         prop_assert!((v0 - v1).abs() < 1e-9);
     }
 
@@ -38,29 +36,11 @@ proptest! {
         outputs in proptest::collection::vec(0.0..1.0f64, 8),
         sens in binary_groups(8),
     ) {
-        let fairness = RelaxedFairness::new(FairnessNotion::DemographicParity);
-        let v = fairness.value(&outputs, &sens, None);
+        let fairness = TotalLossConfig::default();
+        let v = fairness.fairness_value(&outputs, &sens);
         let flipped: Vec<i8> = sens.iter().map(|s| -s).collect();
-        let v_flipped = fairness.value(&outputs, &flipped, None);
+        let v_flipped = fairness.fairness_value(&outputs, &flipped);
         prop_assert!((v + v_flipped).abs() < 1e-9);
-    }
-
-    /// Binary and multi-group metrics agree on binary data.
-    #[test]
-    fn multi_metrics_reduce_to_binary(
-        preds in proptest::collection::vec(0usize..2, 2..40),
-        seed in 0u64..500,
-    ) {
-        let mut rng = faction_linalg::SeedRng::new(seed);
-        let n = preds.len();
-        let labels: Vec<usize> = (0..n).map(|_| usize::from(rng.bernoulli(0.5))).collect();
-        let sens: Vec<i8> = (0..n).map(|_| if rng.bernoulli(0.5) { 1 } else { -1 }).collect();
-        prop_assert!((ddp(&preds, &sens) - ddp_multi(&preds, &sens)).abs() < 1e-12);
-        prop_assert!((eod(&preds, &labels, &sens) - eod_multi(&preds, &labels, &sens)).abs() < 1e-12);
-        prop_assert!(
-            (mutual_information(&preds, &sens) - mutual_information_multi(&preds, &sens)).abs()
-                < 1e-12
-        );
     }
 
     /// Constant predictions are perfectly fair under every metric.
@@ -87,7 +67,7 @@ proptest! {
         sens in binary_groups(6),
         mu in 0.1..3.0f64,
     ) {
-        let cfg = TotalLossConfig { mu, epsilon: 0.0, ..Default::default() };
+        let cfg = TotalLossConfig { mu, epsilon: 0.0 };
         let (value, grad) = term(&cfg, &outputs, &sens);
         prop_assume!(value.abs() > 1e-4); // skip the kink neighborhood
         let eps = 1e-7;

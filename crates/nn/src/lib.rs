@@ -15,7 +15,7 @@
 //! * [`loss`] — stable softmax, cross-entropy, and the [`loss::BatchLoss`]
 //!   trait that lets `faction-core` plug the fairness-regularized total loss
 //!   (paper Eq. 9) into the same training loop;
-//! * [`optimizer`] — SGD with momentum and Adam;
+//! * [`optimizer`] — SGD with momentum and weight decay;
 //! * [`spectral`] — power-iteration spectral normalization (Miyato et al.,
 //!   the regularizer DDU and FACTION rely on);
 //! * [`mlp::Mlp`] — the model: forward, backprop, feature extraction,
@@ -37,5 +37,5 @@ pub mod spectral;
 
 pub use loss::{BatchLoss, BatchMeta, CrossEntropyLoss, LossScratch};
 pub use mlp::{Mlp, MlpConfig, MlpWorkspace, TrainOptions};
-pub use optimizer::{Adam, Optimizer, Sgd};
+pub use optimizer::{Optimizer, Sgd};
 pub use spectral::SpectralConfig;

@@ -17,7 +17,7 @@ pub trait Optimizer {
     /// Panics if `params.len() != grads.len()`.
     fn step(&mut self, slot: usize, params: &mut [f64], grads: &[f64]);
 
-    /// Clears all accumulated state (momentum buffers, Adam moments).
+    /// Clears all accumulated state (momentum buffers).
     fn reset(&mut self);
 
     /// Current base learning rate.
@@ -122,78 +122,11 @@ impl serde::Deserialize for Sgd {
     }
 }
 
-/// Adam (Kingma & Ba) with bias correction.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
-    m: Vec<Vec<f64>>,
-    v: Vec<Vec<f64>>,
-    t: Vec<u64>,
-}
-
-impl Adam {
-    /// Creates Adam with the standard β₁=0.9, β₂=0.999, ε=1e-8.
-    pub fn new(lr: f64) -> Self {
-        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, m: Vec::new(), v: Vec::new(), t: Vec::new() }
-    }
-
-    fn ensure(&mut self, slot: usize, len: usize) {
-        if self.m.len() <= slot {
-            self.m.resize_with(slot + 1, Vec::new);
-            self.v.resize_with(slot + 1, Vec::new);
-            self.t.resize(slot + 1, 0);
-        }
-        if self.m[slot].len() != len {
-            self.m[slot] = vec![0.0; len];
-            self.v[slot] = vec![0.0; len];
-            self.t[slot] = 0;
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, slot: usize, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), grads.len(), "adam: param/grad length mismatch");
-        self.ensure(slot, params.len());
-        self.t[slot] += 1;
-        let t = self.t[slot] as f64;
-        let (b1, b2) = (self.beta1, self.beta2);
-        let bc1 = 1.0 - b1.powf(t);
-        let bc2 = 1.0 - b2.powf(t);
-        let m = &mut self.m[slot];
-        let v = &mut self.v[slot];
-        for i in 0..params.len() {
-            m[i] = b1 * m[i] + (1.0 - b1) * grads[i];
-            v[i] = b2 * v[i] + (1.0 - b2) * grads[i] * grads[i];
-            let mhat = m[i] / bc1;
-            let vhat = v[i] / bc2;
-            params[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
-        }
-    }
-
-    fn reset(&mut self) {
-        self.m.clear();
-        self.v.clear();
-        self.t.clear();
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// One quadratic-descent step must reduce f(x) = x² for both optimizers.
+    /// Runs `steps` gradient steps on f(x) = x² from x = 5 and returns |x|.
     fn descend(opt: &mut dyn Optimizer, steps: usize) -> f64 {
         let mut x = [5.0f64];
         for _ in 0..steps {
@@ -213,12 +146,6 @@ mod tests {
     fn sgd_momentum_converges_on_quadratic() {
         let mut opt = Sgd::new(0.05).with_momentum(0.9);
         assert!(descend(&mut opt, 300) < 1e-6);
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        let mut opt = Adam::new(0.3);
-        assert!(descend(&mut opt, 300) < 1e-3);
     }
 
     #[test]
@@ -255,7 +182,7 @@ mod tests {
 
     #[test]
     fn learning_rate_accessors() {
-        let mut opt = Adam::new(0.01);
+        let mut opt = Sgd::new(0.01);
         assert_eq!(opt.learning_rate(), 0.01);
         opt.set_learning_rate(0.001);
         assert_eq!(opt.learning_rate(), 0.001);

@@ -9,7 +9,7 @@
 //! (default `NYSF`).
 
 use faction::core::report::{render_summary_table, AggregatedRun};
-use faction::core::strategies;
+use faction::engine::{build_strategy, PAPER_METHODS};
 use faction::prelude::*;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
 
     println!("comparing 8 strategies on {} ({seeds} seeds, quick scale)…\n", dataset.name());
     let mut aggregated = Vec::new();
-    for i in 0..strategies::paper_lineup(cfg.loss).len() {
+    for method in PAPER_METHODS {
         let runs: Vec<RunRecord> = (0..seeds)
             .map(|seed| {
                 let mut stream = dataset.stream(seed, Scale::Quick);
@@ -32,9 +32,9 @@ fn main() {
                     stream.num_classes,
                     seed,
                 );
-                // Fresh lineup per seed: strategies are stateful.
-                let mut lineup = strategies::paper_lineup(cfg.loss);
-                run_experiment(&stream, lineup[i].as_mut(), &arch, &cfg, seed)
+                // A fresh strategy per seed: strategies are stateful.
+                let mut strategy = build_strategy(method, cfg.loss, 1.0, false).unwrap();
+                run_experiment(&stream, strategy.as_mut(), &arch, &cfg, seed)
             })
             .collect();
         let agg = AggregatedRun::from_runs(&runs);

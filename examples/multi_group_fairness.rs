@@ -11,9 +11,7 @@
 //! cargo run --release --example multi_group_fairness
 //! ```
 
-use faction::fairness::multi::{
-    ddp_multi, eod_multi, max_one_vs_rest, mutual_information_multi, positive_rates,
-};
+use faction::fairness::multi::{max_one_vs_rest, positive_rates};
 use faction::prelude::*;
 
 fn main() {
@@ -50,9 +48,9 @@ fn main() {
         println!("  group {g}: {rate:.3}");
     }
     println!("\nmulti-group metrics for the biased predictor:");
-    println!("  DDP (max pairwise gap): {:.3}", ddp_multi(&preds, &groups));
-    println!("  EOD (worst conditional gap): {:.3}", eod_multi(&preds, &labels, &groups));
-    println!("  MI(pred; group): {:.4}", mutual_information_multi(&preds, &groups));
+    println!("  DDP (max pairwise gap): {:.3}", ddp(&preds, &groups));
+    println!("  EOD (worst conditional gap): {:.3}", eod(&preds, &labels, &groups));
+    println!("  MI(pred; group): {:.4}", mutual_information(&preds, &groups));
 
     // The density estimator with a 3-valued sensitive attribute: 2 classes
     // × 3 groups = 6 components, and Δg_c generalizes to max−min over the

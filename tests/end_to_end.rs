@@ -2,7 +2,7 @@
 //! public facade, on every simulated dataset.
 
 use faction::core::strategies::faction::{Faction, FactionParams};
-use faction::core::strategies::{self};
+use faction::engine::{build_strategy, PAPER_METHODS};
 use faction::prelude::*;
 
 fn quick_cfg() -> ExperimentConfig {
@@ -47,16 +47,9 @@ fn every_baseline_completes_the_protocol() {
     let cfg = quick_cfg();
     let stream = truncated(Dataset::Rcmnist, 2, 80, 2);
     let arch = faction::nn::presets::tiny(stream.input_dim, stream.num_classes, 2);
-    for mut strategy in strategies::paper_lineup(cfg.loss) {
-        // FAL at default l is the slow one; shrink via a fresh instance.
-        if strategy.name() == "FAL" {
-            strategy = Box::new(strategies::fal::Fal::new(strategies::fal::FalParams {
-                l: 6,
-                retrain_subsample: 32,
-                probe_subsample: 32,
-                ..Default::default()
-            }));
-        }
+    for method in PAPER_METHODS {
+        // Quick cost knobs: FAL at its default l is the slow one.
+        let mut strategy = build_strategy(method, cfg.loss, 1.0, true).unwrap();
         let name = strategy.name();
         let record = run_experiment(&stream, strategy.as_mut(), &arch, &cfg, 2);
         assert_eq!(record.records.len(), 2, "{name}");

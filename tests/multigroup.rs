@@ -4,7 +4,7 @@
 use faction::core::strategies::{Ddu, Random};
 use faction::core::MultiGroupFairLoss;
 use faction::data::multigroup::{multi_group_stream, MultiGroupSpec};
-use faction::fairness::multi::ddp_multi;
+use faction::fairness::ddp;
 use faction::nn::{CrossEntropyLoss, Mlp, Sgd, TrainOptions};
 use faction::prelude::*;
 
@@ -86,7 +86,7 @@ fn multi_group_loss_reduces_multi_ddp() {
             mlp.fit(&x, &labels, &sens, &CrossEntropyLoss, &mut opt, &options, &mut rng);
         }
         let preds = mlp.predict(&x);
-        ddp_multi(&preds, &sens)
+        ddp(&preds, &sens)
     };
 
     let ddp_plain = train(false);
