@@ -268,7 +268,7 @@ mod tests {
 
     #[test]
     fn primitives_round_trip() {
-        assert_eq!(bool::from_value(&true.to_value()).unwrap(), true);
+        assert!(bool::from_value(&true.to_value()).unwrap());
         assert_eq!(usize::from_value(&7usize.to_value()).unwrap(), 7);
         assert_eq!(i8::from_value(&(-3i8).to_value()).unwrap(), -3);
         assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);

@@ -41,7 +41,6 @@ pub mod runner;
 pub mod selection;
 pub mod session;
 pub mod strategies;
-pub mod streaming;
 pub mod theory;
 
 pub use config::ExperimentConfig;

@@ -493,9 +493,8 @@ impl OnlineModel {
 /// Serialization captures the full learner state — network weights,
 /// optimizer momentum buffers, training options, and the model's RNG
 /// stream position — so a restored model retrains *bit-identically* to one
-/// that never left memory. (The original `Checkpoint` format stored only
-/// the `Mlp`; session snapshots need the rest because retrain behavior
-/// depends on all four fields.)
+/// that never left memory. Session snapshots need all four fields, because
+/// retrain behavior depends on each of them.
 impl serde::Serialize for OnlineModel {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![

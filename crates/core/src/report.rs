@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn tables_render_all_rows() {
         let agg = AggregatedRun::from_runs(&[record("FACTION", 0, &[0.8, 0.9])]);
-        let table = render_summary_table(&[agg.clone()]);
+        let table = render_summary_table(std::slice::from_ref(&agg));
         assert!(table.contains("FACTION"));
         assert!(table.contains("Acc"));
         let curves = render_curves(&[agg], "accuracy", |t| t.accuracy);

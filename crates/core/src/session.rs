@@ -20,9 +20,10 @@
 //! optimizer momentum, labeled pool, RNG position, per-task cursors, and
 //! any strategy-internal state ([`Strategy::snapshot_state`]) — so a
 //! restored session replays the exact byte stream an uninterrupted one
-//! would. This is deliberately *stronger* than [`crate::checkpoint`]'s
-//! job-granularity resume (which only ever persists completed runs): a
-//! live session cannot wait for the stream to end.
+//! would. This is deliberately *stronger* than the engine's
+//! job-granularity resume ([`crate::checkpoint::RunCheckpoint`], which only
+//! ever persists completed runs): a live session cannot wait for the stream
+//! to end.
 
 use faction_data::{Sample, Task};
 use faction_linalg::{vector, Matrix, SeedRng};
@@ -85,11 +86,11 @@ struct TaskCursor {
 }
 
 /// Complete serializable state of an [`OnlineSession`], versioned like
-/// [`crate::checkpoint::Checkpoint`] and persisted through the same
+/// [`crate::checkpoint::RunCheckpoint`] and persisted through the same
 /// crash-safe write path.
 ///
-/// Unlike the job checkpoint — which deliberately drops optimizer momentum
-/// and RNG position because a *completed* run never resumes mid-stream — a
+/// Unlike the job checkpoint — which stores only a *completed* run's
+/// record, because a finished run never resumes mid-stream — a
 /// session snapshot must capture everything that feeds future decisions:
 /// restoring and continuing must be byte-identical to never stopping.
 /// The experiment config is *not* embedded; the caller owns config
@@ -112,7 +113,7 @@ pub struct SessionSnapshot {
 impl SessionSnapshot {
     /// Writes the snapshot crash-safely in the wire binary format (staged
     /// `.tmp` sibling + atomic rename + directory fsync), like
-    /// [`crate::checkpoint::Checkpoint::save`].
+    /// [`crate::checkpoint::RunCheckpoint::save`].
     ///
     /// # Errors
     /// Propagates filesystem and serialization failures.

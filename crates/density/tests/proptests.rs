@@ -145,12 +145,12 @@ proptest! {
         est.score_batch_into(&probe, &mut scratch, &mut log_density, &mut gaps).unwrap();
         prop_assert_eq!(log_density.len(), n);
         prop_assert_eq!(gaps.shape(), (2, n));
-        for i in 0..n {
+        for (i, ld) in log_density.iter().enumerate() {
             let scalar_ld = est.log_density(probe.row(i)).unwrap();
-            prop_assert_eq!(log_density[i].to_bits(), scalar_ld.to_bits());
+            prop_assert_eq!(ld.to_bits(), scalar_ld.to_bits());
             let scalar_gaps = est.delta_g_all(probe.row(i)).unwrap();
-            for c in 0..2 {
-                prop_assert_eq!(gaps.get(c, i).to_bits(), scalar_gaps[c].to_bits());
+            for (c, scalar_gap) in scalar_gaps[..2].iter().enumerate() {
+                prop_assert_eq!(gaps.get(c, i).to_bits(), scalar_gap.to_bits());
             }
         }
     }

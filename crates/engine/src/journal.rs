@@ -418,7 +418,7 @@ mod tests {
 
     #[test]
     fn replay_rejects_foreign_containers() {
-        let bytes = faction_wire::encode_container(PayloadKind::Checkpoint, &[b"x"]).unwrap();
+        let bytes = faction_wire::encode_container(PayloadKind::RunCheckpoint, &[b"x"]).unwrap();
         assert!(matches!(
             Journal::replay_bytes(&bytes),
             Err(faction_wire::WireError::WrongKind { .. })

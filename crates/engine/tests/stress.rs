@@ -19,7 +19,7 @@ fn doomed(i: usize) -> bool {
 
 /// Panics on the first attempt only: succeeds after one retry.
 fn flaky(i: usize) -> bool {
-    i % 7 == 0 && !doomed(i)
+    i.is_multiple_of(7) && !doomed(i)
 }
 
 #[test]
@@ -252,7 +252,7 @@ fn grid_ignores_legacy_json_checkpoints() {
         recorder,
         ..EngineConfig::default()
     };
-    let first = Engine::new(config(Handle::noop())).run_grid(&[job.clone()]);
+    let first = Engine::new(config(Handle::noop())).run_grid(std::slice::from_ref(&job));
     assert!(first.failures.is_empty(), "{:?}", first.failures);
 
     // Rewrite the checkpoint as a JSON-era build would have left it.
@@ -263,7 +263,8 @@ fn grid_ignores_legacy_json_checkpoints() {
     std::fs::remove_file(&wire_path).unwrap();
 
     let registry = Arc::new(Registry::new());
-    let second = Engine::new(config(Handle::from(registry.clone()))).run_grid(&[job.clone()]);
+    let second =
+        Engine::new(config(Handle::from(registry.clone()))).run_grid(std::slice::from_ref(&job));
     assert!(second.failures.is_empty(), "{:?}", second.failures);
     assert_eq!(second.resumed, 0, "a JSON checkpoint must not resume");
     let snapshot = registry.snapshot();
@@ -298,7 +299,7 @@ fn grid_resume_names_both_jobs_on_checkpoint_identity_mismatch() {
         recorder,
         ..EngineConfig::default()
     };
-    let seeded = Engine::new(config(Handle::noop())).run_grid(&[foreign.clone()]);
+    let seeded = Engine::new(config(Handle::noop())).run_grid(std::slice::from_ref(&foreign));
     assert!(seeded.failures.is_empty(), "{:?}", seeded.failures);
     std::fs::rename(
         dir.join(format!("{}.run.wire", foreign.key())),
@@ -307,7 +308,8 @@ fn grid_resume_names_both_jobs_on_checkpoint_identity_mismatch() {
     .unwrap();
 
     let registry = Arc::new(Registry::new());
-    let outcome = Engine::new(config(Handle::from(registry.clone()))).run_grid(&[claiming.clone()]);
+    let outcome = Engine::new(config(Handle::from(registry.clone())))
+        .run_grid(std::slice::from_ref(&claiming));
     assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
     assert_eq!(outcome.resumed, 0, "a mismatched checkpoint must not resume");
     assert_eq!(outcome.records.len(), 1);

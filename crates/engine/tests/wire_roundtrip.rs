@@ -4,38 +4,53 @@
 //! prints — and the corruption
 //! matrix (torn tail, bit flip, truncation at every byte, future version)
 //! must behave exactly as DESIGN.md §15 specifies, for the real payload
-//! types the engine persists: `Checkpoint`, `RunCheckpoint`, `JobEvent`.
+//! types the workspace persists: `SessionSnapshot`, `RunCheckpoint`,
+//! `JobEvent`.
 //!
 //! Equivalence is checked on the JSON *render* of both sides: the wire
 //! codec and the JSON writer serialize the same `serde::Value` tree, so if
 //! decode∘encode is the identity on that tree, the renders match byte for
 //! byte — including the NaN→null convention both writers share.
 
-use faction_core::checkpoint::{Checkpoint, RunCheckpoint};
-use faction_core::{LabeledPool, RunRecord, TaskRecord};
+use faction_core::checkpoint::RunCheckpoint;
+use faction_core::strategies::{Random, Strategy};
+use faction_core::{ExperimentConfig, OnlineSession, RunRecord, SessionSnapshot, TaskRecord};
+use faction_data::{Sample, Task};
 use faction_engine::{JobEvent, Journal};
 use faction_linalg::SeedRng;
-use faction_nn::mlp::{Mlp, MlpConfig};
+use faction_nn::mlp::MlpConfig;
 use faction_wire::{from_wire, to_wire, PayloadKind, WireError};
 use proptest::prelude::*;
 
-/// A checkpoint with genuinely trained float entropy: seeded random pool,
-/// seeded random weights. Everything derives from the arguments, so
-/// proptest cases are reproducible.
-fn checkpoint_fixture(seed: u64, rows: usize, next_task: usize) -> Checkpoint {
+/// A session snapshot with genuinely trained float entropy: a seeded
+/// random task of `rows` rows, half of them drawn into the warm-start pool
+/// and trained on (weights, optimizer momentum, RNG position), and an open
+/// cursor on task `task_id` over the other half. Everything derives from
+/// the arguments, so proptest cases are reproducible.
+fn snapshot_fixture(seed: u64, rows: usize, task_id: usize) -> SessionSnapshot {
     let mut rng = SeedRng::new(seed);
-    let mut pool = LabeledPool::new();
-    for i in 0..rows {
-        let y = i % 2;
-        let x = vec![
-            rng.normal(if y == 1 { 1.0 } else { -1.0 }, 0.7),
-            rng.normal(0.0, 1.3),
-            rng.normal(0.5, 0.2),
-        ];
-        pool.push(x, y, if i % 3 == 0 { 1 } else { -1 });
-    }
-    let mlp = Mlp::new(&MlpConfig::new(vec![3, 6, 2], seed));
-    Checkpoint::capture(&mlp, &pool, next_task)
+    let samples = (0..rows)
+        .map(|i| {
+            let label = i % 2;
+            let x = vec![
+                rng.normal(if label == 1 { 1.0 } else { -1.0 }, 0.7),
+                rng.normal(0.0, 1.3),
+                rng.normal(0.5, 0.2),
+            ];
+            Sample { x, sensitive: if i % 3 == 0 { 1 } else { -1 }, label, env: 0 }
+        })
+        .collect();
+    let task = Task { id: task_id, env: 0, env_name: format!("env-{task_id}"), samples };
+    let cfg = ExperimentConfig {
+        warm_start: rows.div_ceil(2),
+        epochs_per_iteration: 1,
+        ..ExperimentConfig::quick()
+    };
+    let arch = MlpConfig::new(vec![3, 6, 2], seed);
+    let mut session = OnlineSession::new(&arch, &cfg, seed, 2, Random.training_loss());
+    session.warm_start(&task);
+    session.begin_task(&task);
+    session.snapshot(&Random)
 }
 
 /// A hand-built run record exercising strings, integers, and full-entropy
@@ -60,7 +75,7 @@ fn run_record_fixture(seed: u64, tasks: usize) -> RunRecord {
     }
     RunRecord {
         strategy: "FACTION".to_string(),
-        dataset: if seed % 2 == 0 { "NYSF" } else { "RCMNIST" }.to_string(),
+        dataset: if seed.is_multiple_of(2) { "NYSF" } else { "RCMNIST" }.to_string(),
         seed,
         records,
         total_seconds: rng.uniform() * 10.0,
@@ -73,13 +88,13 @@ proptest! {
     fn checkpoint_binary_roundtrip_matches_json_render(
         seed in 0u64..1000,
         rows in 1usize..24,
-        next_task in 0usize..50,
+        task_id in 0usize..50,
     ) {
-        let original = checkpoint_fixture(seed, rows, next_task);
-        let bytes = to_wire(PayloadKind::Checkpoint, &original).unwrap();
-        let decoded: Checkpoint = from_wire(PayloadKind::Checkpoint, &bytes).unwrap();
+        let original = snapshot_fixture(seed, rows, task_id);
+        let bytes = to_wire(PayloadKind::SessionSnapshot, &original).unwrap();
+        let decoded: SessionSnapshot = from_wire(PayloadKind::SessionSnapshot, &bytes).unwrap();
         // Compact render (an inspected journal line) and pretty render
-        // (an inspected checkpoint) must both be byte-identical.
+        // (an inspected snapshot) must both be byte-identical.
         prop_assert_eq!(
             serde_json::to_string(&original).unwrap(),
             serde_json::to_string(&decoded).unwrap()
@@ -233,14 +248,14 @@ fn torn_final_record_is_dropped_and_reported() {
 
 #[test]
 fn any_single_bit_flip_in_a_checkpoint_is_rejected() {
-    let original = checkpoint_fixture(11, 6, 2);
-    let bytes = to_wire(PayloadKind::Checkpoint, &original).unwrap();
+    let original = snapshot_fixture(11, 6, 2);
+    let bytes = to_wire(PayloadKind::SessionSnapshot, &original).unwrap();
     for pos in 0..bytes.len() {
         for bit in 0..8 {
             let mut flipped = bytes.clone();
             flipped[pos] ^= 1 << bit;
             assert!(
-                from_wire::<Checkpoint>(PayloadKind::Checkpoint, &flipped).is_err(),
+                from_wire::<SessionSnapshot>(PayloadKind::SessionSnapshot, &flipped).is_err(),
                 "flip at byte {pos} bit {bit} was accepted"
             );
         }
@@ -249,10 +264,10 @@ fn any_single_bit_flip_in_a_checkpoint_is_rejected() {
 
 #[test]
 fn future_container_version_is_unsupported_not_corrupt() {
-    let mut bytes = to_wire(PayloadKind::Checkpoint, &checkpoint_fixture(5, 4, 1)).unwrap();
+    let mut bytes = to_wire(PayloadKind::SessionSnapshot, &snapshot_fixture(5, 4, 1)).unwrap();
     bytes[4] = 0x2A; // format version u16 LE at offset 4
     bytes[5] = 0x00;
-    match from_wire::<Checkpoint>(PayloadKind::Checkpoint, &bytes) {
+    match from_wire::<SessionSnapshot>(PayloadKind::SessionSnapshot, &bytes) {
         Err(WireError::UnsupportedVersion(42)) => {}
         other => panic!("expected UnsupportedVersion(42), got {other:?}"),
     }
@@ -262,10 +277,10 @@ fn future_container_version_is_unsupported_not_corrupt() {
 fn binary_is_smaller_than_both_json_renders() {
     // The size claim the bench gate quantifies, pinned qualitatively here
     // so a codec regression fails fast in the test suite.
-    let ckpt = checkpoint_fixture(7, 500, 3);
-    let wire = to_wire(PayloadKind::Checkpoint, &ckpt).unwrap();
-    let compact = serde_json::to_string(&ckpt).unwrap();
-    let pretty = serde_json::to_string_pretty(&ckpt).unwrap();
+    let snapshot = snapshot_fixture(7, 500, 3);
+    let wire = to_wire(PayloadKind::SessionSnapshot, &snapshot).unwrap();
+    let compact = serde_json::to_string(&snapshot).unwrap();
+    let pretty = serde_json::to_string_pretty(&snapshot).unwrap();
     assert!(
         wire.len() * 2 < compact.len(),
         "wire {} bytes vs compact JSON {} bytes: expected at least 2×",

@@ -765,7 +765,7 @@ mod tests {
         let mut model: Vec<Vec<f64>> = Vec::new();
         for step in 0..200usize {
             match step % 5 {
-                0 | 1 | 2 => {
+                0..=2 => {
                     let row = vec![step as f64, -(step as f64)];
                     m.push_row(&row).unwrap();
                     model.push(row);

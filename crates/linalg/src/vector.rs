@@ -355,11 +355,11 @@ mod tests {
 
     #[test]
     fn total_order_sorts_nan_last_both_directions() {
-        let mut v = vec![2.0, f64::NAN, -1.0, f64::INFINITY, 0.5];
+        let mut v = [2.0, f64::NAN, -1.0, f64::INFINITY, 0.5];
         v.sort_by(|a, b| total_order(*a, *b));
         assert_eq!(&v[..4], &[-1.0, 0.5, 2.0, f64::INFINITY]);
         assert!(v[4].is_nan());
-        let mut w = vec![2.0, f64::NAN, -1.0, f64::NEG_INFINITY, 0.5];
+        let mut w = [2.0, f64::NAN, -1.0, f64::NEG_INFINITY, 0.5];
         w.sort_by(|a, b| total_order_desc(*a, *b));
         assert_eq!(&w[..4], &[2.0, 0.5, -1.0, f64::NEG_INFINITY]);
         assert!(w[4].is_nan());

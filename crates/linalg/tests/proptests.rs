@@ -1,5 +1,7 @@
 //! Property-based tests for the linear-algebra substrate.
 
+use std::f64::consts::PI;
+
 use faction_linalg::rng::block_rotation;
 use faction_linalg::{kernels, vector, Cholesky, Matrix, SeedRng};
 use proptest::prelude::*;
@@ -113,7 +115,7 @@ proptest! {
     }
 
     #[test]
-    fn rotation_is_orthogonal(angle in -3.14..3.14f64, seed in 0u64..100) {
+    fn rotation_is_orthogonal(angle in -PI..PI, seed in 0u64..100) {
         let mut rng = SeedRng::new(seed);
         let d = 6;
         let r = block_rotation(d, angle);
@@ -228,8 +230,8 @@ proptest! {
         for j in 0..nrhs {
             let col: Vec<f64> = (0..d).map(|i| b.get(i, j)).collect();
             let scalar = chol.solve_lower(&col).unwrap();
-            for i in 0..d {
-                prop_assert_eq!(y.get(i, j).to_bits(), scalar[i].to_bits());
+            for (i, want) in scalar[..d].iter().enumerate() {
+                prop_assert_eq!(y.get(i, j).to_bits(), want.to_bits());
             }
         }
     }

@@ -20,10 +20,13 @@ pub const RECORD_FRAME_LEN: usize = 8;
 
 /// What a container holds. The kind is stamped in the header so a journal
 /// can never be silently resumed as a checkpoint.
+///
+/// Code 1 is retired and stays reserved: it was a learner checkpoint
+/// (model, pool and task cursor) that `SessionSnapshot` superseded. A
+/// kind-1 container is [`WireError::UnknownKind`]`(1)`, and no new kind may
+/// reuse the code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadKind {
-    /// A learner [`Checkpoint`]: model + labeled pool + task cursor.
-    Checkpoint,
     /// A per-job `RunCheckpoint` inside a grid.
     RunCheckpoint,
     /// The engine's streaming event journal (many records).
@@ -36,7 +39,6 @@ impl PayloadKind {
     /// The u16 stored in the header.
     pub fn code(self) -> u16 {
         match self {
-            PayloadKind::Checkpoint => 1,
             PayloadKind::RunCheckpoint => 2,
             PayloadKind::Journal => 3,
             PayloadKind::SessionSnapshot => 4,
@@ -91,15 +93,10 @@ fn header_kind_code(bytes: &[u8]) -> Result<u16, WireError> {
 /// build does not know is [`WireError::UnknownKind`].
 pub fn payload_kind(bytes: &[u8]) -> Result<PayloadKind, WireError> {
     let code = header_kind_code(bytes)?;
-    [
-        PayloadKind::Checkpoint,
-        PayloadKind::RunCheckpoint,
-        PayloadKind::Journal,
-        PayloadKind::SessionSnapshot,
-    ]
-    .into_iter()
-    .find(|kind| kind.code() == code)
-    .ok_or(WireError::UnknownKind(code))
+    [PayloadKind::RunCheckpoint, PayloadKind::Journal, PayloadKind::SessionSnapshot]
+        .into_iter()
+        .find(|kind| kind.code() == code)
+        .ok_or(WireError::UnknownKind(code))
 }
 
 /// Checks the header and returns the record region.
@@ -341,8 +338,8 @@ mod tests {
         let records = read_container_strict(&bytes, PayloadKind::Journal).unwrap();
         assert_eq!(records, vec![b"first record".as_slice(), b"2", b"the third, longer record"]);
         assert_eq!(
-            read_container_strict(&bytes, PayloadKind::Checkpoint),
-            Err(WireError::WrongKind { expected: 1, found: 3 })
+            read_container_strict(&bytes, PayloadKind::RunCheckpoint),
+            Err(WireError::WrongKind { expected: 2, found: 3 })
         );
     }
 
@@ -373,12 +370,8 @@ mod tests {
 
     #[test]
     fn payload_kind_reads_every_known_code_and_names_unknown_ones() {
-        for kind in [
-            PayloadKind::Checkpoint,
-            PayloadKind::RunCheckpoint,
-            PayloadKind::Journal,
-            PayloadKind::SessionSnapshot,
-        ] {
+        for kind in [PayloadKind::RunCheckpoint, PayloadKind::Journal, PayloadKind::SessionSnapshot]
+        {
             let bytes = encode_container(kind, &[b"x".as_slice()]).unwrap();
             assert_eq!(payload_kind(&bytes), Ok(kind));
         }

@@ -1,7 +1,7 @@
 //! faction-wire: the versioned binary persistence container.
 //!
-//! Every durable artifact in the workspace — learner checkpoints, per-job
-//! run checkpoints, the engine's event journal, serve's session snapshots —
+//! Every durable artifact in the workspace — per-job run checkpoints, the
+//! engine's event journal, session snapshots —
 //! used to be JSON through the compat stubs. That is fine for a 24-job
 //! grid and wrong for million-session serving: floats render at ~19 bytes
 //! each, field names repeat per record, and a half-written JSON file is
@@ -21,15 +21,16 @@
 //!
 //! * **Versioning**: `format_version` is the *container* version; readers
 //!   reject newer versions loudly ([`WireError::UnsupportedVersion`]).
-//!   Payload-level schema versions (e.g. `Checkpoint.version`) ride inside
+//!   Payload-level schema versions (e.g. `SessionSnapshot.version`) ride inside
 //!   the payload, exactly as they did in JSON.
 //! * **Integrity**: each record carries a CRC32 of its payload; a single
 //!   flipped bit is a [`WireError::BadCrc`], never silently-wrong floats.
 //! * **Salvage**: [`read_container_salvage`] returns the longest valid
 //!   record prefix of a torn file plus what was dropped — a process killed
 //!   mid-append loses at most the record it was writing. Single-payload
-//!   artifacts (checkpoints) use [`read_container_strict`] instead: a torn
-//!   checkpoint is corrupt, not partially resumable.
+//!   artifacts (run checkpoints, session snapshots) use
+//!   [`read_container_strict`] instead: a torn one is corrupt, not partially
+//!   resumable.
 //!
 //! ## Payload codec
 //!

@@ -1,78 +1,103 @@
-//! Crash-safe online learning: checkpoint the learner mid-stream, "crash",
-//! restore, and verify the resumed learner continues exactly where the
-//! original left off.
+//! Crash-safe online learning: snapshot a live FACTION session to disk
+//! halfway through the stream, "crash", restore it into a fresh process
+//! state, and check that the resumed run makes exactly the decisions an
+//! uninterrupted run makes.
 //!
 //! ```text
 //! cargo run --release --example checkpoint_resume
 //! ```
 
+use faction::core::{OnlineSession, SessionSnapshot};
 use faction::prelude::*;
 
-fn adapt_to_task(model: &mut OnlineModel, pool: &mut LabeledPool, task: &Task, budget: usize) {
-    // Simplified adaptation: label a random subset within budget, retrain.
-    let mut rng = SeedRng::new(task.id as u64 ^ 0xC0FFEE);
-    let mut oracle = Oracle::new(task, budget);
-    for i in rng.sample_indices(task.len(), budget) {
-        if let Some(label) = oracle.query(i) {
-            pool.push(task.samples[i].x.clone(), label, task.samples[i].sensitive);
-        }
-    }
-    model.retrain(pool, &faction::nn::CrossEntropyLoss);
+/// One task's protocol rounds: what the session picked each round, plus
+/// the accuracy of the model that arrived at the task.
+#[derive(Debug, PartialEq)]
+struct TaskTrace {
+    accuracy_bits: u64,
+    rounds: Vec<Vec<usize>>,
+}
+
+/// Drives `session` over `tasks` exactly as the batch runner does.
+fn run_tasks(
+    session: &mut OnlineSession,
+    strategy: &mut dyn Strategy,
+    tasks: &[Task],
+    budget: usize,
+) -> Vec<TaskTrace> {
+    tasks
+        .iter()
+        .map(|task| {
+            let eval = session.begin_task(task);
+            let mut oracle = Oracle::new(task, budget);
+            let mut rounds = Vec::new();
+            while oracle.remaining() > 0 && session.has_candidates() {
+                let decisions = session.feed(task, strategy);
+                let labels: Vec<Option<usize>> =
+                    decisions.picked.iter().map(|&g| oracle.query(g)).collect();
+                session.apply_labels(task, &labels);
+                rounds.push(decisions.picked);
+            }
+            TaskTrace { accuracy_bits: eval.accuracy.to_bits(), rounds }
+        })
+        .collect()
 }
 
 fn main() {
     let stream = Dataset::CelebA.stream(7, Scale::Quick);
     let cfg = ExperimentConfig::quick();
     let arch = faction::nn::presets::standard(stream.input_dim, stream.num_classes, 7);
-    let mut model = OnlineModel::new(&arch, &cfg, 7);
-    let mut pool = LabeledPool::new();
-
-    // Process the first half of the stream.
+    let new_strategy = || Faction::new(FactionParams { loss: cfg.loss, ..Default::default() });
+    let new_session = |strategy: &Faction| {
+        let mut session =
+            OnlineSession::new(&arch, &cfg, 7, stream.num_classes, strategy.training_loss());
+        session.warm_start(&stream.tasks[0]);
+        session
+    };
     let half = stream.len() / 2;
-    for task in &stream.tasks[..half] {
-        adapt_to_task(&mut model, &mut pool, task, 30);
-    }
-    println!("processed {half} tasks; pool holds {} labeled samples", pool.len());
 
-    // Checkpoint to disk.
-    let path = std::env::temp_dir().join("faction_example_checkpoint.wire");
-    Checkpoint::capture(model.mlp(), &pool, half)
-        .save(&path)
-        .expect("checkpoint saved");
-    println!("checkpoint written to {} ({} bytes)", path.display(), std::fs::metadata(&path).unwrap().len());
+    // The reference: one uninterrupted pass over the whole stream.
+    let mut strategy = new_strategy();
+    let mut session = new_session(&strategy);
+    let uninterrupted = run_tasks(&mut session, &mut strategy, &stream.tasks, cfg.budget);
 
-    // --- simulated crash: everything above goes out of scope ---
-    drop(model);
-    drop(pool);
-
-    // Restore and verify behavioral identity.
-    let restored = Checkpoint::load(&path).expect("checkpoint loads");
+    // The interrupted run: process the first half, then snapshot to disk.
+    let mut strategy = new_strategy();
+    let mut session = new_session(&strategy);
+    let mut resumed = run_tasks(&mut session, &mut strategy, &stream.tasks[..half], cfg.budget);
+    println!("processed {half} tasks; pool holds {} labeled samples", session.pool().len());
+    let path = std::env::temp_dir().join("faction_example_session.wire");
+    session.snapshot(&strategy).save(&path).expect("snapshot saved");
     println!(
-        "restored at task {}, pool size {}",
-        restored.next_task,
-        restored.pool.len()
-    );
-    let probe = stream.tasks[half].features();
-    let preds = restored.model.predict(&probe);
-    let labels = stream.tasks[half].labels();
-    println!(
-        "restored model accuracy on the next task: {:.3}",
-        accuracy(&preds, &labels)
+        "snapshot written to {} ({} bytes)",
+        path.display(),
+        std::fs::metadata(&path).expect("snapshot file exists").len()
     );
 
-    // Continue the stream from the checkpoint.
-    let mut model = OnlineModel::new(&arch, &cfg, 7);
-    let mut pool = restored.pool.clone();
-    // Warm the fresh OnlineModel from the pool (optimizer state is
-    // reconstructible; see checkpoint module docs).
-    model.retrain(&pool, &faction::nn::CrossEntropyLoss);
-    for task in &stream.tasks[restored.next_task..] {
-        adapt_to_task(&mut model, &mut pool, task, 30);
-    }
-    let last = stream.tasks.last().unwrap();
-    let final_preds = model.mlp().predict(&last.features());
+    // --- simulated crash: the live learner and its strategy are gone ---
+    drop(session);
+    drop(strategy);
+
+    // Restore into a fresh strategy and finish the stream.
+    let snapshot = SessionSnapshot::load(&path).expect("snapshot loads");
+    let mut strategy = new_strategy();
+    let mut session =
+        OnlineSession::restore(&snapshot, &cfg, &mut strategy).expect("snapshot restores");
+    println!("restored with a pool of {} labeled samples", session.pool().len());
+    resumed.extend(run_tasks(&mut session, &mut strategy, &stream.tasks[half..], cfg.budget));
+
+    assert_eq!(resumed, uninterrupted, "the resumed run must decide as the uninterrupted one");
+    let rounds: usize = resumed.iter().map(|t| t.rounds.len()).sum();
     println!(
-        "finished the stream after resume: final-task accuracy {:.3}, DDP {:.3}",
+        "resumed run matches the uninterrupted one: {} tasks, {rounds} acquisition rounds, \
+         identical picks and per-task accuracy",
+        resumed.len()
+    );
+
+    let last = stream.tasks.last().expect("the stream has tasks");
+    let final_preds = session.model().mlp().predict(&last.features());
+    println!(
+        "final-task accuracy {:.3}, DDP {:.3}",
         accuracy(&final_preds, &last.labels()),
         ddp(&final_preds, &last.sensitives()),
     );

@@ -58,7 +58,7 @@ fn main() {
     }
 
     // ---- Fit the fairness-sensitive density estimator on features. ----
-    let features = model.mlp().features(&pool.features());
+    let features = model.mlp().features(pool.features());
     let estimator = FairDensityEstimator::fit(
         &features,
         pool.labels(),

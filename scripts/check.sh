@@ -54,8 +54,10 @@ cargo run --release --quiet --bin faction_cli -- list | grep '^kernel backend:'
 run_stage "cargo test -q --workspace" \
     cargo test -q --workspace
 
-run_stage "cargo clippy --workspace -- -D warnings" \
-    cargo clippy --workspace -- -D warnings
+# --all-targets lints the tests, examples and binaries too, not only the
+# library code the plain invocation checks.
+run_stage "cargo clippy --workspace --all-targets -- -D warnings" \
+    cargo clippy --workspace --all-targets -- -D warnings
 
 run_stage "perfbench tests (builds against the library)" \
     cargo test --release --offline --manifest-path perfbench/Cargo.toml

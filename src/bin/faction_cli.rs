@@ -57,9 +57,9 @@ USAGE:
   protocol flags (--budget/--mu/--quick/--pool-policy) set the base config
   that `open` lines override per session.
 
-  inspect prints any wire file (checkpoint, run checkpoint, session
-  snapshot, journal) as JSON: a single-record artifact pretty-printed, a
-  journal one line per record (a torn tail is reported on stderr).
+  inspect prints any wire file (run checkpoint, session snapshot,
+  journal) as JSON: a single-record artifact pretty-printed, a journal one
+  line per record (a torn tail is reported on stderr).
 
 STRATEGIES: faction, faction-incremental, faction-no-select, faction-no-reg,
             faction-uncertainty, fal, fal-cur, decoupled, qufur, ddu, entropy,

@@ -61,9 +61,7 @@ pub use faction_serve as serve;
 pub mod prelude {
     pub use faction_core::strategies::faction::{Faction, FactionParams, RefitMode};
     pub use faction_core::strategies::{SelectionContext, Strategy};
-    pub use faction_core::checkpoint::Checkpoint;
     pub use faction_core::drift::DriftDetector;
-    pub use faction_core::streaming::{StreamingNormalizer, StreamingSelector};
     pub use faction_core::{
         run_experiment, ExperimentConfig, FairTotalLoss, LabeledPool, MultiGroupFairLoss,
         OnlineModel, PoolPolicy, RunRecord,

@@ -6,7 +6,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use faction::core::checkpoint::RunCheckpoint;
+use faction::core::checkpoint::{CheckpointError, RunCheckpoint};
 use faction::core::session::{OnlineSession, SessionSnapshot};
 use faction::engine::Journal;
 use faction::prelude::*;
@@ -39,18 +39,18 @@ fn scratch_dir(test: &str) -> PathBuf {
     dir
 }
 
-/// A small trained-from-data learner checkpoint.
-fn checkpoint() -> Checkpoint {
+/// A small learner snapshot: warm-started on real data, opened on its
+/// first task.
+fn snapshot() -> SessionSnapshot {
     let stream = Dataset::Nysf.stream(0, Scale::Quick);
     let cfg = ExperimentConfig::quick();
     let arch = faction::nn::presets::tiny(stream.input_dim, stream.num_classes, 0);
-    let mut model = OnlineModel::new(&arch, &cfg, 0);
-    let mut pool = LabeledPool::new();
-    for sample in stream.tasks[0].samples.iter().take(40) {
-        pool.push(sample.x.clone(), sample.label, sample.sensitive);
-    }
-    model.retrain(&pool, &faction::nn::CrossEntropyLoss);
-    Checkpoint::capture(model.mlp(), &pool, 1)
+    let strategy = faction::core::strategies::Random;
+    let mut session =
+        OnlineSession::new(&arch, &cfg, 0, stream.num_classes, strategy.training_loss());
+    session.warm_start(&stream.tasks[0]);
+    session.begin_task(&stream.tasks[0]);
+    session.snapshot(&strategy)
 }
 
 fn assert_usage_error(args: &[&str], flag: &str) {
@@ -101,21 +101,8 @@ fn stray_positional_arguments_are_usage_errors() {
 fn inspect_prints_the_json_of_every_artifact_byte_for_byte() {
     let dir = scratch_dir("inspect_json");
 
-    let path = dir.join("learner.wire");
-    checkpoint().save(&path).unwrap();
-    let loaded = Checkpoint::load(&path).unwrap();
-    assert_eq!(inspect(&path), serde_json::to_string_pretty(&loaded).unwrap() + "\n");
-
-    let stream = Dataset::Nysf.stream(0, Scale::Quick);
-    let cfg = ExperimentConfig::quick();
-    let arch = faction::nn::presets::tiny(stream.input_dim, stream.num_classes, 0);
-    let strategy = faction::core::strategies::Random;
-    let mut session =
-        OnlineSession::new(&arch, &cfg, 0, stream.num_classes, strategy.training_loss());
-    session.warm_start(&stream.tasks[0]);
-    session.begin_task(&stream.tasks[0]);
     let path = dir.join("session.wire");
-    session.snapshot(&strategy).save(&path).unwrap();
+    snapshot().save(&path).unwrap();
     let loaded = SessionSnapshot::load(&path).unwrap();
     assert_eq!(inspect(&path), serde_json::to_string_pretty(&loaded).unwrap() + "\n");
 
@@ -154,18 +141,18 @@ fn inspect_prints_the_json_of_every_artifact_byte_for_byte() {
 #[test]
 fn inspect_refuses_untrusted_input_naming_the_file_and_the_wire_error() {
     let dir = scratch_dir("inspect_untrusted");
-    let checkpoint = checkpoint();
+    let snapshot = snapshot();
     let valid = dir.join("valid.wire");
-    checkpoint.save(&valid).unwrap();
+    snapshot.save(&valid).unwrap();
     let bytes = std::fs::read(&valid).unwrap();
 
     let mut unknown_kind = bytes[..12].to_vec();
     unknown_kind[6] = 0xFF;
     let mut flipped = bytes.clone();
     *flipped.last_mut().unwrap() ^= 0x01;
-    let json = serde_json::to_string_pretty(&checkpoint).unwrap().into_bytes();
+    let json = serde_json::to_string_pretty(&snapshot).unwrap().into_bytes();
     let cases: [(&str, Vec<u8>, &str); 4] = [
-        ("checkpoint.json", json, "bad magic"),
+        ("snapshot.json", json, "bad magic"),
         ("short.wire", bytes[..11].to_vec(), "too short"),
         ("unknown.wire", unknown_kind, "unknown payload kind 255"),
         ("flipped.wire", flipped, "CRC mismatch"),
@@ -183,6 +170,35 @@ fn inspect_refuses_untrusted_input_naming_the_file_and_the_wire_error() {
             "{name}: error line does not name the file and `{wire_error}`: {first_line:?}"
         );
     }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn retired_kind_1_is_unknown_to_every_reader() {
+    // Kind code 1 was the learner checkpoint that `SessionSnapshot`
+    // superseded. The code stays reserved: a container stamped with it is
+    // a named unknown kind, never a decode under some other kind.
+    let dir = scratch_dir("retired_kind");
+    let mut bytes = snapshot().to_wire_bytes();
+    bytes[6..8].copy_from_slice(&1u16.to_le_bytes());
+    assert_eq!(faction_wire::payload_kind(&bytes), Err(faction_wire::WireError::UnknownKind(1)));
+
+    let path = dir.join("learner.wire");
+    std::fs::write(&path, &bytes).unwrap();
+    let (code, stderr) = run_cli(&["inspect", path.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "expected exit 1, stderr:\n{stderr}");
+    let first_line = stderr.lines().next().unwrap_or_default();
+    assert!(
+        first_line.starts_with("error:")
+            && first_line.contains(path.to_str().unwrap())
+            && first_line.contains("unknown payload kind 1"),
+        "error line does not name the file and the kind: {first_line:?}"
+    );
+
+    let err = SessionSnapshot::load(&path).unwrap_err();
+    assert!(matches!(err, CheckpointError::Corrupt { .. }), "got {err:?}");
+    assert!(err.to_string().contains(path.to_str().unwrap()), "names the path: {err}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
