@@ -2,7 +2,7 @@
 //! `faction-telemetry` key must appear in.
 //!
 //! DESIGN.md documents the telemetry key table; nothing kept it honest — a
-//! key typo'd at a call site (`engine.pool.steal` vs `….steals`) silently
+//! key typo'd at a call site (`engine.pool.park_wait` vs `….park_waits`) silently
 //! splits a metric in two. The registry closes the loop: the file
 //! `crates/telemetry/keys.txt` lists every sanctioned key (one per line,
 //! `#` comments, a trailing `*` makes an entry a prefix wildcard for

@@ -83,7 +83,7 @@ pub struct FileClass {
     /// File belongs to `faction-engine` — `blocking-in-worker` applies.
     pub engine_crate: bool,
     /// File *is* the engine's pool (`engine/src/pool.rs`) — the sanctioned
-    /// home of parking, stealing, and requeue locks, so
+    /// home of the run-queue lock and its condvar, so
     /// `blocking-in-worker` is waived there.
     pub worker_pool: bool,
 }
@@ -832,15 +832,16 @@ fn rule_float_reduction(
     }
 }
 
-/// Pool entry points whose closure argument runs on worker threads.
-const WORKER_ENTRIES: &[&str] =
-    &["run_indexed", "run_indexed_chaos", "scoped_for_each", "scoped_for_each_chaos"];
+/// Pool entry points whose closure argument runs on worker threads: every
+/// function in `engine/src/pool.rs` that takes a worker closure (the golden
+/// suite checks the two lists agree).
+pub const WORKER_ENTRIES: &[&str] = &["run_indexed", "scoped_for_each", "scoped_for_each_chaos"];
 
 /// Rule 10: blocking calls inside engine worker closures.
 ///
 /// The pool's throughput model assumes worker bodies never block on shared
-/// state: parking, stealing, and requeue locks live in `pool.rs` (waived
-/// via `FileClass::worker_pool`) and everything else must stay lock-free.
+/// state: the run-queue lock and its condvar live in `pool.rs` (waived via
+/// `FileClass::worker_pool`) and everything else must stay lock-free.
 /// Scans the paren-matched argument region of every pool entry call for
 /// `lock(…)`, condvar waits, and file-system access.
 fn rule_blocking_in_worker(file: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Finding>) {

@@ -2,8 +2,8 @@
 //! `worker_pool: false`). The same source scanned with `worker_pool: true`
 //! is the sanctioned-pool-internals negative: the rule is off entirely.
 
-pub fn run_jobs(jobs: &[Job], results: &Mutex<Vec<Out>>, cv: &Condvar) {
-    run_indexed(4, jobs.len(), |ctx, idx| {
+pub fn run_jobs(jobs: &[Job], results: &Mutex<Vec<Out>>, cv: &Condvar, recorder: &Handle) {
+    run_indexed(4, jobs.len(), recorder, None, |ctx, idx| {
         let out = execute(&jobs[idx]);
         results.lock().unwrap().push(out); //~ blocking-in-worker
         let dump = std::fs::read_to_string("state.json"); //~ blocking-in-worker
@@ -20,6 +20,13 @@ pub fn run_with_waiver(jobs: &[Job], slots: &[Mutex<Out>]) {
         let out = execute(job);
         // analyzer:allow(blocking-in-worker): fixture: per-job slot mutex, one writer per index, zero contention
         *slots[idx].lock().unwrap() = out;
+    });
+}
+
+pub fn run_under_chaos(jobs: &[Job], log: &Mutex<Vec<usize>>, recorder: &Handle) {
+    scoped_for_each_chaos(4, jobs, ChaosSchedule(7), recorder, |idx, job| {
+        execute(job);
+        log.lock().unwrap().push(idx); //~ blocking-in-worker
     });
 }
 

@@ -10,6 +10,8 @@
 
 use std::path::Path;
 
+use faction_analyzer::lexer::{lex, TokKind};
+use faction_analyzer::rules::WORKER_ENTRIES;
 use faction_analyzer::{
     analyze_source, analyze_source_with, analyze_workspace, CheckContext, CheckOutcome, FileClass,
     KeyRegistry,
@@ -258,8 +260,47 @@ fn blocking_in_worker_fixture() {
 }
 
 #[test]
+fn worker_entries_are_exactly_the_pool_functions_taking_a_worker_closure() {
+    // A pool entry point missing from WORKER_ENTRIES is a closure region the
+    // rule never scans: derive the list from the pool's own signatures.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../engine/src/pool.rs");
+    let source = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+    let toks = lex(&source).tokens;
+    let mut takers = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if t.kind != TokKind::Ident || t.text != "fn" {
+            continue;
+        }
+        let Some(name) = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident) else {
+            continue;
+        };
+        let takes_closure = toks[i + 2..]
+            .iter()
+            .take_while(|s| !s.is_punct("{") && !s.is_punct(";"))
+            .any(|s| matches!(s.text.as_str(), "Fn" | "FnMut" | "FnOnce"));
+        if takes_closure {
+            takers.push(name.text.as_str());
+        }
+    }
+    takers.sort_unstable();
+    let mut listed = WORKER_ENTRIES.to_vec();
+    listed.sort_unstable();
+    assert_eq!(takers, listed, "WORKER_ENTRIES must name exactly the pool's closure-taking fns");
+
+    // Every entry point is exercised by the fixture.
+    let fixture_source = fixture("blocking_in_worker.rs");
+    for name in WORKER_ENTRIES {
+        assert!(
+            fixture_source.contains(&format!("    {name}(")),
+            "blocking_in_worker.rs has no call to `{name}`"
+        );
+    }
+}
+
+#[test]
 fn blocking_rule_is_waived_in_pool_internals() {
-    // pool.rs owns the parking/stealing locks: the rule is off there.
+    // pool.rs owns the run-queue lock and condvar: the rule is off there.
     let source = fixture("blocking_in_worker.rs");
     let outcome = analyze_source(
         "blocking_in_worker.rs",
@@ -330,11 +371,11 @@ fn checked_in_registry_parses_and_covers_the_engine_counters() {
         .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
     let registry = KeyRegistry::parse(&text);
     assert!(!registry.is_empty());
-    for key in ["engine.pool.steals", "engine.pool.chaos_forced_requeues", "core.runner.rounds"] {
+    for key in ["engine.pool.park_waits", "engine.pool.chaos_forced_requeues", "core.runner.rounds"] {
         assert!(registry.matches(key), "`{key}` missing from the embedded registry");
     }
     assert!(registry.matches("core.fairness.labeled_y1_s0"), "wildcard family");
-    assert!(!registry.matches("engine.pool.steal"), "near-miss keys must not match");
+    assert!(!registry.matches("engine.pool.park_wait"), "near-miss keys must not match");
 }
 
 #[test]

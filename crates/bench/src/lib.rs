@@ -167,7 +167,7 @@ impl HarnessOptions {
 /// in the paper's five-run protocol.
 ///
 /// With `jobs > 1` the (factory × seed) grid is fanned out over the
-/// `faction-engine` work-stealing pool. Every run is a pure function of
+/// `faction-engine` pool. Every run is a pure function of
 /// `(stream, strategy, arch, seed)`, and results land in a slot table
 /// indexed by grid position, so the aggregated output is identical to the
 /// sequential nested loop for every worker count.

@@ -24,13 +24,13 @@ use serde::{Deserialize, Serialize};
 pub enum CheckpointError {
     /// Filesystem failure.
     Io(std::io::Error),
-    /// (De)serialization failure.
-    Serde(serde_json::Error),
     /// A checkpoint *file* that exists but does not parse — truncated by a
     /// crash mid-write, hand-edited, or not a checkpoint at all. Carries
-    /// the path so the operator knows which file to delete or restore.
+    /// the path so the operator knows which file to delete or restore. An
+    /// in-memory snapshot whose contents do not fit (strategy state for the
+    /// wrong strategy) has an empty path.
     Corrupt {
-        /// The offending file.
+        /// The offending file; empty when the snapshot never was one.
         path: std::path::PathBuf,
         /// Parser detail (what failed, where).
         detail: String,
@@ -43,7 +43,9 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint io error: {e}"),
-            CheckpointError::Serde(e) => write!(f, "checkpoint serialization error: {e}"),
+            CheckpointError::Corrupt { path, detail } if path.as_os_str().is_empty() => {
+                write!(f, "checkpoint is corrupt ({detail})")
+            }
             CheckpointError::Corrupt { path, detail } => write!(
                 f,
                 "checkpoint file {} is corrupt or truncated ({detail}); \
@@ -62,12 +64,6 @@ impl std::error::Error for CheckpointError {}
 impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> Self {
         CheckpointError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for CheckpointError {
-    fn from(e: serde_json::Error) -> Self {
-        CheckpointError::Serde(e)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Environment-shift detection from epistemic uncertainty.
 //!
 //! The paper leans on the observation that out-of-distribution samples
-//! exhibit high epistemic uncertainty ([45], [46]; Sec. IV-C "The Role of
+//! exhibit high epistemic uncertainty (\[45], \[46]; Sec. IV-C "The Role of
 //! Epistemic Uncertainty"): when a new task comes from a shifted
 //! environment, its feature density under the pool-fitted estimator drops.
 //! This module turns that signal into an explicit *drift detector* — a

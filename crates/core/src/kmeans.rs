@@ -1,5 +1,5 @@
 //! Lloyd's k-means, the clustering substrate for the FAL-CUR baseline
-//! (fair clustering + uncertainty + representativeness, Sec. V-A2 / [34]).
+//! (fair clustering + uncertainty + representativeness, Sec. V-A2 / \[34]).
 
 use faction_linalg::{vector, Matrix, SeedRng};
 

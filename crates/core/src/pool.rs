@@ -1,5 +1,6 @@
 //! The labeled task pool `D_t` and the online model that retrains on it.
 
+use faction_linalg::rng::splitmix64;
 use faction_linalg::{Matrix, SeedRng};
 use faction_nn::{BatchLoss, Mlp, MlpConfig, Optimizer, Sgd, TrainOptions};
 
@@ -148,17 +149,6 @@ pub struct PoolDelta {
 /// this are told to re-anchor (see [`LabeledPool::deltas_since`]); keeping
 /// the log bounded makes pool memory O(capacity), not O(stream).
 const MAX_LOG: usize = 4096;
-
-/// SplitMix64 finalizer: the stateless hash behind reservoir draws. Every
-/// draw is a pure function of `(seed, arrival index)`, so the sample kept is
-/// independent of scheduling and survives checkpoint round-trips without
-/// serializing an RNG.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The pool of labeled samples `D_t = {D_i^labeled}` accumulated across
 /// tasks (paper Sec. IV-A), optionally bounded by a [`PoolPolicy`].

@@ -480,8 +480,9 @@ impl OnlineSession {
     ///
     /// # Errors
     /// [`CheckpointError::UnsupportedVersion`] for newer snapshots and
-    /// [`CheckpointError::Serde`] when the embedded strategy state does not
-    /// match the strategy.
+    /// [`CheckpointError::Corrupt`] (with an empty path, naming the
+    /// strategy) when the embedded strategy state does not match the
+    /// strategy.
     pub fn restore(
         snapshot: &SessionSnapshot,
         cfg: &ExperimentConfig,
@@ -491,9 +492,10 @@ impl OnlineSession {
             return Err(CheckpointError::UnsupportedVersion(snapshot.version));
         }
         if let Some(state) = &snapshot.strategy_state {
-            strategy
-                .restore_state(state)
-                .map_err(|e| CheckpointError::Serde(serde_json::Error::from(e)))?;
+            strategy.restore_state(state).map_err(|e| CheckpointError::Corrupt {
+                path: std::path::PathBuf::new(),
+                detail: format!("strategy state does not fit strategy `{}`: {e}", strategy.name()),
+            })?;
         }
         let (task_id, unlabeled, pending, queries_made) = match &snapshot.task {
             Some(t) => (Some(t.task_id), t.unlabeled.clone(), t.pending.clone(), t.queries_made),

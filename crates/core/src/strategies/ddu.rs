@@ -1,4 +1,4 @@
-//! The DDU baseline (paper Sec. V-A2, [46]): Deep Deterministic Uncertainty.
+//! The DDU baseline (paper Sec. V-A2, \[46]): Deep Deterministic Uncertainty.
 //! Epistemic uncertainty is the feature-space GDA density with one component
 //! **per class** (no sensitive split); the most uncertain — lowest-density —
 //! candidates are queried. This is FACTION minus the fairness machinery and

@@ -1,4 +1,4 @@
-//! The Decoupled baseline — D-FA²L (paper Sec. V-A2, [12]): fairness-aware
+//! The Decoupled baseline — D-FA²L (paper Sec. V-A2, \[12]): fairness-aware
 //! active learning with decoupled models.
 //!
 //! One model per sensitive group is trained on that group's labeled data;

@@ -1,4 +1,4 @@
-//! Entropy-based Active Learning (paper Sec. V-A2, [1], [41]): the classic
+//! Entropy-based Active Learning (paper Sec. V-A2, \[1], \[41]): the classic
 //! uncertainty-sampling baseline selecting maximal Shannon entropy.
 
 use faction_linalg::SeedRng;

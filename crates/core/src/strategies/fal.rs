@@ -1,4 +1,4 @@
-//! The FAL baseline (paper Sec. V-A2, [33]): Fair Active Learning via
+//! The FAL baseline (paper Sec. V-A2, \[33]): Fair Active Learning via
 //! "Expected Fairness".
 //!
 //! FAL scores a candidate by combining its informativeness (entropy) with

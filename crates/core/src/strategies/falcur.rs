@@ -1,4 +1,4 @@
-//! The FAL-CUR baseline (paper Sec. V-A2, [34]): Fair Active Learning using
+//! The FAL-CUR baseline (paper Sec. V-A2, \[34]): Fair Active Learning using
 //! Clustering, Uncertainty and Representativeness.
 //!
 //! FAL-CUR clusters the unlabeled batch (fair clustering), then scores each

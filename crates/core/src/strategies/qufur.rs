@@ -1,4 +1,4 @@
-//! The QuFUR baseline (paper Sec. V-A2, [2]): active online learning with
+//! The QuFUR baseline (paper Sec. V-A2, \[2]): active online learning with
 //! hidden shifting domains. QuFUR estimates per-sample uncertainty and turns
 //! it into a *query probability* — the same probabilistic acquisition shape
 //! FACTION uses, but with no fairness term and no density estimator.

@@ -205,7 +205,7 @@ fn offline_optimum(
 /// * **Adaptive dual variable.** A fixed fairness weight reaches an
 ///   equilibrium where the CE gradient balances the fairness gradient,
 ///   leaving a *constant* per-task violation (linear `V`). The long-term
-///   constraint analysis the paper builds on (Yi et al. [8]) instead runs
+///   constraint analysis the paper builds on (Yi et al. \[8]) instead runs
 ///   dual ascent `λ_{t+1} = [λ_t + η (‖v_t‖ − ε)]₊`, so persistent
 ///   violations keep raising the penalty until the per-task violation
 ///   decays — yielding the sublinear `V` of Theorem 1 part 3.

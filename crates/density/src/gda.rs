@@ -2,7 +2,7 @@
 //!
 //! One Gaussian component per (class, sensitive) pair, fitted by Gaussian
 //! Discriminant Analysis over feature vectors — following the paper's choice
-//! of GDA / GMM over Gaussian processes or normalizing flows ([18], [46]).
+//! of GDA / GMM over Gaussian processes or normalizing flows (\[18], \[46]).
 
 use std::collections::BTreeMap;
 
@@ -70,7 +70,7 @@ pub struct FairDensityConfig {
     pub ridge: f64,
     /// When `true`, all components share the covariance pooled over the
     /// whole training set and differ only in their means — the classic GDA
-    /// variant of Lee et al. [18]. When `false` (default, matching the
+    /// variant of Lee et al. \[18]. When `false` (default, matching the
     /// paper's description "computing the mean and covariance from the
     /// feature vectors of all labeled training samples with the
     /// corresponding class label and sensitive attribute"), each component
@@ -456,6 +456,28 @@ impl FairDensityEstimator {
         Ok(())
     }
 
+    /// The shared mixture reduction of both batch entry points: fills
+    /// `scratch.comp_lp` and writes `log g(zᵢ) = logsumexp_c(log g(zᵢ|c) +
+    /// log p_c)` into `out` (one slot per row, length checked by the
+    /// caller), in the scalar path's component order.
+    fn mixture_log_density(
+        &self,
+        features: &Matrix,
+        scratch: &mut DensityScratch,
+        out: &mut [f64],
+    ) -> Result<(), DensityError> {
+        self.component_log_pdfs(features, scratch)?;
+        let DensityScratch { comp_lp, terms, .. } = scratch;
+        for (i, o) in out.iter_mut().enumerate() {
+            terms.clear();
+            for (c_idx, (_, _, log_prior)) in self.components.iter().enumerate() {
+                terms.push(comp_lp.get(c_idx, i) + log_prior);
+            }
+            *o = vector::logsumexp(terms);
+        }
+        Ok(())
+    }
+
     /// Batched mixture density: writes `log g(zᵢ)` for every row of
     /// `features` into `out`, bit-identical to [`Self::log_density`] per
     /// row (same component order, same log-sum-exp).
@@ -476,16 +498,7 @@ impl FairDensityEstimator {
         }
         faction_telemetry::counter_add("density.gda.log_density_batches", 1);
         faction_telemetry::observe("density.gda.log_density_batch_rows", n as u64);
-        self.component_log_pdfs(features, scratch)?;
-        let DensityScratch { comp_lp, terms, .. } = scratch;
-        for (i, o) in out.iter_mut().enumerate() {
-            terms.clear();
-            for (c_idx, (_, _, log_prior)) in self.components.iter().enumerate() {
-                terms.push(comp_lp.get(c_idx, i) + log_prior);
-            }
-            *o = vector::logsumexp(terms);
-        }
-        Ok(())
+        self.mixture_log_density(features, scratch, out)
     }
 
     /// Batched FACTION scoring: one pass that computes **both** per-sample
@@ -516,15 +529,8 @@ impl FairDensityEstimator {
         }
         faction_telemetry::counter_add("density.gda.score_batches", 1);
         faction_telemetry::observe("density.gda.score_batch_rows", n as u64);
-        self.component_log_pdfs(features, scratch)?;
-        let DensityScratch { comp_lp, terms, .. } = scratch;
-        for (i, o) in log_density.iter_mut().enumerate() {
-            terms.clear();
-            for (c_idx, (_, _, log_prior)) in self.components.iter().enumerate() {
-                terms.push(comp_lp.get(c_idx, i) + log_prior);
-            }
-            *o = vector::logsumexp(terms);
-        }
+        self.mixture_log_density(features, scratch, log_density)?;
+        let comp_lp = &scratch.comp_lp;
         gaps.reset_to_zeros(self.num_classes, n);
         // Components are sorted by (class, sensitive): each class owns one
         // contiguous run of rows in comp_lp, in ascending-sensitive order —

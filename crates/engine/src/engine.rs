@@ -1,6 +1,6 @@
 //! The batch executor: panic isolation, bounded retry, ordered collection,
-//! checkpoint/resume, and the event journal — on top of the work-stealing
-//! pool in [`crate::pool`].
+//! checkpoint/resume, and the event journal — on top of the one-queue pool
+//! in [`crate::pool`].
 //!
 //! Failure semantics: a job that **panics** is caught with
 //! [`std::panic::catch_unwind`], journaled, and requeued up to
@@ -27,7 +27,7 @@ use faction_telemetry::Handle;
 
 use crate::job::ExperimentJob;
 use crate::journal::{Journal, JournalSummary};
-use crate::pool::{lock, resolve_workers, run_indexed_chaos, ChaosSchedule, PoolStats};
+use crate::pool::{lock, resolve_workers, run_indexed, ChaosSchedule, PoolStats};
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
@@ -52,7 +52,7 @@ pub struct EngineConfig {
     /// installs this handle as the ambient scope around each job).
     pub recorder: Handle,
     /// Deterministic schedule-chaos mode for the determinism sanitizer:
-    /// when set, the pool perturbs steal order, victim choice, park timing,
+    /// when set, the pool draws which end of its run queue each pop takes
     /// and injects bounded forced requeues, all seeded. Results must stay
     /// byte-identical — see [`ChaosSchedule`].
     pub chaos: Option<ChaosSchedule>,
@@ -214,7 +214,7 @@ impl Engine {
         let attempts: Vec<AtomicU32> = jobs.iter().map(|_| AtomicU32::new(0)).collect();
         let recorder = &self.config.recorder;
 
-        let stats = run_indexed_chaos(self.config.workers, jobs.len(), recorder, self.config.chaos, |ctx, idx| {
+        let stats = run_indexed(self.config.workers, jobs.len(), recorder, self.config.chaos, |ctx, idx| {
             // Install the engine's recorder as the ambient telemetry scope
             // for the job body: leaf code (runner phases, GDA scoring, NN
             // training) records through the free functions without any

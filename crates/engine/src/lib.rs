@@ -6,10 +6,10 @@
 //! destroys the one property a reproduction lives on: replayability. This
 //! crate provides the missing substrate:
 //!
-//! * [`pool`] — a hand-rolled work-stealing thread pool (std-only):
-//!   per-worker deques, a global injector for retries, parked idle workers,
-//!   and the [`pool::scoped_for_each`] primitive the bench crate uses to
-//!   measure scaling;
+//! * [`pool`] — a hand-rolled thread pool (std-only): one FIFO run queue
+//!   under one lock that every idle worker pops, retries pushed to its back,
+//!   a condvar for idle workers, and the [`pool::scoped_for_each`] /
+//!   [`pool::scoped_for_each_chaos`] fan-out the bench and serve crates use;
 //! * [`job`] — [`job::ExperimentJob`]: one `(dataset, strategy, seed)` grid
 //!   cell whose execution is a pure function of the job value, plus the
 //!   shared strategy registry;
@@ -61,7 +61,4 @@ pub mod pool;
 pub use engine::{BatchOutcome, Engine, EngineConfig, GridOutcome, JobFailure};
 pub use job::{build_strategy, grid, ArchPreset, ExperimentJob, PAPER_METHODS, STRATEGY_NAMES};
 pub use journal::{JobEvent, Journal, JournalReplay, JournalSummary};
-pub use pool::{
-    resolve_workers, scoped_for_each, scoped_for_each_chaos, scoped_for_each_chaos_recorded,
-    ChaosSchedule, PoolStats,
-};
+pub use pool::{resolve_workers, scoped_for_each, scoped_for_each_chaos, ChaosSchedule, PoolStats};

@@ -1,68 +1,61 @@
-//! Hand-rolled work-stealing thread pool (std-only, no external deps).
+//! The engine's thread pool: one shared FIFO run queue under one lock
+//! (std-only, no external deps).
 //!
 //! The scheduler runs a fixed batch of jobs — identified by their index into
-//! the caller's job slice — on `workers` OS threads:
+//! the caller's job slice — on `workers` OS threads that share one
+//! `Mutex<VecDeque<usize>>`, seeded with `0..count` in submission order, and
+//! one `Condvar`:
 //!
-//! * **Per-worker deques.** Submission round-robins job indices across the
-//!   workers' own deques, so with `workers = 1` execution is exactly
-//!   submission order. Owners pop from the *front* (FIFO: experiment jobs
-//!   are coarse, so submission-order execution beats the classic Chase-Lev
-//!   LIFO locality argument), thieves steal from the *back* (the work the
-//!   owner would reach last).
-//! * **Global injector.** Work created *during* the run — retries of
-//!   panicked jobs — lands in a shared FIFO injector rather than the
-//!   submitting worker's deque, so a repeatedly failing job cannot pin one
-//!   worker while its siblings idle.
-//! * **Park / unpark.** A worker that finds every queue empty parks on a
-//!   condvar; every push notifies one sleeper, and the worker that retires
-//!   the final job notifies all so the pool drains and joins.
+//! * **Pop the front.** Every idle worker takes the oldest queued job, so
+//!   execution starts in submission order and with `workers = 1` it *is*
+//!   submission order. Whichever worker frees up first takes the next job:
+//!   the greedy balance that work stealing buys, with no per-worker queues
+//!   to rebalance.
+//! * **Push to the back.** Work created *during* the run — the retry of a
+//!   panicked job — joins the back of the queue, so a repeatedly failing job
+//!   cannot starve the rest of the batch.
+//! * **Wait on the condvar.** A worker that finds the queue empty waits
+//!   until a push or the final retire notifies it. The outstanding-job count
+//!   sits under the same lock as the queue, so "empty but not done" and
+//!   "done" are one consistent read and no wait needs a timeout.
 //!
-//! Queues are `Mutex<VecDeque<usize>>`: jobs here are whole experiments
-//! (milliseconds to minutes), so queue traffic is a few dozen operations per
-//! run and lock-free deques would buy nothing. The pool is *scoped* — built
-//! on [`std::thread::scope`] — so jobs may borrow from the caller's stack.
+//! Jobs here are whole experiments or serve session ops (milliseconds to
+//! minutes), so queue traffic is a few lock acquisitions per job and one
+//! lock is nowhere near contended. The pool is *scoped* — built on
+//! [`std::thread::scope`] — so jobs may borrow from the caller's stack.
 //!
 //! Determinism contract: the pool guarantees nothing about *execution
 //! order* across workers; callers get reproducibility by making each job's
 //! output a pure function of the job value (see `crate::job`), never of
 //! schedule, worker id, or completion order.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
+use faction_linalg::rng::splitmix64;
 use faction_telemetry::Handle;
 
 /// Deterministic schedule-chaos mode (the dynamic tier of the determinism
 /// sanitizer, DESIGN.md §12): a seed for reproducible perturbation of every
 /// scheduling decision the pool makes.
 ///
-/// Under chaos the pool deterministically varies the *schedule* — work-source
-/// search order, steal victims and which end of their deque is robbed, park
-/// timing, and bounded forced requeues that make jobs migrate workers — while
-/// leaving the execution contract untouched: every job still runs to
-/// retirement exactly once (forced requeues re-run the body, like panic
-/// retries, and are bounded per job). Because the determinism contract says
-/// results are a pure function of the job value, **any** schedule must
-/// produce byte-identical canonical output; chaos exists to hunt schedules
-/// that falsify that claim, and the seed makes a found counterexample
-/// replayable.
+/// Under chaos the pool deterministically varies the *schedule* — which end
+/// of the run queue every pop takes, and bounded forced requeues that send a
+/// popped job to the back of the queue before it runs — while leaving the
+/// execution contract untouched: every job still runs to retirement exactly
+/// once (a forced requeue happens before the body starts, and is bounded per
+/// job). Because the determinism contract says results are a pure function
+/// of the job value, **any** schedule must produce byte-identical canonical
+/// output; chaos exists to hunt schedules that falsify that claim, and the
+/// seed makes a found counterexample replayable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosSchedule(pub u64);
 
 /// Forced requeues per job index under chaos. Bounded so a batch always
 /// drains: after the bound each pop proceeds to execution.
 const CHAOS_MAX_FORCED_REQUEUES: u32 = 2;
-
-/// SplitMix64 finalizer — the same stateless mixer the labeled pool uses for
-/// reservoir draws; every chaos decision is a pure function of
-/// `(seed, worker, decision counter)`, never of wall clock or schedule.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Per-batch chaos state shared by the workers.
 struct ChaosState {
@@ -71,7 +64,9 @@ struct ChaosState {
     forced: Vec<AtomicU32>,
 }
 
-/// One worker's deterministic chaos decision stream.
+/// One worker's deterministic chaos decision stream: every draw is a pure
+/// function of `(seed, worker, draw counter)`, never of wall clock or
+/// schedule.
 struct ChaosRng<'a> {
     state: &'a ChaosState,
     worker: u64,
@@ -83,12 +78,18 @@ impl ChaosRng<'_> {
         self.draws += 1;
         splitmix64(self.state.seed ^ (self.worker << 40) ^ self.draws)
     }
+
+    /// Books one forced requeue of `idx`; `false` once its bound is spent.
+    fn may_force(&self, idx: usize) -> bool {
+        self.state.forced[idx].fetch_add(1, Ordering::Relaxed) < CHAOS_MAX_FORCED_REQUEUES
+    }
 }
 
 /// Locks a mutex, tolerating poisoning: a panicking job is isolated by
 /// `catch_unwind` in the executor, but if a panic ever does fly through a
-/// critical section the queue state itself (plain `VecDeque`s and counters)
-/// is still consistent, so the pool keeps draining instead of deadlocking.
+/// critical section the queue state itself (a plain `VecDeque` and
+/// counters) is still consistent, so the pool keeps draining instead of
+/// deadlocking.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -103,170 +104,88 @@ pub fn resolve_workers(requested: Option<usize>) -> usize {
     }
 }
 
-/// Counters guarded by the park lock.
-struct ParkState {
-    /// Job indices sitting in some queue (injector or deque), not yet
-    /// picked up by a worker.
-    queued: usize,
-    /// Jobs submitted or requeued and not yet retired. The pool drains when
-    /// this reaches zero.
+/// The run queue and the counts that change atomically with it.
+struct RunQueue {
+    /// Job indices waiting for a worker, oldest first.
+    queue: VecDeque<usize>,
+    /// Jobs submitted and not yet retired. The batch drains at zero.
     outstanding: usize,
-    /// High-water mark of `queued` over the batch lifetime.
+    /// High-water mark of `queue.len()` over the batch.
     high_water: usize,
+}
+
+impl RunQueue {
+    fn push_back(&mut self, idx: usize) {
+        self.queue.push_back(idx);
+        self.high_water = self.high_water.max(self.queue.len());
+    }
 }
 
 /// Shared scheduler state for one batch.
 struct Scheduler {
-    injector: Mutex<VecDeque<usize>>,
-    deques: Vec<Mutex<VecDeque<usize>>>,
-    park: Mutex<ParkState>,
+    state: Mutex<RunQueue>,
     cv: Condvar,
-    /// Telemetry sink for scheduling events (steals, parks, injector
-    /// depth). Write-only: scheduling decisions never read it back.
+    /// Telemetry sink for scheduling events (requeues, waits, queue
+    /// high-water). Write-only: scheduling decisions never read it back.
     recorder: Handle,
 }
 
 impl Scheduler {
-    fn new(workers: usize, jobs: usize, recorder: Handle) -> Scheduler {
-        let mut deques = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            deques.push(Mutex::new(VecDeque::new()));
-        }
-        let s = Scheduler {
-            injector: Mutex::new(VecDeque::new()),
-            deques,
-            park: Mutex::new(ParkState { queued: 0, outstanding: 0, high_water: 0 }),
-            cv: Condvar::new(),
-            recorder,
-        };
-        // Seed round-robin across the worker deques: deterministic layout,
-        // and with one worker it degenerates to pure submission order.
-        for idx in 0..jobs {
-            lock(&s.deques[idx % workers]).push_back(idx);
-        }
-        let mut p = lock(&s.park);
-        p.queued = jobs;
-        p.outstanding = jobs;
-        p.high_water = jobs;
-        drop(p);
-        s
-    }
-
-    /// Books one popped job out of the queued count.
-    fn note_popped(&self) {
-        lock(&self.park).queued -= 1;
-    }
-
-    /// Pushes a requeued job (a retry) onto the global injector and wakes a
-    /// parked worker. `outstanding` is unchanged: the job was never retired.
+    /// Pushes a retry to the back of the queue and wakes a waiting worker.
+    /// `outstanding` is unchanged: the job was never retired.
     fn requeue(&self, idx: usize) {
-        // Book the job as queued before it becomes visible in the injector:
-        // another worker may pop it (and book it out) the instant it is
-        // pushed, so counting after the push can underflow `queued` and
-        // leave the other workers spinning on a job that is not there.
-        let mut p = lock(&self.park);
-        p.queued += 1;
-        p.high_water = p.high_water.max(p.queued);
-        drop(p);
-        let depth = {
-            let mut inj = lock(&self.injector);
-            inj.push_back(idx);
-            inj.len()
-        };
+        lock(&self.state).push_back(idx);
         self.recorder.counter_add("engine.pool.requeues", 1);
-        self.recorder.gauge_set("engine.pool.injector_depth", depth as u64);
         self.cv.notify_one();
     }
 
     /// Retires one job; wakes everyone when the batch is drained.
     fn retire(&self) {
-        let mut p = lock(&self.park);
-        p.outstanding -= 1;
-        let done = p.outstanding == 0;
-        drop(p);
-        if done {
+        let mut q = lock(&self.state);
+        q.outstanding -= 1;
+        if q.outstanding == 0 {
             self.cv.notify_all();
         }
     }
 
-    /// Finds the next job for `worker`: own deque front, then injector
-    /// front, then steal from siblings' backs (scanning from the next
-    /// worker id so thieves spread out).
+    /// Pops the next job to run, waiting while the queue is empty; `None`
+    /// once every job has retired and the worker should exit.
     ///
-    /// Under chaos the search order, the steal scan's starting victim, and
-    /// the robbed end of a victim's deque are all drawn from the worker's
-    /// chaos stream — every combination is a schedule the no-chaos pool
-    /// could reach under some timing, just forced instead of accidental.
-    fn find_work(&self, worker: usize, chaos: &mut Option<ChaosRng<'_>>) -> Option<usize> {
-        let draw = chaos.as_mut().map(|c| c.next());
-        if let Some(d) = draw {
-            // Half the time, drain the injector before the own deque.
-            if d & 1 == 1 {
-                if let Some(idx) = lock(&self.injector).pop_front() {
-                    self.note_popped();
-                    return Some(idx);
-                }
+    /// Under chaos every pop draws which end of the queue it takes, and may
+    /// send the popped job to the back instead of running it (bounded per
+    /// index): both are schedules the plain pool reaches under some timing,
+    /// forced instead of accidental.
+    fn next(&self, chaos: &mut Option<ChaosRng<'_>>) -> Option<usize> {
+        let mut q = lock(&self.state);
+        loop {
+            if q.outstanding == 0 {
+                return None;
             }
-        }
-        if let Some(idx) = lock(&self.deques[worker]).pop_front() {
-            self.note_popped();
-            return Some(idx);
-        }
-        if let Some(idx) = lock(&self.injector).pop_front() {
-            self.note_popped();
-            return Some(idx);
-        }
-        let n = self.deques.len();
-        // Chaos rotates the steal scan's starting offset and robs the
-        // victim's *front* half the time (the job the owner would run next —
-        // maximally adversarial to accidental order dependence).
-        let (start, steal_front) = match draw {
-            Some(d) if n > 1 => ((d >> 1) as usize % (n - 1), d & 2 == 2),
-            _ => (0, false),
-        };
-        for scan in 0..n.saturating_sub(1) {
-            let victim = (worker + 1 + (start + scan) % (n - 1)) % n;
-            let stolen = if steal_front {
-                lock(&self.deques[victim]).pop_front()
-            } else {
-                lock(&self.deques[victim]).pop_back()
+            let draw = match chaos.as_mut() {
+                Some(rng) if !q.queue.is_empty() => Some(rng.next()),
+                _ => None,
             };
-            if let Some(idx) = stolen {
-                self.note_popped();
-                self.recorder.counter_add("engine.pool.steals", 1);
+            let popped = match draw {
+                Some(d) if d & 1 == 1 => q.queue.pop_back(),
+                _ => q.queue.pop_front(),
+            };
+            let Some(idx) = popped else {
+                // Count the wait *before* taking it: the queue lock is held,
+                // so the counter must be an independent sink, never this lock.
+                self.recorder.counter_add("engine.pool.park_waits", 1);
+                q = self.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            let forced = match (draw, chaos.as_ref()) {
+                (Some(d), Some(rng)) => d & 6 == 0 && rng.may_force(idx),
+                _ => false,
+            };
+            if !forced {
                 return Some(idx);
             }
-        }
-        None
-    }
-
-    /// Parks until work might exist or the batch is drained. Returns
-    /// `false` when the batch is fully retired and the worker should exit.
-    ///
-    /// Under chaos the park timeout is drawn from the worker's chaos stream
-    /// (1–16 ms instead of a fixed 50 ms), so wake order and re-scan timing
-    /// vary deterministically between seeds.
-    fn park_or_exit(&self, chaos: &mut Option<ChaosRng<'_>>) -> bool {
-        let mut p = lock(&self.park);
-        loop {
-            if p.outstanding == 0 {
-                return false;
-            }
-            if p.queued > 0 {
-                return true;
-            }
-            // Count the wait *before* taking it: the park lock is held, so
-            // the counter must be an independent sink, never this lock.
-            self.recorder.counter_add("engine.pool.park_waits", 1);
-            let millis = match chaos.as_mut() {
-                Some(c) => 1 + c.next() % 16,
-                None => 50,
-            };
-            let (guard, _timeout) = self
-                .cv
-                .wait_timeout(p, std::time::Duration::from_millis(millis))
-                .unwrap_or_else(PoisonError::into_inner);
-            p = guard;
+            self.recorder.counter_add("engine.pool.chaos_forced_requeues", 1);
+            self.recorder.counter_add("engine.pool.requeues", 1);
+            q.push_back(idx);
         }
     }
 }
@@ -286,34 +205,24 @@ pub(crate) struct WorkerCtx<'a> {
     scheduler: &'a Scheduler,
     /// Id of the worker running this job (journal detail only).
     pub worker: usize,
-    requeued: std::cell::Cell<bool>,
+    requeued: Cell<bool>,
 }
 
 impl WorkerCtx<'_> {
-    /// Requeues the *current* job onto the global injector; the pool will
-    /// hand it to some worker again instead of retiring it.
+    /// Requeues the *current* job at the back of the run queue; the pool
+    /// will hand it to some worker again instead of retiring it.
     pub fn requeue_current(&self, idx: usize) {
         self.requeued.set(true);
         self.scheduler.requeue(idx);
     }
 }
 
-/// Runs job indices `0..count` on `workers` threads. `body` is invoked once
-/// per scheduled execution (so a requeued index runs again) and may borrow
-/// from the caller's stack. Scheduling events are recorded to `recorder`
-/// (steals, park waits, injector depth, queue high-water); pass
+/// Runs job indices `0..count` on `workers` threads, under `chaos` when
+/// set. `body` is invoked once per scheduled execution (so a requeued index
+/// runs again) and may borrow from the caller's stack. Scheduling events are
+/// recorded to `recorder` (requeues, waits, queue high-water); pass
 /// `Handle::noop()` to record nothing. Returns pool statistics.
-pub(crate) fn run_indexed<F>(workers: usize, count: usize, recorder: &Handle, body: F) -> PoolStats
-where
-    F: Fn(&WorkerCtx<'_>, usize) + Sync,
-{
-    run_indexed_chaos(workers, count, recorder, None, body)
-}
-
-/// [`run_indexed`] with an optional [`ChaosSchedule`]: the execution
-/// contract (every index retires exactly once, results are slot-addressed)
-/// is identical; only the schedule is perturbed.
-pub(crate) fn run_indexed_chaos<F>(
+pub(crate) fn run_indexed<F>(
     workers: usize,
     count: usize,
     recorder: &Handle,
@@ -327,99 +236,63 @@ where
     if count == 0 {
         return PoolStats { workers, queue_high_water: 0 };
     }
-    let scheduler = Scheduler::new(workers, count, recorder.clone());
+    let scheduler = Scheduler {
+        state: Mutex::new(RunQueue {
+            queue: (0..count).collect(),
+            outstanding: count,
+            high_water: count,
+        }),
+        cv: Condvar::new(),
+        recorder: recorder.clone(),
+    };
     let chaos_state = chaos.map(|ChaosSchedule(seed)| ChaosState {
         seed: splitmix64(seed ^ 0xC4A0_55C4_EDB1_E001),
         forced: (0..count).map(|_| AtomicU32::new(0)).collect(),
     });
     std::thread::scope(|scope| {
         for worker in 0..workers {
-            let scheduler = &scheduler;
-            let body = &body;
+            let (scheduler, body) = (&scheduler, &body);
             let chaos_state = chaos_state.as_ref();
             scope.spawn(move || {
                 let mut rng = chaos_state
                     .map(|state| ChaosRng { state, worker: worker as u64, draws: 0 });
-                loop {
-                    match scheduler.find_work(worker, &mut rng) {
-                        Some(idx) => {
-                            // Forced requeue: before executing, chaos may
-                            // bounce the job back through the injector so a
-                            // different worker (and queue interleaving) runs
-                            // it. Bounded per index so the batch drains.
-                            if let (Some(rng), Some(state)) = (rng.as_mut(), chaos_state) {
-                                if rng.next() & 3 == 0
-                                    && state.forced[idx].fetch_add(1, Ordering::SeqCst)
-                                        < CHAOS_MAX_FORCED_REQUEUES
-                                {
-                                    scheduler
-                                        .recorder
-                                        .counter_add("engine.pool.chaos_forced_requeues", 1);
-                                    scheduler.requeue(idx);
-                                    continue;
-                                }
-                            }
-                            let ctx = WorkerCtx {
-                                scheduler,
-                                worker,
-                                requeued: std::cell::Cell::new(false),
-                            };
-                            body(&ctx, idx);
-                            if !ctx.requeued.get() {
-                                scheduler.retire();
-                            }
-                        }
-                        None => {
-                            if !scheduler.park_or_exit(&mut rng) {
-                                break;
-                            }
-                        }
+                while let Some(idx) = scheduler.next(&mut rng) {
+                    let ctx = WorkerCtx { scheduler, worker, requeued: Cell::new(false) };
+                    body(&ctx, idx);
+                    if !ctx.requeued.get() {
+                        scheduler.retire();
                     }
                 }
             });
         }
     });
-    let p = lock(&scheduler.park);
+    let high_water = lock(&scheduler.state).high_water;
     recorder.counter_add("engine.pool.batches", 1);
     recorder.gauge_set("engine.pool.workers", workers as u64);
-    recorder.gauge_set("engine.pool.queue_high_water", p.high_water as u64);
-    PoolStats { workers, queue_high_water: p.high_water }
+    recorder.gauge_set("engine.pool.queue_high_water", high_water as u64);
+    PoolStats { workers, queue_high_water: high_water }
 }
 
 /// Runs `f(index, item)` for every item of `items` on `workers` threads and
-/// blocks until all complete. The primitive behind the engine's batch
-/// executor and the bench crate's `run_lineup`: items may borrow from the
-/// caller, results are typically written into a locked slot table so output
-/// order is submission order regardless of schedule.
+/// blocks until all complete. The primitive behind the bench crate's
+/// `run_lineup` and the serve layer's wave fan-out: items may borrow from
+/// the caller, results are typically written into a locked slot table so
+/// output order is submission order regardless of schedule.
 pub fn scoped_for_each<T, F>(workers: usize, items: &[T], f: F) -> PoolStats
 where
     T: Sync,
     F: Fn(usize, &T) + Sync,
 {
-    run_indexed(workers, items.len(), &Handle::noop(), |_, idx| f(idx, &items[idx]))
+    run_indexed(workers, items.len(), &Handle::noop(), None, |_, idx| f(idx, &items[idx]))
 }
 
 /// [`scoped_for_each`] under a [`ChaosSchedule`] — the sanitizer harness's
 /// way to subject any indexed batch to deterministic schedule perturbation.
 /// Forced requeues re-offer an index to the pool *before* `f` starts, never
-/// after, so `f` still executes exactly once per item.
-pub fn scoped_for_each_chaos<T, F>(
-    workers: usize,
-    items: &[T],
-    chaos: ChaosSchedule,
-    f: F,
-) -> PoolStats
-where
-    T: Sync,
-    F: Fn(usize, &T) + Sync,
-{
-    scoped_for_each_chaos_recorded(workers, items, chaos, &Handle::noop(), f)
-}
-
-/// [`scoped_for_each_chaos`] with a telemetry recorder, so callers that
-/// assert "the schedule really was perturbed" (the serve determinism suite)
+/// after, so `f` still executes exactly once per item. Scheduling events go
+/// to `recorder`, so callers that assert "the schedule really was perturbed"
 /// can read `engine.pool.chaos_forced_requeues` from their own registry.
-pub fn scoped_for_each_chaos_recorded<T, F>(
+pub fn scoped_for_each_chaos<T, F>(
     workers: usize,
     items: &[T],
     chaos: ChaosSchedule,
@@ -430,7 +303,7 @@ where
     T: Sync,
     F: Fn(usize, &T) + Sync,
 {
-    run_indexed_chaos(workers, items.len(), recorder, Some(chaos), |_, idx| f(idx, &items[idx]))
+    run_indexed(workers, items.len(), recorder, Some(chaos), |_, idx| f(idx, &items[idx]))
 }
 
 #[cfg(test)]
@@ -492,7 +365,8 @@ mod tests {
         for seed in [0u64, 1, 42, 0xDEAD_BEEF] {
             for workers in [1, 2, 4] {
                 let hits: Vec<AtomicUsize> = (0..61).map(|_| AtomicUsize::new(0)).collect();
-                scoped_for_each_chaos(workers, &hits, ChaosSchedule(seed), |_, slot| {
+                let noop = Handle::noop();
+                scoped_for_each_chaos(workers, &hits, ChaosSchedule(seed), &noop, |_, slot| {
                     slot.fetch_add(1, Ordering::SeqCst);
                 });
                 for (i, h) in hits.iter().enumerate() {
@@ -507,12 +381,30 @@ mod tests {
     }
 
     #[test]
+    fn chaos_reorders_one_worker_and_still_retires_every_index_once() {
+        // With one worker the plain pool runs in submission order, so any
+        // other order is the chaos pops at work; the retire count is the
+        // batch draining, which needs every index retired exactly once.
+        let registry = std::sync::Arc::new(faction_telemetry::Registry::new());
+        let items: Vec<usize> = (0..20).collect();
+        let order = Mutex::new(Vec::new());
+        let handle = Handle::from(registry.clone());
+        scoped_for_each_chaos(1, &items, ChaosSchedule(5), &handle, |idx, _| lock(&order).push(idx));
+        let order = order.into_inner().unwrap();
+        assert_ne!(order, items, "chaos must reorder a one-worker batch");
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, items, "every index runs exactly once");
+        assert_eq!(registry.snapshot().counter("engine.pool.batches"), Some(1));
+    }
+
+    #[test]
     fn chaos_slot_table_results_match_baseline() {
         let items: Vec<u64> = (0..40).collect();
         let collect = |chaos: Option<ChaosSchedule>, workers: usize| -> Vec<u64> {
             let slots: Vec<Mutex<u64>> = items.iter().map(|_| Mutex::new(0)).collect();
             match chaos {
-                Some(c) => scoped_for_each_chaos(workers, &items, c, |idx, &v| {
+                Some(c) => scoped_for_each_chaos(workers, &items, c, &Handle::noop(), |idx, &v| {
                     *lock(&slots[idx]) = v.wrapping_mul(v) ^ 7;
                 }),
                 None => scoped_for_each(workers, &items, |idx, &v| {
@@ -534,7 +426,7 @@ mod tests {
         let registry = std::sync::Arc::new(faction_telemetry::Registry::new());
         let handle = Handle::from(registry.clone());
         let ran = AtomicUsize::new(0);
-        run_indexed_chaos(1, 200, &handle, Some(ChaosSchedule(11)), |_, _| {
+        run_indexed(1, 200, &handle, Some(ChaosSchedule(11)), |_, _| {
             ran.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(ran.load(Ordering::SeqCst), 200);

@@ -2,9 +2,10 @@
 //! adversarial scheduler, not just the friendly one.
 //!
 //! `ChaosSchedule(seed)` deterministically perturbs every scheduling choice
-//! the pool makes — injector-first polling, steal-scan origin and side,
-//! shortened park timeouts, and bounded forced requeues — so these tests
-//! explore interleavings a quiet CI box would never produce on its own.
+//! the pool makes — which end of the shared run queue each pop takes, and
+//! bounded forced requeues that send a popped job to the back before it
+//! runs — so these tests explore interleavings a quiet CI box would never
+//! produce on its own.
 //! The contract under test is DESIGN.md §12: canonicalized results are a
 //! pure function of (stream, seed, config) and must stay byte-identical to
 //! the `jobs=1` no-chaos baseline under every chaos seed.
@@ -130,7 +131,7 @@ fn chaos_fault_injection_lineup_matches_the_serial_baseline() {
 
     for seed in CHAOS_SEEDS {
         let parallel = Arc::new(Mutex::new(vec![None::<String>; LINEUP.len()]));
-        scoped_for_each_chaos(8, LINEUP, ChaosSchedule(seed), |i, name| {
+        scoped_for_each_chaos(8, LINEUP, ChaosSchedule(seed), &Handle::noop(), |i, name| {
             let json = canonical_json(&run_one(name, &stream, 7));
             parallel.lock().expect("no poisoned lock")[i] = Some(json);
         });
@@ -153,7 +154,7 @@ fn chaos_seeds_perturb_scheduling_without_perturbing_results() {
     let mut canonicals = Vec::new();
     for seed in CHAOS_SEEDS {
         let slots: Vec<Mutex<u64>> = items.iter().map(|_| Mutex::new(0)).collect();
-        scoped_for_each_chaos(4, &items, ChaosSchedule(seed), |idx, &v| {
+        scoped_for_each_chaos(4, &items, ChaosSchedule(seed), &Handle::noop(), |idx, &v| {
             *slots[idx].lock().unwrap() = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         });
         canonicals.push(slots.iter().map(|s| *s.lock().unwrap()).collect::<Vec<u64>>());

@@ -87,7 +87,7 @@ fn stress_batch_journal_counters_and_results_agree() {
     assert_eq!(snapshot.counter("engine.pool.jobs_retried"), Some(expected_retries as u64));
     assert_eq!(snapshot.counter("engine.pool.jobs_failed"), Some(doomed_count as u64));
     assert_eq!(snapshot.counter("engine.pool.jobs_completed"), Some(expected_completed as u64));
-    // Every retry passes through the injector.
+    // Every retry is one push to the back of the run queue.
     assert_eq!(snapshot.counter("engine.pool.requeues"), Some(expected_retries as u64));
     let run_hist = snapshot.histogram("engine.pool.job_run_ns").expect("job duration histogram");
     assert_eq!(run_hist.count as usize, expected_started);

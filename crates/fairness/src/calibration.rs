@@ -1,7 +1,7 @@
 //! Group-wise calibration diagnostics.
 //!
 //! The fair-online-learning literature the paper builds on (Chzhen et al.
-//! [59]) treats **group-wise calibration** — predicted probabilities meaning
+//! \[59]) treats **group-wise calibration** — predicted probabilities meaning
 //! the same thing for every sensitive group — as a first-class fairness
 //! criterion alongside demographic parity. These diagnostics make the
 //! criterion measurable for any probabilistic classifier in the system:

@@ -4,7 +4,7 @@
 //! 16–128 columns) every round, and every retrain step runs a forward
 //! `A·B` plus the two backprop products `Aᵀ·B` (weight gradient) and
 //! `A·Bᵀ` (input gradient) per layer. All three go through one macro-kernel,
-//! [`blocked_sweep`], a classic three-level blocking:
+//! `blocked_sweep`, a classic three-level blocking:
 //!
 //! * a **k-panel** (`KC` deep) bounds the working set so the packed slab of
 //!   `A` stays in L1 across the whole j sweep;
@@ -15,7 +15,7 @@
 //!   whole k-panel in locals, touching the output matrix once per panel
 //!   instead of once per scalar multiply-add.
 //!
-//! Each backend supplies its micro-kernels as [`Tiles`]: one for the full
+//! Each backend supplies its micro-kernels as `Tiles`: one for the full
 //! `MR × NR` tile, one for the edge tiles and, optionally, a **pair tile**
 //! of `MR × 2·NR` that covers two adjacent `NR`-wide panels at once. The
 //! sweep hands every full-height run of two full panels to the pair tile
@@ -27,11 +27,11 @@
 //! The edge kernel's hot case is the full-height **narrow tile** (`MR`
 //! rows, `jlen < NR` columns): the class head's products have
 //! `n = C = 2`, so every one of their tiles is narrow. The scalar backend
-//! uses [`kernel_edge`] for all edges; the AVX2 tiles run narrow tiles
+//! uses `kernel_edge` for all edges; the AVX2 tiles run narrow tiles
 //! lane-parallel across the `MR` rows and hand short tiles (`ilen < MR`)
-//! to [`kernel_edge`].
+//! to `kernel_edge`.
 //!
-//! The three products differ only in how operands are read ([`Layout`]):
+//! The three products differ only in how operands are read (`Layout`):
 //! `Aᵀ·B` packs its A micro-panels from the stored-transposed operand (a
 //! contiguous read per k step), and `A·Bᵀ` packs a whole column block of
 //! `Bᵀ` k-major into one stack buffer per k-panel, then sweeps every row

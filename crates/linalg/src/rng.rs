@@ -22,10 +22,15 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One SplitMix64 step: advances `state` and returns the mixed output.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(GOLDEN_GAMMA);
-    mix64(*state)
+/// Stateless SplitMix64: the output of one generator step from state `z`.
+///
+/// The one seed-expansion hash of the workspace. `SeedRng` seeds its
+/// xoshiro state with it, reservoir eviction draws
+/// `splitmix64(seed ^ arrival)` and the engine pool's schedule chaos draws
+/// `splitmix64(seed ^ worker ^ counter)` — pure functions of their inputs,
+/// so no RNG state has to be threaded or serialized.
+pub fn splitmix64(z: u64) -> u64 {
+    mix64(z.wrapping_add(GOLDEN_GAMMA))
 }
 
 /// The xoshiro256** core: four state words, one 64-bit word per step.
@@ -35,15 +40,10 @@ struct Xoshiro256 {
 }
 
 impl Xoshiro256 {
-    /// Expands a 64-bit seed into the four state words with SplitMix64.
+    /// Expands a 64-bit seed into the four state words with SplitMix64: the
+    /// first four outputs of the stream whose state starts at `seed`.
     fn seed_from_u64(seed: u64) -> Self {
-        let mut state = seed;
-        let s = [
-            splitmix64(&mut state),
-            splitmix64(&mut state),
-            splitmix64(&mut state),
-            splitmix64(&mut state),
-        ];
+        let s = [0u64, 1, 2, 3].map(|k| splitmix64(seed.wrapping_add(k.wrapping_mul(GOLDEN_GAMMA))));
         Xoshiro256 { s }
     }
 
@@ -343,6 +343,23 @@ mod tests {
             assert_eq!(index.map(|_| rng.index(7)), index, "seed {seed}");
             let mut rng = SeedRng::new(seed);
             assert_eq!(normal.map(|_| rng.standard_normal().to_bits()), normal, "seed {seed}");
+        }
+    }
+
+    /// Known answers for the stateless hash: the first SplitMix64 outputs
+    /// from these states, as the private copies in the labeled pool and the
+    /// engine pool computed them.
+    #[test]
+    fn known_answers_for_splitmix64() {
+        let cases: [(u64, u64); 5] = [
+            (0, 0xE220_A839_7B1D_CDAF),
+            (1, 0x910A_2DEC_8902_5CC1),
+            (0xDEAD_BEEF, 0x4ADF_B90F_68C9_EB9B),
+            (u64::MAX, 0xE4D9_7177_1B65_2C20),
+            (0x5EED_0FE7_1C71_0A01, 0x8350_6A97_8B06_B4C9),
+        ];
+        for (z, want) in cases {
+            assert_eq!(splitmix64(z), want, "splitmix64({z:#x})");
         }
     }
 

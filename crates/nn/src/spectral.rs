@@ -3,7 +3,7 @@
 //! FACTION inherits DDU's requirement that the feature extractor be smooth
 //! and *sensitive*: spectral normalization caps each layer's Lipschitz
 //! constant, which prevents feature collapse and makes feature-space density
-//! a faithful proxy for epistemic uncertainty (paper Sec. IV-B, [19], [46]).
+//! a faithful proxy for epistemic uncertainty (paper Sec. IV-B, \[19], \[46]).
 //!
 //! We use the standard one-step-per-update power iteration with a persistent
 //! `u` vector (warm start), then rescale `W ← W · c/σ̂` whenever the estimated

@@ -6,7 +6,7 @@
 //! into that shape — a long-lived [`SessionManager`] hosting many
 //! concurrent [`faction_core::OnlineSession`]s, each owning its model,
 //! budget, pool policy, and session-seed-derived RNG, sharded across the
-//! engine's deterministic work-stealing pool.
+//! engine's deterministic pool (one shared run queue).
 //!
 //! ## Determinism contract (the heart of it)
 //!

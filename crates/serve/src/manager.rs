@@ -11,9 +11,10 @@
 //!
 //! 1. **Phase A (parallel)** — the per-session compute: booting a session,
 //!    evaluating a task, scoring candidates (`OnlineSession::feed`),
-//!    serializing a snapshot. Fanned across the engine's work-stealing
-//!    pool; every session's state sits behind its own mutex, and nothing
-//!    in this phase touches shared mutable state.
+//!    serializing a snapshot. Fanned across the engine pool, whose idle
+//!    workers pop one shared FIFO of the wave's slot ids; every session's
+//!    state sits behind its own mutex, and nothing in this phase touches
+//!    shared mutable state.
 //! 2. **Settlement (sequential, ascending slot id)** — everything that
 //!    touches shared state: tenant label-budget ledgers (grant or deny each
 //!    picked index — the oracle denial path), lifecycle transitions,
@@ -35,8 +36,8 @@ use faction_core::{
 };
 use faction_data::{Scale, TaskStream};
 use faction_engine::{
-    build_strategy, resolve_workers, scoped_for_each, scoped_for_each_chaos_recorded,
-    ChaosSchedule, Journal,
+    build_strategy, resolve_workers, scoped_for_each, scoped_for_each_chaos, ChaosSchedule,
+    Journal,
 };
 use faction_telemetry::Handle;
 
@@ -376,7 +377,7 @@ impl SessionManager {
         };
         match self.cfg.chaos {
             Some(ChaosSchedule(seed)) => {
-                scoped_for_each_chaos_recorded(
+                scoped_for_each_chaos(
                     self.cfg.workers,
                     slot_ids,
                     ChaosSchedule(seed ^ self.waves_run),

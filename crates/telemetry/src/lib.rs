@@ -18,7 +18,7 @@
 //!   byte-stably regardless of scheduling.
 //!
 //! Metric names follow `crate.component.metric` (e.g.
-//! `engine.pool.steals`, `core.runner.train_ns`); histogram keys carrying
+//! `engine.pool.requeues`, `core.runner.train_ns`); histogram keys carrying
 //! nanosecond timings end in `_ns`, which is what
 //! [`Snapshot::canonicalized`] keys on when zeroing wall-clock-dependent
 //! fields for cross-run comparison.
@@ -50,8 +50,8 @@ pub use scope::{
 /// Format: one key per line, `#` starts a comment, a trailing `*` marks a
 /// prefix wildcard for dynamically-formatted key families. The analyzer's
 /// `telemetry-key-registry` rule holds every literal key at a recording or
-/// snapshot call site to this list, so a typo'd key (`engine.pool.steal`
-/// vs `….steals`) fails `scripts/check.sh` instead of silently splitting a
+/// snapshot call site to this list, so a typo'd key (`engine.pool.park_wait`
+/// vs `….park_waits`) fails `scripts/check.sh` instead of silently splitting a
 /// metric in two.
 pub const KEY_REGISTRY: &str = include_str!("../keys.txt");
 
@@ -95,7 +95,7 @@ mod key_registry_tests {
     fn core_pool_keys_are_registered() {
         // Spot-check the keys the chaos sanitizer and inertness suite read.
         let entries = entries();
-        for key in ["engine.pool.steals", "engine.pool.chaos_forced_requeues", "core.runner.rounds"]
+        for key in ["engine.pool.park_waits", "engine.pool.chaos_forced_requeues", "core.runner.rounds"]
         {
             assert!(entries.contains(&key), "`{key}` missing from keys.txt");
         }

@@ -99,7 +99,7 @@ impl Handle {
     }
 
     /// Installs this recorder as the current thread's ambient sink for the
-    /// guard's lifetime; the free functions in [`crate::scope`] route to it.
+    /// guard's lifetime; the free functions in `crate::scope` route to it.
     pub fn enter(&self) -> ScopeGuard {
         crate::scope::enter(self.clone())
     }

@@ -148,7 +148,7 @@ fn snapshots_are_schedule_independent() {
 fn canonicalized_snapshots_agree_across_worker_counts() {
     // Counters and non-timing histograms are schedule-independent merges,
     // so even at different worker counts the work-shaped metrics agree;
-    // scheduling metrics (steals, parks, queue depth) are engine-internal
+    // scheduling metrics (waits, requeues, queue depth) are engine-internal
     // and explicitly excluded.
     let grid = tiny_grid();
     let snap_of = |workers: usize| {

@@ -5,7 +5,7 @@
 # accepts --seeds 5 to run the full protocol.
 #
 # Each harness fans its (strategy × seed) grid out over the faction-engine
-# work-stealing pool. JOBS controls the worker count (default: all cores);
+# pool. JOBS controls the worker count (default: all cores);
 # results are byte-identical for every value, so JOBS only changes
 # wall-clock. Run `JOBS=1 ./run_all_experiments.sh` for the historical
 # sequential execution.

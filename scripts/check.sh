@@ -59,6 +59,11 @@ run_stage "cargo test -q --workspace" \
 run_stage "cargo clippy --workspace --all-targets -- -D warnings" \
     cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc warnings are errors: a paper citation like `[18]` read as a link,
+# a public doc linking a private item, or a link to a renamed function.
+run_stage "cargo doc --workspace --no-deps (-D warnings)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 run_stage "perfbench tests (builds against the library)" \
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 

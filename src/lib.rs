@@ -23,7 +23,7 @@
 //! | [`fairness`] | relaxed fairness notion (Eq. 1), losses (Eqs. 8–9), DDP/EOD/MI |
 //! | [`data`] | the five simulated benchmark streams |
 //! | [`core`] | protocol, FACTION, 7 baselines, runner, theory validation |
-//! | [`engine`] | deterministic parallel execution: work-stealing pool, grid jobs, journal |
+//! | [`engine`] | deterministic parallel execution: one-queue pool, grid jobs, journal |
 //! | [`serve`] | multi-tenant online session server over the engine pool |
 //!
 //! ## Quickstart
