@@ -7,8 +7,12 @@
 //! the forward pass, the loss and its gradient, backprop and the spectral
 //! power iteration all write into reused buffers. This suite counts every
 //! allocation the test thread makes during a step with a counting global
-//! allocator and asserts zero at the standard preset (`[16, 64, 32, 2]`,
-//! mini-batch 64) under both training losses.
+//! allocator and asserts zero under both training losses at every shape
+//! the benchmark trains: the standard preset (`[16, 64, 32, 2]`,
+//! mini-batch 64) and the tiny preset (`[d, 16, 2]`, mini-batch 32, for the
+//! input widths `d` of the serve workload's datasets). The GEMM pack
+//! buffers are per-thread scratch, so a step that needed one built lazily
+//! would show here as an allocation after warm-up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,7 +20,9 @@ use std::cell::Cell;
 use faction_core::FairTotalLoss;
 use faction_fairness::TotalLossConfig;
 use faction_linalg::{Matrix, SeedRng};
-use faction_nn::{presets, BatchLoss, BatchMeta, CrossEntropyLoss, Mlp, MlpWorkspace, Sgd};
+use faction_nn::{
+    presets, BatchLoss, BatchMeta, CrossEntropyLoss, Mlp, MlpConfig, MlpWorkspace, Sgd,
+};
 
 /// Forwards to the system allocator, counting allocations made on a thread
 /// while its `COUNTING` flag is set.
@@ -76,19 +82,28 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 
 const BATCH: usize = 64;
 const INPUT_DIM: usize = 16;
+/// The tiny preset's mini-batch and the input widths it trains at.
+const TINY_BATCH: usize = 32;
+const TINY_INPUT_DIMS: [usize; 3] = [16, 24, 32];
 
-/// Warms a standard-preset model up with one step, then asserts that each
-/// of the next few steps allocates nothing.
-fn assert_steady_state_steps_allocate_nothing(loss: &dyn BatchLoss, name: &str) {
-    let mut mlp = Mlp::new(&presets::standard(INPUT_DIM, 2, 11));
+/// Warms a model of `cfg`'s architecture up with one step at mini-batch
+/// `batch`, then asserts that each of the next few steps allocates nothing.
+fn assert_steady_state_steps_allocate_nothing(
+    cfg: &MlpConfig,
+    batch: usize,
+    loss: &dyn BatchLoss,
+    name: &str,
+) {
+    let input_dim = cfg.layer_sizes[0];
+    let mut mlp = Mlp::new(cfg);
     // The optimizer the online model trains with.
     let mut opt = Sgd::new(0.05).with_momentum(0.9);
     let mut rng = SeedRng::new(5);
-    let data = (0..BATCH * INPUT_DIM).map(|_| rng.normal(0.0, 1.0)).collect();
-    let x = Matrix::from_vec(BATCH, INPUT_DIM, data).expect("batch shape");
+    let data = (0..batch * input_dim).map(|_| rng.normal(0.0, 1.0)).collect();
+    let x = Matrix::from_vec(batch, input_dim, data).expect("batch shape");
     // Both classes and both groups, so the fairness term is live.
-    let labels: Vec<usize> = (0..BATCH).map(|i| (i / 3) % 2).collect();
-    let sensitive: Vec<i8> = (0..BATCH).map(|i| if i % 2 == 0 { 1 } else { -1 }).collect();
+    let labels: Vec<usize> = (0..batch).map(|i| (i / 3) % 2).collect();
+    let sensitive: Vec<i8> = (0..batch).map(|i| if i % 2 == 0 { 1 } else { -1 }).collect();
     let meta = BatchMeta { labels: &labels, sensitive: &sensitive };
     let mut ws = MlpWorkspace::new();
     mlp.train_step_with(&x, &meta, loss, &mut opt, &mut ws);
@@ -104,13 +119,29 @@ fn assert_steady_state_steps_allocate_nothing(loss: &dyn BatchLoss, name: &str) 
 
 #[test]
 fn cross_entropy_step_allocates_nothing_after_warm_up() {
-    assert_steady_state_steps_allocate_nothing(&CrossEntropyLoss, "CrossEntropyLoss");
+    let cfg = presets::standard(INPUT_DIM, 2, 11);
+    assert_steady_state_steps_allocate_nothing(&cfg, BATCH, &CrossEntropyLoss, "CrossEntropyLoss");
 }
 
 #[test]
 fn fair_total_loss_step_allocates_nothing_after_warm_up() {
     let loss = FairTotalLoss::new(TotalLossConfig::default());
-    assert_steady_state_steps_allocate_nothing(&loss, "FairTotalLoss");
+    let cfg = presets::standard(INPUT_DIM, 2, 11);
+    assert_steady_state_steps_allocate_nothing(&cfg, BATCH, &loss, "FairTotalLoss");
+}
+
+#[test]
+fn tiny_preset_steps_allocate_nothing_after_warm_up() {
+    let fair = FairTotalLoss::new(TotalLossConfig::default());
+    for d in TINY_INPUT_DIMS {
+        let cfg = presets::tiny(d, 2, 11);
+        let losses: [(&dyn BatchLoss, &str); 2] =
+            [(&CrossEntropyLoss, "CrossEntropyLoss"), (&fair, "FairTotalLoss")];
+        for (loss, name) in losses {
+            let what = format!("tiny [{d}, 16, 2] {name}");
+            assert_steady_state_steps_allocate_nothing(&cfg, TINY_BATCH, loss, &what);
+        }
+    }
 }
 
 #[test]

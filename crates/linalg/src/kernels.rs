@@ -24,19 +24,33 @@
 //! tile. Packing is the same either way: the pair tile reads the second
 //! panel at a fixed offset from the first (`NR` columns to the right in a
 //! row-major `B`, one packed panel further on in a packed `Bᵀ` block).
-//! The edge kernel's hot case is the full-height **narrow tile** (`MR`
-//! rows, `jlen < NR` columns): the class head's products have
-//! `n = C = 2`, so every one of their tiles is narrow. The scalar backend
-//! uses `kernel_edge` for all edges; the AVX2 tiles run narrow tiles
-//! lane-parallel across the `MR` rows and hand short tiles (`ilen < MR`)
-//! to `kernel_edge`.
+//! The edge kernel's hot case is the **narrow tile** (`jlen < NR`
+//! columns): the class head's products have `n = C = 2`, so every one of
+//! their tiles is narrow. A narrow product packs a row block of `MP`
+//! micro-panels at a time and hands the whole block to one narrow-tile
+//! call, so the AVX2 kernel carries up to eight independent accumulator
+//! chains (four micro-panels × two columns) instead of the two one
+//! micro-panel gives; a wide product packs one micro-panel at a time. The
+//! scalar backend uses `kernel_edge` for all edges; the AVX2 tiles run
+//! narrow tiles lane-parallel across the `MR` rows of each micro-panel and
+//! hand short micro-panels (`ilen < MR`) to `kernel_edge`.
 //!
 //! The three products differ only in how operands are read (`Layout`):
-//! `Aᵀ·B` packs its A micro-panels from the stored-transposed operand (a
-//! contiguous read per k step), and `A·Bᵀ` packs a whole column block of
-//! `Bᵀ` k-major into one stack buffer per k-panel, then sweeps every row
-//! block under it the way `A·B` does, so each A micro-panel is packed once
-//! per column block rather than once per `NR`-wide panel.
+//! `Aᵀ·B` packs its A micro-panels from the stored-transposed operand (one
+//! fixed-width `MR`-element copy per k step), and `A·Bᵀ` packs a whole
+//! column block of `Bᵀ` k-major per k-panel, then sweeps every row block
+//! under it the way `A·B` does, so each A micro-panel is packed once per
+//! column block rather than once per `NR`-wide panel.
+//!
+//! The packed operands live in one per-thread scratch (`PackScratch`, 64
+//! KiB of zero-initialized thread-local storage) that every product on the
+//! thread reuses and nothing ever clears. The packing routines write every
+//! lane a tile reads before it reads it, and no tile reads the lanes past
+//! a short micro-panel's height or a narrow `Bᵀ` panel's width, so the
+//! scratch carries no state from one product to the next; `kernel_equivalence`
+//! fills it with NaN and then checks tail-heavy products bit for bit. A
+//! product therefore pays no memset for its pack buffers, which at the
+//! training shapes cost more than the narrow products' arithmetic.
 //!
 //! Every kernel preserves the *exact* floating-point accumulation order of
 //! the straightforward loops: each output element is a left-to-right sum
@@ -56,6 +70,8 @@
 //! direct kernel call must fail loudly instead of reading logically
 //! adjacent memory.
 
+use std::cell::RefCell;
+
 /// Rows of `A` packed per micro-panel (register-tile height).
 pub const MR: usize = 4;
 /// Columns of `B` per register tile (register-tile width).
@@ -63,19 +79,42 @@ pub const NR: usize = 8;
 /// Depth of the packed k-panel.
 pub const KC: usize = 256;
 
-/// Capacity, in f64, of the stack buffer [`Layout::Nt`] packs a `Bᵀ`
-/// column block into (32 KiB). A block is as many `NR`-wide panels as fit
-/// at the k-panel's depth: `2 * NR` columns at `klen = KC`, 128 at
-/// `klen = 32`, so every standard-preset input gradient packs its whole
-/// `Bᵀ` once.
+/// Micro-panels of A packed per row block: [`blocked_sweep`] packs
+/// `MP * MR` rows at a time, so the narrow tiles of a class-head product
+/// (`n < NR`) can carry several micro-panels' independent accumulators.
+const MP: usize = 4;
+
+/// Capacity, in f64, of the `Bᵀ` column block [`Layout::Nt`] packs (32
+/// KiB). A block is as many `NR`-wide panels as fit at the k-panel's depth:
+/// `2 * NR` columns at `klen = KC`, 128 at `klen = 32`, so every
+/// standard-preset input gradient packs its whole `Bᵀ` once.
 const NT_PACK: usize = 2 * KC * NR;
 
+/// The packed operands of one blocked product: an A row block of `MP`
+/// micro-panels and a `Bᵀ` column block. One lives in each thread
+/// ([`PACK`]) and is reused by every product that thread runs. It is never
+/// cleared: the packing routines write every lane a tile reads before the
+/// tile reads it, so nothing of an earlier product can reach a later one.
+struct PackScratch {
+    a: [f64; MP * MR * KC],
+    b: [f64; NT_PACK],
+}
+
+thread_local! {
+    /// This thread's pack buffers (64 KiB of zero-initialized thread-local
+    /// storage: no heap allocation, no lazy initialization).
+    static PACK: RefCell<PackScratch> =
+        const { RefCell::new(PackScratch { a: [0.0; MP * MR * KC], b: [0.0; NT_PACK] }) };
+}
+
 /// The blocked break-even, in multiply-adds: at or below it the simple
-/// loops win, because setting up the packed operands (the zeroed stack
-/// buffers, the `Bᵀ` block above all) costs more than the register tile
-/// saves. Above it the blocked path wins for all three layouts, narrow
-/// class-head products (`n < NR`) included; see [`is_small`].
-pub(crate) const SMALL_VOLUME: usize = 16 * 8 * 8;
+/// loops win or tie, because packing the operands costs as much as the
+/// register tile saves. Above it the blocked path wins for all three
+/// layouts, narrow class-head products (`n < NR`) included: 1.2–4× at
+/// 512, and 3.4–4.9× on the tiny preset's three head products at 1024.
+/// The exception is a depth of `k = 2` in `A·B` or `Aᵀ·B`, which no
+/// workload issues; see [`is_small`].
+pub(crate) const SMALL_VOLUME: usize = 4 * 8 * 8;
 
 /// Full-tile micro-kernel ABI shared by the scalar reference
 /// ([`kernel_full`]) and the AVX2 kernel (`crate::simd`): packed A panel,
@@ -86,8 +125,10 @@ pub(crate) const SMALL_VOLUME: usize = 16 * 8 * 8;
 pub(crate) type FullTile = fn(&[f64], usize, &[f64], usize, &mut [f64], usize);
 
 /// Edge-tile micro-kernel ABI ([`kernel_edge`]'s): [`FullTile`]'s arguments
-/// plus the tile's height `ilen ≤ MR` and width `jlen ≤ NR`, at least one
-/// of them short. Same ascending-`k` contract.
+/// plus the tile's height `ilen` and width `jlen ≤ NR`. Either one short
+/// micro-panel (`ilen < MR`, `jlen == NR`) or a narrow tile (`jlen < NR`)
+/// over `ilen ≤ MP * MR` rows, packed as `ilen.div_ceil(MR)` micro-panels
+/// of `klen` k-steps back to back. Same ascending-`k` contract.
 pub(crate) type EdgeTile = fn(&[f64], usize, usize, &[f64], usize, usize, &mut [f64], usize);
 
 /// Pair-tile micro-kernel ABI: an `MR × 2·NR` tile over two adjacent
@@ -102,7 +143,8 @@ pub(crate) type PairTile = fn(&[f64], usize, &[f64], usize, usize, &mut [f64], u
 pub(crate) struct Tiles {
     /// Full `MR × NR` tiles.
     pub(crate) full: FullTile,
-    /// Every other tile: narrow (`jlen < NR`) and/or short (`ilen < MR`).
+    /// Every other tile: narrow (`jlen < NR`, over a whole row block)
+    /// and/or short (`ilen < MR`).
     pub(crate) edge: EdgeTile,
     /// Two adjacent full tiles at once, where the backend has a wider
     /// register file; `None` sweeps them one [`Tiles::full`] at a time.
@@ -205,9 +247,10 @@ fn active_tiles() -> Tiles {
     crate::simd::select_tiles(crate::dispatch::active_backend())
 }
 
-/// The shared macro-kernel for all three operand layouts: packs A
-/// micro-panels (and, for [`Layout::Nt`], `Bᵀ` column blocks) and sweeps
-/// register tiles over every output row ([`sweep_panels`]).
+/// The shared macro-kernel for all three operand layouts: packs A row
+/// blocks (and, for [`Layout::Nt`], `Bᵀ` column blocks) into the calling
+/// thread's [`PackScratch`] and sweeps register tiles over every output row
+/// ([`sweep_panels`]).
 ///
 /// Every output element accumulates onto its current `out` value over
 /// ascending `k`, so the caller's seed (`0.0` for a plain product, `-0.0`
@@ -224,55 +267,50 @@ pub(crate) fn blocked_sweep(
     layout: Layout,
     tiles: Tiles,
 ) {
-    // Packed A micro-panel, k-major: apack[kk * MR + ii] = op(a)[ib+ii][kb+kk].
-    let mut apack = [0.0f64; MR * KC];
-    let mut kb = 0;
-    while kb < k {
-        let klen = KC.min(k - kb);
-        if layout == Layout::Nt {
-            // Packed Bᵀ column block, one k-major `NR`-wide panel after
-            // another: bpack[p * klen * NR + kk * NR + jj] = b[jb+jj][kb+kk]
-            // for the panel starting at column jb = cb + p * NR. The block
-            // is as wide as the buffer holds at this depth, so A is packed
-            // once per (row block, k-panel, column block).
-            let mut bpack = [0.0f64; NT_PACK];
-            let block = (NT_PACK / klen / NR) * NR;
-            let mut cb = 0;
-            while cb < n {
-                let cend = n.min(cb + block);
-                for (jb, panel) in (cb..cend).step_by(NR).zip(bpack.chunks_exact_mut(klen * NR)) {
-                    for jj in 0..NR.min(cend - jb) {
-                        let col = &b[(jb + jj) * k + kb..(jb + jj) * k + kb + klen];
-                        for (dst, &v) in panel.chunks_exact_mut(NR).zip(col) {
-                            dst[jj] = v;
-                        }
+    // A narrow product's only tiles are narrow ones, which carry a whole
+    // row block of `MP` micro-panels; a wide one sweeps a micro-panel at a
+    // time, and packing more rows ahead only crowds L1.
+    let height = if n < NR { MP * MR } else { MR };
+    PACK.with_borrow_mut(|pack| {
+        let PackScratch { a: apack, b: bpack } = pack;
+        let mut kb = 0;
+        while kb < k {
+            let klen = KC.min(k - kb);
+            if layout == Layout::Nt {
+                // The block is as wide as `bpack` holds at this depth, so A
+                // is packed once per (row block, k-panel, column block).
+                let block = (NT_PACK / klen / NR) * NR;
+                let mut cb = 0;
+                while cb < n {
+                    let cend = n.min(cb + block);
+                    pack_bt(b, k, kb, klen, cb, cend, bpack);
+                    for ib in (0..m).step_by(height) {
+                        let ilen = pack_a(a, layout, m, k, kb, klen, ib, height, apack);
+                        let out_rows = &mut out[ib * n + cb..];
+                        let (width, stride) = (cend - cb, klen * NR);
+                        let bt = &bpack[..];
+                        sweep_panels(apack, klen, ilen, width, bt, NR, stride, out_rows, n, tiles);
                     }
+                    cb = cend;
                 }
-                let mut ib = 0;
-                while ib < m {
-                    let ilen = pack_a(a, layout, m, k, kb, klen, ib, &mut apack);
-                    let out_row = &mut out[ib * n + cb..];
-                    let (width, stride) = (cend - cb, klen * NR);
-                    sweep_panels(&apack, klen, ilen, width, &bpack, NR, stride, out_row, n, tiles);
-                    ib += MR;
+            } else {
+                for ib in (0..m).step_by(height) {
+                    let ilen = pack_a(a, layout, m, k, kb, klen, ib, height, apack);
+                    let (b_panel, out_rows) = (&b[kb * n..], &mut out[ib * n..]);
+                    sweep_panels(apack, klen, ilen, n, b_panel, n, NR, out_rows, n, tiles);
                 }
-                cb = cend;
             }
-        } else {
-            let mut ib = 0;
-            while ib < m {
-                let ilen = pack_a(a, layout, m, k, kb, klen, ib, &mut apack);
-                let (b_panel, out_row) = (&b[kb * n..], &mut out[ib * n..]);
-                sweep_panels(&apack, klen, ilen, n, b_panel, n, NR, out_row, n, tiles);
-                ib += MR;
-            }
+            kb += KC;
         }
-        kb += KC;
-    }
+    });
 }
 
-/// Packs the A micro-panel at rows `ib..` of `op(a)`, k-panel `kb..kb+klen`
-/// (k-major, see [`blocked_sweep`]); returns its height (`MR` or the tail).
+/// Packs the A row block of up to `height` rows at rows `ib..` of `op(a)`,
+/// k-panel `kb..kb+klen`, as micro-panels back to back, each k-major:
+/// `apack[p * klen * MR + kk * MR + ii] = op(a)[ib + p * MR + ii][kb + kk]`.
+/// Returns the block's height (`height` or the tail). Every lane a tile
+/// reads is written; the lanes past a short tail panel's height, which no
+/// tile reads, hold its last row or, for `Aᵀ·B`, stale values.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn pack_a(
@@ -283,38 +321,72 @@ fn pack_a(
     kb: usize,
     klen: usize,
     ib: usize,
-    apack: &mut [f64; MR * KC],
+    height: usize,
+    apack: &mut [f64],
 ) -> usize {
-    let ilen = MR.min(m - ib);
-    if layout == Layout::Tn {
-        for (kk, dst) in apack.chunks_exact_mut(MR).take(klen).enumerate() {
-            let src = (kb + kk) * m + ib;
-            dst[..ilen].copy_from_slice(&a[src..src + ilen]);
-        }
-    } else {
-        // Gather one k step across the panel's rows at a time, so each packed
-        // group of MR is written contiguously. A short tail panel repeats its
-        // last row in the lanes past `ilen`, which no kernel reads.
-        let rows: [&[f64]; MR] = std::array::from_fn(|ii| {
-            let r = ib + ii.min(ilen - 1);
-            &a[r * k + kb..r * k + kb + klen]
-        });
-        for (kk, dst) in apack.chunks_exact_mut(MR).take(klen).enumerate() {
-            for (d, row) in dst.iter_mut().zip(&rows) {
-                *d = row[kk];
+    let ilen = height.min(m - ib);
+    for p in 0..ilen.div_ceil(MR) {
+        let (pb, plen) = (ib + p * MR, MR.min(ilen - p * MR));
+        let steps = &mut apack.as_chunks_mut::<MR>().0[p * klen..(p + 1) * klen];
+        if layout == Layout::Tn {
+            // The stored-transposed operand holds each k step's MR rows
+            // contiguously: one fixed-width copy per step of a full panel.
+            for (kk, dst) in steps.iter_mut().enumerate() {
+                let src = (kb + kk) * m + pb;
+                if plen == MR {
+                    dst.copy_from_slice(&a[src..src + MR]);
+                } else {
+                    dst[..plen].copy_from_slice(&a[src..src + plen]);
+                }
             }
+        } else {
+            let rows: [&[f64]; MR] = std::array::from_fn(|ii| {
+                let r = pb + ii.min(plen - 1);
+                &a[r * k + kb..r * k + kb + klen]
+            });
+            transpose_pack(&rows, steps);
         }
     }
     ilen
 }
 
-/// Sweeps one packed A micro-panel (`ilen` rows) across `width` output
-/// columns, `NR` at a time: panel `p`'s B tile starts at
-/// `b[p * stride..]` with row stride `ldb` (`stride = NR` in a row-major
-/// `B`, one packed panel's length in a packed `Bᵀ` block), and its output
-/// tile at `out[p * NR..]` with row stride `ldo`. A full-height run of two
-/// full panels takes `tiles.pair` when the backend has one, another full
-/// panel `tiles.full`, and the rest `tiles.edge`.
+/// Packs columns `cb..cend` of `Bᵀ` (rows of the stored `n×k` operand) over
+/// k-panel `kb..kb+klen` as `NR`-wide k-major panels back to back:
+/// `bpack[p * klen * NR + kk * NR + jj] = b[cb + p * NR + jj][kb + kk]`. A
+/// narrow last panel repeats its last column in the lanes past its width,
+/// which no kernel reads, so every lane is written.
+#[inline]
+fn pack_bt(b: &[f64], k: usize, kb: usize, klen: usize, cb: usize, cend: usize, bpack: &mut [f64]) {
+    let panels = bpack.as_chunks_mut::<NR>().0;
+    for (p, jb) in (cb..cend).step_by(NR).enumerate() {
+        let jlen = NR.min(cend - jb);
+        let cols: [&[f64]; NR] = std::array::from_fn(|jj| {
+            let c = jb + jj.min(jlen - 1);
+            &b[c * k + kb..c * k + kb + klen]
+        });
+        transpose_pack(&cols, &mut panels[p * klen..(p + 1) * klen]);
+    }
+}
+
+/// Interleaves `W` equally long source rows k step by k step:
+/// `dst[kk][w] = src[w][kk]`, one contiguous `W`-wide group per k step.
+#[inline]
+fn transpose_pack<const W: usize>(src: &[&[f64]; W], dst: &mut [[f64; W]]) {
+    for (kk, group) in dst.iter_mut().enumerate() {
+        *group = std::array::from_fn(|w| src[w][kk]);
+    }
+}
+
+/// Sweeps one packed A row block (`ilen` rows in `ilen.div_ceil(MR)`
+/// micro-panels, see [`pack_a`]) across `width` output columns: panel `p`'s
+/// B tile starts at `b[p * stride..]` with row stride `ldb` (`stride = NR`
+/// in a row-major `B`, one packed panel's length in a packed `Bᵀ` block),
+/// and its output tile at `out[p * NR..]` with row stride `ldo`. Each full
+/// `NR`-wide column panel runs micro-panel by micro-panel: a full-height
+/// run of two panels takes `tiles.pair` when the backend has one, another
+/// full-height panel `tiles.full`, a short one `tiles.edge`. The narrow
+/// column tail (`width % NR` columns) runs once over the whole row block
+/// through `tiles.edge`, which can carry several micro-panels at once.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn sweep_panels(
@@ -329,25 +401,33 @@ fn sweep_panels(
     ldo: usize,
     tiles: Tiles,
 ) {
-    let mut jb = 0;
-    while jb < width {
-        let jlen = width - jb;
-        let (b_tile, out_tile) = (&b[jb / NR * stride..], &mut out[jb..]);
-        let step = match tiles.pair {
-            Some(pair) if ilen == MR && jlen >= 2 * NR => {
-                pair(apack, klen, b_tile, ldb, stride, out_tile, ldo);
-                2 * NR
-            }
-            _ if ilen == MR && jlen >= NR => {
-                (tiles.full)(apack, klen, b_tile, ldb, out_tile, ldo);
-                NR
-            }
-            _ => {
-                (tiles.edge)(apack, klen, ilen, b_tile, ldb, jlen.min(NR), out_tile, ldo);
-                NR
-            }
-        };
-        jb += step;
+    let wide = width - width % NR;
+    for p in 0..ilen.div_ceil(MR) {
+        let panel = &apack[p * klen * MR..];
+        let (plen, out_rows) = (MR.min(ilen - p * MR), &mut out[p * MR * ldo..]);
+        let mut jb = 0;
+        while jb < wide {
+            let (b_tile, out_tile) = (&b[jb / NR * stride..], &mut out_rows[jb..]);
+            let step = match tiles.pair {
+                Some(pair) if plen == MR && wide - jb >= 2 * NR => {
+                    pair(panel, klen, b_tile, ldb, stride, out_tile, ldo);
+                    2 * NR
+                }
+                _ if plen == MR => {
+                    (tiles.full)(panel, klen, b_tile, ldb, out_tile, ldo);
+                    NR
+                }
+                _ => {
+                    (tiles.edge)(panel, klen, plen, b_tile, ldb, NR, out_tile, ldo);
+                    NR
+                }
+            };
+            jb += step;
+        }
+    }
+    if wide < width {
+        let (b_tile, out_tile) = (&b[wide / NR * stride..], &mut out[wide..]);
+        (tiles.edge)(apack, klen, ilen, b_tile, ldb, width - wide, out_tile, ldo);
     }
 }
 
@@ -384,10 +464,11 @@ pub(crate) fn kernel_full(
     }
 }
 
-/// Edge tile (`ilen < MR` and/or `jlen < NR`): plain axpy sweep with the
-/// same ascending-k order as the full kernel. The scalar backend's
-/// [`EdgeTile`], narrow tiles included, and the AVX2 tiles' fallback for
-/// short ones.
+/// Edge tile: a short micro-panel (`ilen < MR`) and/or a narrow column
+/// tail (`jlen < NR`) over a row block of `ilen.div_ceil(MR)` packed
+/// micro-panels (`ilen ≤ MP * MR`, see [`EdgeTile`]). A plain axpy sweep
+/// with the same ascending-k order as the full kernel: the scalar
+/// backend's [`EdgeTile`], and the AVX2 tiles' fallback for short panels.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 // analyzer:ordered: ascending-k accumulation on the edge tiles matches matmul_simple
@@ -402,9 +483,10 @@ pub(crate) fn kernel_edge(
     ldo: usize,
 ) {
     for ii in 0..ilen {
+        let lane = &apack[ii / MR * klen * MR + ii % MR..];
         let out_row = &mut out[ii * ldo..ii * ldo + jlen];
         for kk in 0..klen {
-            let aik = apack[kk * MR + ii];
+            let aik = lane[kk * MR];
             let b_row = &b[kk * ldb..kk * ldb + jlen];
             for (o, &bv) in out_row.iter_mut().zip(b_row) {
                 *o += aik * bv;

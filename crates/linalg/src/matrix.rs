@@ -137,6 +137,20 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Reshapes in place to `rows × cols` for a caller that then writes
+    /// every element, reusing the existing allocation: unlike
+    /// [`Matrix::reset_to_zeros`] it clears nothing that already fits, so
+    /// the elements hold stale (initialized) values until written. Growing
+    /// past the current length zero-fills only the new tail.
+    pub fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
+        let base = self.base();
+        self.data.drain(..base);
+        self.rows = rows;
+        self.cols = cols;
+        self.front = 0;
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Appends one row, growing the matrix in place. An empty `0 × 0`
     /// matrix adopts the row's length as its column count, so a growing
     /// buffer (e.g. the labeled pool) needs no up-front dimension.

@@ -5,13 +5,14 @@
 //! implementations of the blocked products in [`crate::kernels`] — `A·B`,
 //! `Aᵀ·B` and `A·Bᵀ` all reach them through the one macro-kernel. The AVX2
 //! tiles vectorize two shapes: the full `MR × NR` tile, where most flops
-//! are, and the narrow tile (`MR` rows, `jlen < NR` columns), which is
-//! every tile of the class head's `n = C` products. The AVX-512 backend
-//! adds the **pair tile**, `MR × 2·NR`: two adjacent packed `NR` panels in
-//! eight `__m512d` accumulators, which takes every full tile that has a
-//! full neighbour and leaves the rest (a leftover single panel, narrow and
-//! short tiles) to the AVX2 tiles. Short tiles (`ilen < MR`) keep the
-//! scalar reference code on every backend.
+//! are, and the narrow tile (`jlen < NR` columns over a row block of up to
+//! four `MR`-row micro-panels, which run together so their accumulator
+//! chains overlap), which is every tile of the class head's `n = C`
+//! products. The AVX-512 backend adds the **pair tile**, `MR × 2·NR`: two
+//! adjacent packed `NR` panels in eight `__m512d` accumulators, which takes
+//! every full tile that has a full neighbour and leaves the rest (a
+//! leftover single panel, narrow and short tiles) to the AVX2 tiles. Short
+//! tiles (`ilen < MR`) keep the scalar reference code on every backend.
 //!
 //! # Bit-identity contract
 //!
@@ -20,7 +21,8 @@
 //! and pair tiles vectorize across the **j lanes** of the register tile —
 //! each of the 8 (16) output columns lives in its own vector lane; the
 //! narrow kernel vectorizes across the **i lanes** — each of the `MR = 4`
-//! packed rows lives in its own lane, one accumulator per column,
+//! rows of a packed micro-panel lives in its own lane, one accumulator per
+//! (column, micro-panel),
 //! multiplied by a broadcast `b[k][j]` (IEEE multiplication is commutative,
 //! so `a[i][k] * b[k][j]` rounds the same either way round). All of them
 //! perform a separate multiply and add per `k` step (`_mm256_mul_pd` +
@@ -82,10 +84,10 @@ pub(crate) fn kernel_full_simd(
     kernel_full(apack, klen, b, ldb, out, ldo);
 }
 
-/// Safe wrapper matching [`crate::kernels::EdgeTile`]: a full-height narrow
-/// tile (`ilen == MR`, `jlen < NR`) runs the AVX2 narrow kernel, monomorphized
-/// per width; short tiles, and every tile on a host without AVX2, take the
-/// scalar [`kernel_edge`].
+/// Safe wrapper matching [`crate::kernels::EdgeTile`]: a narrow tile
+/// (`jlen < NR`) runs its full-height micro-panels through the AVX2 narrow
+/// kernel, monomorphized per width; a short micro-panel, and every tile on
+/// a host without AVX2, takes the scalar [`kernel_edge`].
 #[allow(clippy::too_many_arguments)] // the EdgeTile ABI
 pub(crate) fn kernel_edge_simd(
     apack: &[f64],
@@ -98,19 +100,26 @@ pub(crate) fn kernel_edge_simd(
     ldo: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if ilen == MR && simd_available() {
+    if jlen < NR && ilen >= MR && simd_available() {
+        // Up to eight accumulators: four micro-panels at once for one or
+        // two columns, two for three or four, one beyond.
         let narrow = match jlen {
-            1 => kernel_narrow_avx2::<1>,
-            2 => kernel_narrow_avx2::<2>,
-            3 => kernel_narrow_avx2::<3>,
-            4 => kernel_narrow_avx2::<4>,
-            5 => kernel_narrow_avx2::<5>,
-            6 => kernel_narrow_avx2::<6>,
-            7 => kernel_narrow_avx2::<7>,
-            _ => unreachable!("an edge tile of full height is narrower than NR"),
+            1 => kernel_narrow_avx2::<1, 4>,
+            2 => kernel_narrow_avx2::<2, 4>,
+            3 => kernel_narrow_avx2::<3, 2>,
+            4 => kernel_narrow_avx2::<4, 2>,
+            5 => kernel_narrow_avx2::<5, 1>,
+            6 => kernel_narrow_avx2::<6, 1>,
+            7 => kernel_narrow_avx2::<7, 1>,
+            _ => unreachable!("a narrow tile is narrower than NR"),
         };
+        let full = ilen / MR;
         // analyzer:unsafe(invariant): avx2 verified by is_x86_feature_detected on the line above; tile bounds are re-asserted inside the kernel before any raw load/store
-        unsafe { narrow(apack, klen, b, ldb, out, ldo) };
+        unsafe { narrow(apack, klen, full, b, ldb, out, ldo) };
+        if full * MR < ilen {
+            let (apack, out) = (&apack[full * klen * MR..], &mut out[full * MR * ldo..]);
+            kernel_edge(apack, klen, ilen - full * MR, b, ldb, jlen, out, ldo);
+        }
         return;
     }
     kernel_edge(apack, klen, ilen, b, ldb, jlen, out, ldo);
@@ -303,55 +312,100 @@ unsafe fn kernel_full_avx2(
     _mm256_storeu_pd(o.add(3 * ldo + 4), acc7);
 }
 
-/// AVX2 narrow-tile micro-kernel: `MR` = 4 rows × `J < NR` columns, one
-/// `__m256d` accumulator per column holding its 4 rows in the 4 lanes,
-/// seeded from `out` and written back once per k-panel. Each k step
-/// multiplies the packed A column `apack[kk*MR..kk*MR+4]` by a broadcast
-/// `b[kk][j]` and adds, as two separately rounded operations — per lane
-/// the exact sequence of the scalar [`kernel_edge`].
+/// AVX2 narrow-tile micro-kernel: `panels` full-height packed micro-panels
+/// (`panels * MR` rows, back to back at a stride of `klen * MR`) × `J < NR`
+/// columns, `P` micro-panels at a time (then one at a time), so `J * P`
+/// independent accumulator chains overlap their add latency.
 ///
 /// # Safety
 /// Caller must ensure the `avx2` target feature is available. Slice bounds
-/// are asserted on entry: `apack` covers `klen` packed k-steps of `MR`
-/// rows, `b` holds `klen` rows of `J` columns at row stride `ldb` and `out`
-/// holds `MR` rows of `J` columns at row stride `ldo`; every raw load below
-/// stays inside those asserted ranges.
+/// are asserted on entry: `apack` covers `panels` packed micro-panels of
+/// `klen` k-steps, `b` holds `klen` rows of `J` columns at row stride `ldb`
+/// and `out` holds `panels * MR` rows of `J` columns at row stride `ldo`;
+/// every raw load below stays inside those asserted ranges.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// analyzer:ordered: lane-parallel across the MR rows, ascending-k per lane with separate mul+add — the scalar kernel_edge order
-// analyzer:unsafe(invariant): bounds asserted on entry (apack/b/out cover the tile); raw loads stay within the asserted slice ranges and the output goes through checked indexing; no FMA so rounding matches the scalar reference
-unsafe fn kernel_narrow_avx2<const J: usize>(
+// analyzer:unsafe(invariant): bounds asserted on entry (apack/b/out cover every panel); raw loads stay within the asserted slice ranges and the output goes through checked indexing
+unsafe fn kernel_narrow_avx2<const J: usize, const P: usize>(
     apack: &[f64],
     klen: usize,
+    panels: usize,
+    b: &[f64],
+    ldb: usize,
+    out: &mut [f64],
+    ldo: usize,
+) {
+    assert!(apack.len() >= panels * klen * MR);
+    assert!(panels == 0 || klen == 0 || (klen - 1) * ldb + J <= b.len());
+    assert!(panels == 0 || (panels * MR - 1) * ldo + J <= out.len());
+    let mut p = 0;
+    while p + P <= panels {
+        narrow_panels::<J, P>(apack, klen, p, b, ldb, out, ldo);
+        p += P;
+    }
+    while p < panels {
+        narrow_panels::<J, 1>(apack, klen, p, b, ldb, out, ldo);
+        p += 1;
+    }
+}
+
+/// `P` micro-panels from panel `p0` of [`kernel_narrow_avx2`]: one
+/// `__m256d` accumulator per (column, micro-panel) holding the panel's 4
+/// rows in its 4 lanes, seeded from `out` and written back once per
+/// k-panel. Each k step multiplies each packed A column
+/// `apack[.. + kk*MR..+4]` by a broadcast `b[kk][j]` and adds, as two
+/// separately rounded operations — per lane the exact sequence of the
+/// scalar [`kernel_edge`].
+///
+/// # Safety
+/// Caller must ensure the `avx2` target feature is available and that
+/// panels `p0..p0 + P` lie inside the ranges [`kernel_narrow_avx2`]
+/// asserts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+// analyzer:ordered: lane-parallel across the MR rows, ascending-k per lane with separate mul+add — the scalar kernel_edge order
+// analyzer:unsafe(invariant): the caller asserted the bounds of panels p0..p0+P; no FMA so rounding matches the scalar reference
+unsafe fn narrow_panels<const J: usize, const P: usize>(
+    apack: &[f64],
+    klen: usize,
+    p0: usize,
     b: &[f64],
     ldb: usize,
     out: &mut [f64],
     ldo: usize,
 ) {
     use core::arch::x86_64::{
-        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_set_pd,
+        __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_set_pd,
         _mm256_storeu_pd,
     };
-    assert!(apack.len() >= klen * MR);
-    assert!(klen == 0 || (klen - 1) * ldb + J <= b.len());
-    assert!((MR - 1) * ldo + J <= out.len());
-
-    let mut acc = [_mm256_set1_pd(0.0); J];
+    let row = |p: usize, ii: usize| (p0 + p) * MR + ii;
+    let mut acc = [[_mm256_set1_pd(0.0); P]; J];
     for (j, acc_j) in acc.iter_mut().enumerate() {
-        *acc_j = _mm256_set_pd(out[3 * ldo + j], out[2 * ldo + j], out[ldo + j], out[j]);
+        for (p, acc_jp) in acc_j.iter_mut().enumerate() {
+            let o = |ii| out[row(p, ii) * ldo + j];
+            *acc_jp = _mm256_set_pd(o(3), o(2), o(1), o(0));
+        }
     }
+    let ap = apack.as_ptr().add(p0 * klen * MR);
     for kk in 0..klen {
-        let a = _mm256_loadu_pd(apack.as_ptr().add(kk * MR));
+        let a: [__m256d; P] =
+            std::array::from_fn(|p| _mm256_loadu_pd(ap.add(p * klen * MR + kk * MR)));
         let b_row = b.as_ptr().add(kk * ldb);
         for (j, acc_j) in acc.iter_mut().enumerate() {
-            *acc_j = _mm256_add_pd(*acc_j, _mm256_mul_pd(a, _mm256_set1_pd(*b_row.add(j))));
+            let bj = _mm256_set1_pd(*b_row.add(j));
+            for (acc_jp, &a_p) in acc_j.iter_mut().zip(&a) {
+                *acc_jp = _mm256_add_pd(*acc_jp, _mm256_mul_pd(a_p, bj));
+            }
         }
     }
     let mut lanes = [0.0f64; MR];
     for (j, acc_j) in acc.iter().enumerate() {
-        _mm256_storeu_pd(lanes.as_mut_ptr(), *acc_j);
-        for (ii, &v) in lanes.iter().enumerate() {
-            out[ii * ldo + j] = v;
+        for (p, acc_jp) in acc_j.iter().enumerate() {
+            _mm256_storeu_pd(lanes.as_mut_ptr(), *acc_jp);
+            for (ii, &v) in lanes.iter().enumerate() {
+                out[row(p, ii) * ldo + j] = v;
+            }
         }
     }
 }

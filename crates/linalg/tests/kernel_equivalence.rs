@@ -23,10 +23,13 @@
 //! backend pinned in turn, bitwise against an explicit transpose followed
 //! by [`matmul_simple`] and against their own simple loops.
 //!
-//! Narrow products (`n < NR`, the class head's `n = C`) run full-height
-//! narrow tiles, products at least `2·NR` wide run pair tiles on AVX-512,
-//! and `A·Bᵀ` packs `Bᵀ` a column block at a time; each gets fixed cases
-//! and properties of its own below.
+//! Narrow products (`n < NR`, the class head's `n = C`) run narrow tiles
+//! over row blocks of several micro-panels, products at least `2·NR` wide
+//! run pair tiles on AVX-512, and `A·Bᵀ` packs `Bᵀ` a column block at a
+//! time; each gets fixed cases and properties of its own below. The pack
+//! buffers are one per-thread scratch that is never cleared, so one case
+//! fills it with NaN and then checks tail-heavy products against a fresh
+//! thread.
 
 use std::sync::{Mutex, Once};
 
@@ -303,11 +306,13 @@ fn nt_column_block_with_an_odd_panel_count_pairs_then_finishes_single() {
 #[test]
 fn narrow_products_match_the_simple_loops_in_every_layout() {
     // Every width below one register tile, at heights of one tile, two
-    // tiles plus a short tail, and the training batch; k = 32 is the head's
+    // and three tiles plus a short tail (fewer full micro-panels than a
+    // narrow kernel carries at once), five tiles plus a tail (one whole
+    // row block and a second one), and the training batch; k = 32 is the head's
     // depth and KC + 37 keeps the one-tile-high products above the blocked
     // break-even while spanning two k-panels.
     for n in 1..NR {
-        for &m in &[MR, 2 * MR + 1, 64] {
+        for &m in &[MR, 2 * MR + 1, 3 * MR + 2, 5 * MR + 3, 64] {
             for &k in &[32, KC + 37] {
                 let seed = (n * 1000 + m * 10 + k) as u64;
                 assert_all_backends_agree(m, k, n, seed);
@@ -368,6 +373,91 @@ fn nt_seed_keeps_zero_signs_on_a_narrow_tile() {
         assert!(got[2].is_sign_negative(), "{backend}: (+0)·(neg) sums to -0.0 like the dot");
         assert!(got[n].is_sign_positive(), "{backend}: (-0)·(-0) sums to +0.0 like the dot");
         assert!(got[n + 1].is_sign_negative(), "{backend}: (-0)·(pos) sums to -0.0 like the dot");
+    }
+    dispatch::set_active_backend(prev);
+}
+
+/// The three products of one shape class, `(m, k, n)` in `A·B` terms: `A·B`
+/// on `backend`, then `Aᵀ·B` and `A·Bᵀ` on the global dispatch (which the
+/// caller pins to `backend`), each into an output pre-filled the way its
+/// entry point expects (`A·Bᵀ` overwrites, so its output starts NaN).
+fn three_products(
+    backend: KernelBackend,
+    ops: &[Vec<f64>; 4],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> [Vec<f64>; 3] {
+    let [a, b, at, bt] = ops;
+    let mut nn = vec![0.0; m * n];
+    matmul_on(backend, a, b, &mut nn, m, k, n);
+    let mut tn = vec![0.0; m * n];
+    matmul_tn_into(at, b, &mut tn, k, m, n);
+    let mut nt = vec![f64::NAN; m * n];
+    matmul_nt_into(a, bt, &mut nt, m, k, n);
+    [nn, tn, nt]
+}
+
+#[test]
+fn reused_pack_scratch_carries_no_state_between_products() {
+    // Each thread packs into one reused scratch that is never cleared. A
+    // product over several k-panels, narrow enough to pack whole row
+    // blocks and, as `A·Bᵀ`, wide enough to pack several column blocks,
+    // fills it with NaN. Smaller products with short (`ilen < MR`) and
+    // narrow (`jlen < NR`) tails follow on the same thread: any lane they
+    // read without writing it first would turn their output NaN. Each must
+    // equal its simple reference and the same product run first on a
+    // fresh thread, whose scratch no product has touched.
+    let _guard = GLOBAL_BACKEND.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = dispatch::active_backend();
+    let small = [
+        (2 * MR + 3, 40, NR + 3),
+        (MR + 1, KC + 5, 3),
+        (4 * MR + 3, 50, 2),
+        (MR + 2, 70, 2 * NR + 5),
+    ];
+    let mut rng = SeedRng::new(900);
+    let operands: Vec<[Vec<f64>; 4]> = small
+        .iter()
+        .map(|&(m, k, n)| {
+            let (a, b) = (random_mat(m, k, &mut rng), random_mat(k, n, &mut rng));
+            [a, b, random_mat(k, m, &mut rng), random_mat(n, k, &mut rng)]
+        })
+        .collect();
+    for backend in runnable_backends() {
+        dispatch::set_active_backend(backend);
+        let fresh: Vec<[Vec<f64>; 3]> = small
+            .iter()
+            .zip(&operands)
+            .map(|(&(m, k, n), ops)| {
+                let run = || three_products(backend, ops, m, k, n);
+                std::thread::scope(|scope| scope.spawn(run).join()).expect("fresh-thread product")
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let filling = [(6 * MR + 1, 2 * KC + 13, 3), (3 * MR, 2 * KC + 13, 7 * NR + 5)];
+                for (m, k, n) in filling {
+                    let nan = |len| vec![f64::NAN; len];
+                    let ops = [nan(m * k), nan(k * n), nan(k * m), nan(n * k)];
+                    three_products(backend, &ops, m, k, n);
+                }
+                for ((&(m, k, n), ops), fresh) in small.iter().zip(&operands).zip(&fresh) {
+                    let [a, b, at, bt] = ops;
+                    let mut want = [vec![0.0; m * n], vec![0.0; m * n], vec![f64::NAN; m * n]];
+                    matmul_simple(a, b, &mut want[0], m, k, n);
+                    matmul_tn_simple(at, b, &mut want[1], k, m, n);
+                    matmul_nt_simple(a, bt, &mut want[2], m, k, n);
+                    let got = three_products(backend, ops, m, k, n);
+                    let results = want.iter().zip(&got).zip(fresh);
+                    for (layout, ((w, g), f)) in ["nn", "tn", "nt"].iter().zip(results) {
+                        let what = format!("{layout} {backend} {m}x{k}x{n}");
+                        assert_bits_eq(w, g, &format!("{what} after filling"));
+                        assert_bits_eq(f, g, &format!("{what} against a fresh thread"));
+                    }
+                }
+            });
+        });
     }
     dispatch::set_active_backend(prev);
 }

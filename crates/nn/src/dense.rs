@@ -2,6 +2,7 @@
 
 use faction_linalg::{Matrix, SeedRng};
 
+use crate::activation::relu_value;
 use crate::init;
 
 /// A dense (fully-connected) layer computing `Y = X W + b` for a batch `X`
@@ -83,13 +84,31 @@ impl Dense {
     /// Panics if `x.cols() != fan_in` (programming error in model wiring).
     // analyzer:hot-path
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
-        out.reset_to_zeros(x.rows(), self.fan_out());
-        // analyzer:allow(unwrap-in-lib): documented panic contract (see `# Panics` above)
+        self.affine_into(x, out, |v| v);
+    }
+
+    /// Hidden-layer forward pass, `relu(X W + b)`, into a caller-provided
+    /// buffer in one pass over the product: each element is the same
+    /// `(X W)[r][c] + b[c]` as [`Dense::forward_into`]'s, then clamped by
+    /// [`relu_value`], so it equals `relu(forward(x))` bit for bit.
+    ///
+    /// # Panics
+    /// Panics if `x.cols() != fan_in` (programming error in model wiring).
+    // analyzer:hot-path
+    pub fn forward_relu_into(&self, x: &Matrix, out: &mut Matrix) {
+        self.affine_into(x, out, relu_value);
+    }
+
+    /// `act(X W + b)` into `out`. The product seeds `out` itself, so the
+    /// reshape clears nothing.
+    #[inline]
+    fn affine_into(&self, x: &Matrix, out: &mut Matrix, act: impl Fn(f64) -> f64) {
+        out.reshape_for_overwrite(x.rows(), self.fan_out());
+        // analyzer:allow(unwrap-in-lib): documented panic contract (see `# Panics` on the callers)
         x.matmul_into(&self.w, out).expect("dense forward shape");
         for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for (v, &bi) in row.iter_mut().zip(&self.b) {
-                *v += bi;
+            for (v, &bi) in out.row_mut(r).iter_mut().zip(&self.b) {
+                *v = act(*v + bi);
             }
         }
     }
@@ -111,8 +130,10 @@ impl Dense {
     // analyzer:hot-path
     pub fn backward_into(&mut self, x: &Matrix, delta: &Matrix, dx: &mut Matrix) {
         self.backward_params(x, delta);
-        dx.reset_to_zeros(delta.rows(), self.fan_in());
-        // analyzer:allow(unwrap-in-lib): `dx` reset to the matching shape on the line above
+        // The product writes every element of `dx` (from its own `-0.0`
+        // seed), so the reshape clears nothing.
+        dx.reshape_for_overwrite(delta.rows(), self.fan_in());
+        // analyzer:allow(unwrap-in-lib): `dx` reshaped to the matching shape on the line above
         delta.matmul_nt_into(&self.w, dx).expect("dense backward dX shape");
     }
 
@@ -171,6 +192,29 @@ mod tests {
         let x = Matrix::from_rows(&[vec![3.0, 4.0]]).unwrap();
         let y = layer.forward(&x);
         assert_eq!(y.row(0), &[13.0, 28.0]);
+    }
+
+    #[test]
+    fn fused_relu_forward_matches_forward_then_relu_bitwise() {
+        let mut rng = SeedRng::new(12);
+        let mut layer = Dense::new(&mut rng, 6, 9, true);
+        // A zero column in W with a zero and a negative bias produce `+0.0`
+        // and negative pre-activations next to ordinary ones.
+        for r in 0..6 {
+            layer.w.set(r, 2, 0.0);
+        }
+        layer.b = (0..9)
+            .map(|c| if c == 2 { -0.0 } else { rng.uniform_range(-0.5, 0.5) })
+            .collect();
+        let x = Matrix::from_vec(13, 6, (0..78).map(|_| rng.uniform_range(-1.0, 1.0)).collect())
+            .unwrap();
+        let want = crate::activation::relu(&layer.forward(&x));
+        // A stale, larger buffer: the fused pass must overwrite all of it.
+        let mut got = Matrix::filled(20, 9, f64::NAN);
+        layer.forward_relu_into(&x, &mut got);
+        assert_eq!(got.shape(), want.shape());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -84,11 +84,16 @@ pub fn softmax_in_place(out: &mut Matrix) {
 /// Softmax of one row in place. Returns the row maximum and the sum of
 /// `exp(v − max)` it normalized by, from which the row's log-sum-exp
 /// follows without a second pass of `exp`.
+///
+/// An entry equal to a finite maximum maps to `exp(+0.0)`, exactly `1.0`,
+/// so it skips the `exp` call (half of them for two classes). A row whose
+/// maximum is infinite keeps the call, and with it the NaN that
+/// `∞ − ∞` gives.
 fn softmax_row(row: &mut [f64]) -> (f64, f64) {
     let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let mut sum = 0.0;
     for v in row.iter_mut() {
-        *v = (*v - max).exp();
+        *v = if *v == max && max.is_finite() { 1.0 } else { (*v - max).exp() };
         sum += *v;
     }
     for v in row.iter_mut() {
@@ -145,9 +150,9 @@ pub fn cross_entropy_into(
     assert_eq!(logits.rows(), labels.len(), "cross-entropy batch mismatch");
     let (rows, cols) = logits.shape();
     let n = rows.max(1) as f64;
-    probs.reset_to_zeros(rows, cols);
+    probs.reshape_for_overwrite(rows, cols);
     probs.as_mut_slice().copy_from_slice(logits.as_slice());
-    grad.reset_to_zeros(rows, cols);
+    grad.reshape_for_overwrite(rows, cols);
     let mut loss = 0.0;
     for (r, &y) in labels.iter().enumerate() {
         let (max, sum) = softmax_row(probs.row_mut(r));
@@ -309,6 +314,22 @@ mod tests {
             assert!(grad.as_slice().iter().zip(want_grad.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()));
             assert_eq!(probs, softmax(&logits));
         }
+        // A tied maximum (both entries skip `exp`) and an all-`−∞` row,
+        // whose infinite maximum keeps the `exp` call and its NaN.
+        let inf = f64::NEG_INFINITY;
+        for (row, label) in [(vec![0.75, 0.75, -2.0], 2), (vec![inf, inf], 0)] {
+            let logits = Matrix::from_rows(std::slice::from_ref(&row)).unwrap();
+            let (want_loss, want_grad) = reference(&logits, &[label]);
+            let loss = cross_entropy_into(&logits, &[label], &mut probs, &mut grad);
+            assert_eq!(loss.to_bits(), want_loss.to_bits(), "{row:?}");
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&grad), bits(&want_grad), "{row:?}");
+            assert_eq!(bits(&probs), bits(&softmax(&logits)), "{row:?}");
+        }
+        let tied = softmax(&Matrix::from_rows(&[vec![0.75, 0.75]]).unwrap());
+        assert_eq!(tied.row(0), &[0.5, 0.5]);
+        let all_inf = softmax(&Matrix::from_rows(&[vec![inf, inf]]).unwrap());
+        assert!(all_inf.row(0).iter().all(|p| p.is_nan()));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use faction_linalg::{Matrix, SeedRng};
 
-use crate::activation::{relu_backward, relu_into};
+use crate::activation::relu_backward;
 use crate::dense::Dense;
 use crate::loss::{softmax_in_place, BatchLoss, BatchMeta, LossScratch};
 use crate::optimizer::Optimizer;
@@ -12,20 +12,22 @@ use crate::spectral::{self, SpectralConfig};
 /// Reusable forward/backward buffers for an [`Mlp`].
 ///
 /// One workspace amortizes every per-layer allocation of the hot path:
-/// `acts`/`pres` cache hidden activations and pre-activations (needed for
-/// backprop), `delta`/`dx` ping-pong the gradient flowing backwards (the
-/// loss writes the logits gradient straight into `delta`), `loss` holds the
-/// loss's intermediates, and `sigma` is the spectral power iteration's
-/// scratch. Buffers grow to the high-water batch size on first use and are
-/// reshaped in place afterwards ([`Matrix::reset_to_zeros`]), so once a
-/// workspace has seen the batch shape, training steps and scoring calls
-/// make no heap allocation (given an optimizer whose state already exists).
+/// `acts` caches the hidden activations (backprop masks by them, so no
+/// hidden pre-activation is kept), `logits` the output layer's
+/// pre-activation, `delta`/`dx` ping-pong the gradient flowing backwards
+/// (the loss writes the logits gradient straight into `delta`), `loss`
+/// holds the loss's intermediates, and `sigma` is the spectral power
+/// iteration's scratch. Buffers grow to the high-water batch size on first
+/// use and are reshaped in place afterwards
+/// ([`Matrix::reshape_for_overwrite`]), so once a workspace has seen the
+/// batch shape, training steps and scoring calls make no heap allocation
+/// (given an optimizer whose state already exists).
 /// A workspace is tied to nothing — the same one can serve different models
 /// and batch shapes.
 #[derive(Debug, Clone, Default)]
 pub struct MlpWorkspace {
     acts: Vec<Matrix>,
-    pres: Vec<Matrix>,
+    logits: Matrix,
     delta: Matrix,
     dx: Matrix,
     loss: LossScratch,
@@ -36,11 +38,6 @@ impl MlpWorkspace {
     /// Creates an empty workspace (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn ensure(&mut self, layers: usize) {
-        self.acts.resize_with(layers, Matrix::default);
-        self.pres.resize_with(layers, Matrix::default);
     }
 }
 
@@ -147,23 +144,6 @@ impl Mlp {
         self.layers.len()
     }
 
-    /// Forward pass through the hidden stack, caching pre-activations and
-    /// activations in `ws`; the final pre-activation (the logits) lands in
-    /// `ws.pres[last]`.
-    fn forward_with(&self, x: &Matrix, ws: &mut MlpWorkspace) {
-        let n_layers = self.layers.len();
-        ws.ensure(n_layers);
-        let MlpWorkspace { acts, pres, .. } = ws;
-        for i in 0..n_layers {
-            let (head, tail) = acts.split_at_mut(i);
-            let input: &Matrix = if i == 0 { x } else { &head[i - 1] };
-            self.layers[i].forward_into(input, &mut pres[i]);
-            if i + 1 < n_layers {
-                relu_into(&pres[i], &mut tail[0]);
-            }
-        }
-    }
-
     /// Raw logits for a batch, shape `(n, classes)`.
     pub fn logits(&self, x: &Matrix) -> Matrix {
         let mut out = Matrix::default();
@@ -175,19 +155,22 @@ impl Mlp {
     /// intermediate layers; allocation-free once both have reached the batch
     /// shape. Bit-identical to [`Mlp::logits`].
     pub fn logits_into(&self, x: &Matrix, ws: &mut MlpWorkspace, out: &mut Matrix) {
-        let n_layers = self.layers.len();
-        ws.ensure(n_layers);
-        let MlpWorkspace { acts, pres, .. } = ws;
-        for i in 0..n_layers {
+        self.forward_into(x, &mut ws.acts, out);
+    }
+
+    /// The forward pass: each hidden layer's activation `relu(X W + b)`
+    /// into `acts` (one per hidden layer, sized here), the logits into
+    /// `out`.
+    fn forward_into(&self, x: &Matrix, acts: &mut Vec<Matrix>, out: &mut Matrix) {
+        let hidden = self.layers.len() - 1;
+        acts.resize_with(hidden, Matrix::default);
+        for i in 0..hidden {
             let (head, tail) = acts.split_at_mut(i);
             let input: &Matrix = if i == 0 { x } else { &head[i - 1] };
-            if i + 1 == n_layers {
-                self.layers[i].forward_into(input, out);
-            } else {
-                self.layers[i].forward_into(input, &mut pres[i]);
-                relu_into(&pres[i], &mut tail[0]);
-            }
+            self.layers[i].forward_relu_into(input, &mut tail[0]);
         }
+        let input = if hidden == 0 { x } else { &acts[hidden - 1] };
+        self.layers[hidden].forward_into(input, out);
     }
 
     /// Penultimate features `z = r(x, θ)` — post-ReLU activations of the
@@ -206,19 +189,18 @@ impl Mlp {
     pub fn features_into(&self, x: &Matrix, ws: &mut MlpWorkspace, out: &mut Matrix) {
         let n_layers = self.layers.len();
         if n_layers == 1 {
-            out.reset_to_zeros(x.rows(), x.cols());
+            out.reshape_for_overwrite(x.rows(), x.cols());
             out.as_mut_slice().copy_from_slice(x.as_slice());
             return;
         }
-        ws.ensure(n_layers);
-        let MlpWorkspace { acts, pres, .. } = ws;
         let hidden = n_layers - 1;
+        let acts = &mut ws.acts;
+        acts.resize_with(hidden, Matrix::default);
         for i in 0..hidden {
             let (head, tail) = acts.split_at_mut(i);
             let input: &Matrix = if i == 0 { x } else { &head[i - 1] };
-            self.layers[i].forward_into(input, &mut pres[i]);
             let dst: &mut Matrix = if i + 1 == hidden { out } else { &mut tail[0] };
-            relu_into(&pres[i], dst);
+            self.layers[i].forward_relu_into(input, dst);
         }
     }
 
@@ -284,18 +266,26 @@ impl Mlp {
     ) -> f64 {
         faction_telemetry::counter_add("nn.train.steps", 1);
         let n_layers = self.layers.len();
-        self.forward_with(x, ws);
-        let MlpWorkspace { acts, pres, delta, dx, loss: loss_scratch, sigma } = &mut *ws;
-        let loss_value = loss.loss_grad_into(&pres[n_layers - 1], meta, loss_scratch, delta);
+        let MlpWorkspace { acts, logits, delta, dx, loss: loss_scratch, sigma } = &mut *ws;
+        self.forward_into(x, acts, logits);
+        let loss_value = loss.loss_grad_into(logits, meta, loss_scratch, delta);
         // Backward pass: `delta`/`dx` ping-pong so each layer writes its
-        // input gradient into the buffer the previous iteration vacated. The
-        // input layer takes the parameters-only step.
+        // input gradient into the buffer the previous iteration vacated, then
+        // masks it by the ReLU that produced that layer's input. The input
+        // layer takes the parameters-only step.
         for i in (1..n_layers).rev() {
             self.layers[i].backward_into(&acts[i - 1], delta, dx);
             std::mem::swap(delta, dx);
-            relu_backward(delta, &pres[i - 1]);
+            relu_backward(delta, &acts[i - 1]);
         }
         self.layers[0].backward_params(x, delta);
+        // After an odd number of swaps each buffer holds the other's role;
+        // swap back, so the loss gradient and each layer's input gradient
+        // land in the same buffer every step and neither has to grow again
+        // after the warm-up step.
+        if n_layers.is_multiple_of(2) {
+            std::mem::swap(delta, dx);
+        }
         // Optimizer updates, then spectral cap enforcement.
         for (i, layer) in self.layers.iter_mut().enumerate() {
             for (k, (params, grads)) in layer.params_and_grads_mut().into_iter().enumerate() {
@@ -397,7 +387,7 @@ pub fn gather_rows(x: &Matrix, indices: &[usize]) -> Matrix {
 /// [`gather_rows`] into a caller-provided buffer (reshaped as needed) —
 /// lets the mini-batch loop reuse one gather buffer across all batches.
 pub fn gather_rows_into(x: &Matrix, indices: &[usize], out: &mut Matrix) {
-    out.reset_to_zeros(indices.len(), x.cols());
+    out.reshape_for_overwrite(indices.len(), x.cols());
     for (r, &i) in indices.iter().enumerate() {
         out.row_mut(r).copy_from_slice(x.row(i));
     }
