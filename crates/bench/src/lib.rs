@@ -63,7 +63,7 @@ usage: <harness> [--quick] [--seeds N] [--dataset NAME] [--out DIR]
   --dataset NAME    one of RCMNIST, CelebA, FairFace, FFHQ, NYSF (default: all)
   --out DIR         results directory (default: results)
   --jobs N          engine worker threads (0 = auto; results are identical)
-  --pool-policy S   unbounded (default) | window:N | reservoir:N[:SEED]";
+  --pool-policy S   unbounded (default) | window:N";
 
 impl HarnessOptions {
     /// Parses `std::env::args()`. A malformed command line prints an error

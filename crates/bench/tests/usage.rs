@@ -38,6 +38,7 @@ fn malformed_flag_exits_2_naming_it() {
             (&["--seeds", "five"][..], "--seeds"),
             (&["--quick", "--jobs"], "--jobs"),
             (&["--bogus"], "--bogus"),
+            (&["--pool-policy", "reservoir:8"], "--pool-policy"),
         ] {
             assert_usage_error(name, binary, args, flag);
         }

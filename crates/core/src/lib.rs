@@ -45,7 +45,7 @@ pub mod theory;
 
 pub use config::ExperimentConfig;
 pub use loss::{FairTotalLoss, MultiGroupFairLoss};
-pub use pool::{LabeledPool, OnlineModel, PoolDelta, PoolPolicy};
+pub use pool::{LabeledPool, OnlineModel, PoolPolicy};
 pub use runner::{run_experiment, RunRecord, TaskRecord};
 pub use selection::{acquire, AcquisitionMode};
 pub use session::{

@@ -1,6 +1,5 @@
 //! The labeled task pool `D_t` and the online model that retrains on it.
 
-use faction_linalg::rng::splitmix64;
 use faction_linalg::{Matrix, SeedRng};
 use faction_nn::{BatchLoss, Mlp, MlpConfig, Optimizer, Sgd, TrainOptions};
 
@@ -9,15 +8,12 @@ use crate::config::ExperimentConfig;
 /// Retention policy for the labeled pool (DESIGN.md §11).
 ///
 /// `Unbounded` is the paper protocol: every acquired label is kept forever.
-/// The bounded policies cap the pool's memory so per-round refit cost stays
-/// flat in stream length: `SlidingWindow` keeps the most recent `n` labels
-/// (FIFO eviction), `Reservoir` keeps a uniform sample of the whole stream
-/// via counter-based reservoir sampling (Algorithm R), so old environments
-/// stay represented under drift.
-///
-/// Eviction order is a pure function of `(stream order, seed, policy)`: no
-/// global RNG is consulted, so grid workers produce byte-identical pools
-/// regardless of scheduling (`--jobs 1` ≡ `--jobs 8`).
+/// `SlidingWindow` caps the pool's memory so per-round refit cost stays
+/// flat in stream length by keeping the most recent `n` labels (FIFO
+/// eviction). Both append at the back and evict at the front, so the
+/// retained rows are always one contiguous uid range and eviction order is
+/// a pure function of stream order: grid workers produce byte-identical
+/// pools regardless of scheduling (`--jobs 1` ≡ `--jobs 8`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PoolPolicy {
     /// Keep every labeled sample (paper protocol).
@@ -26,15 +22,10 @@ pub enum PoolPolicy {
     /// Keep only the `n` most recently labeled samples; older ones are
     /// evicted front-first.
     SlidingWindow(usize),
-    /// Keep a uniform random sample of capacity `n` over the whole label
-    /// stream, using the given sampling seed (combined with the run seed).
-    Reservoir(usize, u64),
 }
 
 impl PoolPolicy {
-    /// Parses a policy spec string: `unbounded`, `window:N`, or
-    /// `reservoir:N[:SEED]` (seed defaults to 0 and is mixed with the run
-    /// seed anyway).
+    /// Parses a policy spec string: `unbounded` or `window:N`.
     ///
     /// # Errors
     /// Returns a human-readable message when the spec is malformed or the
@@ -45,48 +36,21 @@ impl PoolPolicy {
             return Ok(PoolPolicy::Unbounded);
         }
         let mut parts = spec.split(':');
-        let head = parts.next().unwrap_or("").to_ascii_lowercase();
-        match head.as_str() {
-            "window" => {
-                let cap: usize = parts
-                    .next()
-                    .ok_or_else(|| format!("`{spec}`: window needs a capacity (window:N)"))?
-                    .parse()
-                    .map_err(|_| format!("`{spec}`: window capacity must be an integer"))?;
-                if cap == 0 {
-                    return Err(format!("`{spec}`: window capacity must be positive"));
-                }
-                if parts.next().is_some() {
-                    return Err(format!("`{spec}`: too many fields for window policy"));
-                }
-                Ok(PoolPolicy::SlidingWindow(cap))
-            }
-            "reservoir" => {
-                let cap: usize = parts
-                    .next()
-                    .ok_or_else(|| {
-                        format!("`{spec}`: reservoir needs a capacity (reservoir:N[:SEED])")
-                    })?
-                    .parse()
-                    .map_err(|_| format!("`{spec}`: reservoir capacity must be an integer"))?;
-                if cap == 0 {
-                    return Err(format!("`{spec}`: reservoir capacity must be positive"));
-                }
-                let seed: u64 = match parts.next() {
-                    None => 0,
-                    Some(s) => s
-                        .parse()
-                        .map_err(|_| format!("`{spec}`: reservoir seed must be an integer"))?,
-                };
-                if parts.next().is_some() {
-                    return Err(format!("`{spec}`: too many fields for reservoir policy"));
-                }
-                Ok(PoolPolicy::Reservoir(cap, seed))
-            }
-            _ => Err(format!(
-                "`{spec}`: unknown pool policy (expected unbounded | window:N | reservoir:N[:SEED])"
-            )),
+        if !parts.next().unwrap_or("").eq_ignore_ascii_case("window") {
+            return Err(format!("`{spec}`: unknown pool policy (expected unbounded | window:N)"));
         }
+        let cap: usize = parts
+            .next()
+            .ok_or_else(|| format!("`{spec}`: window needs a capacity (window:N)"))?
+            .parse()
+            .map_err(|_| format!("`{spec}`: window capacity must be an integer"))?;
+        if cap == 0 {
+            return Err(format!("`{spec}`: window capacity must be positive"));
+        }
+        if parts.next().is_some() {
+            return Err(format!("`{spec}`: too many fields for window policy"));
+        }
+        Ok(PoolPolicy::SlidingWindow(cap))
     }
 
     /// The canonical spec string, the inverse of [`PoolPolicy::parse`].
@@ -94,7 +58,6 @@ impl PoolPolicy {
         match self {
             PoolPolicy::Unbounded => "unbounded".to_string(),
             PoolPolicy::SlidingWindow(n) => format!("window:{n}"),
-            PoolPolicy::Reservoir(n, seed) => format!("reservoir:{n}:{seed}"),
         }
     }
 
@@ -102,7 +65,7 @@ impl PoolPolicy {
     pub fn capacity(&self) -> Option<usize> {
         match self {
             PoolPolicy::Unbounded => None,
-            PoolPolicy::SlidingWindow(n) | PoolPolicy::Reservoir(n, _) => Some(*n),
+            PoolPolicy::SlidingWindow(n) => Some(*n),
         }
     }
 }
@@ -132,32 +95,16 @@ impl serde::Deserialize for PoolPolicy {
     }
 }
 
-/// One pool membership change, in arrival order. `evicted == false` records
-/// a sample entering the pool, `evicted == true` records one leaving it.
-///
-/// (A struct rather than an enum so the vendored `serde_derive` can handle
-/// it — checkpoints serialize the pool, delta log included.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct PoolDelta {
-    /// Stable identity of the sample (assigned at push, never reused).
-    pub uid: u64,
-    /// True when this delta removes the sample from the pool.
-    pub evicted: bool,
-}
-
-/// Bound on the retained delta log. Consumers that fall further behind than
-/// this are told to re-anchor (see [`LabeledPool::deltas_since`]); keeping
-/// the log bounded makes pool memory O(capacity), not O(stream).
-const MAX_LOG: usize = 4096;
-
 /// The pool of labeled samples `D_t = {D_i^labeled}` accumulated across
 /// tasks (paper Sec. IV-A), optionally bounded by a [`PoolPolicy`].
 /// Sensitive attributes travel with the features (they are inputs, not
 /// labels), while class labels are only added once the oracle revealed them.
 ///
-/// Each sample carries a stable `uid`, and every membership change is
-/// appended to a bounded delta log so incremental consumers (the streaming
-/// GDA refit) can mirror the pool without rescanning it.
+/// Each sample gets a stable uid at push, counting up from 0. The pool
+/// appends at the back and evicts at the front, so row `i` holds uid
+/// `next_uid − len + i` and [`LabeledPool::uid_range`] is the whole
+/// membership: an incremental consumer (the streaming GDA refit) mirrors
+/// the pool by comparing that range with the one it saw last.
 ///
 /// Like [`Matrix`], the side vectors carry a *tombstone offset* (`front`):
 /// front eviction bumps the offset instead of memmoving every survivor,
@@ -169,74 +116,74 @@ pub struct LabeledPool {
     features: Matrix,
     labels: Vec<usize>,
     sensitives: Vec<i8>,
-    uids: Vec<u64>,
     /// Evicted-but-unreclaimed entries ahead of the side vectors' logical
     /// front. `features` keeps its own equivalent offset internally.
     front: usize,
     next_uid: u64,
     policy: PoolPolicy,
-    eviction_seed: u64,
-    seen: u64,
-    log: Vec<PoolDelta>,
-    log_base: u64,
 }
 
-// Serialization emits the logical view under the same field names the
-// pre-tombstone derive produced, so checkpoint bytes are independent of
-// eviction history and older checkpoints load unchanged (`front` is never
-// written; absent fields fall back to their defaults, as the derive's
-// `#[serde(default)]` attributes did).
+// Serialization emits the logical view, so checkpoint bytes are
+// independent of eviction history (`front` is never written).
 impl serde::Serialize for LabeledPool {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
             ("features".to_string(), serde::Serialize::to_value(&self.features)),
             ("labels".to_string(), serde::Serialize::to_value(self.labels())),
             ("sensitives".to_string(), serde::Serialize::to_value(self.sensitives())),
-            ("uids".to_string(), serde::Serialize::to_value(self.uids())),
             ("next_uid".to_string(), serde::Serialize::to_value(&self.next_uid)),
             ("policy".to_string(), serde::Serialize::to_value(&self.policy)),
-            ("eviction_seed".to_string(), serde::Serialize::to_value(&self.eviction_seed)),
-            ("seen".to_string(), serde::Serialize::to_value(&self.seen)),
-            ("log".to_string(), serde::Serialize::to_value(&self.log)),
-            ("log_base".to_string(), serde::Serialize::to_value(&self.log_base)),
         ])
     }
 }
 
+/// Decoding validates what the accessors and `push` rely on, because
+/// snapshot files are untrusted input: one row per label and sensitive
+/// value, a window pool within its capacity, and `next_uid ≥ len` (the
+/// first retained uid is `next_uid − len`). Fields older formats wrote
+/// (`uids`, `log`, `log_base`, `eviction_seed`, `seen`) are ignored; a
+/// missing `next_uid` (pre-uid snapshots) or `policy` takes its default.
 impl serde::Deserialize for LabeledPool {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let fields =
             v.as_object().ok_or_else(|| serde::DeError::custom("expected LabeledPool object"))?;
-        fn req<T: serde::Deserialize>(
-            fields: &[(String, serde::Value)],
-            name: &str,
-        ) -> Result<T, serde::DeError> {
-            let v = serde::find_field(fields, name)
-                .ok_or_else(|| serde::DeError::custom(format!("LabeledPool missing `{name}`")))?;
-            serde::Deserialize::from_value(v)
+        let field = |name: &str| serde::find_field(fields, name);
+        let req = |name: &str| {
+            field(name)
+                .ok_or_else(|| serde::DeError::custom(format!("LabeledPool missing `{name}`")))
+        };
+        let features: Matrix = serde::Deserialize::from_value(req("features")?)?;
+        let labels: Vec<usize> = serde::Deserialize::from_value(req("labels")?)?;
+        let sensitives: Vec<i8> = serde::Deserialize::from_value(req("sensitives")?)?;
+        let len = labels.len();
+        if sensitives.len() != len || features.rows() != len {
+            return Err(serde::DeError::custom(format!(
+                "LabeledPool has {len} labels, {} sensitives and {} feature rows; \
+                 expected one of each per sample",
+                sensitives.len(),
+                features.rows()
+            )));
         }
-        fn opt<T: serde::Deserialize + Default>(
-            fields: &[(String, serde::Value)],
-            name: &str,
-        ) -> Result<T, serde::DeError> {
-            match serde::find_field(fields, name) {
-                Some(v) => serde::Deserialize::from_value(v),
-                None => Ok(T::default()),
-            }
+        let policy: PoolPolicy = match field("policy") {
+            Some(v) => serde::Deserialize::from_value(v)
+                .map_err(|e| serde::DeError::custom(format!("LabeledPool `policy`: {e}")))?,
+            None => PoolPolicy::default(),
+        };
+        if let Some(cap) = policy.capacity().filter(|&cap| len > cap) {
+            return Err(serde::DeError::custom(format!(
+                "LabeledPool holds {len} rows under `{policy}`, above its capacity {cap}"
+            )));
         }
-        Ok(LabeledPool {
-            features: req(fields, "features")?,
-            labels: req(fields, "labels")?,
-            sensitives: req(fields, "sensitives")?,
-            uids: opt(fields, "uids")?,
-            front: 0,
-            next_uid: opt(fields, "next_uid")?,
-            policy: opt(fields, "policy")?,
-            eviction_seed: opt(fields, "eviction_seed")?,
-            seen: opt(fields, "seen")?,
-            log: opt(fields, "log")?,
-            log_base: opt(fields, "log_base")?,
-        })
+        let next_uid: u64 = match field("next_uid") {
+            Some(v) => serde::Deserialize::from_value(v)?,
+            None => len as u64,
+        };
+        if next_uid < len as u64 {
+            return Err(serde::DeError::custom(format!(
+                "LabeledPool `next_uid` {next_uid} is below its {len} rows"
+            )));
+        }
+        Ok(LabeledPool { features, labels, sensitives, front: 0, next_uid, policy })
     }
 }
 
@@ -246,19 +193,9 @@ impl LabeledPool {
         Self::default()
     }
 
-    /// Creates an empty pool under the given retention policy. The run seed
-    /// is mixed into the reservoir's sampling seed so replicate runs draw
-    /// different samples while staying individually deterministic.
-    pub fn with_policy(policy: PoolPolicy, run_seed: u64) -> Self {
-        let policy_seed = match policy {
-            PoolPolicy::Reservoir(_, s) => s,
-            _ => 0,
-        };
-        LabeledPool {
-            policy,
-            eviction_seed: splitmix64(run_seed ^ splitmix64(policy_seed ^ 0x5EED_0FE7_1C71_0A01)),
-            ..Self::default()
-        }
+    /// Creates an empty pool under the given retention policy.
+    pub fn with_policy(policy: PoolPolicy) -> Self {
+        LabeledPool { policy, ..Self::default() }
     }
 
     /// The active retention policy.
@@ -276,121 +213,49 @@ impl LabeledPool {
         self.len() == 0
     }
 
-    /// Adds one labeled sample, applying the retention policy. Under a
-    /// bounded policy this may evict an older sample (or, for a full
-    /// reservoir, discard the new one — that is what keeps the retained set
-    /// a uniform sample). Every membership change lands in the delta log.
+    /// Adds one labeled sample under the next uid, then, for a full window,
+    /// evicts the oldest.
     ///
     /// # Panics
     /// Panics if the feature dimension disagrees with earlier samples
     /// (programming error in the protocol plumbing).
     pub fn push(&mut self, x: Vec<f64>, label: usize, sensitive: i8) {
-        let uid = self.next_uid;
-        self.next_uid += 1;
-        self.seen += 1;
-        match self.policy {
-            PoolPolicy::Unbounded => self.append(&x, label, sensitive, uid),
-            PoolPolicy::SlidingWindow(cap) => {
-                self.append(&x, label, sensitive, uid);
-                while self.len() > cap {
-                    self.evict_front();
-                }
-            }
-            PoolPolicy::Reservoir(cap, _) => {
-                if self.len() < cap {
-                    self.append(&x, label, sensitive, uid);
-                } else {
-                    // Algorithm R with a stateless draw: item `seen` replaces
-                    // a uniform slot with probability cap/seen.
-                    let j = splitmix64(self.eviction_seed ^ self.seen) % self.seen;
-                    if (j as usize) < cap {
-                        self.replace_at(j as usize, &x, label, sensitive, uid);
-                    }
-                    // else: the new sample is discarded without ever entering
-                    // the pool — no membership change, no delta.
-                }
-            }
-        }
-    }
-
-    fn append(&mut self, x: &[f64], label: usize, sensitive: i8, uid: u64) {
         // analyzer:allow(unwrap-in-lib): documented panic contract (see `# Panics` above)
-        self.features.push_row(x).expect("pool rows share one dimension");
+        self.features.push_row(&x).expect("pool rows share one dimension");
         self.labels.push(label);
         self.sensitives.push(sensitive);
-        self.uids.push(uid);
-        self.log_delta(PoolDelta { uid, evicted: false });
+        self.next_uid += 1;
+        if let Some(cap) = self.policy.capacity() {
+            while self.len() > cap {
+                self.evict_front();
+            }
+        }
     }
 
     fn evict_front(&mut self) {
         // analyzer:allow(unwrap-in-lib): front row exists (len checked by caller)
         self.features.remove_row(0).expect("pool has a front row");
-        let uid = self.uids[self.front];
         self.front += 1;
         if self.front * 2 >= self.labels.len() {
             // Dead ≥ live: reclaim the tombstoned prefix in one shot, so the
             // amortized side-vector cost per eviction stays O(1).
             self.labels.drain(..self.front);
             self.sensitives.drain(..self.front);
-            self.uids.drain(..self.front);
             self.front = 0;
         }
-        self.log_delta(PoolDelta { uid, evicted: true });
         faction_telemetry::counter_add("core.pool.evictions", 1);
     }
 
-    fn replace_at(&mut self, at: usize, x: &[f64], label: usize, sensitive: i8, uid: u64) {
-        let at = self.front + at;
-        let old = self.uids[at];
-        // `features` tracks its own tombstone, so its row index stays logical.
-        self.features.row_mut(at - self.front).copy_from_slice(x);
-        self.labels[at] = label;
-        self.sensitives[at] = sensitive;
-        self.uids[at] = uid;
-        self.log_delta(PoolDelta { uid: old, evicted: true });
-        self.log_delta(PoolDelta { uid, evicted: false });
-        faction_telemetry::counter_add("core.pool.evictions", 1);
-    }
-
-    fn log_delta(&mut self, delta: PoolDelta) {
-        self.log.push(delta);
-        if self.log.len() > MAX_LOG {
-            // Chunked trim: drop the older half in one shot so the amortized
-            // cost per push stays O(1). Consumers whose cursor predates the
-            // new base re-anchor (deltas_since returns None).
-            let drop = self.log.len() / 2;
-            self.log.drain(..drop);
-            self.log_base += drop as u64;
-        }
-    }
-
-    /// The cursor one past the latest delta. Pass this back to
-    /// [`LabeledPool::deltas_since`] next round to receive only what changed
-    /// in between.
-    pub fn delta_head(&self) -> u64 {
-        self.log_base + self.log.len() as u64
-    }
-
-    /// The membership changes since `cursor` (a previous
-    /// [`LabeledPool::delta_head`]), in arrival order. Returns `None` when
-    /// the cursor has fallen off the bounded log (or is from another pool's
-    /// timeline) — the consumer must then rebuild from the full pool.
-    pub fn deltas_since(&self, cursor: u64) -> Option<&[PoolDelta]> {
-        if cursor < self.log_base || cursor > self.delta_head() {
-            return None;
-        }
-        Some(&self.log[(cursor - self.log_base) as usize..])
-    }
-
-    /// Stable identities of the retained samples, aligned with
-    /// [`LabeledPool::labels`] / row order of [`LabeledPool::features`].
-    pub fn uids(&self) -> &[u64] {
-        &self.uids[self.front..]
+    /// The uids of the retained samples, `next_uid − len .. next_uid`, in
+    /// row order of [`LabeledPool::features`].
+    pub fn uid_range(&self) -> std::ops::Range<u64> {
+        self.next_uid - self.len() as u64..self.next_uid
     }
 
     /// Current row index of the sample with the given uid, if retained.
     pub fn index_of_uid(&self, uid: u64) -> Option<usize> {
-        self.uids().iter().position(|&u| u == uid)
+        let range = self.uid_range();
+        range.contains(&uid).then(|| (uid - range.start) as usize)
     }
 
     /// The pooled features as an `(n, d)` matrix. The matrix is maintained
@@ -534,20 +399,18 @@ mod tests {
 
     #[test]
     fn policy_spec_round_trips() {
-        for (spec, policy) in [
-            ("unbounded", PoolPolicy::Unbounded),
-            ("window:64", PoolPolicy::SlidingWindow(64)),
-            ("reservoir:128:7", PoolPolicy::Reservoir(128, 7)),
-        ] {
+        for (spec, policy) in
+            [("unbounded", PoolPolicy::Unbounded), ("window:64", PoolPolicy::SlidingWindow(64))]
+        {
             let parsed = PoolPolicy::parse(spec).unwrap();
             assert_eq!(parsed, policy);
             assert_eq!(parsed.spec(), spec);
             assert_eq!(PoolPolicy::parse(&parsed.spec()).unwrap(), parsed);
         }
-        // Seed defaults to 0 when omitted; whitespace and case are forgiven.
-        assert_eq!(PoolPolicy::parse("reservoir:9").unwrap(), PoolPolicy::Reservoir(9, 0));
+        // Whitespace and case are forgiven.
         assert_eq!(PoolPolicy::parse(" Unbounded ").unwrap(), PoolPolicy::Unbounded);
-        for bad in ["window", "window:0", "window:x", "reservoir:0", "lru:4", "window:4:9"] {
+        assert_eq!(PoolPolicy::parse("Window:3").unwrap(), PoolPolicy::SlidingWindow(3));
+        for bad in ["window", "window:0", "window:x", "reservoir:8", "lru:4", "window:4:9"] {
             assert!(PoolPolicy::parse(bad).is_err(), "`{bad}` should not parse");
         }
     }
@@ -555,99 +418,36 @@ mod tests {
     #[test]
     fn policy_serde_round_trips() {
         use serde::{Deserialize, Serialize};
-        for policy in [
-            PoolPolicy::Unbounded,
-            PoolPolicy::SlidingWindow(5),
-            PoolPolicy::Reservoir(3, 11),
-        ] {
+        for policy in [PoolPolicy::Unbounded, PoolPolicy::SlidingWindow(5)] {
             assert_eq!(PoolPolicy::from_value(&policy.to_value()).unwrap(), policy);
         }
         assert!(PoolPolicy::from_value(&serde::Value::Int(3)).is_err());
     }
 
     #[test]
-    fn sliding_window_evicts_front_and_logs_deltas() {
-        let mut pool = LabeledPool::with_policy(PoolPolicy::SlidingWindow(3), 1);
+    fn sliding_window_evicts_front_and_keeps_one_uid_range() {
+        let mut pool = LabeledPool::with_policy(PoolPolicy::SlidingWindow(3));
         for i in 0..5 {
             pool.push(vec![i as f64, 0.0], i % 2, 1);
         }
         assert_eq!(pool.len(), 3);
-        assert_eq!(pool.uids(), &[2, 3, 4]);
+        assert_eq!(pool.uid_range(), 2..5);
         assert_eq!(pool.features().get(0, 0), 2.0);
-        // Arrival order: 5 adds interleaved with 2 evictions (of uids 0, 1).
-        let deltas = pool.deltas_since(0).unwrap();
-        assert_eq!(deltas.len(), 7);
-        assert_eq!(
-            deltas.iter().filter(|d| d.evicted).map(|d| d.uid).collect::<Vec<_>>(),
-            vec![0, 1]
-        );
-        assert_eq!(pool.delta_head(), 7);
-        assert_eq!(pool.deltas_since(pool.delta_head()).unwrap(), &[]);
         assert_eq!(pool.index_of_uid(3), Some(1));
         assert_eq!(pool.index_of_uid(0), None);
-    }
-
-    #[test]
-    fn reservoir_is_capped_uniformish_and_deterministic() {
-        let run = |run_seed: u64| {
-            let mut pool = LabeledPool::with_policy(PoolPolicy::Reservoir(16, 9), run_seed);
-            for i in 0..400 {
-                pool.push(vec![i as f64], 0, 1);
-            }
-            pool
-        };
-        let a = run(5);
-        let b = run(5);
-        let c = run(6);
-        assert_eq!(a.len(), 16);
-        assert_eq!(a.uids(), b.uids(), "same seeds must keep the same sample");
-        assert_ne!(a.uids(), c.uids(), "different run seeds should diverge");
-        // A uniform sample of 0..400 should not be the most recent items
-        // only, and should reach into the early stream.
-        assert!(a.uids().iter().any(|&u| u < 200));
-        assert!(a.uids().iter().any(|&u| u >= 200));
-        // Replayed deltas reproduce the retained uid set.
-        let mut mirror: Vec<u64> = Vec::new();
-        for d in a.deltas_since(0).unwrap() {
-            if d.evicted {
-                mirror.retain(|&u| u != d.uid);
-            } else {
-                mirror.push(d.uid);
-            }
-        }
-        let mut kept = a.uids().to_vec();
-        kept.sort_unstable();
-        mirror.sort_unstable();
-        assert_eq!(mirror, kept);
-    }
-
-    #[test]
-    fn delta_log_trims_and_invalidates_stale_cursors() {
-        let mut pool = LabeledPool::with_policy(PoolPolicy::SlidingWindow(4), 2);
-        // Each push past the window logs 2 deltas, so this overflows MAX_LOG.
-        for i in 0..3000 {
-            pool.push(vec![i as f64], 0, 1);
-        }
-        assert!(pool.deltas_since(0).is_none(), "ancient cursor must force a re-anchor");
-        assert!(pool.deltas_since(pool.delta_head() + 1).is_none());
-        let head = pool.delta_head();
-        pool.push(vec![0.5], 1, -1);
-        let fresh = pool.deltas_since(head).unwrap();
-        assert_eq!(fresh.len(), 2); // one add + one evict
-        assert_eq!(pool.len(), 4);
+        assert_eq!(pool.index_of_uid(5), None);
     }
 
     #[test]
     fn pool_state_survives_serde_round_trip() {
         use serde::{Deserialize, Serialize};
-        let mut pool = LabeledPool::with_policy(PoolPolicy::Reservoir(8, 3), 7);
+        let mut pool = LabeledPool::with_policy(PoolPolicy::SlidingWindow(8));
         for i in 0..40 {
             pool.push(vec![i as f64, -(i as f64)], i % 2, if i % 3 == 0 { -1 } else { 1 });
         }
         let restored = LabeledPool::from_value(&pool.to_value()).unwrap();
-        assert_eq!(restored.uids(), pool.uids());
+        assert_eq!(restored.uid_range(), pool.uid_range());
         assert_eq!(restored.labels(), pool.labels());
-        assert_eq!(restored.delta_head(), pool.delta_head());
         assert_eq!(restored.policy(), pool.policy());
         // The restored pool continues the exact same eviction timeline.
         let mut a = pool.clone();
@@ -656,7 +456,7 @@ mod tests {
             a.push(vec![i as f64, 0.0], 0, 1);
             b.push(vec![i as f64, 0.0], 0, 1);
         }
-        assert_eq!(a.uids(), b.uids());
+        assert_eq!(a.uid_range(), b.uid_range());
         assert_eq!(a.features().as_slice(), b.features().as_slice());
     }
 
@@ -667,14 +467,14 @@ mod tests {
         // tombstone is live mid-cycle, then compare every observable —
         // accessors, counts, uid lookup, and serialized bytes — against a
         // pool built fresh in the same logical state.
-        let mut evicted = LabeledPool::with_policy(PoolPolicy::SlidingWindow(5), 9);
+        let mut evicted = LabeledPool::with_policy(PoolPolicy::SlidingWindow(5));
         for i in 0..23 {
             evicted.push(vec![i as f64, 1.0], i % 3, if i % 2 == 0 { 1 } else { -1 });
         }
         assert!(evicted.front > 0, "test must exercise a live tombstone");
         assert_eq!(evicted.len(), 5);
         assert_eq!(evicted.labels().len(), 5);
-        assert_eq!(evicted.uids(), &[18, 19, 20, 21, 22]);
+        assert_eq!(evicted.uid_range(), 18..23);
         assert_eq!(evicted.index_of_uid(20), Some(2));
         assert_eq!(evicted.group_count(1) + evicted.group_count(-1), 5);
         assert_eq!(
@@ -682,12 +482,12 @@ mod tests {
             5
         );
         // Serialization must not leak the dead prefix: byte-compare against
-        // a fresh pool holding the same five rows with the same uids/log.
+        // a fresh pool holding the same five rows under the same uids.
         let restored = LabeledPool::from_value(&evicted.to_value()).unwrap();
         assert_eq!(restored.front, 0, "deserialize compacts");
         assert_eq!(restored.labels(), evicted.labels());
         assert_eq!(restored.sensitives(), evicted.sensitives());
-        assert_eq!(restored.uids(), evicted.uids());
+        assert_eq!(restored.uid_range(), evicted.uid_range());
         assert_eq!(restored.features().as_slice(), evicted.features().as_slice());
         assert_eq!(
             serde_json::to_string(&restored.to_value()),
@@ -701,7 +501,7 @@ mod tests {
             a.push(vec![i as f64, 2.0], 0, 1);
             b.push(vec![i as f64, 2.0], 0, 1);
         }
-        assert_eq!(a.uids(), b.uids());
+        assert_eq!(a.uid_range(), b.uid_range());
         assert_eq!(a.features().as_slice(), b.features().as_slice());
     }
 

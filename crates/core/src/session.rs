@@ -218,7 +218,7 @@ impl OnlineSession {
             seed,
             num_classes,
             rng: SeedRng::new(seed ^ 0x5EED_F00D),
-            pool: LabeledPool::with_policy(cfg.pool_policy, seed),
+            pool: LabeledPool::with_policy(cfg.pool_policy),
             model: OnlineModel::new(arch, cfg, seed),
             loss,
             warm_indices: Vec::new(),

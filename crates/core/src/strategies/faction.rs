@@ -19,6 +19,7 @@
 //! selection, i.e. the DDU-style variant in the ablation tables.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use faction_density::{
     DensityError, DensityScratch, FairDensityConfig, FairDensityEstimator, IncrementalGda,
@@ -28,7 +29,7 @@ use faction_linalg::{Matrix, SeedRng};
 use faction_nn::{BatchLoss, CrossEntropyLoss, Mlp, MlpWorkspace};
 
 use crate::loss::FairTotalLoss;
-use crate::pool::{LabeledPool, PoolDelta};
+use crate::pool::LabeledPool;
 use crate::selection::{desirability_from_scores, AcquisitionMode};
 use crate::strategies::{SelectionContext, Strategy};
 
@@ -40,7 +41,7 @@ pub enum RefitMode {
     #[default]
     Full,
     /// Maintain each cell's mean and centered scatter by exact rank-1
-    /// updates driven by the pool's delta log, factoring each cell's
+    /// updates that follow the pool's uid range, factoring each cell's
     /// covariance once per round, and re-anchor with one clean batch pass
     /// every `reanchor_every` rounds. Per-round cost is flat in pool size;
     /// right after an anchor the scores equal the full refit bit for bit,
@@ -107,14 +108,14 @@ struct FactionScratch {
     /// [`RefitMode::Incremental`]); `None` until the first anchor and after
     /// any invalidation.
     incr: Option<IncrementalState>,
-    /// Input rows added to the pool since the last replay.
+    /// Input rows added to the pool since the last sync.
     added_x: Matrix,
     /// Their features.
     added_z: Matrix,
 }
 
-/// The incremental refit state: the streaming estimator plus its position
-/// in the pool's delta log.
+/// The incremental refit state: the streaming estimator plus the pool uid
+/// range `first_uid..end_uid` it mirrors.
 ///
 /// Serializable because it is the one piece of FACTION scratch whose loss
 /// would change future decisions: dropping it across a session
@@ -124,14 +125,28 @@ struct FactionScratch {
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 struct IncrementalState {
     gda: IncrementalGda,
-    /// Pool delta-log cursor up to which `gda` mirrors the pool.
-    cursor: u64,
+    /// First pool uid `gda` mirrors. States written before the range
+    /// existed decode to the empty range `0..0`, which forces a re-anchor.
+    #[serde(default)]
+    first_uid: u64,
+    /// One past the last pool uid `gda` mirrors.
+    #[serde(default)]
+    end_uid: u64,
     /// Rounds since the last clean batch anchor.
     rounds_since_anchor: usize,
     /// Set while a mutation is in flight; if a panic (caught at the
     /// runner's degradation boundary) strands it set, the next round
     /// re-anchors instead of trusting half-applied state.
     dirty: bool,
+}
+
+impl IncrementalState {
+    /// Whether the pool can have reached `live` from the mirrored range by
+    /// pushes and front evictions alone, the only moves a pool makes. A
+    /// mirror is never empty: anchors and syncs only run on a non-empty pool.
+    fn reconciles_with(&self, live: &Range<u64>) -> bool {
+        self.first_uid < self.end_uid && self.first_uid <= live.start && self.end_uid <= live.end
+    }
 }
 
 /// Rebuilds the streaming estimator from the full pool (the anchor path).
@@ -148,11 +163,13 @@ fn anchor_incremental(
         faction_telemetry::counter_add("density.incremental.reanchors", 1);
     }
     mlp.features_into(pool.features(), ws, pool_z);
+    let live = pool.uid_range();
+    let uids: Vec<u64> = live.clone().collect();
     let gda = IncrementalGda::from_rows(
         pool_z,
         pool.labels(),
         pool.sensitives(),
-        pool.uids(),
+        &uids,
         num_classes,
         params.density,
     );
@@ -160,7 +177,8 @@ fn anchor_incremental(
         Ok(gda) => {
             *incr = Some(IncrementalState {
                 gda,
-                cursor: pool.delta_head(),
+                first_uid: live.start,
+                end_uid: live.end,
                 rounds_since_anchor: 0,
                 dirty: false,
             });
@@ -175,10 +193,12 @@ fn anchor_incremental(
     }
 }
 
-/// Applies the pool deltas accumulated since `state.cursor` to the
-/// streaming estimator, extracting features for added rows under the
-/// current `θ`.
-fn replay_deltas(
+/// Moves the streaming estimator from the uid range it mirrors to the
+/// pool's: removes the mirrored uids below the pool's first uid, then
+/// inserts the pool's uids beyond the old end, extracting their features
+/// under the current `θ` in one batch. Rows pushed and evicted between two
+/// syncs never touch the estimator.
+fn sync_range(
     state: &mut IncrementalState,
     mlp: &Mlp,
     pool: &LabeledPool,
@@ -186,57 +206,34 @@ fn replay_deltas(
     added_x: &mut Matrix,
     added_z: &mut Matrix,
 ) -> Result<(), DensityError> {
-    let deltas = pool
-        .deltas_since(state.cursor)
-        .ok_or_else(|| DensityError::Incremental { what: "delta cursor expired".into() })?;
-    // A row added and evicted within the same backlog never needs to touch
-    // the estimator; collect the backlog's evicted uids to skip such pairs.
-    let evicted_later: std::collections::BTreeSet<u64> =
-        deltas.iter().filter(|d| d.evicted).map(|d| d.uid).collect();
-    let survives = |d: &PoolDelta| !d.evicted && !evicted_later.contains(&d.uid);
-    // Extract the surviving added rows' features in one batch: every output
-    // row of the forward products is its own ascending-k sum, so this is
-    // bit-identical to one call per row.
-    let added = deltas
-        .iter()
-        .filter(|d| survives(d))
-        .map(|d| {
-            pool.index_of_uid(d.uid).ok_or_else(|| DensityError::Incremental {
-                what: format!("added uid {} not found in pool", d.uid),
-            })
-        })
-        .collect::<Result<Vec<usize>, _>>()?;
+    let live = pool.uid_range();
+    let added = state.end_uid.max(live.start)..live.end;
+    let first_added = (added.start - live.start) as usize;
     if !added.is_empty() {
-        faction_nn::mlp::gather_rows_into(pool.features(), &added, added_x);
+        // Every output row of the forward products is its own ascending-k
+        // sum, so one batch is bit-identical to one call per row.
+        let rows: Vec<usize> = (first_added..pool.len()).collect();
+        faction_nn::mlp::gather_rows_into(pool.features(), &rows, added_x);
         mlp.features_into(added_x, ws, added_z);
     }
     state.dirty = true;
-    let mut r = 0;
-    for delta in deltas {
-        if delta.evicted {
-            if state.gda.contains(delta.uid) {
-                state.gda.remove(delta.uid)?;
-            }
-        } else if survives(delta) {
-            let at = added[r];
-            state.gda.insert(
-                delta.uid,
-                added_z.row(r),
-                pool.labels()[at],
-                pool.sensitives()[at],
-            )?;
-            r += 1;
-        }
+    for uid in state.first_uid..state.end_uid.min(live.start) {
+        state.gda.remove(uid)?;
+    }
+    for (r, uid) in added.enumerate() {
+        let at = first_added + r;
+        state.gda.insert(uid, added_z.row(r), pool.labels()[at], pool.sensitives()[at])?;
     }
     state.dirty = false;
-    state.cursor = pool.delta_head();
+    state.first_uid = live.start;
+    state.end_uid = live.end;
     state.rounds_since_anchor += 1;
     Ok(())
 }
 
 /// One round of the incremental refit: anchor when due (or when the state
-/// is missing, dirty, or behind the bounded delta log), otherwise replay
-/// the round's deltas; then materialize the estimator. Returns `None` when
+/// is missing, dirty, or cannot be reconciled with the pool's uid range),
+/// otherwise sync the range; then materialize the estimator. Returns `None` when
 /// this round must fall back to the batch fit — the state is invalidated so
 /// the next incremental round starts from a clean anchor.
 #[allow(clippy::too_many_arguments)]
@@ -262,18 +259,18 @@ fn incremental_estimator(
         Some(s) => {
             s.dirty
                 || s.rounds_since_anchor >= reanchor_every
-                || pool.deltas_since(s.cursor).is_none()
+                || !s.reconciles_with(&pool.uid_range())
         }
     };
-    let replay_failed = if needs_anchor {
+    let sync_failed = if needs_anchor {
         false
     } else {
         match incr.as_mut() {
-            Some(s) => replay_deltas(s, mlp, pool, ws, added_x, added_z).is_err(),
+            Some(s) => sync_range(s, mlp, pool, ws, added_x, added_z).is_err(),
             None => false,
         }
     };
-    if (needs_anchor || replay_failed)
+    if (needs_anchor || sync_failed)
         && anchor_incremental(params, mlp, pool, num_classes, ws, pool_z, incr).is_err()
     {
         return None;
@@ -354,9 +351,9 @@ impl Faction {
         let mlp = ctx.model.mlp();
         // Fit G(z) on the pool's learned features (Algorithm 1, lines 9–18).
         // Under `RefitMode::Incremental` the estimator is maintained by
-        // rank-1 scatter updates from the pool's delta log; any round it cannot
-        // serve falls through to the batch fit below (which owns the ridge
-        // escalation ladder of DESIGN.md §10).
+        // rank-1 scatter updates that follow the pool's uid range; any round
+        // it cannot serve falls through to the batch fit below (which owns
+        // the ridge escalation ladder of DESIGN.md §10).
         let estimator = {
             let _fit_span = faction_telemetry::span("core.faction.gda_fit_ns");
             let streamed = match self.params.refit {
@@ -531,41 +528,110 @@ mod tests {
         assert_incremental_tracks_full(&mut fixture, 1000, 25, 1e-8);
     }
 
+    /// Moves the fixture's pool rows into a fresh pool under `policy`.
+    fn rebound_pool(fixture: &mut Fixture, policy: crate::pool::PoolPolicy) {
+        let mut pool = crate::pool::LabeledPool::with_policy(policy);
+        for i in 0..fixture.pool.len() {
+            pool.push(
+                fixture.pool.features().row(i).to_vec(),
+                fixture.pool.labels()[i],
+                fixture.pool.sensitives()[i],
+            );
+        }
+        fixture.pool = pool;
+    }
+
     #[test]
     fn incremental_refit_tracks_full_refit_under_eviction() {
         // A sliding window drives the rank-1 *removal* path every round.
         let mut fixture = Fixture::new(32);
-        let mut pool = crate::pool::LabeledPool::with_policy(
-            crate::pool::PoolPolicy::SlidingWindow(70),
-            5,
-        );
-        for i in 0..fixture.pool.len() {
-            pool.push(
-                fixture.pool.features().row(i).to_vec(),
-                fixture.pool.labels()[i],
-                fixture.pool.sensitives()[i],
-            );
-        }
-        fixture.pool = pool;
+        rebound_pool(&mut fixture, crate::pool::PoolPolicy::SlidingWindow(70));
         assert_incremental_tracks_full(&mut fixture, 1000, 25, 1e-8);
     }
 
     #[test]
-    fn incremental_refit_tracks_full_refit_under_reservoir() {
-        let mut fixture = Fixture::new(33);
-        let mut pool = crate::pool::LabeledPool::with_policy(
-            crate::pool::PoolPolicy::Reservoir(70, 3),
-            5,
-        );
-        for i in 0..fixture.pool.len() {
-            pool.push(
-                fixture.pool.features().row(i).to_vec(),
-                fixture.pool.labels()[i],
-                fixture.pool.sensitives()[i],
-            );
+    fn backlog_longer_than_the_window_inserts_only_survivors() {
+        use faction_telemetry::{Handle, Registry};
+        use std::sync::Arc;
+        const WINDOW: usize = 70;
+        const BACKLOG: usize = 90;
+        let mut fixture = Fixture::new(34);
+        rebound_pool(&mut fixture, crate::pool::PoolPolicy::SlidingWindow(WINDOW));
+        let full = Faction::new(FactionParams::default());
+        let incremental = Faction::new(FactionParams {
+            refit: RefitMode::Incremental { reanchor_every: 1000 },
+            ..Default::default()
+        });
+        let assert_close = |fixture: &Fixture, registry: &Arc<Registry>| {
+            let ctx = fixture.ctx();
+            let a = full.raw_scores(&ctx);
+            let b = {
+                let handle = Handle::from(registry.clone());
+                let _scope = handle.enter();
+                incremental.raw_scores(&ctx)
+            };
+            for (x, y) in a.iter().zip(&b) {
+                assert!((x - y).abs() <= 1e-8, "full {x} vs incremental {y}");
+            }
+        };
+        // Anchor on the window, then push more rows than it holds in one
+        // round: the first BACKLOG − WINDOW arrive and leave before the
+        // next sync, and must never touch the estimator.
+        assert_close(&fixture, &Arc::new(Registry::new()));
+        let mut rng = faction_linalg::SeedRng::new(78);
+        let mut push = |pool: &mut crate::pool::LabeledPool, rows: usize| {
+            for i in 0..rows {
+                let (y, s) = (i % 2, if (i / 2) % 2 == 0 { 1i8 } else { -1 });
+                let cx = if y == 1 { 2.0 } else { -2.0 };
+                let x =
+                    vec![rng.normal(cx, 0.4), rng.normal(f64::from(s), 0.4), rng.normal(0.0, 0.4)];
+                pool.push(x, y, s);
+            }
+        };
+        push(&mut fixture.pool, BACKLOG);
+        let registry = Arc::new(Registry::new());
+        assert_close(&fixture, &registry);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("density.incremental.updates"), Some(WINDOW as u64));
+        assert_eq!(snapshot.counter("density.incremental.downdates"), Some(WINDOW as u64));
+        // Later syncs evict exactly what that one inserted.
+        let registry = Arc::new(Registry::new());
+        for _ in 0..12 {
+            push(&mut fixture.pool, 3);
+            assert_close(&fixture, &registry);
         }
-        fixture.pool = pool;
-        assert_incremental_tracks_full(&mut fixture, 8, 25, 1e-8);
+        assert_eq!(registry.snapshot().counter("density.incremental.downdates"), Some(36));
+        assert_eq!(registry.snapshot().counter("density.incremental.reanchors"), None);
+    }
+
+    #[test]
+    fn state_without_a_uid_range_reanchors() {
+        use faction_telemetry::{Handle, Registry};
+        use std::sync::Arc;
+        let fixture = Fixture::new(35);
+        let ctx = fixture.ctx();
+        let params = FactionParams {
+            refit: RefitMode::Incremental { reanchor_every: 1000 },
+            ..Default::default()
+        };
+        let first = Faction::new(params);
+        let want = first.raw_scores(&ctx);
+        // An incremental state as written before it recorded its uid range.
+        let Some(serde::Value::Object(mut fields)) = first.snapshot_state() else {
+            panic!("an anchored FACTION has incremental state")
+        };
+        fields.retain(|(k, _)| k != "first_uid" && k != "end_uid");
+        fields.push(("cursor".to_string(), serde::Value::Int(80)));
+        let mut restored = Faction::new(params);
+        restored.restore_state(&serde::Value::Object(fields)).unwrap();
+        let registry = Arc::new(Registry::new());
+        let got = {
+            let handle = Handle::from(registry.clone());
+            let _scope = handle.enter();
+            restored.raw_scores(&ctx)
+        };
+        assert_eq!(got, want, "a re-anchor scores bit for bit like the first anchor");
+        assert_eq!(registry.snapshot().counter("density.incremental.reanchors"), Some(1));
     }
 
     #[test]

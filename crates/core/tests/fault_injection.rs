@@ -239,43 +239,42 @@ fn bounded_pools_survive_poison_under_incremental_refit() {
     // containment must be visible — evictions counted, and at least one
     // re-anchor of the rank-1 state (forced here via a tiny period).
     let stream = poisoned_stream();
-    for policy in [PoolPolicy::SlidingWindow(40), PoolPolicy::Reservoir(40, 9)] {
-        let registry = Arc::new(Registry::new());
-        let record = {
-            let handle = Handle::from(registry.clone());
-            let _scope = handle.enter();
-            let mut strategy = Faction::new(FactionParams {
-                refit: RefitMode::Incremental { reanchor_every: 2 },
-                ..FactionParams::default()
-            });
-            let arch = faction_nn::presets::tiny(stream.input_dim, stream.num_classes, 0);
-            let mut config = cfg();
-            config.pool_policy = policy;
-            run_experiment(&stream, &mut strategy, &arch, &config, 42)
-        };
-        assert_eq!(record.records.len(), stream.len(), "{policy}: all tasks recorded");
-        for r in &record.records {
-            assert_eq!(r.queries, BUDGET, "{policy}: task {} must spend the budget", r.task_id);
-            for (metric, v) in [
-                ("accuracy", r.accuracy),
-                ("ddp", r.ddp),
-                ("eod", r.eod),
-                ("mi", r.mi),
-                ("calibration_gap", r.calibration_gap),
-            ] {
-                assert!(v.is_finite(), "{policy}: task {} {metric} = {v}", r.task_id);
-            }
+    let policy = PoolPolicy::SlidingWindow(40);
+    let registry = Arc::new(Registry::new());
+    let record = {
+        let handle = Handle::from(registry.clone());
+        let _scope = handle.enter();
+        let mut strategy = Faction::new(FactionParams {
+            refit: RefitMode::Incremental { reanchor_every: 2 },
+            ..FactionParams::default()
+        });
+        let arch = faction_nn::presets::tiny(stream.input_dim, stream.num_classes, 0);
+        let mut config = cfg();
+        config.pool_policy = policy;
+        run_experiment(&stream, &mut strategy, &arch, &config, 42)
+    };
+    assert_eq!(record.records.len(), stream.len(), "{policy}: all tasks recorded");
+    for r in &record.records {
+        assert_eq!(r.queries, BUDGET, "{policy}: task {} must spend the budget", r.task_id);
+        for (metric, v) in [
+            ("accuracy", r.accuracy),
+            ("ddp", r.ddp),
+            ("eod", r.eod),
+            ("mi", r.mi),
+            ("calibration_gap", r.calibration_gap),
+        ] {
+            assert!(v.is_finite(), "{policy}: task {} {metric} = {v}", r.task_id);
         }
-        let snapshot = registry.snapshot();
-        assert!(
-            snapshot.counter("core.pool.evictions").unwrap_or(0) > 0,
-            "{policy}: a 40-cap pool over 64 labels must evict"
-        );
-        assert!(
-            snapshot.counter("density.incremental.reanchors").unwrap_or(0) > 0,
-            "{policy}: the re-anchor path must fire and be visible in telemetry"
-        );
     }
+    let snapshot = registry.snapshot();
+    assert!(
+        snapshot.counter("core.pool.evictions").unwrap_or(0) > 0,
+        "{policy}: a 40-cap pool over 64 labels must evict"
+    );
+    assert!(
+        snapshot.counter("density.incremental.reanchors").unwrap_or(0) > 0,
+        "{policy}: the re-anchor path must fire and be visible in telemetry"
+    );
 }
 
 #[test]

@@ -94,9 +94,7 @@ fn snapshot_restore_mid_stream_is_byte_identical_for_every_pool_policy() {
     // Snapshot after round 4 — inside task 1 (3 rounds per task), so the
     // restored cursor resumes mid-task with a partially spent budget.
     const SNAP_AT: usize = 4;
-    for policy in
-        [PoolPolicy::Unbounded, PoolPolicy::SlidingWindow(24), PoolPolicy::Reservoir(24, 7)]
-    {
+    for policy in [PoolPolicy::Unbounded, PoolPolicy::SlidingWindow(24)] {
         let stream = stream(Dataset::Rcmnist, 5);
         let cfg = cfg(policy);
         let arch = faction_nn::presets::tiny(stream.input_dim, stream.num_classes, 5);

@@ -90,19 +90,6 @@ impl StreamProfile {
         StreamProfile { name: stream.name.clone(), tasks, mean_shifts }
     }
 
-    /// Indices (into `mean_shifts`) of the `k` largest shifts — candidate
-    /// environment boundaries.
-    pub fn largest_shifts(&self, k: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.mean_shifts.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.mean_shifts[b]
-                .partial_cmp(&self.mean_shifts[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        order.truncate(k);
-        order
-    }
-
     /// Renders a fixed-width profile table.
     pub fn render(&self) -> String {
         let mut out = format!("stream profile: {}\n", self.name);
@@ -142,17 +129,6 @@ mod tests {
         for t in &profile.tasks {
             assert!((t.positive_rate - 0.5).abs() < 0.08, "task {} rate {}", t.task_id, t.positive_rate);
         }
-    }
-
-    #[test]
-    fn environment_boundaries_have_largest_shifts() {
-        // NYSF: area changes at tasks 4, 8, 12 → shift indices 3, 7, 11
-        // should dominate.
-        let stream = datasets::nysf(2, Scale::Full);
-        let profile = StreamProfile::of(&stream);
-        let mut top = profile.largest_shifts(3);
-        top.sort_unstable();
-        assert_eq!(top, vec![3, 7, 11], "area boundaries must be the largest shifts");
     }
 
     #[test]

@@ -120,22 +120,6 @@ impl Gaussian {
         }
         Ok(())
     }
-
-    /// Squared Mahalanobis distance of `z` from the component mean.
-    ///
-    /// # Errors
-    /// Returns [`DensityError::DimensionMismatch`] if `z` has the wrong
-    /// length.
-    pub fn mahalanobis_sq(&self, z: &[f64]) -> Result<f64, DensityError> {
-        if z.len() != self.mean.len() {
-            return Err(DensityError::DimensionMismatch {
-                expected: self.mean.len(),
-                got: z.len(),
-            });
-        }
-        let centered = faction_linalg::vector::sub(z, &self.mean);
-        Ok(self.chol.quadratic_form(&centered)?)
-    }
 }
 
 #[cfg(test)]
@@ -189,12 +173,6 @@ mod tests {
             g.log_pdf(&[1.0]),
             Err(DensityError::DimensionMismatch { expected: 2, got: 1 })
         ));
-    }
-
-    #[test]
-    fn mahalanobis_matches_euclidean_for_identity_cov() {
-        let g = Gaussian::from_mean_cov(vec![0.0, 0.0], &Matrix::identity(2)).unwrap();
-        assert!((g.mahalanobis_sq(&[3.0, 4.0]).unwrap() - 25.0).abs() < 1e-9);
     }
 
     #[test]

@@ -290,13 +290,6 @@ impl Journal {
         lock(&self.events).push(event);
     }
 
-    /// Appends an already-stamped event verbatim (used to splice a nested
-    /// batch's journal into its parent without re-stamping).
-    pub fn push_raw(&self, event: JobEvent) {
-        self.stream_record(RECORD_EVENT, &event.to_value());
-        lock(&self.events).push(event);
-    }
-
     /// Snapshot of the events recorded so far, in append order.
     pub fn events(&self) -> Vec<JobEvent> {
         lock(&self.events).clone()

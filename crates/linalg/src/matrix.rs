@@ -183,8 +183,7 @@ impl Matrix {
     /// never holds more than ~2× the live data and no per-eviction
     /// O(rows · cols) memmove happens (that memmove made the round cost of
     /// a sliding-window pool grow with its size). Removing an
-    /// interior row (reservoir pools never do; they overwrite in place) is
-    /// the original O((rows − r) · cols) shift.
+    /// interior row is the original O((rows − r) · cols) shift.
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] if `r >= rows()`.
@@ -612,7 +611,7 @@ impl serde::Deserialize for Matrix {
         let rows: usize = serde::Deserialize::from_value(field("rows")?)?;
         let cols: usize = serde::Deserialize::from_value(field("cols")?)?;
         let data: Vec<f64> = serde::Deserialize::from_value(field("data")?)?;
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(serde::DeError::custom(format!(
                 "Matrix data length {} disagrees with shape {rows}x{cols}",
                 data.len()
@@ -850,12 +849,17 @@ mod tests {
 
     #[test]
     fn serde_rejects_shape_data_disagreement() {
-        let v = serde::Value::Object(vec![
-            ("rows".to_string(), serde::Value::Int(2)),
-            ("cols".to_string(), serde::Value::Int(2)),
-            ("data".to_string(), serde::Value::Array(vec![serde::Value::Float(1.0)])),
-        ]);
-        assert!(<Matrix as serde::Deserialize>::from_value(&v).is_err());
+        // The second shape's element count overflows `usize` to 0, which
+        // must not pass for the empty data array.
+        for (rows, cols, data) in [(2, 2, vec![serde::Value::Float(1.0)]), (1u64 << 63, 2, vec![])]
+        {
+            let v = serde::Value::Object(vec![
+                ("rows".to_string(), serde::Value::UInt(rows)),
+                ("cols".to_string(), serde::Value::UInt(cols)),
+                ("data".to_string(), serde::Value::Array(data)),
+            ]);
+            assert!(<Matrix as serde::Deserialize>::from_value(&v).is_err(), "{rows}x{cols}");
+        }
     }
 
     #[test]

@@ -25,8 +25,7 @@ fn mix64(mut z: u64) -> u64 {
 /// Stateless SplitMix64: the output of one generator step from state `z`.
 ///
 /// The one seed-expansion hash of the workspace. `SeedRng` seeds its
-/// xoshiro state with it, reservoir eviction draws
-/// `splitmix64(seed ^ arrival)` and the engine pool's schedule chaos draws
+/// xoshiro state with it and the engine pool's schedule chaos draws
 /// `splitmix64(seed ^ worker ^ counter)` — pure functions of their inputs,
 /// so no RNG state has to be threaded or serialized.
 pub fn splitmix64(z: u64) -> u64 {

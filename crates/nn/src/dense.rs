@@ -164,14 +164,6 @@ impl Dense {
         ]
     }
 
-    /// L2 norm of the current gradient (diagnostics; also used by tests to
-    /// verify gradient flow).
-    pub fn grad_norm(&self) -> f64 {
-        let gw = faction_linalg::vector::norm2(self.grad_w.as_slice());
-        let gb = faction_linalg::vector::norm2(&self.grad_b);
-        (gw * gw + gb * gb).sqrt()
-    }
-
     /// Total number of trainable parameters.
     pub fn param_count(&self) -> usize {
         self.w.rows() * self.w.cols() + self.b.len()

@@ -139,11 +139,6 @@ impl Mlp {
         self.layers.iter().map(Dense::param_count).sum()
     }
 
-    /// Number of dense layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Raw logits for a batch, shape `(n, classes)`.
     pub fn logits(&self, x: &Matrix) -> Matrix {
         let mut out = Matrix::default();
@@ -421,7 +416,6 @@ mod tests {
         assert_eq!(mlp.input_dim(), 4);
         assert_eq!(mlp.num_classes(), 3);
         assert_eq!(mlp.feature_dim(), 8);
-        assert_eq!(mlp.num_layers(), 3);
         assert_eq!(mlp.param_count(), 4 * 16 + 16 + 16 * 8 + 8 + 8 * 3 + 3);
         let x = Matrix::zeros(5, 4);
         assert_eq!(mlp.logits(&x).shape(), (5, 3));

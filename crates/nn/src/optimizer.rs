@@ -27,31 +27,23 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f64);
 }
 
-/// Stochastic gradient descent with classical momentum and optional decoupled
-/// weight decay.
+/// Stochastic gradient descent with classical momentum.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f64,
     momentum: f64,
-    weight_decay: f64,
     velocity: Vec<Vec<f64>>,
 }
 
 impl Sgd {
     /// Creates plain SGD.
     pub fn new(lr: f64) -> Self {
-        Sgd { lr, momentum: 0.0, weight_decay: 0.0, velocity: Vec::new() }
+        Sgd { lr, momentum: 0.0, velocity: Vec::new() }
     }
 
     /// Adds a momentum coefficient (0.9 is the usual choice).
     pub fn with_momentum(mut self, momentum: f64) -> Self {
         self.momentum = momentum;
-        self
-    }
-
-    /// Adds decoupled L2 weight decay.
-    pub fn with_weight_decay(mut self, weight_decay: f64) -> Self {
-        self.weight_decay = weight_decay;
         self
     }
 
@@ -70,11 +62,11 @@ impl Sgd {
 impl Optimizer for Sgd {
     fn step(&mut self, slot: usize, params: &mut [f64], grads: &[f64]) {
         assert_eq!(params.len(), grads.len(), "sgd: param/grad length mismatch");
-        let (lr, momentum, wd) = (self.lr, self.momentum, self.weight_decay);
+        let (lr, momentum) = (self.lr, self.momentum);
         let velocity = self.state(slot, params.len());
         for ((p, &g), v) in params.iter_mut().zip(grads).zip(velocity.iter_mut()) {
             *v = momentum * *v + g;
-            *p -= lr * (*v + wd * *p);
+            *p -= lr * *v;
         }
     }
 
@@ -94,13 +86,13 @@ impl Optimizer for Sgd {
 /// Serialization captures the full optimizer value *including* the
 /// per-slot momentum buffers. The buffers persist across retrains, so a
 /// session snapshot that dropped them would train differently after a
-/// restore — checkpoint byte-identity requires round-tripping them.
+/// restore — checkpoint byte-identity requires round-tripping them. A
+/// `weight_decay` entry that older snapshots carry is ignored on read.
 impl serde::Serialize for Sgd {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
             ("lr".to_string(), serde::Serialize::to_value(&self.lr)),
             ("momentum".to_string(), serde::Serialize::to_value(&self.momentum)),
-            ("weight_decay".to_string(), serde::Serialize::to_value(&self.weight_decay)),
             ("velocity".to_string(), serde::Serialize::to_value(&self.velocity)),
         ])
     }
@@ -116,7 +108,6 @@ impl serde::Deserialize for Sgd {
         Ok(Sgd {
             lr: serde::Deserialize::from_value(field("lr")?)?,
             momentum: serde::Deserialize::from_value(field("momentum")?)?,
-            weight_decay: serde::Deserialize::from_value(field("weight_decay")?)?,
             velocity: serde::Deserialize::from_value(field("velocity")?)?,
         })
     }
@@ -146,14 +137,6 @@ mod tests {
     fn sgd_momentum_converges_on_quadratic() {
         let mut opt = Sgd::new(0.05).with_momentum(0.9);
         assert!(descend(&mut opt, 300) < 1e-6);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_params_without_gradient() {
-        let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
-        let mut x = [10.0f64];
-        opt.step(0, &mut x, &[0.0]);
-        assert!(x[0] < 10.0);
     }
 
     #[test]
@@ -190,7 +173,7 @@ mod tests {
 
     #[test]
     fn sgd_serde_round_trips_momentum_buffers() {
-        let mut opt = Sgd::new(0.05).with_momentum(0.9).with_weight_decay(0.01);
+        let mut opt = Sgd::new(0.05).with_momentum(0.9);
         let mut x = [1.0f64, -2.0];
         opt.step(0, &mut x, &[0.3, -0.1]);
         let mut restored: Sgd =

@@ -410,6 +410,7 @@ drain
             ("open a tenant=t dataset=nysf strategy=random seed=x", "`seed` must be an integer"),
             ("open a tenant=t dataset=nysf strategy=random", "missing required field `seed`"),
             ("open a tenant=t dataset=nysf strategy=random seed=1 pool=window:0", "`pool` invalid"),
+            ("open a tenant=t dataset=nysf strategy=random seed=1 pool=reservoir:8", "`pool` invalid"),
             ("open a tenant=t dataset=nysf strategy=random seed=1 frob=2", "unknown field `frob`"),
             ("task a", "`task` needs an `index`"),
             ("task a x", "`index` must be an integer"),

@@ -10,10 +10,10 @@
 # wall-clock. Run `JOBS=1 ./run_all_experiments.sh` for the historical
 # sequential execution.
 #
-# POOL_POLICY selects labeled-pool retention (unbounded | window:N |
-# reservoir:N[:SEED]). The explicit default `unbounded` is the paper
-# protocol and leaves every published figure unchanged; bounded policies
-# cap per-round cost for long streams (DESIGN.md §11).
+# POOL_POLICY selects labeled-pool retention (unbounded | window:N). The
+# explicit default `unbounded` is the paper protocol and leaves every
+# published figure unchanged; a window caps per-round cost for long
+# streams (DESIGN.md §11).
 set -x
 cd "$(dirname "$0")"
 B=./target/release

@@ -41,8 +41,7 @@ USAGE:
   --jobs N          worker threads for the execution engine (0 = auto-detect);
                     results are byte-identical for every N.
   --pool-policy S   labeled-pool retention: unbounded (default, the paper
-                    protocol) | window:N (keep newest N) | reservoir:N[:SEED]
-                    (uniform sample of the whole stream).
+                    protocol) | window:N (keep newest N).
   --metrics-out P   write a telemetry snapshot (sorted-key JSON: counters,
                     gauges, phase histograms) to P after the run; recording
                     never changes results.

@@ -205,10 +205,12 @@ fn retired_kind_1_is_unknown_to_every_reader() {
 
 #[test]
 fn malformed_pool_policy_names_the_flag() {
-    assert_usage_error(
-        &["run", "--dataset", "RCMNIST", "--quick", "--pool-policy", "window:lots"],
-        "--pool-policy",
-    );
+    for policy in ["window:lots", "reservoir:8"] {
+        assert_usage_error(
+            &["run", "--dataset", "RCMNIST", "--quick", "--pool-policy", policy],
+            "--pool-policy",
+        );
+    }
 }
 
 #[test]
