@@ -542,8 +542,12 @@ pub(crate) fn evaluate(model: &OnlineModel, task: &Task) -> (f64, f64, f64, f64,
     if scrubbed > 0 {
         telemetry::counter_add("core.runner.sanitized_values", scrubbed as u64);
     }
-    let preds = model.mlp().predict(&x);
-    let probs = model.mlp().predict_proba(&x);
+    // One forward pass: the row argmaxes of the logits are `predict`'s
+    // predictions, and their softmax is `predict_proba`'s probabilities.
+    let mut probs = model.mlp().logits(&x);
+    let preds: Vec<usize> =
+        probs.iter_rows().map(|row| vector::argmax(row).unwrap_or(0)).collect();
+    faction_nn::loss::softmax_in_place(&mut probs);
     let labels = task.labels();
     let sens = task.sensitives();
     let calibration_gap = if probs.cols() > 2 {

@@ -326,84 +326,93 @@ impl Faction {
     }
 
     /// Computes the raw Eq. (6) scores `u(x)` (lower = query first) for a
-    /// candidate batch.
-    ///
-    /// The whole candidate batch is scored through the batched density path
-    /// ([`FairDensityEstimator::score_batch_into`]) with long-lived scratch
-    /// buffers, so after the first round this performs zero per-candidate
-    /// allocations; the results are bit-identical to per-sample
-    /// `log_density` / `delta_g_all` scoring.
+    /// candidate batch: [`Faction::fit_density`], then
+    /// [`Faction::score_into`]. A pool that yields no density signal (e.g. a
+    /// single sample) scores every candidate 0, equally desirable.
     pub fn raw_scores(&self, ctx: &SelectionContext<'_>) -> Vec<f64> {
         let n = ctx.candidates.rows();
+        let mut scores = Vec::with_capacity(n);
+        match self.fit_density(ctx) {
+            Some(estimator) => self.score_into(&estimator, ctx, &mut scores),
+            None => scores.resize(n, 0.0),
+        }
+        scores
+    }
+
+    /// Fits this round's `G(z)` on the pool's learned features (Algorithm
+    /// 1, lines 9–18), or `None` for a degenerate pool with no density
+    /// signal yet. Under [`RefitMode::Incremental`] the estimator is
+    /// maintained by rank-1 scatter updates that follow the pool's uid
+    /// range; any round it cannot serve falls through to the batch fit
+    /// (which owns the ridge escalation ladder of DESIGN.md §10). Either way
+    /// the estimator is a new one each round, so this half allocates.
+    pub fn fit_density(&self, ctx: &SelectionContext<'_>) -> Option<FairDensityEstimator> {
         let mut scratch = self.scratch.borrow_mut();
-        let FactionScratch {
-            ws,
-            pool_z,
-            z,
-            probs,
-            density,
-            log_density,
-            gaps,
-            incr,
-            added_x,
-            added_z,
-        } = &mut *scratch;
+        let FactionScratch { ws, pool_z, incr, added_x, added_z, .. } = &mut *scratch;
         let mlp = ctx.model.mlp();
-        // Fit G(z) on the pool's learned features (Algorithm 1, lines 9–18).
-        // Under `RefitMode::Incremental` the estimator is maintained by
-        // rank-1 scatter updates that follow the pool's uid range; any round
-        // it cannot serve falls through to the batch fit below (which owns
-        // the ridge escalation ladder of DESIGN.md §10).
-        let estimator = {
-            let _fit_span = faction_telemetry::span("core.faction.gda_fit_ns");
-            let streamed = match self.params.refit {
-                RefitMode::Incremental { reanchor_every } => incremental_estimator(
-                    &self.params,
-                    mlp,
-                    ctx.pool,
-                    ctx.num_classes,
-                    reanchor_every,
-                    ws,
-                    pool_z,
-                    added_x,
-                    added_z,
-                    incr,
-                ),
-                RefitMode::Full => None,
-            };
-            match streamed {
-                Some(e) => e,
-                None => {
-                    mlp.features_into(ctx.pool.features(), ws, pool_z);
-                    let estimator = FairDensityEstimator::fit(
-                        pool_z,
-                        ctx.pool.labels(),
-                        ctx.pool.sensitives(),
-                        ctx.num_classes,
-                        &self.params.density,
-                    );
-                    match estimator {
-                        Ok(e) => e,
-                        // Degenerate pool (e.g. a single sample): no density
-                        // signal yet; every candidate is equally desirable.
-                        Err(_) => return vec![0.0; n],
-                    }
-                }
-            }
+        let _fit_span = faction_telemetry::span("core.faction.gda_fit_ns");
+        let streamed = match self.params.refit {
+            RefitMode::Incremental { reanchor_every } => incremental_estimator(
+                &self.params,
+                mlp,
+                ctx.pool,
+                ctx.num_classes,
+                reanchor_every,
+                ws,
+                pool_z,
+                added_x,
+                added_z,
+                incr,
+            ),
+            RefitMode::Full => None,
         };
+        if streamed.is_some() {
+            return streamed;
+        }
+        mlp.features_into(ctx.pool.features(), ws, pool_z);
+        FairDensityEstimator::fit(
+            pool_z,
+            ctx.pool.labels(),
+            ctx.pool.sensitives(),
+            ctx.num_classes,
+            &self.params.density,
+        )
+        .ok()
+    }
+
+    /// Writes the Eq. (6) score of every candidate against `estimator` into
+    /// `scores` (cleared first).
+    ///
+    /// The candidate batch is scored through the batched density path
+    /// ([`FairDensityEstimator::score_batch_into`]) with long-lived scratch
+    /// buffers, so once a round has run at the batch shape this makes **no
+    /// heap allocation** (`crates/core/tests/scoring_alloc.rs` counts
+    /// them); the results are bit-identical to per-sample `log_density` /
+    /// `delta_g_all` scoring.
+    pub fn score_into(
+        &self,
+        estimator: &FairDensityEstimator,
+        ctx: &SelectionContext<'_>,
+        scores: &mut Vec<f64>,
+    ) {
+        let n = ctx.candidates.rows();
+        scores.clear();
+        let mut scratch = self.scratch.borrow_mut();
+        let FactionScratch { ws, z, probs, density, log_density, gaps, .. } = &mut *scratch;
+        let mlp = ctx.model.mlp();
         let feature_span = faction_telemetry::span("core.faction.features_ns");
         mlp.features_into(ctx.candidates, ws, z);
         drop(feature_span);
         let _score_span = faction_telemetry::span("core.faction.gda_score_ns");
         log_density.clear();
         log_density.resize(n, 0.0);
-        let mut scores = Vec::with_capacity(n);
+        // A scoring error is unreachable for consistent dimensions; it is
+        // treated like the degenerate-pool case.
         if self.params.fair_select {
             mlp.proba_from_features_into(z, probs);
             if estimator.score_batch_into(z, density, log_density, gaps).is_err() {
-                // Unreachable for consistent dimensions; treat like the
-                // degenerate-pool case.
-                return vec![0.0; n];
+                scores.resize(n, 0.0);
+                return;
             }
             for (i, &ld) in log_density.iter().enumerate() {
                 let fairness_term = (0..ctx.num_classes)
@@ -411,13 +420,11 @@ impl Faction {
                     .sum::<f64>();
                 scores.push(ld - self.params.lambda * fairness_term);
             }
-        } else {
-            if estimator.log_density_batch_into(z, density, log_density).is_err() {
-                return vec![0.0; n];
-            }
+        } else if estimator.log_density_batch_into(z, density, log_density).is_ok() {
             scores.extend_from_slice(log_density);
+        } else {
+            scores.resize(n, 0.0);
         }
-        scores
     }
 }
 
@@ -482,13 +489,14 @@ mod tests {
     }
 
     /// Drives `rounds` rounds of pool growth with a frozen extractor and
-    /// asserts the incremental scores stay within `tol` of a per-round full
-    /// refit (the DESIGN.md §11 contract, here at the strategy layer).
+    /// asserts each incremental score stays within `tol(full)` of the
+    /// per-round full refit's score `full` (the DESIGN.md §11 contract,
+    /// here at the strategy layer).
     fn assert_incremental_tracks_full(
         fixture: &mut Fixture,
         reanchor_every: usize,
         rounds: usize,
-        tol: f64,
+        tol: impl Fn(f64) -> f64,
     ) {
         let full = Faction::new(FactionParams::default());
         let incremental = Faction::new(FactionParams {
@@ -512,7 +520,7 @@ mod tests {
             let b = incremental.raw_scores(&ctx);
             for (x, y) in a.iter().zip(&b) {
                 assert!(
-                    (x - y).abs() <= tol,
+                    (x - y).abs() <= tol(*x),
                     "round {round}: full {x} vs incremental {y} (gap {:e})",
                     (x - y).abs()
                 );
@@ -525,7 +533,7 @@ mod tests {
         // Re-anchor far beyond the horizon: every round after the first is
         // pure rank-1 updates, and must still match the batch refit.
         let mut fixture = Fixture::new(31);
-        assert_incremental_tracks_full(&mut fixture, 1000, 25, 1e-8);
+        assert_incremental_tracks_full(&mut fixture, 1000, 25, |_| 1e-8);
     }
 
     /// Moves the fixture's pool rows into a fresh pool under `policy`.
@@ -546,7 +554,19 @@ mod tests {
         // A sliding window drives the rank-1 *removal* path every round.
         let mut fixture = Fixture::new(32);
         rebound_pool(&mut fixture, crate::pool::PoolPolicy::SlidingWindow(70));
-        assert_incremental_tracks_full(&mut fixture, 1000, 25, 1e-8);
+        assert_incremental_tracks_full(&mut fixture, 1000, 25, |_| 1e-8);
+    }
+
+    #[test]
+    fn incremental_refit_tracks_full_refit_in_a_small_window() {
+        // A 30-row window holds about 8 rows per cell, so every sync moves a
+        // large share of each cell. Far out-of-distribution candidates score
+        // near −1e5, where the downdates' rounding drifts past the absolute
+        // 1e-8 of the tests above (4.6e-8 at this seed) while staying near
+        // 3e-13 of the score, so the bound is relative.
+        let mut fixture = Fixture::new(36);
+        rebound_pool(&mut fixture, crate::pool::PoolPolicy::SlidingWindow(30));
+        assert_incremental_tracks_full(&mut fixture, 1000, 25, |full| 1e-11 * full.abs().max(1.0));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! A single multivariate Gaussian component.
 
+use faction_linalg::cholesky::PANEL;
 use faction_linalg::{stats, Cholesky, Matrix};
 
 use crate::DensityError;
@@ -75,50 +76,26 @@ impl Gaussian {
         Ok(self.log_norm_const - 0.5 * maha)
     }
 
-    /// Batched log-density: writes `log N(zᵢ; μ, Σ)` for every **row** `zᵢ`
-    /// of `features` into `out`, using `ct` and `solve` as reusable scratch.
+    /// Log-densities of one candidate panel: lane `j` of `out` receives
+    /// `log N(x_j; μ, Σ)` for lane `j` of the transposed panel `xt` (`dim()`
+    /// rows of [`PANEL`] lanes), with `y` as solve scratch. Each lane is bit
+    /// for bit [`Gaussian::log_pdf`] of that point: the same centring, the
+    /// same forward substitution and squared sum (see
+    /// [`Cholesky::mahalanobis_panel_into`]), the same `c − ½·q`.
     ///
-    /// The whole candidate matrix is centered and transposed once (`ct`
-    /// becomes the `d × N` matrix of centered columns), a single batched
-    /// forward substitution solves all N Mahalanobis systems, and the row
-    /// sums reduce to squared distances. Per sample this is the same O(d²)
-    /// as [`Gaussian::log_pdf`] but with contiguous inner loops and zero
-    /// per-sample allocations; the results are bit-identical to the scalar
-    /// path (same centering, same solve order — see
-    /// [`faction_linalg::Cholesky::solve_lower_batch_into`]).
-    ///
-    /// # Errors
-    /// Returns [`DensityError::DimensionMismatch`] if `features` is not
-    /// `N × dim()` or `out` is not length `N`.
+    /// # Panics
+    /// Panics if `xt` or `y` does not have `dim()` rows.
     // analyzer:hot-path
-    pub fn log_pdf_batch_into(
+    pub(crate) fn log_pdf_panel(
         &self,
-        features: &Matrix,
-        ct: &mut Matrix,
-        solve: &mut Matrix,
-        out: &mut [f64],
-    ) -> Result<(), DensityError> {
-        let d = self.mean.len();
-        if features.cols() != d {
-            return Err(DensityError::DimensionMismatch { expected: d, got: features.cols() });
-        }
-        let n = features.rows();
-        if out.len() != n {
-            return Err(DensityError::DimensionMismatch { expected: n, got: out.len() });
-        }
-        ct.reset_to_zeros(d, n);
-        features.transpose_into(ct)?;
-        for (j, &mj) in self.mean.iter().enumerate() {
-            for v in ct.row_mut(j) {
-                *v -= mj;
-            }
-        }
-        solve.reset_to_zeros(d, n);
-        self.chol.quadratic_forms_batch_into(ct, solve, out)?;
+        xt: &[[f64; PANEL]],
+        y: &mut [[f64; PANEL]],
+        out: &mut [f64; PANEL],
+    ) {
+        self.chol.mahalanobis_panel_into(&self.mean, xt, y, out);
         for v in out.iter_mut() {
             *v = self.log_norm_const - 0.5 * *v;
         }
-        Ok(())
     }
 }
 

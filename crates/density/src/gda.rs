@@ -6,6 +6,7 @@
 
 use std::collections::BTreeMap;
 
+use faction_linalg::cholesky::PANEL;
 use faction_linalg::{vector, Matrix};
 
 use crate::gaussian::Gaussian;
@@ -25,40 +26,35 @@ pub struct ComponentKey {
     pub sensitive: i8,
 }
 
-/// Reusable buffers for the batched scoring paths.
+/// Reusable buffers for the batched scoring path.
 ///
-/// Holds the centered-transpose and triangular-solve scratch plus the
-/// per-component log-density matrix. Buffers are resized lazily via
-/// [`Matrix::reset_to_zeros`], so a long-lived scratch reaches its
-/// high-water size once and then makes **zero allocations per call** — the
-/// property `Faction::raw_scores` relies on in the selection hot loop.
-#[derive(Debug, Clone)]
+/// Everything here is panel-sized, independent of the number of
+/// candidates: one transposed panel of [`PANEL`] candidates, the solve
+/// rows of the component being scored, the component log-densities of the
+/// panel, and one candidate's mixture terms. The buffers reach their size
+/// on the first call for a given dimension and component count and are
+/// overwritten, never cleared, afterwards, so a long-lived scratch makes
+/// **zero allocations per call** — the property FACTION's candidate
+/// scoring (`Faction::score_into`) relies on in the selection hot loop
+/// (`crates/core/tests/scoring_alloc.rs` counts them).
+#[derive(Debug, Clone, Default)]
 pub struct DensityScratch {
-    /// `d × N` centered transposed candidates.
-    ct: Matrix,
-    /// `d × N` forward-substitution workspace.
-    solve: Matrix,
-    /// `num_components × N` raw per-component log densities (no priors).
-    comp_lp: Matrix,
-    /// Per-sample mixture terms, one per component.
+    /// `d` rows of [`PANEL`] lanes: lane `j` holds candidate `j` of the
+    /// panel (lanes past the last candidate hold zeros).
+    panel: Vec<[f64; PANEL]>,
+    /// `d` rows: the forward-substitution rows of the current component.
+    solve: Vec<[f64; PANEL]>,
+    /// One row per component: its raw log densities (no priors) of the
+    /// panel's candidates.
+    comp_lp: Vec<[f64; PANEL]>,
+    /// One candidate's mixture terms, one per component.
     terms: Vec<f64>,
 }
 
 impl DensityScratch {
     /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
-        DensityScratch {
-            ct: Matrix::zeros(0, 0),
-            solve: Matrix::zeros(0, 0),
-            comp_lp: Matrix::zeros(0, 0),
-            terms: Vec::new(),
-        }
-    }
-}
-
-impl Default for DensityScratch {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -431,56 +427,10 @@ impl FairDensityEstimator {
         Ok(out)
     }
 
-    /// Fills `scratch.comp_lp` with the raw per-component log densities of
-    /// every candidate: row `c` holds `log g(zᵢ | component c)` for all i.
-    ///
-    /// One centered transpose + one batched triangular solve per component,
-    /// instead of `N × num_components` scalar solves.
-    fn component_log_pdfs(
-        &self,
-        features: &Matrix,
-        scratch: &mut DensityScratch,
-    ) -> Result<(), DensityError> {
-        if features.cols() != self.dim {
-            return Err(DensityError::DimensionMismatch {
-                expected: self.dim,
-                got: features.cols(),
-            });
-        }
-        let n = features.rows();
-        let DensityScratch { ct, solve, comp_lp, .. } = scratch;
-        comp_lp.reset_to_zeros(self.components.len(), n);
-        for (c_idx, (_, g, _)) in self.components.iter().enumerate() {
-            g.log_pdf_batch_into(features, ct, solve, comp_lp.row_mut(c_idx))?;
-        }
-        Ok(())
-    }
-
-    /// The shared mixture reduction of both batch entry points: fills
-    /// `scratch.comp_lp` and writes `log g(zᵢ) = logsumexp_c(log g(zᵢ|c) +
-    /// log p_c)` into `out` (one slot per row, length checked by the
-    /// caller), in the scalar path's component order.
-    fn mixture_log_density(
-        &self,
-        features: &Matrix,
-        scratch: &mut DensityScratch,
-        out: &mut [f64],
-    ) -> Result<(), DensityError> {
-        self.component_log_pdfs(features, scratch)?;
-        let DensityScratch { comp_lp, terms, .. } = scratch;
-        for (i, o) in out.iter_mut().enumerate() {
-            terms.clear();
-            for (c_idx, (_, _, log_prior)) in self.components.iter().enumerate() {
-                terms.push(comp_lp.get(c_idx, i) + log_prior);
-            }
-            *o = vector::logsumexp(terms);
-        }
-        Ok(())
-    }
-
     /// Batched mixture density: writes `log g(zᵢ)` for every row of
     /// `features` into `out`, bit-identical to [`Self::log_density`] per
-    /// row (same component order, same log-sum-exp).
+    /// row (same component order, same log-sum-exp). The same panel pass as
+    /// [`Self::score_batch_into`], without the gaps.
     ///
     /// # Errors
     /// Returns [`DensityError::DimensionMismatch`] if the feature width or
@@ -498,14 +448,21 @@ impl FairDensityEstimator {
         }
         faction_telemetry::counter_add("density.gda.log_density_batches", 1);
         faction_telemetry::observe("density.gda.log_density_batch_rows", n as u64);
-        self.mixture_log_density(features, scratch, out)
+        self.score_panels(features, scratch, out, None)
     }
 
-    /// Batched FACTION scoring: one pass that computes **both** per-sample
-    /// mixture densities and per-class fairness gaps for a whole candidate
-    /// pool, sharing the per-component log-density matrix between the two
-    /// reductions (the scalar path recomputes every component density for
-    /// `delta_g_all` after already computing it for `log_density`).
+    /// Batched FACTION scoring: per-sample mixture densities and per-class
+    /// fairness gaps for a whole candidate pool in one pass.
+    ///
+    /// The candidates are scored one panel of [`PANEL`] rows at a time. A
+    /// panel is transposed once into `scratch`, every component's
+    /// log-densities of it are computed from that block (one
+    /// [`faction_linalg::Cholesky::mahalanobis_panel_into`] per component),
+    /// and both reductions read them while
+    /// they are still in L1: the log-sum-exp over components (in component
+    /// order, with the priors) and each class's max − min over its
+    /// sensitive groups. The scalar path recomputes every component density
+    /// for `delta_g_all` after already computing it for `log_density`.
     ///
     /// `log_density[i]` receives `log g(zᵢ)`; `gaps` is reshaped to
     /// `num_classes × N` with `gaps[c][i] = Δg_c(zᵢ)`. Both outputs are
@@ -529,12 +486,67 @@ impl FairDensityEstimator {
         }
         faction_telemetry::counter_add("density.gda.score_batches", 1);
         faction_telemetry::observe("density.gda.score_batch_rows", n as u64);
-        self.mixture_log_density(features, scratch, log_density)?;
-        let comp_lp = &scratch.comp_lp;
         gaps.reset_to_zeros(self.num_classes, n);
-        // Components are sorted by (class, sensitive): each class owns one
-        // contiguous run of rows in comp_lp, in ascending-sensitive order —
-        // the same visit order as the scalar delta_g.
+        self.score_panels(features, scratch, log_density, Some(gaps))
+    }
+
+    /// The one batched scoring pass behind both entry points: for each
+    /// panel of [`PANEL`] rows, transpose it into `scratch.panel`, compute
+    /// every component's log-densities of it into `scratch.comp_lp`, then
+    /// reduce them into `log_density` (one slot per row, length checked by
+    /// the caller) and, when given, into the `num_classes × N` `gaps`
+    /// (zeroed by the caller; a class with fewer than two groups keeps 0).
+    fn score_panels(
+        &self,
+        features: &Matrix,
+        scratch: &mut DensityScratch,
+        log_density: &mut [f64],
+        mut gaps: Option<&mut Matrix>,
+    ) -> Result<(), DensityError> {
+        let d = self.dim;
+        if features.cols() != d {
+            return Err(DensityError::DimensionMismatch { expected: d, got: features.cols() });
+        }
+        let DensityScratch { panel, solve, comp_lp, terms } = scratch;
+        panel.resize(d, [0.0; PANEL]);
+        solve.resize(d, [0.0; PANEL]);
+        comp_lp.resize(self.components.len(), [0.0; PANEL]);
+        for (p, dens) in log_density.chunks_mut(PANEL).enumerate() {
+            let row0 = p * PANEL;
+            let width = dens.len();
+            for (j, lane) in (row0..row0 + width).enumerate() {
+                for (row, &v) in panel.iter_mut().zip(features.row(lane)) {
+                    row[j] = v;
+                }
+            }
+            if width < PANEL {
+                for row in panel.iter_mut() {
+                    row[width..].fill(0.0);
+                }
+            }
+            for ((_, g, _), lp) in self.components.iter().zip(comp_lp.iter_mut()) {
+                g.log_pdf_panel(panel, solve, lp);
+            }
+            for (j, o) in dens.iter_mut().enumerate() {
+                terms.clear();
+                for ((_, _, log_prior), lp) in self.components.iter().zip(comp_lp.iter()) {
+                    terms.push(lp[j] + log_prior);
+                }
+                *o = vector::logsumexp(terms);
+            }
+            if let Some(gaps) = gaps.as_deref_mut() {
+                self.panel_gaps(comp_lp, row0, width, gaps);
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes the gaps of one scored panel: components are sorted by
+    /// (class, sensitive), so each class owns one contiguous run of
+    /// `comp_lp` rows in ascending-sensitive order — the visit order of the
+    /// scalar [`Self::delta_g`]. A class with fewer than two groups has no
+    /// fairness signal and keeps its zero gap.
+    fn panel_gaps(&self, comp_lp: &[[f64; PANEL]], row0: usize, width: usize, gaps: &mut Matrix) {
         let mut idx = 0;
         for c in 0..self.num_classes {
             while idx < self.components.len() && self.components[idx].0.class < c {
@@ -545,21 +557,19 @@ impl FairDensityEstimator {
                 idx += 1;
             }
             if idx - start < 2 {
-                continue; // fewer than two groups: no fairness signal, gap 0
+                continue;
             }
-            let gap_row = gaps.row_mut(c);
-            for (i, gap) in gap_row.iter_mut().enumerate() {
+            let run = &comp_lp[start..idx];
+            for (j, gap) in gaps.row_mut(c)[row0..row0 + width].iter_mut().enumerate() {
                 let mut lo = f64::INFINITY;
                 let mut hi = f64::NEG_INFINITY;
-                for row in start..idx {
-                    let lp = comp_lp.get(row, i);
-                    lo = lo.min(lp);
-                    hi = hi.max(lp);
+                for lp in run {
+                    lo = lo.min(lp[j]);
+                    hi = hi.max(lp[j]);
                 }
                 *gap = hi - lo;
             }
         }
-        Ok(())
     }
 }
 

@@ -114,14 +114,10 @@ proptest! {
     }
 
     #[test]
-    fn batch_log_density_matches_per_sample_exactly(seed in 0u64..150, n in 1usize..40) {
+    fn batch_log_density_matches_per_sample_exactly(seed in 0u64..150, n in 1usize..100) {
         let (x, y, s) = clustered_data(12, 4, 0.5, seed);
         let est = FairDensityEstimator::fit(&x, &y, &s, 2, &FairDensityConfig::default()).unwrap();
-        let mut rng = SeedRng::new(seed ^ 0xBA7C);
-        let probe = Matrix::from_rows(
-            &(0..n).map(|_| rng.standard_normal_vec(4)).collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let probe = probes(n, 4, seed ^ 0xBA7C);
         let batch = est.log_density_batch(&probe).unwrap();
         prop_assert_eq!(batch.len(), n);
         for (i, &ld) in batch.iter().enumerate() {
@@ -131,27 +127,84 @@ proptest! {
     }
 
     #[test]
-    fn batch_score_matches_per_sample_exactly(seed in 0u64..150, n in 1usize..40) {
+    fn batch_score_matches_per_sample_exactly(seed in 0u64..150, n in 1usize..100) {
+        // Candidate counts on both sides of the 32-row scoring panel, most
+        // of them leaving a partial last panel.
         let (x, y, s) = clustered_data(12, 4, 0.5, seed);
         let est = FairDensityEstimator::fit(&x, &y, &s, 2, &FairDensityConfig::default()).unwrap();
-        let mut rng = SeedRng::new(seed ^ 0x5C0E);
-        let probe = Matrix::from_rows(
-            &(0..n).map(|_| rng.standard_normal_vec(4)).collect::<Vec<_>>(),
+        assert_score_batch_matches_scalar(&est, &probes(n, 4, seed ^ 0x5C0E));
+    }
+
+    #[test]
+    fn batch_score_matches_per_sample_with_single_member_cells(
+        seed in 0u64..150,
+        n in 1usize..100,
+    ) {
+        // One row per (class, sensitive) cell: every covariance is the ridge
+        // alone.
+        let mut rng = SeedRng::new(seed);
+        let rows: Vec<Vec<f64>> = (0..4).map(|_| rng.standard_normal_vec(4)).collect();
+        let x = Matrix::from_rows(&rows).unwrap();
+        let est = FairDensityEstimator::fit(
+            &x,
+            &[0, 0, 1, 1],
+            &[1, -1, 1, -1],
+            2,
+            &FairDensityConfig::default(),
         )
         .unwrap();
-        let mut scratch = DensityScratch::new();
-        let mut log_density = vec![0.0; n];
-        let mut gaps = Matrix::zeros(0, 0);
-        est.score_batch_into(&probe, &mut scratch, &mut log_density, &mut gaps).unwrap();
-        prop_assert_eq!(log_density.len(), n);
-        prop_assert_eq!(gaps.shape(), (2, n));
-        for (i, ld) in log_density.iter().enumerate() {
-            let scalar_ld = est.log_density(probe.row(i)).unwrap();
-            prop_assert_eq!(ld.to_bits(), scalar_ld.to_bits());
-            let scalar_gaps = est.delta_g_all(probe.row(i)).unwrap();
-            for (c, scalar_gap) in scalar_gaps[..2].iter().enumerate() {
-                prop_assert_eq!(gaps.get(c, i).to_bits(), scalar_gap.to_bits());
-            }
+        prop_assert_eq!(est.num_components(), 4);
+        assert_score_batch_matches_scalar(&est, &probes(n, 4, seed ^ 0x51C1));
+    }
+
+    #[test]
+    fn batch_score_matches_per_sample_with_a_missing_cell(seed in 0u64..150, n in 1usize..100) {
+        // Cell (1, −1) has no rows: three components, and class 1's gap is 0.
+        let (x, y, s) = clustered_data(12, 4, 0.5, seed);
+        let keep: Vec<usize> = (0..x.rows()).filter(|&i| !(y[i] == 1 && s[i] == -1)).collect();
+        let rows: Vec<Vec<f64>> = keep.iter().map(|&i| x.row(i).to_vec()).collect();
+        let labels: Vec<usize> = keep.iter().map(|&i| y[i]).collect();
+        let sens: Vec<i8> = keep.iter().map(|&i| s[i]).collect();
+        let est = FairDensityEstimator::fit(
+            &Matrix::from_rows(&rows).unwrap(),
+            &labels,
+            &sens,
+            2,
+            &FairDensityConfig::default(),
+        )
+        .unwrap();
+        prop_assert_eq!(est.num_components(), 3);
+        prop_assert!(!est.has_component(1, -1));
+        assert_score_batch_matches_scalar(&est, &probes(n, 4, seed ^ 0x0CE1));
+    }
+}
+
+/// `n` standard-normal probe rows of width `d`.
+fn probes(n: usize, d: usize, seed: u64) -> Matrix {
+    let mut rng = SeedRng::new(seed);
+    Matrix::from_rows(&(0..n).map(|_| rng.standard_normal_vec(d)).collect::<Vec<_>>()).unwrap()
+}
+
+/// `score_batch_into` against the scalar `log_density` / `delta_g_all` of
+/// every probe row, bit for bit, through a scratch first used at another
+/// shape.
+fn assert_score_batch_matches_scalar(est: &FairDensityEstimator, probe: &Matrix) {
+    let n = probe.rows();
+    let classes = est.num_classes();
+    let mut scratch = DensityScratch::new();
+    let mut log_density = vec![0.0; 45];
+    let mut gaps = Matrix::zeros(0, 0);
+    est.score_batch_into(&probes(45, est.dim(), 7), &mut scratch, &mut log_density, &mut gaps)
+        .unwrap();
+    let mut log_density = vec![0.0; n];
+    est.score_batch_into(probe, &mut scratch, &mut log_density, &mut gaps).unwrap();
+    prop_assert_eq!(gaps.shape(), (classes, n));
+    for (i, ld) in log_density.iter().enumerate() {
+        let scalar_ld = est.log_density(probe.row(i)).unwrap();
+        prop_assert_eq!(ld.to_bits(), scalar_ld.to_bits(), "row {}", i);
+        let scalar_gaps = est.delta_g_all(probe.row(i)).unwrap();
+        for (c, scalar_gap) in scalar_gaps.iter().enumerate() {
+            prop_assert_eq!(gaps.get(c, i).to_bits(), scalar_gap.to_bits(), "row {} class {}", i, c);
         }
     }
 }

@@ -5,10 +5,19 @@
 //! the Mahalanobis form `(z-μ)ᵀ Σ⁻¹ (z-μ)` and `log |Σ|`. Both come straight
 //! from the Cholesky factor `Σ = L Lᵀ`: the quadratic form is `‖L⁻¹(z-μ)‖²`
 //! (one forward substitution) and `log|Σ| = 2 Σᵢ log Lᵢᵢ`.
+//!
+//! Scoring a candidate batch runs the forward substitution on panels of
+//! [`PANEL`] points at once ([`Cholesky::mahalanobis_panel_into`]): the
+//! points are the lanes, so each element of `L` is loaded once per panel
+//! and the whole working set stays in L1.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::Result;
+
+/// Points per forward-substitution panel: eight 256-bit (four 512-bit)
+/// vectors of f64 lanes.
+pub const PANEL: usize = 32;
 
 /// A lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
 #[derive(Debug, Clone)]
@@ -152,89 +161,6 @@ impl Cholesky {
         self.solve_upper(&y)
     }
 
-    /// Batched forward substitution: solves `L Y = B` for a whole matrix of
-    /// right-hand sides at once, one per **column** of `B`.
-    ///
-    /// `b` is `dim() × N` (each column an independent RHS) and `y` receives
-    /// the `dim() × N` solution. The row sweep applies every elimination
-    /// step to all N columns with contiguous axpy/scale passes, so the work
-    /// per RHS is the same O(d²) as [`Cholesky::solve_lower`] but the inner
-    /// loops stream cache lines instead of striding — this is what lets the
-    /// GDA estimator score a whole candidate pool per component in one call.
-    ///
-    /// Per column, the operation sequence (subtract `l[i][k]·y[k]` for
-    /// ascending `k`, then divide by `l[i][i]`) is exactly the scalar
-    /// solver's, so each column is bit-identical to `solve_lower` of that
-    /// column.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.rows() != dim()` or `y`
-    /// has a different shape than `b`.
-    // analyzer:hot-path
-    pub fn solve_lower_batch_into(&self, b: &Matrix, y: &mut Matrix) -> Result<()> {
-        let n = self.dim();
-        if b.rows() != n || y.shape() != b.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                left: format!("{n}x{n} vs b {}x{}", b.rows(), b.cols()), // analyzer:allow(hot-path-alloc): cold shape-mismatch exit, never taken on the scoring path
-                right: format!("y {}x{}", y.rows(), y.cols()),
-                op: "solve_lower_batch_into",
-            });
-        }
-        let ncols = b.cols();
-        y.as_mut_slice().copy_from_slice(b.as_slice());
-        let data = y.as_mut_slice();
-        for i in 0..n {
-            let (solved, rest) = data.split_at_mut(i * ncols);
-            let row_i = &mut rest[..ncols];
-            for k in 0..i {
-                let lik = self.l.get(i, k);
-                let row_k = &solved[k * ncols..(k + 1) * ncols];
-                for (yi, &yk) in row_i.iter_mut().zip(row_k) {
-                    *yi -= lik * yk;
-                }
-            }
-            let lii = self.l.get(i, i);
-            for yi in row_i.iter_mut() {
-                *yi /= lii;
-            }
-        }
-        Ok(())
-    }
-
-    /// Batched Mahalanobis quadratic forms: for each column `b_j` of `b`,
-    /// computes `‖L⁻¹ b_j‖²` into `out[j]`, using `y` as solve scratch.
-    ///
-    /// Each result is bit-identical to [`Cholesky::quadratic_form`] on the
-    /// corresponding column (the row-major squared-sum accumulates over
-    /// ascending rows, matching the scalar dot's ascending order).
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::ShapeMismatch`] on any shape disagreement.
-    // analyzer:hot-path
-    // analyzer:ordered: ascending-row squared-sum matches the scalar dot's order
-    pub fn quadratic_forms_batch_into(
-        &self,
-        b: &Matrix,
-        y: &mut Matrix,
-        out: &mut [f64],
-    ) -> Result<()> {
-        if out.len() != b.cols() {
-            return Err(LinalgError::ShapeMismatch {
-                left: format!("b {}x{}", b.rows(), b.cols()), // analyzer:allow(hot-path-alloc): cold shape-mismatch exit, never taken on the scoring path
-                right: format!("out len {}", out.len()),
-                op: "quadratic_forms_batch_into",
-            });
-        }
-        self.solve_lower_batch_into(b, y)?;
-        out.fill(0.0);
-        for r in 0..y.rows() {
-            for (o, &v) in out.iter_mut().zip(y.row(r)) {
-                *o += v * v;
-            }
-        }
-        Ok(())
-    }
-
     /// Mahalanobis quadratic form `bᵀ A⁻¹ b = ‖L⁻¹ b‖²`.
     ///
     /// # Errors
@@ -242,6 +168,68 @@ impl Cholesky {
     pub fn quadratic_form(&self, b: &[f64]) -> Result<f64> {
         let y = self.solve_lower(b)?;
         Ok(crate::vector::dot(&y, &y))
+    }
+
+    /// Squared Mahalanobis distances of one panel of points from `mean`:
+    /// lane `j` of `out` receives `‖L⁻¹(x_j − μ)‖²`, where `x_j` is lane `j`
+    /// of the transposed panel `xt` (row `i` holds coordinate `i` of all
+    /// [`PANEL`] points). `y` is scratch for the `d` solved rows; it is
+    /// written before it is read, so its contents on entry do not matter.
+    ///
+    /// Every lane performs exactly the sequence of
+    /// [`Cholesky::quadratic_form`] on `x_j − μ`: centre (`x − μ`), subtract
+    /// `l[i][k]·y[k]` for ascending `k` as a rounded multiply and a rounded
+    /// subtract (rustc never contracts them into an FMA), divide by
+    /// `l[i][i]`, and sum `y_i²` over ascending `i` from `+0.0`. So each lane
+    /// is bit for bit the scalar path's value.
+    ///
+    /// The lanes run in the innermost loops, and row `i` is built in a local
+    /// panel (`acc`) and the squared sums in another (`q`), so the compiler
+    /// vectorizes across the lanes and keeps both in registers across the
+    /// `k` sweep.
+    ///
+    /// # Panics
+    /// Panics if `mean`, `xt` or `y` does not have `dim()` entries (rows).
+    // analyzer:hot-path
+    // analyzer:ordered: per lane, ascending-k multiply then subtract, one divide per row, and the squares summed over ascending rows from +0.0 — the solve_lower + dot sequence
+    pub fn mahalanobis_panel_into(
+        &self,
+        mean: &[f64],
+        xt: &[[f64; PANEL]],
+        y: &mut [[f64; PANEL]],
+        out: &mut [f64; PANEL],
+    ) {
+        let d = self.dim();
+        assert!(
+            mean.len() == d && xt.len() == d && y.len() == d,
+            "mahalanobis_panel: dim {d}, mean {}, xt {} rows, y {} rows",
+            mean.len(),
+            xt.len(),
+            y.len()
+        );
+        let l = self.l.as_slice();
+        let mut q = [0.0; PANEL];
+        for i in 0..d {
+            let (solved, rest) = y.split_at_mut(i);
+            let mi = mean[i];
+            let mut acc = [0.0; PANEL];
+            for (a, &x) in acc.iter_mut().zip(&xt[i]) {
+                *a = x - mi;
+            }
+            let row = &l[i * d..(i + 1) * d];
+            for (&lik, yk) in row[..i].iter().zip(solved.iter()) {
+                for (a, &w) in acc.iter_mut().zip(yk) {
+                    *a -= lik * w;
+                }
+            }
+            let lii = row[i];
+            for ((o, v), a) in q.iter_mut().zip(rest[0].iter_mut()).zip(acc) {
+                let a = a / lii;
+                *v = a;
+                *o += a * a;
+            }
+        }
+        *out = q;
     }
 
     /// `log |A| = 2 Σᵢ log Lᵢᵢ`.
@@ -344,45 +332,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_solve_matches_scalar_bitwise() {
-        let a = spd3();
-        let c = Cholesky::factor(&a).unwrap();
-        // Five RHS as columns of a 3x5 matrix.
-        let cols: Vec<Vec<f64>> = (0..5)
-            .map(|j| (0..3).map(|i| (i as f64 - 1.3) * (j as f64 + 0.7)).collect())
-            .collect();
-        let mut b = Matrix::zeros(3, 5);
-        for (j, col) in cols.iter().enumerate() {
-            for (i, &v) in col.iter().enumerate() {
-                b.set(i, j, v);
-            }
-        }
-        let mut y = Matrix::zeros(3, 5);
-        c.solve_lower_batch_into(&b, &mut y).unwrap();
-        let mut q = vec![0.0; 5];
-        let mut scratch = Matrix::zeros(3, 5);
-        c.quadratic_forms_batch_into(&b, &mut scratch, &mut q).unwrap();
-        for (j, col) in cols.iter().enumerate() {
-            let want = c.solve_lower(col).unwrap();
-            for (i, &w) in want.iter().enumerate() {
-                assert_eq!(w.to_bits(), y.get(i, j).to_bits(), "col {j} row {i}");
-            }
-            assert_eq!(c.quadratic_form(col).unwrap().to_bits(), q[j].to_bits(), "qform {j}");
-        }
-    }
-
-    #[test]
-    fn batch_solve_rejects_bad_shapes() {
+    #[should_panic(expected = "mahalanobis_panel")]
+    fn panel_rejects_a_wrong_dimension() {
         let c = Cholesky::factor(&Matrix::identity(3)).unwrap();
-        let b = Matrix::zeros(2, 4);
-        let mut y = Matrix::zeros(2, 4);
-        assert!(c.solve_lower_batch_into(&b, &mut y).is_err());
-        let b = Matrix::zeros(3, 4);
-        let mut y = Matrix::zeros(3, 3);
-        assert!(c.solve_lower_batch_into(&b, &mut y).is_err());
-        let mut y = Matrix::zeros(3, 4);
-        let mut out = vec![0.0; 2];
-        assert!(c.quadratic_forms_batch_into(&b, &mut y, &mut out).is_err());
+        let (xt, mut y, mut out) = ([[0.0; PANEL]; 2], [[0.0; PANEL]; 2], [0.0; PANEL]);
+        c.mahalanobis_panel_into(&[0.0; 2], &xt, &mut y, &mut out);
     }
 
     #[test]

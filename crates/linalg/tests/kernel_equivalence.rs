@@ -30,6 +30,14 @@
 //! buffers are one per-thread scratch that is never cleared, so one case
 //! fills it with NaN and then checks tail-heavy products against a fresh
 //! thread.
+//!
+//! The GDA scoring kernel (`Cholesky::mahalanobis_panel_into`, the forward
+//! substitution over a panel of `PANEL` points) is one plain-Rust loop for
+//! every backend, held to the same standard: every point of a batch split
+//! into panels (a partial last one included) must equal the `dot` of its
+//! own `solve_lower`, bit for bit, with the solve scratch refilled with NaN
+//! between panels, and NaN wherever that scalar path gives NaN for rows
+//! carrying NaN or ±∞.
 
 use std::sync::{Mutex, Once};
 
@@ -37,7 +45,8 @@ use faction_linalg::kernels::{
     matmul_nt_into, matmul_nt_simple, matmul_on, matmul_simple, matmul_tn_into, matmul_tn_simple,
     transpose_into, KC, MR, NR,
 };
-use faction_linalg::{dispatch, KernelBackend, Matrix, SeedRng};
+use faction_linalg::cholesky::PANEL;
+use faction_linalg::{dispatch, vector, Cholesky, KernelBackend, Matrix, SeedRng};
 use proptest::prelude::*;
 
 /// Guards the process-global backend so facade tests never interleave.
@@ -594,4 +603,83 @@ fn facade_dispatch_honors_every_backend_bitwise() {
         }
     }
     dispatch::set_active_backend(prev);
+}
+
+/// A random SPD factor of dimension `d`, well enough conditioned that the
+/// solves stay finite.
+fn random_factor(d: usize, rng: &mut SeedRng) -> Cholesky {
+    let g = Matrix::from_vec(d, d, random_mat(d, d, rng)).unwrap();
+    let mut spd = g.matmul(&g.transpose()).unwrap();
+    spd.add_diagonal(1.0);
+    Cholesky::factor(&spd).unwrap()
+}
+
+/// Scores the `n` rows of `points` (`n × d`) panel by panel, as the GDA
+/// scorer does (transposed, lanes past the last point zeroed),
+/// with the solve scratch refilled with NaN before every panel, and checks
+/// each point's distance against `solve_lower` + `dot` of `x − μ`: equal
+/// bits, or NaN on both sides.
+fn check_panels(chol: &Cholesky, mean: &[f64], points: &[f64], n: usize) {
+    let d = mean.len();
+    let mut xt = vec![[f64::NAN; PANEL]; d];
+    let mut y = vec![[f64::NAN; PANEL]; d];
+    for row0 in (0..n).step_by(PANEL) {
+        let width = PANEL.min(n - row0);
+        for (i, row) in xt.iter_mut().enumerate() {
+            for (j, v) in row.iter_mut().enumerate() {
+                *v = if j < width { points[(row0 + j) * d + i] } else { 0.0 };
+            }
+        }
+        for row in y.iter_mut() {
+            row.fill(f64::NAN);
+        }
+        let mut out = [f64::NAN; PANEL];
+        chol.mahalanobis_panel_into(mean, &xt, &mut y, &mut out);
+        for (j, &got) in out[..width].iter().enumerate() {
+            let x = &points[(row0 + j) * d..(row0 + j + 1) * d];
+            let centered: Vec<f64> = x.iter().zip(mean).map(|(x, m)| x - m).collect();
+            let solved = chol.solve_lower(&centered).unwrap();
+            let want = vector::dot(&solved, &solved);
+            let what = format!("d={d} n={n} point {}", row0 + j);
+            if want.is_nan() {
+                assert!(got.is_nan(), "{what}: {got}, scalar NaN");
+            } else {
+                assert_eq!(want.to_bits(), got.to_bits(), "{what}: {want} vs {got}");
+            }
+        }
+    }
+}
+
+#[test]
+fn mahalanobis_panels_match_the_per_point_solve() {
+    let mut rng = SeedRng::new(61);
+    for d in [1, 2, 3, 5, 16, 32, 33, 64] {
+        let chol = random_factor(d, &mut rng);
+        let mean = random_mat(1, d, &mut rng);
+        for n in [1, 31, 32, 33, 819] {
+            let points = random_mat(n, d, &mut rng);
+            check_panels(&chol, &mean, &points, n);
+        }
+    }
+}
+
+#[test]
+fn mahalanobis_panels_give_nan_where_the_per_point_solve_does() {
+    // Rows carrying NaN or ±∞ in one coordinate (the first, a middle and
+    // the last), among finite rows in the same panels.
+    let mut rng = SeedRng::new(62);
+    for d in [1, 3, 16, 32] {
+        let chol = random_factor(d, &mut rng);
+        let mean = random_mat(1, d, &mut rng);
+        let n = 2 * PANEL + 5;
+        let mut points = random_mat(n, d, &mut rng);
+        for (r, poison) in [(0, f64::NAN), (7, f64::INFINITY), (40, f64::NEG_INFINITY), (n - 1, f64::NAN)]
+        {
+            for (slot, at) in [0, d / 2, d - 1].into_iter().enumerate() {
+                let row = (r + slot * 3).min(n - 1);
+                points[row * d + at] = poison;
+            }
+        }
+        check_panels(&chol, &mean, &points, n);
+    }
 }

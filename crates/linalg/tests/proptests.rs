@@ -2,6 +2,7 @@
 
 use std::f64::consts::PI;
 
+use faction_linalg::cholesky::PANEL;
 use faction_linalg::rng::block_rotation;
 use faction_linalg::{kernels, vector, Cholesky, Matrix, SeedRng};
 use proptest::prelude::*;
@@ -212,27 +213,37 @@ proptest! {
     }
 
     #[test]
-    fn batched_solve_matches_per_column(seed in 0u64..150, d in 1usize..12, nrhs in 1usize..10) {
+    fn mahalanobis_panel_matches_per_column(
+        seed in 0u64..150,
+        d in 1usize..40,
+        width in 1usize..PANEL + 1,
+    ) {
+        // The panel kernel against one solve_lower + dot per point, lane
+        // for lane; lanes past `width` hold zeros, as in a partial last
+        // panel of the GDA scorer.
         let mut rng = SeedRng::new(seed);
         let g = Matrix::from_vec(d, d, (0..d * d).map(|_| rng.uniform_range(-1.0, 1.0)).collect())
             .unwrap();
         let mut spd = g.matmul(&g.transpose()).unwrap();
         spd.add_diagonal(1.0);
         let chol = Cholesky::factor(&spd).unwrap();
-        let b = Matrix::from_vec(
-            d,
-            nrhs,
-            (0..d * nrhs).map(|_| rng.uniform_range(-5.0, 5.0)).collect(),
-        )
-        .unwrap();
-        let mut y = Matrix::zeros(d, nrhs);
-        chol.solve_lower_batch_into(&b, &mut y).unwrap();
-        for j in 0..nrhs {
-            let col: Vec<f64> = (0..d).map(|i| b.get(i, j)).collect();
-            let scalar = chol.solve_lower(&col).unwrap();
-            for (i, want) in scalar[..d].iter().enumerate() {
-                prop_assert_eq!(y.get(i, j).to_bits(), want.to_bits());
+        let mean: Vec<f64> = (0..d).map(|_| rng.uniform_range(-2.0, 2.0)).collect();
+        let mut xt = vec![[0.0; PANEL]; d];
+        for row in xt.iter_mut() {
+            for v in row[..width].iter_mut() {
+                *v = rng.uniform_range(-5.0, 5.0);
             }
+        }
+        let mut y = vec![[f64::NAN; PANEL]; d];
+        let mut out = [f64::NAN; PANEL];
+        chol.mahalanobis_panel_into(&mean, &xt, &mut y, &mut out);
+        for (j, &q) in out.iter().enumerate() {
+            let centered: Vec<f64> = (0..d).map(|i| xt[i][j] - mean[i]).collect();
+            let solved = chol.solve_lower(&centered).unwrap();
+            for (i, want) in solved.iter().enumerate() {
+                prop_assert_eq!(y[i][j].to_bits(), want.to_bits());
+            }
+            prop_assert_eq!(q.to_bits(), vector::dot(&solved, &solved).to_bits());
         }
     }
 

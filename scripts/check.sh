@@ -18,8 +18,10 @@
 # | inspect/CLI untrusted-input contract                   | tests/cli_usage.rs                              |
 # | kernel equivalence (scalar == avx2 == avx512, bitwise) | crates/linalg/tests/kernel_equivalence.rs       |
 # | reused GEMM pack scratch carries no state (NaN-filled) | crates/linalg/tests/kernel_equivalence.rs       |
+# | GDA panel kernel == per-point solve (bitwise, NaN/±∞)  | crates/linalg/tests/kernel_equivalence.rs       |
 # | kernel determinism (8-strategy lineup)                 | crates/engine/tests/kernel_determinism.rs       |
 # | allocation-free SGD step (standard + tiny presets)     | crates/core/tests/train_step_alloc.rs           |
+# | allocation-free candidate scoring (full + incremental) | crates/core/tests/scoring_alloc.rs              |
 # | telemetry inertness (recording on == off)              | crates/telemetry/tests/inertness.rs             |
 # | analyzer golden fixtures + clean self-scan             | crates/analyzer/tests/golden.rs                 |
 #
