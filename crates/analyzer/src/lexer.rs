@@ -491,10 +491,10 @@ mod tests {
 
     #[test]
     fn allow_comments_parse() {
-        let out = lex("let x = m.iter(); // analyzer:allow(nondeterministic-iteration): sorted below\nlet y = 1; // analyzer:allow(float-eq)\n");
+        let out = lex("let v = xs.to_vec(); // analyzer:allow(hot-path-alloc): warm-up buffer\nlet y = 1; // analyzer:allow(blocking-in-worker)\n");
         assert_eq!(out.allows.len(), 2);
-        assert_eq!(out.allows[0].rule, "nondeterministic-iteration");
-        assert_eq!(out.allows[0].reason, "sorted below");
+        assert_eq!(out.allows[0].rule, "hot-path-alloc");
+        assert_eq!(out.allows[0].reason, "warm-up buffer");
         assert_eq!(out.allows[0].line, 1);
         assert!(out.allows[1].reason.is_empty(), "missing reason must parse as empty");
     }
@@ -512,7 +512,7 @@ mod tests {
 
     #[test]
     fn markers_parse_and_do_not_shadow_allows() {
-        let src = "// analyzer:hot-path\nfn score() {}\n// analyzer:ordered\nlet s = 0.0;\n// analyzer:unsafe(invariant): lanes cover the slice exactly\n// analyzer:allow(float-eq): guard\n// analyzer:ordered-extras must not attest\n";
+        let src = "// analyzer:hot-path\nfn score() {}\n// analyzer:ordered\nlet s = 0.0;\n// analyzer:unsafe(invariant): lanes cover the slice exactly\n// analyzer:allow(stale-allow): guard\n// analyzer:ordered-extras must not attest\n";
         let out = lex(src);
         assert_eq!(out.markers.len(), 3);
         assert_eq!(out.markers[0].kind, MarkerKind::HotPath);

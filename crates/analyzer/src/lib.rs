@@ -1,13 +1,16 @@
-//! `faction-analyzer` — the workspace's determinism & numerics lint gate.
+//! `faction-analyzer` — the workspace's project lint gate.
 //!
-//! PR 1's headline guarantees — bit-identical batched vs. scalar scoring,
-//! byte-reproducible experiment JSON — are properties that silently rot as
-//! code grows. This crate is the mechanical gate that keeps them: a
-//! from-scratch static-analysis pass (hand-rolled scanner, **zero**
-//! dependencies, consistent with the workspace's no-external-deps rule)
-//! that lexes every project `.rs` file and runs a six-rule suite over the
-//! token stream. See [`rules`] for the rule table and `DESIGN.md` §7 for
-//! the rationale tying each rule to a reproducibility claim.
+//! The reproduction's headline guarantees — bit-identical batched vs.
+//! scalar scoring, byte-reproducible experiment JSON — are properties that
+//! silently rot as code grows. Generic hazards (hash-ordered containers,
+//! wall-clock reads, panics in library code, float equality, truncating
+//! casts, unsafe code, missing docs) are rustc and clippy lints configured
+//! in the workspace `Cargo.toml`, `clippy.toml` and the crate roots. This
+//! crate checks what no compiler lint can see: seven project rules over a
+//! hand-rolled token stream (**zero** dependencies, consistent with the
+//! workspace's no-external-deps rule). See [`rules`] for the rule table and
+//! `DESIGN.md` §7 for the rationale tying each rule to a reproducibility
+//! claim.
 //!
 //! Layering:
 //!
@@ -16,20 +19,21 @@
 //!   `analyzer:hot-path` / `analyzer:ordered` / `analyzer:unsafe(invariant)`
 //!   marker parsing;
 //! * [`scope`] — `#[cfg(test)]` / `mod tests` exemption tracking plus the
-//!   v2 symbol table (`fn` items and bodies, `let` bindings with
+//!   symbol table (`fn` items and bodies, `let` bindings with
 //!   mutability/float hints, `use` imports, loop bodies);
 //! * [`registry`] — the checked-in telemetry key registry
 //!   (`crates/telemetry/keys.txt`);
 //! * [`rules`] — the rule suite over one file's token stream;
 //! * [`workspace`] — deterministic file discovery and per-file rule scoping;
-//! * [`report`] — `file:line:rule: message` text and `--json` output.
+//! * [`report`] — `file:line:rule: message` text output.
 //!
-//! The binary (`cargo run -p faction-analyzer`) exits nonzero on any
-//! finding and runs as a blocking stage in `scripts/check.sh`, so the
-//! workspace must self-scan clean.
+//! The binary (`cargo run -p faction-analyzer [-- --root DIR]`) exits
+//! nonzero on any finding. The gate itself is the golden test
+//! `workspace_self_scan_is_clean` (`tests/golden.rs`), which the workspace
+//! test stage of `scripts/check.sh` runs, so the workspace must self-scan
+//! clean.
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod lexer;
 pub mod registry;

@@ -1,29 +1,23 @@
-//! CLI for the determinism & numerics lint gate.
+//! CLI for the project lint gate.
 //!
 //! ```text
-//! faction-analyzer [--root DIR] [--json] [--rule NAME]
+//! faction-analyzer [--root DIR]
 //! ```
 //!
 //! Scans the workspace at `--root` (default: the current directory),
-//! prints findings as `file:line:rule: message` lines (or a JSON report
-//! with `--json`), and exits nonzero when anything is flagged. `--rule`
-//! restricts reporting (and the exit code) to one rule, so a CI stage can
-//! gate on a single guarantee — e.g. `--rule telemetry-on-hot-path`.
+//! prints findings as `file:line:rule: message` lines, and exits nonzero
+//! when anything is flagged.
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut json = false;
-    let mut rule: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--root" => match args.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => {
@@ -31,24 +25,8 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--rule" => match args.next() {
-                Some(name) if faction_analyzer::rules::RULE_NAMES.contains(&name.as_str()) => {
-                    rule = Some(name);
-                }
-                Some(name) => {
-                    eprintln!(
-                        "faction-analyzer: unknown rule `{name}`; known rules: {}",
-                        faction_analyzer::rules::RULE_NAMES.join(", ")
-                    );
-                    return ExitCode::from(2);
-                }
-                None => {
-                    eprintln!("faction-analyzer: --rule requires a rule name");
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
-                println!("usage: faction-analyzer [--root DIR] [--json] [--rule NAME]");
+                println!("usage: faction-analyzer [--root DIR]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -58,26 +36,14 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut report = match faction_analyzer::analyze_workspace(&root) {
+    let report = match faction_analyzer::analyze_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("faction-analyzer: scan failed: {e}");
             return ExitCode::from(2);
         }
     };
-    if let Some(rule) = &rule {
-        // `bad-allow` findings naming the selected rule stay in: a broken
-        // suppression is a failure of the guarantee the stage gates on.
-        report
-            .findings
-            .retain(|f| &f.rule == rule || (f.rule == "bad-allow" && f.message.contains(rule)));
-    }
-
-    if json {
-        print!("{}", report.to_json());
-    } else {
-        print!("{}", report.to_text());
-    }
+    print!("{}", report.to_text());
     eprintln!(
         "faction-analyzer: {} finding(s), {} suppressed, {} files scanned",
         report.findings.len(),

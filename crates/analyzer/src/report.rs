@@ -1,4 +1,4 @@
-//! Aggregated scan results and their text/JSON renderings.
+//! Aggregated scan results and their text rendering.
 
 use crate::rules::Finding;
 
@@ -28,79 +28,5 @@ impl Report {
             s.push('\n');
         }
         s
-    }
-
-    /// Machine-readable report (hand-rolled JSON: the analyzer takes no
-    /// dependencies, see the crate docs).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-                escape(&f.file),
-                f.line,
-                escape(&f.rule),
-                escape(&f.message)
-            ));
-        }
-        if !self.findings.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str(&format!(
-            "],\n  \"suppressed\": {},\n  \"files_scanned\": {}\n}}\n",
-            self.suppressed, self.files_scanned
-        ));
-        s
-    }
-}
-
-/// Minimal JSON string escaping.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escapes_and_counts() {
-        let mut r = Report {
-            findings: vec![Finding {
-                file: "a\\b.rs".into(),
-                line: 3,
-                rule: "float-eq".into(),
-                message: "uses \"quotes\"".into(),
-            }],
-            suppressed: 2,
-            files_scanned: 5,
-        };
-        r.finalize();
-        let j = r.to_json();
-        assert!(j.contains("a\\\\b.rs"));
-        assert!(j.contains("\\\"quotes\\\""));
-        assert!(j.contains("\"suppressed\": 2"));
-        assert!(j.contains("\"files_scanned\": 5"));
-    }
-
-    #[test]
-    fn empty_report_is_valid_json_shape() {
-        let r = Report::default();
-        let j = r.to_json();
-        assert!(j.contains("\"findings\": []"));
     }
 }

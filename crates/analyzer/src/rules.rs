@@ -1,33 +1,24 @@
-//! The determinism & numerics rule suite.
+//! The project rule suite: the hazards no compiler lint can see.
 //!
 //! Every rule is a mechanical pass over the token stream produced by
 //! [`crate::lexer`], with test code masked out by [`crate::scope`]. The
-//! v2 dataflow rules additionally consume the [`crate::scope::resolve`]
-//! symbol table (fn items, bindings, loop bodies). The rules, their
-//! scopes, and the reproducibility claim each one protects are documented
-//! in `DESIGN.md` §7 and §12. Summary:
+//! dataflow rules additionally consume the [`crate::scope::resolve`]
+//! symbol table (fn items, bindings, loop bodies). Generic hazards —
+//! hash-ordered containers, wall-clock reads, seedless hashers, panics in
+//! library code, float equality, truncating casts, unsafe code and missing
+//! docs — are rustc and clippy lints configured in the workspace
+//! `Cargo.toml`, `clippy.toml` and the crate roots; `DESIGN.md` §7 and §12
+//! map each hazard to its enforcer. The rules here:
 //!
 //! | rule | scope | hazard |
 //! |------|-------|--------|
-//! | `nondeterministic-iteration` | all non-test code | `HashMap`/`HashSet` iteration order varies per process |
-//! | `unwrap-in-lib` | library crates | panics escape instead of `Result` propagation |
-//! | `float-eq` | all non-test code | `==`/`!=` on floats (except zero-guards) |
-//! | `banned-nondeterminism` | all (timing: non-bench, non-lib) | `thread_rng`, wall-clock, seedless hashers |
-//! | `lossy-cast` | hot-path files | narrowing `as` casts silently drop precision |
-//! | `crate-hygiene` | crate roots | missing `#![deny(unsafe_code)]` / `#![warn(missing_docs)]` |
-//! | `telemetry-on-hot-path` | library crates (except telemetry) | ad-hoc wall-clock reads and shard-merging `.snapshot()` calls on instrumented paths |
+//! | `telemetry-on-hot-path` | library crates (except telemetry) | shard-merging `.snapshot()` calls on instrumented paths |
 //! | `hot-path-alloc` | fns reachable from `analyzer:hot-path` entries | per-call allocation on scoring/refit paths |
 //! | `float-reduction-order` | linalg + density crates | unattested float reductions pin no evaluation order |
 //! | `blocking-in-worker` | engine crate (pool internals waived) | locks/waits/file I/O inside worker closures |
 //! | `unsafe-audit` | all non-test code | `unsafe` without an invariant note + test cross-check |
 //! | `stale-allow` | every allow site | waivers that no longer suppress anything |
 //! | `telemetry-key-registry` | all non-test code | literal telemetry keys missing from `crates/telemetry/keys.txt` |
-//!
-//! The two timing rules partition the workspace: wall-clock reads in
-//! library crates report as `telemetry-on-hot-path` (route them through
-//! `faction-telemetry`), everywhere else outside the bench crate as
-//! `banned-nondeterminism`. Exactly one rule fires per site, so a single
-//! `analyzer:allow` line always suffices.
 //!
 //! Findings on a line carrying (or directly below) a
 //! `// analyzer:allow(<rule>): <reason>` comment are suppressed; the reason
@@ -42,12 +33,6 @@ use crate::scope::{resolve, test_mask, ScopeModel};
 
 /// All rule names, in reporting order.
 pub const RULE_NAMES: &[&str] = &[
-    "nondeterministic-iteration",
-    "unwrap-in-lib",
-    "float-eq",
-    "banned-nondeterminism",
-    "lossy-cast",
-    "crate-hygiene",
     "telemetry-on-hot-path",
     "hot-path-alloc",
     "float-reduction-order",
@@ -60,21 +45,11 @@ pub const RULE_NAMES: &[&str] = &[
 /// Classification of a scanned file; decides which rules apply.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileClass {
-    /// File belongs to one of the library crates
-    /// (linalg/density/nn/fairness/data/core) — `unwrap-in-lib` applies.
+    /// File belongs to one of the reusable library crates
+    /// (`workspace::LIB_CRATES`) — `telemetry-on-hot-path` applies.
     pub lib_crate: bool,
-    /// File belongs to the bench crate — `Instant::now`/`SystemTime::now`
-    /// are its purpose, so the timing half of `banned-nondeterminism` is
-    /// waived there.
-    pub bench_crate: bool,
-    /// File is a crate root (`src/lib.rs`) — `crate-hygiene` applies.
-    pub crate_root: bool,
-    /// File is a designated numeric hot path (`linalg/src/kernels.rs`,
-    /// `linalg/src/cholesky.rs`) — `lossy-cast` applies.
-    pub hot_path: bool,
-    /// File belongs to the telemetry crate itself — it owns the one
-    /// sanctioned wall-clock read (its `Clock`) and the snapshot machinery,
-    /// so `telemetry-on-hot-path` is waived there.
+    /// File belongs to the telemetry crate itself — it owns the snapshot
+    /// machinery, so `telemetry-on-hot-path` is waived there.
     pub telemetry_crate: bool,
     /// File belongs to a numeric-reduction crate (`linalg`/`density`) —
     /// `float-reduction-order` applies: reduction order there is the
@@ -144,23 +119,11 @@ pub fn check_file(
     let model = resolve(&lex.tokens);
     let mut raw: Vec<Finding> = Vec::new();
 
-    rule_nondet_iteration(file, &lex.tokens, &mask, &mut raw);
-    if class.lib_crate {
-        rule_unwrap_in_lib(file, &lex.tokens, &mask, &mut raw);
-    }
-    rule_float_eq(file, &lex.tokens, &mask, &mut raw);
-    rule_banned_nondeterminism(file, &lex.tokens, &mask, class, &mut raw);
-    if class.hot_path {
-        rule_lossy_cast(file, &lex.tokens, &mask, &mut raw);
-    }
-    if class.crate_root {
-        rule_crate_hygiene(file, &lex.tokens, &mut raw);
-    }
     if class.lib_crate && !class.telemetry_crate {
         rule_telemetry_on_hot_path(file, &lex.tokens, &mask, &mut raw);
     }
 
-    // v2 dataflow rules.
+    // Dataflow rules.
     let single_file_hot;
     let hot_fns = match ctx.hot_fns {
         Some(set) => set,
@@ -242,365 +205,6 @@ fn push(out: &mut Vec<Finding>, file: &str, line: u32, rule: &str, message: Stri
     out.push(Finding { file: file.into(), line, rule: rule.into(), message });
 }
 
-/// Methods whose call on a `HashMap`/`HashSet` walks entries in hash order.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "drain",
-    "retain",
-];
-
-/// Rule 1: iteration over `HashMap`/`HashSet` in non-test code.
-///
-/// Token-level type inference: an identifier is considered hash-ordered when
-/// the file binds it with an explicit `: HashMap<…>`/`: HashSet<…>`
-/// annotation (let, field, or parameter position) or initializes it via
-/// `= HashMap::…()` / `= HashSet::…()`. Iterating such an identifier —
-/// directly in a `for … in [&[mut]] name {` head or through one of
-/// [`ITER_METHODS`] — is flagged.
-fn rule_nondet_iteration(file: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Finding>) {
-    // Pass 1: collect hash-ordered identifiers.
-    let mut tracked: Vec<String> = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || (t.text != "HashMap" && t.text != "HashSet") {
-            continue;
-        }
-        // Walk back over a path prefix (`std :: collections ::`) and any
-        // reference/mutability qualifiers (`&`, `&'a`, `mut`) so parameter
-        // positions like `m: &mut HashMap<…>` bind too.
-        let mut j = i;
-        while j >= 2 && toks[j - 1].is_punct("::") && toks[j - 2].kind == TokKind::Ident {
-            j -= 2;
-        }
-        while j >= 1
-            && (toks[j - 1].is_punct("&")
-                || toks[j - 1].is_ident("mut")
-                || toks[j - 1].kind == TokKind::Lifetime)
-        {
-            j -= 1;
-        }
-        if j == 0 {
-            continue;
-        }
-        let prev = &toks[j - 1];
-        let name = if prev.is_punct(":") && j >= 2 && toks[j - 2].kind == TokKind::Ident {
-            // `name: HashMap<…>` annotation.
-            Some(toks[j - 2].text.clone())
-        } else if prev.is_punct("=") && j >= 2 && toks[j - 2].kind == TokKind::Ident {
-            // `let [mut] name = HashMap::new()`.
-            Some(toks[j - 2].text.clone())
-        } else {
-            None
-        };
-        if let Some(n) = name {
-            if !tracked.contains(&n) {
-                tracked.push(n);
-            }
-        }
-    }
-    if tracked.is_empty() {
-        return;
-    }
-    // Pass 2: flag iteration sites.
-    for (i, t) in toks.iter().enumerate() {
-        if mask[i] || t.kind != TokKind::Ident || !tracked.contains(&t.text) {
-            continue;
-        }
-        // `name.iter()` and friends.
-        if toks.get(i + 1).map(|p| p.is_punct(".")).unwrap_or(false) {
-            if let Some(m) = toks.get(i + 2) {
-                if m.kind == TokKind::Ident && ITER_METHODS.contains(&m.text.as_str()) {
-                    push(
-                        out,
-                        file,
-                        m.line,
-                        "nondeterministic-iteration",
-                        format!(
-                            "`{}.{}()` walks a HashMap/HashSet in nondeterministic order; \
-                             use BTreeMap/BTreeSet or collect and sort",
-                            t.text, m.text
-                        ),
-                    );
-                }
-            }
-            continue;
-        }
-        // `for … in [&[mut]] name {` — direct IntoIterator on the map/set.
-        let mut j = i;
-        while j > 0 && (toks[j - 1].is_punct("&") || toks[j - 1].is_ident("mut")) {
-            j -= 1;
-        }
-        let after_name = toks.get(i + 1).map(|p| p.is_punct("{")).unwrap_or(false);
-        if after_name && j > 0 && toks[j - 1].is_ident("in") {
-            // Confirm this `in` belongs to a `for` head on the same statement.
-            let is_for = toks[..j - 1]
-                .iter()
-                .rev()
-                .take(16)
-                .find(|t| t.is_ident("for") || t.is_punct(";") || t.is_punct("{"))
-                .map(|t| t.is_ident("for"))
-                .unwrap_or(false);
-            if is_for {
-                push(
-                    out,
-                    file,
-                    t.line,
-                    "nondeterministic-iteration",
-                    format!(
-                        "`for … in {}` walks a HashMap/HashSet in nondeterministic order; \
-                         use BTreeMap/BTreeSet or collect and sort",
-                        t.text
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Rule 2: `.unwrap()`, `.expect(…)`, and `panic!` in library crates.
-fn rule_unwrap_in_lib(file: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        if mask[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        let dotted = i > 0 && toks[i - 1].is_punct(".");
-        let called = toks.get(i + 1).map(|n| n.is_punct("(")).unwrap_or(false);
-        if dotted && called && (t.text == "unwrap" || t.text == "expect") {
-            push(
-                out,
-                file,
-                t.line,
-                "unwrap-in-lib",
-                format!(
-                    "`.{}(…)` in library code can panic; propagate a Result \
-                     (e.g. LinalgError) or justify with analyzer:allow",
-                    t.text
-                ),
-            );
-        }
-        if t.text == "panic" && toks.get(i + 1).map(|n| n.is_punct("!")).unwrap_or(false) {
-            push(
-                out,
-                file,
-                t.line,
-                "unwrap-in-lib",
-                "`panic!` in library code; return an error or justify with analyzer:allow"
-                    .into(),
-            );
-        }
-    }
-}
-
-/// Returns true when a float literal's numeric value is exactly zero
-/// (`0.0`, `0e0`, `0_.0f64`, `-` handled by the caller).
-fn is_zero_float(text: &str) -> bool {
-    let cleaned: String =
-        text.chars().filter(|c| c.is_ascii_digit() || *c == '.' || *c == 'e' || *c == 'E').collect();
-    cleaned.parse::<f64>().map(|v| v == 0.0).unwrap_or(false)
-}
-
-/// Rule 3: `==`/`!=` where an operand is visibly floating-point.
-///
-/// Without type inference the rule keys on syntax: a float literal adjacent
-/// to the comparison (either side, optionally negated) or an `as f64`/`as
-/// f32` cast ending the left operand. Comparisons against *zero* literals
-/// are the recognized guard idiom (`if var == 0.0 { skip division }`) —
-/// exact-zero tests are well-defined — and stay allowed.
-fn rule_float_eq(file: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        if mask[i] || !(t.is_punct("==") || t.is_punct("!=")) {
-            continue;
-        }
-        let mut float_literal: Option<&str> = None;
-        // Left operand ends with a float literal or an `as fXX` cast.
-        if i > 0 {
-            let p = &toks[i - 1];
-            if p.kind == TokKind::Float {
-                float_literal = Some(&p.text);
-            } else if p.kind == TokKind::Ident
-                && (p.text == "f64" || p.text == "f32")
-                && i > 1
-                && toks[i - 2].is_ident("as")
-            {
-                push(
-                    out,
-                    file,
-                    t.line,
-                    "float-eq",
-                    format!(
-                        "`as {}` cast compared with `{}`; compare with an epsilon \
-                         or via to_bits()",
-                        p.text, t.text
-                    ),
-                );
-                continue;
-            }
-        }
-        // Right operand starts with an (optionally negated) float literal.
-        if float_literal.is_none() {
-            let mut j = i + 1;
-            if toks.get(j).map(|n| n.is_punct("-")).unwrap_or(false) {
-                j += 1;
-            }
-            if let Some(n) = toks.get(j) {
-                if n.kind == TokKind::Float {
-                    float_literal = Some(&n.text);
-                }
-            }
-        }
-        if let Some(lit) = float_literal {
-            if !is_zero_float(lit) {
-                push(
-                    out,
-                    file,
-                    t.line,
-                    "float-eq",
-                    format!(
-                        "float literal `{lit}` compared with `{}`; compare with an \
-                         epsilon or via to_bits() (exact-zero guards are exempt)",
-                        t.text
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Rule 4: ambient nondeterminism sources.
-fn rule_banned_nondeterminism(
-    file: &str,
-    toks: &[Tok],
-    mask: &[bool],
-    class: &FileClass,
-    out: &mut Vec<Finding>,
-) {
-    for (i, t) in toks.iter().enumerate() {
-        if mask[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        if t.text == "thread_rng" {
-            push(
-                out,
-                file,
-                t.line,
-                "banned-nondeterminism",
-                "`thread_rng` is OS-seeded; use the workspace SeedRng so runs replay".into(),
-            );
-            continue;
-        }
-        let path_now = |name: &str| {
-            t.text == name
-                && toks.get(i + 1).map(|p| p.is_punct("::")).unwrap_or(false)
-                && toks.get(i + 2).map(|m| m.is_ident("now")).unwrap_or(false)
-        };
-        // Library crates hand wall-clock findings to `telemetry-on-hot-path`
-        // (which also says where the timing *should* go); reporting here too
-        // would demand stacked allows on one line.
-        if !class.bench_crate && !class.lib_crate && (path_now("Instant") || path_now("SystemTime"))
-        {
-            push(
-                out,
-                file,
-                t.line,
-                "banned-nondeterminism",
-                format!(
-                    "`{}::now()` reads the wall clock outside the bench crate; keep \
-                     timing out of algorithmic code or justify with analyzer:allow",
-                    t.text
-                ),
-            );
-            continue;
-        }
-        if (t.text == "RandomState" || t.text == "DefaultHasher")
-            && toks.get(i + 1).map(|p| p.is_punct("::")).unwrap_or(false)
-            && toks
-                .get(i + 2)
-                .map(|m| m.is_ident("new") || m.is_ident("default"))
-                .unwrap_or(false)
-        {
-            push(
-                out,
-                file,
-                t.line,
-                "banned-nondeterminism",
-                format!(
-                    "`{}` constructed with a random per-process seed; hash order will \
-                     differ between runs",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
-/// Numeric types an `as` cast can narrow into from the `f64`/`usize` world
-/// the kernels operate in.
-const NARROW_TYPES: &[&str] = &["f32", "i32", "i16", "i8", "u32", "u16", "u8"];
-
-/// Rule 5: narrowing `as` casts in designated hot-path files.
-fn rule_lossy_cast(file: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        if mask[i] || !t.is_ident("as") {
-            continue;
-        }
-        if let Some(ty) = toks.get(i + 1) {
-            if ty.kind == TokKind::Ident && NARROW_TYPES.contains(&ty.text.as_str()) {
-                push(
-                    out,
-                    file,
-                    ty.line,
-                    "lossy-cast",
-                    format!(
-                        "narrowing `as {}` cast in a numeric hot path silently drops \
-                         precision/range; keep kernels in f64/usize",
-                        ty.text
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Rule 6: crate roots must deny `unsafe_code` and warn on `missing_docs`.
-fn rule_crate_hygiene(file: &str, toks: &[Tok], out: &mut Vec<Finding>) {
-    let has = |outer: &str, inner: &str| -> bool {
-        toks.windows(8).any(|w| {
-            w[0].is_punct("#")
-                && w[1].is_punct("!")
-                && w[2].is_punct("[")
-                && w[3].is_ident(outer)
-                && w[4].is_punct("(")
-                && w[5].is_ident(inner)
-                && w[6].is_punct(")")
-                && w[7].is_punct("]")
-        })
-    };
-    if !has("deny", "unsafe_code") {
-        push(
-            out,
-            file,
-            1,
-            "crate-hygiene",
-            "crate root is missing `#![deny(unsafe_code)]`".into(),
-        );
-    }
-    if !has("warn", "missing_docs") {
-        push(
-            out,
-            file,
-            1,
-            "crate-hygiene",
-            "crate root is missing `#![warn(missing_docs)]`".into(),
-        );
-    }
-}
-
 /// Computes the set of function names reachable from `analyzer:hot-path`
 /// markers across one crate's lexed files.
 ///
@@ -669,7 +273,7 @@ pub fn hot_fn_set<'a>(files: impl Iterator<Item = &'a LexOutput>) -> BTreeSet<St
     hot
 }
 
-/// Rule 8: allocation inside hot-path-reachable functions.
+/// Rule 2: allocation inside hot-path-reachable functions.
 ///
 /// The scoring/selection/refit paths run once per stream round; a stray
 /// `collect()` there turns O(1) scratch reuse into per-round heap churn
@@ -734,7 +338,7 @@ fn rule_hot_path_alloc(
 /// Methods whose float application order a reduction pins.
 const ORDER_SENSITIVE_CALLS: &[&str] = &["exp", "ln", "sqrt", "powi", "powf", "mul_add"];
 
-/// Rule 9: float reductions in `linalg`/`density` need an
+/// Rule 3: float reductions in `linalg`/`density` need an
 /// `// analyzer:ordered` attestation.
 ///
 /// Float addition does not associate, so the order of a `.sum()`, a
@@ -837,7 +441,7 @@ fn rule_float_reduction(
 /// suite checks the two lists agree).
 pub const WORKER_ENTRIES: &[&str] = &["run_indexed", "scoped_for_each", "scoped_for_each_chaos"];
 
-/// Rule 10: blocking calls inside engine worker closures.
+/// Rule 4: blocking calls inside engine worker closures.
 ///
 /// The pool's throughput model assumes worker bodies never block on shared
 /// state: the run-queue lock and its condvar live in `pool.rs` (waived via
@@ -908,7 +512,7 @@ fn rule_blocking_in_worker(file: &str, toks: &[Tok], mask: &[bool], out: &mut Ve
     }
 }
 
-/// Rule 11: every `unsafe` needs a written invariant and a test cross-check.
+/// Rule 5: every `unsafe` needs a written invariant and a test cross-check.
 ///
 /// The SIMD roadmap item will ship intrinsics under this gate: an `unsafe`
 /// block must carry `// analyzer:unsafe(invariant): …` on its line or the
@@ -968,7 +572,7 @@ const TELEMETRY_KEY_CALLS: &[&str] = &[
     "histogram",
 ];
 
-/// Rule 12: literal telemetry keys must appear in the checked-in registry.
+/// Rule 6: literal telemetry keys must appear in the checked-in registry.
 fn rule_telemetry_key(
     file: &str,
     toks: &[Tok],
@@ -1003,41 +607,20 @@ fn rule_telemetry_key(
     }
 }
 
-/// Rule 7: instrumented library crates must not bypass `faction-telemetry`.
+/// Rule 1: no registry snapshot on an instrumented library path.
 ///
-/// Two hazards on the paths the inertness tests protect: a raw
-/// `Instant::now()`/`SystemTime::now()` read (timing belongs in telemetry
-/// spans, where the no-op recorder costs two branches), and a
-/// `.snapshot()` call (it merges every registry shard under locks —
+/// A `.snapshot()` call merges every registry shard under locks —
 /// report-time work that would serialize workers if it crept into a
-/// per-round or per-job path).
+/// per-round or per-job path. (Wall-clock reads are
+/// `clippy::disallowed_methods`, configured in `clippy.toml`.)
 fn rule_telemetry_on_hot_path(file: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Finding>) {
     for (i, t) in toks.iter().enumerate() {
-        if mask[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        let path_now = |name: &str| {
-            t.text == name
-                && toks.get(i + 1).map(|p| p.is_punct("::")).unwrap_or(false)
-                && toks.get(i + 2).map(|m| m.is_ident("now")).unwrap_or(false)
-        };
-        if path_now("Instant") || path_now("SystemTime") {
-            push(
-                out,
-                file,
-                t.line,
-                "telemetry-on-hot-path",
-                format!(
-                    "`{}::now()` in an instrumented library crate; route timing \
-                     through a faction-telemetry span so recording stays inert",
-                    t.text
-                ),
-            );
+        if mask[i] || t.kind != TokKind::Ident || t.text != "snapshot" {
             continue;
         }
         let dotted = i > 0 && toks[i - 1].is_punct(".");
         let called = toks.get(i + 1).map(|n| n.is_punct("(")).unwrap_or(false);
-        if dotted && called && t.text == "snapshot" {
+        if dotted && called {
             push(
                 out,
                 file,

@@ -16,9 +16,10 @@ use std::path::{Path, PathBuf};
 
 use crate::rules::FileClass;
 
-/// Crates where `unwrap-in-lib` (and, outside `telemetry` itself,
-/// `telemetry-on-hot-path`) applies: the reusable library layers.
-const LIB_CRATES: &[&str] = &[
+/// The reusable library layers: `telemetry-on-hot-path` applies outside
+/// `telemetry` itself, and each crate root carries the library-scope clippy
+/// lints (`unwrap_used`, `expect_used`, `panic`, `float_cmp`).
+pub const LIB_CRATES: &[&str] = &[
     "linalg", "density", "nn", "fairness", "data", "core", "engine", "serve", "telemetry", "wire",
 ];
 
@@ -111,15 +112,6 @@ fn walk(
 pub fn classify(crate_name: &str, display: &str) -> FileClass {
     FileClass {
         lib_crate: LIB_CRATES.contains(&crate_name),
-        bench_crate: crate_name == "bench",
-        crate_root: display.ends_with("src/lib.rs"),
-        hot_path: display.ends_with("linalg/src/kernels.rs")
-            || display.ends_with("linalg/src/cholesky.rs")
-            || display.ends_with("linalg/src/simd.rs")
-            // The wire codec's varint/zigzag loops are cast-dense byte
-            // manipulation; lossy-cast keeps every narrowing explicit.
-            || display.ends_with("wire/src/codec.rs")
-            || display.ends_with("wire/src/crc.rs"),
         telemetry_crate: crate_name == "telemetry",
         reduction_crate: crate_name == "linalg" || crate_name == "density",
         engine_crate: crate_name == "engine",
@@ -134,33 +126,18 @@ mod tests {
     #[test]
     fn classify_assigns_scopes() {
         let c = classify("linalg", "crates/linalg/src/kernels.rs");
-        assert!(c.lib_crate && c.hot_path && !c.crate_root && !c.bench_crate);
-        let c = classify("linalg", "crates/linalg/src/cholesky.rs");
-        assert!(c.lib_crate && c.hot_path, "rank-1 update loops are a hot path");
-        let c = classify("linalg", "crates/linalg/src/matrix.rs");
-        assert!(!c.hot_path);
-        let c = classify("linalg", "crates/linalg/src/simd.rs");
-        assert!(c.hot_path, "the AVX2 micro-kernel is lint-scoped like kernels.rs");
-        let c = classify("linalg", "crates/linalg/src/dispatch.rs");
-        assert!(!c.hot_path, "the facade holds no loops; only the kernels are hot");
+        assert!(c.lib_crate && !c.telemetry_crate);
         let c = classify("bench", "crates/bench/src/lib.rs");
-        assert!(c.bench_crate && c.crate_root && !c.lib_crate);
+        assert!(!c.lib_crate);
         let c = classify("faction", "src/lib.rs");
-        assert!(c.crate_root && !c.lib_crate && !c.bench_crate);
+        assert!(!c.lib_crate);
         let c = classify("analyzer", "crates/analyzer/src/rules.rs");
-        assert!(!c.lib_crate && !c.crate_root);
+        assert!(!c.lib_crate);
         let c = classify("engine", "crates/engine/src/pool.rs");
-        assert!(c.lib_crate && !c.bench_crate && !c.crate_root && !c.hot_path);
-        assert!(!c.telemetry_crate, "only the telemetry crate gets the waiver");
+        assert!(c.lib_crate && !c.telemetry_crate, "only the telemetry crate gets the waiver");
         assert!(c.engine_crate && c.worker_pool, "pool internals are the sanctioned waiver");
         let c = classify("telemetry", "crates/telemetry/src/clock.rs");
-        assert!(c.lib_crate && c.telemetry_crate && !c.crate_root);
-        let c = classify("wire", "crates/wire/src/codec.rs");
-        assert!(c.lib_crate && c.hot_path, "the wire codec is cast-audited like the kernels");
-        let c = classify("wire", "crates/wire/src/crc.rs");
-        assert!(c.hot_path, "the CRC table loop narrows u32s; keep its casts explicit");
-        let c = classify("wire", "crates/wire/src/container.rs");
-        assert!(c.lib_crate && !c.hot_path, "framing is plain slice logic, not cast-dense");
+        assert!(c.lib_crate && c.telemetry_crate);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Fixture: `#[cfg(test)]` / `mod tests` exemption (scanned with
-//! `lib_crate = true`).
-use std::collections::HashMap;
+//! `lib_crate = true`; the vehicle is `telemetry-on-hot-path`'s `.snapshot()`).
 
-pub fn live_code(v: Option<u32>) -> u32 {
-    v.unwrap() //~ unwrap-in-lib
+pub fn live_code(r: &Registry) -> Snapshot {
+    r.snapshot() //~ telemetry-on-hot-path
 }
 
 #[cfg(test)]
@@ -12,21 +11,19 @@ mod tests {
 
     #[test]
     fn violations_here_are_exempt() {
-        let m: HashMap<u32, u32> = HashMap::new();
-        let _sum: u32 = m.values().sum();
-        let _ = Some(5u32).unwrap();
-        let _ = 1.0 == 2.0;
-        panic!("tests may panic");
+        let r = Registry::default();
+        let _ = r.snapshot();
+        let _ = unsafe { std::mem::zeroed::<u64>() };
     }
 }
 
 mod extra_tests {
-    pub fn helpers_in_test_modules_are_exempt(v: Option<u32>) -> u32 {
-        v.expect("exempt")
+    pub fn helpers_in_test_modules_are_exempt(r: &super::Registry) -> super::Snapshot {
+        r.snapshot()
     }
 }
 
 #[cfg(not(test))]
-pub fn cfg_not_test_is_live(v: Option<u32>) -> u32 {
-    v.unwrap() //~ unwrap-in-lib
+pub fn cfg_not_test_is_live(r: &Registry) -> Snapshot {
+    r.snapshot() //~ telemetry-on-hot-path
 }

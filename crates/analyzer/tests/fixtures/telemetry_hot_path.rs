@@ -1,14 +1,6 @@
 //! Fixture: telemetry-on-hot-path (scanned with `lib_crate = true`,
 //! `telemetry_crate = false`; golden.rs also rescans it under the waived
 //! classes to pin the rule's scope).
-use std::time::{Duration, Instant, SystemTime};
-
-pub fn timed_scoring_pass(rows: usize) -> Duration {
-    let t0 = Instant::now(); //~ telemetry-on-hot-path
-    let _stamp = SystemTime::now(); //~ telemetry-on-hot-path
-    let _ = rows;
-    t0.elapsed()
-}
 
 pub fn per_round_report(registry: &faction_telemetry::Registry) -> String {
     registry.snapshot().to_json() //~ telemetry-on-hot-path
@@ -19,11 +11,6 @@ pub fn binding_named_snapshot(snapshot: &str) -> usize {
     snapshot.len()
 }
 
-// Durations that never touch the wall clock are fine.
-pub fn budget() -> Duration {
-    Duration::from_millis(5)
-}
-
 pub fn grid_end_report(registry: &faction_telemetry::Registry) -> String {
     // analyzer:allow(telemetry-on-hot-path): report-time snapshot at grid end
     registry.snapshot().to_json()
@@ -32,7 +19,7 @@ pub fn grid_end_report(registry: &faction_telemetry::Registry) -> String {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn timing_inside_tests_is_exempt() {
-        let _ = std::time::Instant::now();
+    fn snapshots_inside_tests_are_exempt() {
+        let _ = faction_telemetry::Registry::default().snapshot();
     }
 }

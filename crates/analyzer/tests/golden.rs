@@ -7,11 +7,18 @@
 //! through [`faction_analyzer::analyze_source`] with the `FileClass` the
 //! fixture documents, then compares the sorted `(line, rule)` multiset of
 //! findings against the markers.
+//!
+//! The hazards of the retired rules live in `tests/clippy_fixture/`, a
+//! crate that clippy lints under the workspace's lint configuration; see
+//! [`retired_rules_are_rejected_by_clippy`].
 
-use std::path::Path;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use faction_analyzer::lexer::{lex, TokKind};
 use faction_analyzer::rules::WORKER_ENTRIES;
+use faction_analyzer::workspace::{workspace_files, LIB_CRATES};
 use faction_analyzer::{
     analyze_source, analyze_source_with, analyze_workspace, CheckContext, CheckOutcome, FileClass,
     KeyRegistry,
@@ -65,56 +72,6 @@ fn run_fixture(name: &str, class: FileClass) -> CheckOutcome {
 }
 
 #[test]
-fn nondeterministic_iteration_fixture() {
-    let outcome = run_fixture("nondet_iteration.rs", FileClass::default());
-    assert_eq!(outcome.suppressed, 1, "the allowed integer-sum walk is suppressed");
-}
-
-#[test]
-fn unwrap_in_lib_fixture() {
-    run_fixture("unwrap_in_lib.rs", FileClass { lib_crate: true, ..Default::default() });
-}
-
-#[test]
-fn unwrap_rule_is_scoped_to_lib_crates() {
-    // The same source scanned as a non-library file (e.g. the bench crate)
-    // raises nothing: panicking is only banned where callers can't opt out.
-    let source = fixture("unwrap_in_lib.rs");
-    let outcome = analyze_source("unwrap_in_lib.rs", &source, &FileClass::default());
-    assert!(outcome.findings.is_empty(), "unwrap-in-lib must not fire outside lib crates");
-}
-
-#[test]
-fn float_eq_fixture() {
-    run_fixture("float_eq.rs", FileClass::default());
-}
-
-#[test]
-fn banned_nondeterminism_fixture() {
-    run_fixture("banned_nondet.rs", FileClass::default());
-}
-
-#[test]
-fn timing_rule_is_waived_in_bench_crate() {
-    let source = fixture("banned_nondet.rs");
-    let outcome = analyze_source(
-        "banned_nondet.rs",
-        &source,
-        &FileClass { bench_crate: true, ..Default::default() },
-    );
-    // thread_rng and the seedless hashers still fire; the wall-clock half
-    // (Instant::now / SystemTime::now) is the bench crate's purpose.
-    assert!(
-        outcome.findings.iter().all(|f| !f.message.contains("wall clock")),
-        "Instant/SystemTime findings must be waived in the bench crate"
-    );
-    assert!(
-        outcome.findings.iter().any(|f| f.message.contains("thread_rng")),
-        "thread_rng stays banned even in the bench crate"
-    );
-}
-
-#[test]
 fn telemetry_hot_path_fixture() {
     let outcome =
         run_fixture("telemetry_hot_path.rs", FileClass { lib_crate: true, ..Default::default() });
@@ -138,46 +95,6 @@ fn telemetry_rule_is_waived_in_the_telemetry_crate_and_outside_libs() {
 }
 
 #[test]
-fn timing_rules_partition_the_workspace() {
-    // The same wall-clock sites report as telemetry-on-hot-path in a
-    // library crate and as banned-nondeterminism elsewhere — never both,
-    // so one analyzer:allow line always suffices.
-    let source = fixture("banned_nondet.rs");
-    let as_lib = analyze_source(
-        "banned_nondet.rs",
-        &source,
-        &FileClass { lib_crate: true, ..Default::default() },
-    );
-    let wall_clock_rules: Vec<&str> = as_lib
-        .findings
-        .iter()
-        .filter(|f| f.message.contains("::now()"))
-        .map(|f| f.rule.as_str())
-        .collect();
-    assert_eq!(
-        wall_clock_rules,
-        ["telemetry-on-hot-path", "telemetry-on-hot-path"],
-        "lib-crate wall-clock reads belong to the telemetry rule alone"
-    );
-    assert!(
-        as_lib.findings.iter().any(|f| f.rule == "banned-nondeterminism"),
-        "thread_rng/seedless hashers still report as banned-nondeterminism in libs"
-    );
-}
-
-#[test]
-fn lossy_cast_fixture() {
-    run_fixture("lossy_cast.rs", FileClass { hot_path: true, ..Default::default() });
-}
-
-#[test]
-fn lossy_cast_is_scoped_to_hot_paths() {
-    let source = fixture("lossy_cast.rs");
-    let outcome = analyze_source("lossy_cast.rs", &source, &FileClass::default());
-    assert!(outcome.findings.is_empty(), "lossy-cast only applies to hot-path files");
-}
-
-#[test]
 fn suppression_fixture() {
     let outcome = run_fixture("suppression.rs", FileClass { lib_crate: true, ..Default::default() });
     assert_eq!(outcome.suppressed, 2, "same-line and line-above allows each suppress once");
@@ -186,34 +103,6 @@ fn suppression_fixture() {
 #[test]
 fn cfg_test_exemption_fixture() {
     run_fixture("cfg_test_exempt.rs", FileClass { lib_crate: true, ..Default::default() });
-}
-
-#[test]
-fn crate_hygiene_missing_fixture() {
-    // The two hygiene findings anchor to line 1, which is a doc comment, so
-    // this fixture carries its expectations here instead of as markers.
-    let source = fixture("crate_hygiene_missing.rs");
-    let outcome = analyze_source(
-        "crate_hygiene_missing.rs",
-        &source,
-        &FileClass { crate_root: true, ..Default::default() },
-    );
-    let rendered: Vec<String> = outcome.findings.iter().map(|f| f.render()).collect();
-    assert_eq!(outcome.findings.len(), 2, "both attributes are missing: {rendered:?}");
-    assert!(rendered.iter().all(|r| r.contains(":1:crate-hygiene:")));
-    assert!(rendered.iter().any(|r| r.contains("deny(unsafe_code)")));
-    assert!(rendered.iter().any(|r| r.contains("warn(missing_docs)")));
-}
-
-#[test]
-fn crate_hygiene_ok_fixture() {
-    let source = fixture("crate_hygiene_ok.rs");
-    let outcome = analyze_source(
-        "crate_hygiene_ok.rs",
-        &source,
-        &FileClass { crate_root: true, ..Default::default() },
-    );
-    assert!(outcome.findings.is_empty(), "both attributes present: {:?}", outcome.findings);
 }
 
 #[test]
@@ -381,14 +270,215 @@ fn checked_in_registry_parses_and_covers_the_engine_counters() {
 #[test]
 fn workspace_self_scan_is_clean() {
     // The gate's bottom line: the workspace this analyzer ships in passes
-    // its own scan with zero findings. CARGO_MANIFEST_DIR is
-    // crates/analyzer, so the workspace root is two levels up.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root resolves");
+    // its own scan with zero findings.
+    let root = workspace_root();
     let report = analyze_workspace(&root).expect("workspace scan succeeds");
     let rendered: Vec<String> = report.findings.iter().map(|f| f.render()).collect();
     assert!(rendered.is_empty(), "workspace must self-scan clean:\n{}", rendered.join("\n"));
     assert!(report.files_scanned > 50, "scan should cover the whole workspace");
+}
+
+/// The workspace root: `CARGO_MANIFEST_DIR` is `crates/analyzer`.
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root resolves")
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
+}
+
+/// The lint line every library crate root carries.
+const LIB_ROOT_LINTS: &str =
+    "#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, \
+     clippy::float_cmp))]";
+
+/// The lint line every other scanned crate root (libraries and binaries)
+/// carries.
+const ROOT_LINTS: &str = "#![cfg_attr(not(test), deny(clippy::float_cmp))]";
+
+/// The first inner attribute of every cast-audited file.
+const CAST_LINTS: &str = "#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_precision_loss,
+    clippy::cast_sign_loss
+)]";
+
+/// The numeric hot paths: GEMM and GDA kernels, and the wire codec's
+/// varint/zigzag and CRC loops.
+const CAST_AUDITED: &[&str] = &[
+    "crates/linalg/src/cholesky.rs",
+    "crates/linalg/src/kernels.rs",
+    "crates/linalg/src/simd.rs",
+    "crates/wire/src/codec.rs",
+    "crates/wire/src/crc.rs",
+];
+
+/// `source` with all whitespace removed, so the attribute checks below
+/// hold however a formatter wraps the attributes.
+fn squash(source: &str) -> String {
+    source.split_whitespace().collect()
+}
+
+/// The body of the TOML table headed `header`, up to the next table.
+fn toml_table<'a>(manifest: &'a str, header: &str) -> &'a str {
+    let line = format!("{header}\n");
+    let at = if manifest.starts_with(&line) {
+        Some(0)
+    } else {
+        manifest.find(&format!("\n{line}")).map(|i| i + 1)
+    };
+    let start = at.unwrap_or_else(|| panic!("no `{header}` table")) + line.len();
+    let rest = &manifest[start..];
+    rest[..rest.find("\n[").map_or(rest.len(), |end| end + 1)].trim_end()
+}
+
+fn field<'a>(value: &'a serde_json::Value, name: &str) -> Option<&'a serde_json::Value> {
+    value.as_object()?.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+}
+
+fn text(value: Option<&serde_json::Value>) -> Option<&str> {
+    match value {
+        Some(serde_json::Value::Str(s)) => Some(s),
+        _ => None,
+    }
+}
+
+/// Lints the clippy fixture and returns every diagnostic as a
+/// `(file, line, lint)` triple at its primary span.
+fn clippy_diagnostics(root: &Path, fixture: &Path) -> BTreeSet<(String, u32, String)> {
+    // A target directory of its own, so this never waits on the lock of the
+    // build running the test.
+    let out = Command::new(env!("CARGO"))
+        .args(["clippy", "--offline", "--all-targets", "--keep-going", "--message-format=json"])
+        .arg("--manifest-path")
+        .arg(fixture.join("Cargo.toml"))
+        .env("CARGO_TARGET_DIR", root.join("target/clippy-fixture"))
+        .env_remove("CLIPPY_CONF_DIR")
+        .output()
+        .expect("cargo runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let mut finished = false;
+    let mut found = BTreeSet::new();
+    for line in stdout.lines() {
+        let msg = serde_json::parse_value(line)
+            .unwrap_or_else(|e| panic!("cargo printed a non-JSON line ({e}): {line}"));
+        match text(field(&msg, "reason")) {
+            Some("build-finished") => finished = true,
+            Some("compiler-message") => {}
+            _ => continue,
+        }
+        let Some(diag) = field(&msg, "message") else { continue };
+        let Some(lint) = field(diag, "code").and_then(|c| text(field(c, "code"))) else {
+            continue; // summaries such as "aborting due to N previous errors"
+        };
+        let Some(serde_json::Value::Array(spans)) = field(diag, "spans") else { continue };
+        for span in spans {
+            if field(span, "is_primary") != Some(&serde_json::Value::Bool(true)) {
+                continue;
+            }
+            let file = text(field(span, "file_name")).expect("span names its file");
+            let line = match field(span, "line_start") {
+                Some(serde_json::Value::Int(n)) => u32::try_from(*n).expect("positive line"),
+                other => panic!("span without a line: {other:?}"),
+            };
+            found.insert((file.to_string(), line, lint.to_string()));
+        }
+    }
+    assert!(finished && !found.is_empty(), "clippy did not lint the fixture:\n{stderr}");
+    found
+}
+
+#[test]
+fn retired_rules_are_rejected_by_clippy() {
+    // Six analyzer rules moved to rustc and clippy lints. This proves each
+    // hazard they caught is still rejected, and that the lint settings the
+    // fixture exercises are the ones the workspace actually carries.
+    let root = workspace_root();
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/clippy_fixture");
+
+    // 1. Every hazard marker, and nothing else, is a diagnostic.
+    let src = fixture.join("src");
+    let mut expected = BTreeSet::new();
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&src)
+        .expect("fixture sources")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    files.sort();
+    for path in &files {
+        let name = format!("src/{}", path.file_name().and_then(|n| n.to_str()).expect("utf-8"));
+        for (line, lint) in expected_findings(&read(path)) {
+            expected.insert((name.clone(), line, lint));
+        }
+    }
+    let actual = clippy_diagnostics(&root, &fixture);
+    let missing: Vec<_> = expected.difference(&actual).collect();
+    let unexpected: Vec<_> = actual.difference(&expected).collect();
+    assert!(
+        missing.is_empty() && unexpected.is_empty(),
+        "clippy diagnostics diverge from the fixture's //~ markers\n\
+         marked but not reported: {missing:#?}\nreported but not marked: {unexpected:#?}"
+    );
+
+    // 2. The fixture's lint tables are the workspace's, verbatim.
+    let workspace = read(&root.join("Cargo.toml"));
+    let fixture_manifest = read(&fixture.join("Cargo.toml"));
+    for kind in ["rust", "clippy"] {
+        assert_eq!(
+            toml_table(&fixture_manifest, &format!("[lints.{kind}]")),
+            toml_table(&workspace, &format!("[workspace.lints.{kind}]")),
+            "the fixture's [lints.{kind}] must copy [workspace.lints.{kind}]"
+        );
+    }
+
+    // 3. The root package and every non-compat member inherit them.
+    let table = toml_table(&workspace, "[workspace]");
+    let members = table.split_once("members = [").and_then(|(_, m)| m.split_once(']'));
+    let members = members.expect("a workspace members list").0;
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for member in members.split('"').skip(1).step_by(2) {
+        if !member.starts_with("crates/compat/") {
+            manifests.push(root.join(member).join("Cargo.toml"));
+        }
+    }
+    assert_eq!(manifests.len(), 13, "the root package and 12 project members");
+    for manifest in &manifests {
+        assert_eq!(
+            toml_table(&read(manifest), "[lints]"),
+            "workspace = true",
+            "{} must inherit the workspace lints",
+            manifest.display()
+        );
+    }
+
+    // 4. Every scanned crate root carries its lint line; the fixture's root
+    // carries the library one.
+    assert!(squash(&read(&src.join("lib.rs"))).contains(&squash(LIB_ROOT_LINTS)));
+    let mut lib_roots = 0;
+    for item in workspace_files(&root).expect("workspace scan") {
+        let d = &item.display;
+        if !(d.ends_with("src/lib.rs") || d.ends_with("src/main.rs") || d.contains("src/bin/")) {
+            continue;
+        }
+        let want = if item.class.lib_crate { LIB_ROOT_LINTS } else { ROOT_LINTS };
+        lib_roots += usize::from(item.class.lib_crate);
+        assert!(squash(&read(&item.path)).contains(&squash(want)), "{d} must carry `{want}`");
+    }
+    assert_eq!(lib_roots, LIB_CRATES.len(), "every library crate root was checked");
+
+    // 5. The cast-audited files open with the fixture's cast attribute.
+    let cast_lints = squash(CAST_LINTS);
+    assert!(squash(&read(&src.join("lossy_cast.rs"))).contains(&cast_lints));
+    for file in CAST_AUDITED {
+        let source = squash(&read(&root.join(file)));
+        let at = source.find(&cast_lints);
+        assert!(
+            at.is_some() && at == source.find("#!["),
+            "{file} must open with the cast lints as its first inner attribute"
+        );
+    }
 }

@@ -5,6 +5,8 @@
 //! cargo run -p faction-bench --release --bin fig2_curves [-- --quick --dataset NYSF --seeds 5]
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use faction_bench::{registry_factories, run_lineup, standard_arch, write_output, HarnessOptions};
 use faction_core::report::{render_curves, render_summary_table, AggregatedRun};
 use faction_engine::PAPER_METHODS;

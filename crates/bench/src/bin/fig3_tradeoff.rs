@@ -13,6 +13,8 @@
 //! cargo run -p faction-bench --release --bin fig3_tradeoff [-- --quick --dataset NYSF]
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use faction_bench::{run_lineup, standard_arch, write_output, HarnessOptions, StrategyFactory};
 use faction_core::report::AggregatedRun;
 use faction_core::strategies::decoupled::{Decoupled, DecoupledParams};

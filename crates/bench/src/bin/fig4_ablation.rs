@@ -10,6 +10,8 @@
 //! cargo run -p faction-bench --release --bin fig4_ablation -- extended [--quick]
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use faction_bench::{registry_factories, run_lineup, standard_arch, write_output, HarnessOptions};
 use faction_core::report::{render_curves, render_summary_table, AggregatedRun};
 use faction_core::strategies::faction::{Faction, FactionParams};

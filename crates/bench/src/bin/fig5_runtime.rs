@@ -13,6 +13,8 @@
 //! cargo run -p faction-bench --release --bin fig5_runtime -- ablation [--quick]
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use faction_bench::{registry_factories, run_lineup, standard_arch, write_output, HarnessOptions};
 use serde::Serialize;
 

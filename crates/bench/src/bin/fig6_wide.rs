@@ -8,6 +8,8 @@
 //! cargo run -p faction-bench --release --bin fig6_wide [-- --quick]
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use faction_bench::{registry_factories, run_lineup, wide_arch, write_output, HarnessOptions};
 use faction_core::report::{render_curves, render_summary_table};
 use faction_data::datasets::Dataset;

@@ -19,6 +19,8 @@
 //! cargo run -p faction-bench --release --bin table1_nysf [-- --quick]
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use faction_bench::{registry_factories, run_lineup, standard_arch, write_output, HarnessOptions};
 use faction_core::report::render_summary_table;
 use faction_data::datasets::Dataset;

@@ -12,6 +12,8 @@
 //! cargo run -p faction-bench --release --bin theory_bounds [-- --quick]
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use faction_bench::{write_output, HarnessOptions};
 use faction_core::theory::{mean_curves, TheoryConfig, TheoryCurves};
 use serde::Serialize;

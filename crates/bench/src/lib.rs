@@ -12,8 +12,7 @@
 //! * [`write_output`] — persist the human-readable table and the
 //!   machine-readable JSON under `results/`.
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use std::fs;
 use std::path::PathBuf;

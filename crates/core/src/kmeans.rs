@@ -57,7 +57,7 @@ impl KMeans {
         }
         center_rows.push(latest);
 
-        // analyzer:allow(unwrap-in-lib): rows are all `points.cols()` wide by construction
+        #[expect(clippy::expect_used, reason = "rows are all `points.cols()` wide by construction")]
         let mut centers = Matrix::from_rows(&center_rows).expect("rectangular centers");
         // Start from a sentinel so the first pass always runs the update
         // step (otherwise an all-zeros initial assignment could terminate

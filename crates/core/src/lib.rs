@@ -27,8 +27,7 @@
 //! * [`theory`] — the convex (logistic) instantiation used to validate
 //!   Theorem 1's regret / violation / query-complexity growth rates.
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp))]
 
 pub mod checkpoint;
 pub mod config;

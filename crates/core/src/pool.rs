@@ -220,7 +220,7 @@ impl LabeledPool {
     /// Panics if the feature dimension disagrees with earlier samples
     /// (programming error in the protocol plumbing).
     pub fn push(&mut self, x: Vec<f64>, label: usize, sensitive: i8) {
-        // analyzer:allow(unwrap-in-lib): documented panic contract (see `# Panics` above)
+        #[expect(clippy::expect_used, reason = "documented panic contract (see `# Panics` above)")]
         self.features.push_row(&x).expect("pool rows share one dimension");
         self.labels.push(label);
         self.sensitives.push(sensitive);
@@ -233,7 +233,7 @@ impl LabeledPool {
     }
 
     fn evict_front(&mut self) {
-        // analyzer:allow(unwrap-in-lib): front row exists (len checked by caller)
+        #[expect(clippy::expect_used, reason = "front row exists (len checked by caller)")]
         self.features.remove_row(0).expect("pool has a front row");
         self.front += 1;
         if self.front * 2 >= self.labels.len() {

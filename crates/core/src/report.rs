@@ -69,7 +69,7 @@ impl AggregatedRun {
     /// # Panics
     /// Panics if `runs` is empty or mixes strategies/datasets/task counts.
     pub fn from_runs(runs: &[RunRecord]) -> AggregatedRun {
-        // analyzer:allow(unwrap-in-lib): documented panic contract (see `# Panics` above)
+        #[expect(clippy::expect_used, reason = "documented panic contract (see `# Panics` above)")]
         let first = runs.first().expect("at least one run to aggregate");
         let t = first.records.len();
         for r in runs {

@@ -138,9 +138,12 @@ impl SessionSnapshot {
     }
 
     /// Serializes to in-memory wire bytes — serve's stash/restore payload.
+    #[expect(
+        clippy::expect_used,
+        reason = "the only encode error is a record above u32::MAX bytes; snapshots are megabytes at most"
+    )]
     pub fn to_wire_bytes(&self) -> Vec<u8> {
         faction_wire::to_wire(faction_wire::PayloadKind::SessionSnapshot, self)
-            // analyzer:allow(unwrap-in-lib): the only encode error is a record above u32::MAX bytes; snapshots are megabytes at most
             .expect("session snapshot payloads are far below the u32 record limit")
     }
 

@@ -236,7 +236,10 @@ fn sync_range(
 /// otherwise sync the range; then materialize the estimator. Returns `None` when
 /// this round must fall back to the batch fit — the state is invalidated so
 /// the next incremental round starts from a clean anchor.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "refit inputs plus the reusable workspace, feature and state buffers"
+)]
 fn incremental_estimator(
     params: &FactionParams,
     mlp: &Mlp,

@@ -106,7 +106,10 @@ impl Strategy for Fal {
                 let mut aug_rows: Vec<Vec<f64>> =
                     sub_x.iter_rows().map(|r| r.to_vec()).collect();
                 aug_rows.push(ctx.candidates.row(j).to_vec());
-                // analyzer:allow(unwrap-in-lib): rows cloned from one matrix plus one equal-width candidate row
+                #[expect(
+                    clippy::expect_used,
+                    reason = "rows cloned from one matrix plus one equal-width candidate row"
+                )]
                 let aug_x = Matrix::from_rows(&aug_rows).expect("rectangular");
                 let mut aug_y = sub_y.clone();
                 aug_y.push(label);

@@ -177,7 +177,6 @@ fn task_fairness(model: &Mlp, loss: &FairTotalLoss, x: &Matrix, s: &[i8]) -> f64
 /// convergence with `train_loss` (the *fair* comparator objective) on the
 /// given fit split, projected onto the same ball as the online learner.
 /// Approximates the best fixed fair parameter for the environment.
-#[allow(clippy::type_complexity)]
 fn offline_optimum(
     fit: (&Matrix, &Vec<usize>, &Vec<i8>),
     train_loss: &FairTotalLoss,
@@ -238,8 +237,7 @@ pub fn run_theory_experiment(cfg: &TheoryConfig, horizon: usize, seed: u64) -> T
     // {I_u} of Theorem 1), trained on the environment's first task. Kept in
     // a sorted map so the harness stays order-deterministic even if a
     // future change walks the comparator set (a `HashMap` here is exactly
-    // the iteration-order trap the analyzer's nondeterministic-iteration
-    // rule exists to catch).
+    // the iteration-order trap `clippy::disallowed_types` exists to catch).
     let mut comparators: std::collections::BTreeMap<usize, Mlp> =
         std::collections::BTreeMap::new();
     let mut queried: Vec<Vec<f64>> = Vec::new();

@@ -3,6 +3,11 @@
 //! allocator and counts the allocations a thread makes while
 //! [`allocations_during`] runs a closure on it.
 
+#![expect(
+    unsafe_code,
+    reason = "a global allocator is an unsafe trait impl; it only forwards to `System`"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

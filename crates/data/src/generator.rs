@@ -152,7 +152,7 @@ impl StreamSpec {
         faction_linalg::vector::axpy(y_sign * self.class_separation, class_dir, &mut z);
         faction_linalg::vector::axpy(s_sign * self.group_separation, group_dir, &mut z);
         // 4. Environment affine map.
-        // analyzer:allow(unwrap-in-lib): `transform` is built d×d for this generator's d
+        #[expect(clippy::expect_used, reason = "`transform` is built d×d for this generator's d")]
         let mut x = env.transform.matvec(&z).expect("transform shape checked");
         faction_linalg::vector::axpy(1.0, &env.mean_shift, &mut x);
         // 5. Aleatoric label noise.

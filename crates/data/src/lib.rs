@@ -19,8 +19,7 @@
 //!
 //! All generators are deterministic given a seed.
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp))]
 
 pub mod datasets;
 pub mod multigroup;

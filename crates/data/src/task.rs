@@ -51,16 +51,16 @@ impl Task {
     ///
     /// # Panics
     /// Panics if the task is empty or features are ragged (generator bug).
+    #[expect(clippy::expect_used, reason = "documented panic contract (see `# Panics` above)")]
     pub fn features(&self) -> Matrix {
         let rows: Vec<Vec<f64>> = self.samples.iter().map(|s| s.x.clone()).collect();
-        // analyzer:allow(unwrap-in-lib): documented panic contract (see `# Panics` above)
         Matrix::from_rows(&rows).expect("task features are rectangular and non-empty")
     }
 
     /// Stacks the feature vectors of a subset of samples, by index.
+    #[expect(clippy::expect_used, reason = "same generator invariant as `features` above")]
     pub fn features_of(&self, indices: &[usize]) -> Matrix {
         let rows: Vec<Vec<f64>> = indices.iter().map(|&i| self.samples[i].x.clone()).collect();
-        // analyzer:allow(unwrap-in-lib): same generator invariant as `features` above
         Matrix::from_rows(&rows).expect("subset features are rectangular and non-empty")
     }
 

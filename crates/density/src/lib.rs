@@ -20,8 +20,7 @@
 //! rank-based (per-batch min–max normalization, Eq. 7), so the monotone
 //! log transform preserves selection behavior; see `DESIGN.md` §2.
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp))]
 
 pub mod gaussian;
 pub mod gda;

@@ -50,8 +50,7 @@
 //! assert_eq!(outcome.completed().len(), 1);
 //! ```
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp))]
 
 pub mod engine;
 pub mod job;

@@ -23,8 +23,7 @@
 //! on plain slices so it can be unit-tested exhaustively and reused by the
 //! baselines as well as FACTION itself.
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp))]
 
 pub mod calibration;
 pub mod loss;

@@ -11,6 +11,13 @@
 //! points are the lanes, so each element of `L` is loaded once per panel
 //! and the whole working set stays in L1.
 
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_precision_loss,
+    clippy::cast_sign_loss
+)]
+
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::Result;
@@ -239,11 +246,9 @@ impl Cholesky {
     }
 
     /// Reconstructs `A = L Lᵀ` (mainly for testing and diagnostics).
+    #[expect(clippy::expect_used, reason = "L is square, so L·Lᵀ cannot shape-mismatch")]
     pub fn reconstruct(&self) -> Matrix {
-        self.l
-            .matmul(&self.l.transpose())
-            // analyzer:allow(unwrap-in-lib): L is square, so L·Lᵀ cannot shape-mismatch
-            .expect("factor is square; product cannot fail")
+        self.l.matmul(&self.l.transpose()).expect("factor is square; product cannot fail")
     }
 }
 

@@ -70,6 +70,13 @@
 //! direct kernel call must fail loudly instead of reading logically
 //! adjacent memory.
 
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_precision_loss,
+    clippy::cast_sign_loss
+)]
+
 use std::cell::RefCell;
 
 /// Rows of `A` packed per micro-panel (register-tile height).
@@ -211,7 +218,6 @@ pub fn matmul_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n:
 ///
 /// [`KernelBackend::Scalar`]: crate::dispatch::KernelBackend::Scalar
 // analyzer:hot-path
-#[allow(clippy::too_many_arguments)] // backend, two operands, output, three extents
 pub fn matmul_on(
     backend: crate::dispatch::KernelBackend,
     a: &[f64],
@@ -256,7 +262,10 @@ fn active_tiles() -> Tiles {
 /// ascending `k`, so the caller's seed (`0.0` for a plain product, `-0.0`
 /// for the row-dot-compatible `A·Bᵀ`) is the first addend.
 // analyzer:hot-path
-#[allow(clippy::too_many_arguments)] // two operands, output, three extents, layout, micro-kernels
+#[expect(
+    clippy::too_many_arguments,
+    reason = "two operands, output, three extents, layout, micro-kernels"
+)]
 pub(crate) fn blocked_sweep(
     a: &[f64],
     b: &[f64],
@@ -312,7 +321,10 @@ pub(crate) fn blocked_sweep(
 /// reads is written; the lanes past a short tail panel's height, which no
 /// tile reads, hold its last row or, for `Aᵀ·B`, stale values.
 #[inline]
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "operand, layout, two extents, the block origin and size, pack buffer"
+)]
 fn pack_a(
     a: &[f64],
     layout: Layout,
@@ -388,7 +400,10 @@ fn transpose_pack<const W: usize>(src: &[&[f64]; W], dst: &mut [[f64; W]]) {
 /// column tail (`width % NR` columns) runs once over the whole row block
 /// through `tiles.edge`, which can carry several micro-panels at once.
 #[inline]
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "packed A, extents, B with strides, output, micro-kernels"
+)]
 fn sweep_panels(
     apack: &[f64],
     klen: usize,
@@ -470,7 +485,7 @@ pub(crate) fn kernel_full(
 /// with the same ascending-k order as the full kernel: the scalar
 /// backend's [`EdgeTile`], and the AVX2 tiles' fallback for short panels.
 #[inline]
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the EdgeTile ABI")]
 // analyzer:ordered: ascending-k accumulation on the edge tiles matches matmul_simple
 pub(crate) fn kernel_edge(
     apack: &[f64],

@@ -251,12 +251,12 @@ pub fn plane_rotation(d: usize, axis_a: usize, axis_b: usize, angle_rad: f64) ->
 
 /// Composes plane rotations over consecutive axis pairs `(0,1), (2,3), …` so
 /// that the whole feature space is rotated by `angle_rad`, not just one plane.
+#[expect(clippy::expect_used, reason = "both factors are d×d plane rotations")]
 pub fn block_rotation(d: usize, angle_rad: f64) -> Matrix {
     let mut m = Matrix::identity(d);
     let mut axis = 0;
     while axis + 1 < d {
         let r = plane_rotation(d, axis, axis + 1, angle_rad);
-        // analyzer:allow(unwrap-in-lib): both factors are d×d plane rotations
         m = r.matmul(&m).expect("square rotation product");
         axis += 2;
     }

@@ -43,6 +43,13 @@
 //! analyzer, and this file's `#[cfg(test)]` region cross-checks the kernels
 //! against the scalar reference.
 
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_precision_loss,
+    clippy::cast_sign_loss
+)]
+
 use crate::dispatch::{avx512_available, simd_available, KernelBackend};
 use crate::kernels::{kernel_edge, kernel_full, Tiles, MR, NR, SCALAR_TILES};
 
@@ -88,7 +95,7 @@ pub(crate) fn kernel_full_simd(
 /// (`jlen < NR`) runs its full-height micro-panels through the AVX2 narrow
 /// kernel, monomorphized per width; a short micro-panel, and every tile on
 /// a host without AVX2, takes the scalar [`kernel_edge`].
-#[allow(clippy::too_many_arguments)] // the EdgeTile ABI
+#[expect(clippy::too_many_arguments, reason = "the EdgeTile ABI")]
 pub(crate) fn kernel_edge_simd(
     apack: &[f64],
     klen: usize,

@@ -104,7 +104,10 @@ impl Dense {
     #[inline]
     fn affine_into(&self, x: &Matrix, out: &mut Matrix, act: impl Fn(f64) -> f64) {
         out.reshape_for_overwrite(x.rows(), self.fan_out());
-        // analyzer:allow(unwrap-in-lib): documented panic contract (see `# Panics` on the callers)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic contract (see `# Panics` on the callers)"
+        )]
         x.matmul_into(&self.w, out).expect("dense forward shape");
         for r in 0..out.rows() {
             for (v, &bi) in out.row_mut(r).iter_mut().zip(&self.b) {
@@ -133,7 +136,10 @@ impl Dense {
         // The product writes every element of `dx` (from its own `-0.0`
         // seed), so the reshape clears nothing.
         dx.reshape_for_overwrite(delta.rows(), self.fan_in());
-        // analyzer:allow(unwrap-in-lib): `dx` reshaped to the matching shape on the line above
+        #[expect(
+            clippy::expect_used,
+            reason = "`dx` reshaped to the matching shape on the line above"
+        )]
         delta.matmul_nt_into(&self.w, dx).expect("dense backward dX shape");
     }
 
@@ -142,7 +148,10 @@ impl Dense {
     /// the input layer's backward step, whose input gradient nobody reads.
     pub fn backward_params(&mut self, x: &Matrix, delta: &Matrix) {
         debug_assert_eq!(x.rows(), delta.rows(), "batch size mismatch");
-        // analyzer:allow(unwrap-in-lib): gradient buffers are layer-shaped by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "gradient buffers are layer-shaped by construction"
+        )]
         x.matmul_tn_into(delta, &mut self.grad_w).expect("dense backward shape");
         // dL/db is the column sum of delta, accumulated row by row in
         // ascending r from `-0.0` (the identity `f64`'s `Sum` folds from), so

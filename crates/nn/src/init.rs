@@ -6,21 +6,21 @@ use faction_linalg::{Matrix, SeedRng};
 ///
 /// Standard deviation `sqrt(2 / fan_in)` — the right scale for ReLU networks,
 /// which all of the reproduction's feature extractors are.
+#[expect(clippy::expect_used, reason = "buffer built with exactly fan_in·fan_out elements")]
 pub fn he_normal(rng: &mut SeedRng, fan_in: usize, fan_out: usize) -> Matrix {
     let std = (2.0 / fan_in.max(1) as f64).sqrt();
     let data = (0..fan_in * fan_out).map(|_| rng.normal(0.0, std)).collect();
-    // analyzer:allow(unwrap-in-lib): buffer built with exactly fan_in·fan_out elements
     Matrix::from_vec(fan_in, fan_out, data).expect("sized buffer")
 }
 
 /// Xavier (Glorot) uniform initialization, used for the final linear layer
 /// where no ReLU follows.
+#[expect(clippy::expect_used, reason = "buffer built with exactly fan_in·fan_out elements")]
 pub fn xavier_uniform(rng: &mut SeedRng, fan_in: usize, fan_out: usize) -> Matrix {
     let limit = (6.0 / (fan_in + fan_out).max(1) as f64).sqrt();
     let data = (0..fan_in * fan_out)
         .map(|_| rng.uniform_range(-limit, limit))
         .collect();
-    // analyzer:allow(unwrap-in-lib): buffer built with exactly fan_in·fan_out elements
     Matrix::from_vec(fan_in, fan_out, data).expect("sized buffer")
 }
 

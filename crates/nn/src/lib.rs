@@ -23,8 +23,7 @@
 //! * [`presets`] — the paper's architecture presets (standard and the
 //!   Fig. 6 "wide" variant).
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp))]
 
 pub mod activation;
 pub mod dense;

@@ -89,6 +89,10 @@ pub fn softmax_in_place(out: &mut Matrix) {
 /// so it skips the `exp` call (half of them for two classes). A row whose
 /// maximum is infinite keeps the call, and with it the NaN that
 /// `∞ − ∞` gives.
+#[expect(
+    clippy::float_cmp,
+    reason = "an exact match of the row maximum is what makes the shortcut exact"
+)]
 fn softmax_row(row: &mut [f64]) -> (f64, f64) {
     let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let mut sum = 0.0;

@@ -118,8 +118,8 @@ impl Mlp {
     }
 
     /// Number of output classes.
+    #[expect(clippy::expect_used, reason = "`Mlp::new` rejects empty architectures")]
     pub fn num_classes(&self) -> usize {
-        // analyzer:allow(unwrap-in-lib): `Mlp::new` rejects empty architectures
         self.layers.last().expect("non-empty").fan_out()
     }
 
@@ -219,7 +219,7 @@ impl Mlp {
     /// [`Mlp::predict_proba_into`] on the batch `z` came from, without
     /// recomputing the hidden stack.
     pub fn proba_from_features_into(&self, z: &Matrix, out: &mut Matrix) {
-        // analyzer:allow(unwrap-in-lib): `Mlp::new` rejects empty architectures
+        #[expect(clippy::expect_used, reason = "`Mlp::new` rejects empty architectures")]
         self.layers.last().expect("non-empty").forward_into(z, out);
         softmax_in_place(out);
     }
@@ -330,7 +330,7 @@ impl Mlp {
     ///
     /// # Panics
     /// Panics if row counts disagree or the dataset is empty.
-    #[allow(clippy::too_many_arguments)] // full training configuration surface
+    #[expect(clippy::too_many_arguments, reason = "full training configuration surface")]
     pub fn fit(
         &mut self,
         x: &Matrix,

@@ -65,7 +65,13 @@ impl Optimizer for Sgd {
         let (lr, momentum) = (self.lr, self.momentum);
         let velocity = self.state(slot, params.len());
         for ((p, &g), v) in params.iter_mut().zip(grads).zip(velocity.iter_mut()) {
-            *v = momentum * *v + g;
+            // A dead unit's velocity decays by `momentum` into the
+            // subnormals and would stick at the smallest one (`0.9 · 2⁻¹⁰⁷⁴`
+            // rounds back up), costing a subnormal assist on every later
+            // step. Flushing it to +0 is a select, not a branch, and a NaN
+            // passes through.
+            let next = momentum * *v + g;
+            *v = if next.abs() < f64::MIN_POSITIVE { 0.0 } else { next };
             *p -= lr * *v;
         }
     }
@@ -131,6 +137,20 @@ mod tests {
     fn sgd_converges_on_quadratic() {
         let mut opt = Sgd::new(0.1);
         assert!(descend(&mut opt, 100) < 1e-6);
+    }
+
+    #[test]
+    fn idle_momentum_flushes_to_positive_zero() {
+        // Without the flush the velocity sticks at f64::from_bits(1) from
+        // about step 7065 on.
+        let mut opt = Sgd::new(0.1).with_momentum(0.9);
+        let mut p = [1.0f64];
+        opt.step(0, &mut p, &[1.0]);
+        assert_eq!(opt.velocity[0][0], 1.0);
+        for _ in 0..8000 {
+            opt.step(0, &mut p, &[0.0]);
+        }
+        assert_eq!(opt.velocity[0][0].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -72,12 +72,12 @@ pub fn estimate_sigma_into(
     assert_eq!(wv.len(), w.rows(), "power iteration W v must match fan_in");
     for _ in 0..iterations_run(iterations) {
         // v ← normalize(Wᵀ u)
-        // analyzer:allow(unwrap-in-lib): `u`/`v` sized to `w` at entry (asserted above)
+        #[expect(clippy::expect_used, reason = "`u`/`v` sized to `w` at entry (asserted above)")]
         w.tr_matvec_into(u, v).expect("shape checked");
         let nv = vector::norm2(v).max(f64::MIN_POSITIVE);
         vector::scale(v, 1.0 / nv);
         // u ← normalize(W v), keeping the unnormalized W v for σ.
-        // analyzer:allow(unwrap-in-lib): `v`/`wv` sized to `w` at entry (asserted above)
+        #[expect(clippy::expect_used, reason = "`v`/`wv` sized to `w` at entry (asserted above)")]
         w.matvec_into(v, wv).expect("shape checked");
         let nu = vector::norm2(wv).max(f64::MIN_POSITIVE);
         for (ui, &x) in u.iter_mut().zip(wv.iter()) {

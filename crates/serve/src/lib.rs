@@ -36,8 +36,7 @@
 //! scripts ([`request`]) so the whole server is testable in-process
 //! (`faction_cli serve`).
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp))]
 
 pub mod manager;
 pub mod request;

@@ -393,7 +393,10 @@ impl SessionManager {
 
     fn run_phase_a(&self, wave: &[usize]) {
         self.fan_out(wave, |slot| {
-            // analyzer:allow(unwrap-in-lib): `drain` staged `current` for every wave member one line above
+            #[expect(
+                clippy::expect_used,
+                reason = "`drain` staged `current` for every wave member one line above"
+            )]
             let (_, op) = slot.current.as_ref().expect("wave slot has a current op");
             let result = match op {
                 SessionOp::Boot => boot(slot),
@@ -415,9 +418,15 @@ impl SessionManager {
         let mut round_slots = Vec::new();
         for &sid in wave {
             let mut slot = lock(&self.slots[sid]);
-            // analyzer:allow(unwrap-in-lib): `drain` staged `current` for every wave member
+            #[expect(
+                clippy::expect_used,
+                reason = "`drain` staged `current` for every wave member"
+            )]
             let (seq, _) = slot.current.take().expect("settlement consumes the wave op");
-            // analyzer:allow(unwrap-in-lib): `run_phase_a` wrote `phase_a` for every wave member
+            #[expect(
+                clippy::expect_used,
+                reason = "`run_phase_a` wrote `phase_a` for every wave member"
+            )]
             let phase_a = slot.phase_a.take().expect("phase A ran for every wave slot");
             match phase_a {
                 PhaseA::Opened { tasks } => {
@@ -484,7 +493,10 @@ impl SessionManager {
                         .ledgers
                         .entry(slot.tenant.clone())
                         .or_insert(self.cfg.tenant_budget);
-                    // analyzer:allow(unwrap-in-lib): `feed` returns Failed, not RoundFed, without an active task
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "`feed` returns Failed, not RoundFed, without an active task"
+                    )]
                     let task = &slot.stream.tasks[slot.cur_task.expect("round fed ⇒ active task")];
                     let mut granted = 0usize;
                     let labels: Vec<Option<usize>> = decisions
@@ -566,12 +578,21 @@ impl SessionManager {
             return;
         }
         self.fan_out(round_slots, |slot| {
-            // analyzer:allow(unwrap-in-lib): settlement staged labels for every member of `round_slots`
+            #[expect(
+                clippy::expect_used,
+                reason = "settlement staged labels for every member of `round_slots`"
+            )]
             let labels = slot.labels.take().expect("settlement staged labels");
             let SessionSlot { stream, session, cur_task, .. } = slot;
-            // analyzer:allow(unwrap-in-lib): `feed` returns Failed, not RoundFed, without an active task
+            #[expect(
+                clippy::expect_used,
+                reason = "`feed` returns Failed, not RoundFed, without an active task"
+            )]
             let task = &stream.tasks[cur_task.expect("round fed ⇒ active task")];
-            // analyzer:allow(unwrap-in-lib): `feed` returns Failed, not RoundFed, on an unbooted session
+            #[expect(
+                clippy::expect_used,
+                reason = "`feed` returns Failed, not RoundFed, on an unbooted session"
+            )]
             let session = session.as_mut().expect("round fed ⇒ booted session");
             slot.outcome = Some(session.apply_labels(task, &labels));
         });
@@ -580,9 +601,15 @@ impl SessionManager {
     fn finalize_rounds(&mut self, round_slots: &[usize]) {
         for &sid in round_slots {
             let mut slot = lock(&self.slots[sid]);
-            // analyzer:allow(unwrap-in-lib): settlement staged the partial for every member of `round_slots`
+            #[expect(
+                clippy::expect_used,
+                reason = "settlement staged the partial for every member of `round_slots`"
+            )]
             let partial = slot.round.take().expect("settlement staged the round");
-            // analyzer:allow(unwrap-in-lib): `run_phase_b` wrote the outcome for every member of `round_slots`
+            #[expect(
+                clippy::expect_used,
+                reason = "`run_phase_b` wrote the outcome for every member of `round_slots`"
+            )]
             let outcome = slot.outcome.take().expect("phase B ran for every round slot");
             let response = Response::Round {
                 session: slot.name.clone(),

@@ -1,8 +1,8 @@
 //! The workspace's sanctioned monotonic clock.
 //!
-//! This module is the **only** place library code may read wall-clock time:
-//! the analyzer's `telemetry-on-hot-path` rule flags `Instant::now()` /
-//! `SystemTime::now()` in every other library crate, so all timing —
+//! This module is the **only** place any crate may read wall-clock time:
+//! `clippy::disallowed_methods` (the root `clippy.toml`) rejects
+//! `Instant::now()` / `SystemTime::now()` everywhere else, so all timing —
 //! journal timestamps, runner phase seconds, span durations — funnels
 //! through here. Confining the reads makes the inertness audit local: to
 //! check that time never feeds algorithmic decisions you inspect this
@@ -21,6 +21,7 @@ impl Clock {
     ///
     /// Wall-clock here is measurement output only (durations for records,
     /// histograms, and journals); it must never feed control flow.
+    #[expect(clippy::disallowed_methods, reason = "the one sanctioned wall-clock read")]
     pub fn start() -> Clock {
         Clock { start: Instant::now() }
     }

@@ -10,9 +10,8 @@
 //! * Hot paths talk to a [`Recorder`] trait whose default implementation
 //!   ([`NoopRecorder`]) does nothing; a recorder carries no RNG and its
 //!   state is never read back on the result path.
-//! * Wall-clock access is confined to this crate ([`Clock`] / [`span`]) so
-//!   the analyzer's `telemetry-on-hot-path` rule can ban `Instant::now()`
-//!   everywhere else in library code.
+//! * Wall-clock access is confined to this crate ([`Clock`] / [`span`]);
+//!   `clippy::disallowed_methods` rejects `Instant::now()` everywhere else.
 //! * The thread-safe [`Registry`] shards writes per thread and merges
 //!   shards by sorted key at snapshot time, so a [`Snapshot`] renders
 //!   byte-stably regardless of scheduling.
@@ -27,8 +26,7 @@
 //! `tests/inertness.rs`: canonicalized engine grids are byte-identical with
 //! recording on vs. off, at one worker and at eight.
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp))]
 
 mod clock;
 mod metrics;

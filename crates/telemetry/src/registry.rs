@@ -24,9 +24,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Monotonically increasing thread token for shard selection.
 ///
-/// Deliberately *not* `ThreadId`-hash based: hashing a `ThreadId` through
-/// `DefaultHasher` is seeded per process (the analyzer bans it), whereas an
-/// atomic counter is allocation-order deterministic and cheap.
+/// Deliberately *not* `ThreadId`-hash based: std's hashers are seeded per
+/// process or unspecified across releases (`clippy::disallowed_types`
+/// rejects `RandomState` and `DefaultHasher`), whereas an atomic counter is
+/// allocation-order deterministic and cheap.
 static NEXT_THREAD_TOKEN: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {

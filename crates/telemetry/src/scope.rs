@@ -92,8 +92,9 @@ pub fn observe_duration(key: &str, elapsed: Duration) {
 ///
 /// The clock is read **only when an enabled recorder is in scope** — with
 /// the no-op recorder a span performs zero wall-clock reads, which is what
-/// keeps instrumented hot paths out of the analyzer's wall-clock rules and
-/// the recording cost small (perfbench's `telemetry.overhead_pct`).
+/// lets instrumented hot paths time themselves without a raw clock read
+/// (`clippy::disallowed_methods`) and keeps the recording cost small
+/// (perfbench's `telemetry.overhead_pct`).
 pub fn span(key: &'static str) -> SpanTimer {
     let start = if recording() { Some(Clock::start()) } else { None };
     SpanTimer { key, start }

@@ -37,9 +37,15 @@
 //! times. The dictionary resets per payload, so records stay independently
 //! decodable — a salvaged prefix never needs a dropped record's keys.
 
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_precision_loss,
+    clippy::cast_sign_loss
+)]
+
 use crate::WireError;
 use serde::Value;
-use std::collections::HashMap;
 
 const TAG_NULL: u8 = 0x00;
 const TAG_FALSE: u8 = 0x01;
@@ -59,7 +65,7 @@ const MAX_DEPTH: usize = 512;
 
 /// Encodes a value tree into the tagged binary payload form.
 pub fn encode_payload(value: &Value) -> Vec<u8> {
-    let mut enc = Encoder { out: Vec::new(), keys: HashMap::new() };
+    let mut enc = Encoder { out: Vec::new(), keys: KeyTable::new() };
     enc.value(value);
     enc.out
 }
@@ -83,24 +89,30 @@ pub fn decode_payload(bytes: &[u8]) -> Result<Value, WireError> {
 
 /// Zigzag-maps a signed integer so small magnitudes get short varints.
 fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
+    ((v << 1) ^ (v >> 63)).cast_unsigned()
 }
 
 /// Inverse of [`zigzag`].
 fn unzigzag(v: u64) -> i64 {
     // Bit-level zigzag inverse; both arms are 64-bit reinterpretations.
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
+    (v >> 1).cast_signed() ^ -(v & 1).cast_signed()
 }
+
+/// Object keys already written, by their back-reference index.
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only: the encoder never iterates it, so hash order cannot reach the bytes"
+)]
+type KeyTable = std::collections::HashMap<String, u64>;
 
 struct Encoder {
     out: Vec<u8>,
-    keys: HashMap<String, u64>,
+    keys: KeyTable,
 }
 
 impl Encoder {
     fn varint(&mut self, mut v: u64) {
         loop {
-            // analyzer:allow(lossy-cast): LEB128 emit; the value is masked to 7 bits immediately before the cast
             let byte = (v & 0x7F) as u8;
             v >>= 7;
             if v == 0 {

@@ -4,6 +4,13 @@
 //! external tool can re-verify a record with its stock CRC32. The 256-entry
 //! table is built at compile time so the runtime path is a pure table walk.
 
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_precision_loss,
+    clippy::cast_sign_loss
+)]
+
 /// The reflected CRC32 lookup table, one entry per byte value.
 const TABLE: [u32; 256] = build_table();
 
@@ -11,7 +18,7 @@ const fn build_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
-        // analyzer:allow(lossy-cast): i < 256 by the loop bound; the cast cannot truncate
+        #[expect(clippy::cast_possible_truncation, reason = "i < 256 by the loop bound")]
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
@@ -28,7 +35,6 @@ const fn build_table() -> [u32; 256] {
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
-        // analyzer:allow(lossy-cast): u8→u32 widen plus a &0xFF-masked index; nothing narrows
         let idx = ((crc ^ b as u32) & 0xFF) as usize;
         crc = (crc >> 8) ^ TABLE[idx];
     }

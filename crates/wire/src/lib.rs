@@ -44,8 +44,7 @@
 //! pins it with proptests), which is what lets `inspect` print exactly
 //! the JSON the typed value would.
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp))]
 
 mod codec;
 mod container;

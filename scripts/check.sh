@@ -6,24 +6,25 @@
 #
 # Each named guarantee is a test file that the workspace stage runs once:
 #
-# | guarantee                                              | enforced by                                     |
-# |--------------------------------------------------------|-------------------------------------------------|
-# | incremental GDA (anchor bitwise, drift<=1e-8)          | crates/density/tests/incremental_equivalence.rs |
-# | fault injection (poisoned streams)                     | crates/core/tests/fault_injection.rs            |
-# | engine determinism (jobs=1 == jobs=8)                  | crates/engine/tests/determinism.rs              |
-# | chaos determinism (adversarial schedules)              | crates/engine/tests/chaos_determinism.rs        |
-# | serve determinism (jobs=1 == jobs=8 == chaos)          | crates/serve/tests/determinism.rs               |
-# | wire round-trip (lossless decode, corruption)          | crates/engine/tests/wire_roundtrip.rs           |
-# | pool decode (untrusted snapshot pool fields rejected)  | crates/core/tests/pool_decode.rs                |
-# | inspect/CLI untrusted-input contract                   | tests/cli_usage.rs                              |
-# | kernel equivalence (scalar == avx2 == avx512, bitwise) | crates/linalg/tests/kernel_equivalence.rs       |
-# | reused GEMM pack scratch carries no state (NaN-filled) | crates/linalg/tests/kernel_equivalence.rs       |
-# | GDA panel kernel == per-point solve (bitwise, NaN/±∞)  | crates/linalg/tests/kernel_equivalence.rs       |
-# | kernel determinism (8-strategy lineup)                 | crates/engine/tests/kernel_determinism.rs       |
-# | allocation-free SGD step (standard + tiny presets)     | crates/core/tests/train_step_alloc.rs           |
-# | allocation-free candidate scoring (full + incremental) | crates/core/tests/scoring_alloc.rs              |
-# | telemetry inertness (recording on == off)              | crates/telemetry/tests/inertness.rs             |
-# | analyzer golden fixtures + clean self-scan             | crates/analyzer/tests/golden.rs                 |
+# | guarantee                                              | enforced by                                                  |
+# |--------------------------------------------------------|--------------------------------------------------------------|
+# | incremental GDA (anchor bitwise, drift<=1e-8)          | crates/density/tests/incremental_equivalence.rs              |
+# | fault injection (poisoned streams)                     | crates/core/tests/fault_injection.rs                         |
+# | engine determinism (jobs=1 == jobs=8)                  | crates/engine/tests/determinism.rs                           |
+# | chaos determinism (adversarial schedules)              | crates/engine/tests/chaos_determinism.rs                     |
+# | serve determinism (jobs=1 == jobs=8 == chaos)          | crates/serve/tests/determinism.rs                            |
+# | wire round-trip (lossless decode, corruption)          | crates/engine/tests/wire_roundtrip.rs                        |
+# | pool decode (untrusted snapshot pool fields rejected)  | crates/core/tests/pool_decode.rs                             |
+# | inspect/CLI untrusted-input contract                   | tests/cli_usage.rs                                           |
+# | kernel equivalence (scalar == avx2 == avx512, bitwise) | crates/linalg/tests/kernel_equivalence.rs                    |
+# | reused GEMM pack scratch carries no state (NaN-filled) | crates/linalg/tests/kernel_equivalence.rs                    |
+# | GDA panel kernel == per-point solve (bitwise, NaN/±∞)  | crates/linalg/tests/kernel_equivalence.rs                    |
+# | kernel determinism (8-strategy lineup)                 | crates/engine/tests/kernel_determinism.rs                    |
+# | allocation-free SGD step (standard + tiny presets)     | crates/core/tests/train_step_alloc.rs                        |
+# | allocation-free candidate scoring (full + incremental) | crates/core/tests/scoring_alloc.rs                           |
+# | telemetry inertness (recording on == off)              | crates/telemetry/tests/inertness.rs                          |
+# | analyzer: 7 project rules + clean self-scan            | crates/analyzer/tests/golden.rs                              |
+# | retired analyzer rules rejected by clippy              | crates/analyzer/tests/golden.rs (clippy fixture)             |
 #
 # Performance is measured by perfbench/ (see perfbench/README.md and
 # BENCHMARK.json); the last stage only proves it still builds against the
@@ -59,7 +60,11 @@ run_stage "cargo test -q --workspace" \
     cargo test -q --workspace
 
 # --all-targets lints the tests, examples and binaries too, not only the
-# library code the plain invocation checks.
+# library code the plain invocation checks. This stage enforces what were
+# six analyzer rules: hash-ordered containers, wall-clock reads and seedless
+# hashers (clippy.toml), panics in library code and float equality (crate
+# roots), lossy casts in the hot paths, unsafe code and missing docs
+# ([workspace.lints]); crates/analyzer/tests/clippy_fixture/ proves each.
 run_stage "cargo clippy --workspace --all-targets -- -D warnings" \
     cargo clippy --workspace --all-targets -- -D warnings
 

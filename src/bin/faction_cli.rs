@@ -8,6 +8,8 @@
 //! cargo run --release --bin faction_cli -- inspect ck/NYSF-faction-s0.run.wire
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use std::str::FromStr;
 use std::sync::Arc;
 

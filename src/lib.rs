@@ -45,8 +45,7 @@
 //! See `examples/` for runnable scenarios and `DESIGN.md` for the full
 //! experiment index.
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub use faction_core as core;
 pub use faction_data as data;
