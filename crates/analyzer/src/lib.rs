@@ -19,8 +19,8 @@
 //!   `analyzer:hot-path` / `analyzer:ordered` / `analyzer:unsafe(invariant)`
 //!   marker parsing;
 //! * [`scope`] — `#[cfg(test)]` / `mod tests` exemption tracking plus the
-//!   symbol table (`fn` items and bodies, `let` bindings with
-//!   mutability/float hints, `use` imports, loop bodies);
+//!   symbol table (`fn` items and bodies, `let` bindings with float
+//!   hints, loop bodies);
 //! * [`registry`] — the checked-in telemetry key registry
 //!   (`crates/telemetry/keys.txt`);
 //! * [`rules`] — the rule suite over one file's token stream;

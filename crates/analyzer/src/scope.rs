@@ -13,12 +13,12 @@
 //!
 //! [`resolve`] builds the lightweight symbol table the dataflow rules run
 //! on: every `fn` item with its signature line and body token range, every
-//! `let` binding with its mutability, brace depth, and a float-type hint,
-//! every `use` import, and the body ranges of `for`/`while`/`loop`
-//! expressions. It is resolution by token shape, not type checking — the
-//! rules that consume it (`hot-path-alloc`, `float-reduction-order`,
-//! `blocking-in-worker`, `unsafe-audit`) are calibrated to that precision
-//! and lean on attestation markers where syntax alone cannot decide.
+//! `let` binding with a float-type hint, and the body ranges of
+//! `for`/`while`/`loop` expressions. It is resolution by token shape, not
+//! type checking — the rules that consume it (`hot-path-alloc`,
+//! `float-reduction-order`, `blocking-in-worker`, `unsafe-audit`) are
+//! calibrated to that precision and lean on attestation markers where
+//! syntax alone cannot decide.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -145,24 +145,9 @@ impl FnItem {
 pub struct Binding {
     /// Bound identifier.
     pub name: String,
-    /// 1-based line of the binding.
-    pub line: u32,
-    /// Whether the binding is `let mut`.
-    pub mutable: bool,
-    /// Brace depth at the binding site (0 = item level).
-    pub depth: u32,
     /// Whether the binding is visibly floating-point: an explicit
     /// `: f64`/`: f32` annotation or a float-literal initializer.
     pub is_float: bool,
-}
-
-/// One `use` import line (path recorded as written, `::`-joined).
-#[derive(Debug, Clone)]
-pub struct UseImport {
-    /// The imported path, e.g. `std::fs::File`.
-    pub path: String,
-    /// 1-based line of the `use` keyword.
-    pub line: u32,
 }
 
 /// The per-file symbol table the dataflow rules consume.
@@ -172,8 +157,6 @@ pub struct ScopeModel {
     pub fns: Vec<FnItem>,
     /// Every `let` binding in source order.
     pub bindings: Vec<Binding>,
-    /// Every `use` import in source order.
-    pub uses: Vec<UseImport>,
     /// Body token ranges `(open, close)` of `for`/`while`/`loop`
     /// expressions, in source order (nested loops each get an entry).
     pub loop_bodies: Vec<(usize, usize)>,
@@ -220,15 +203,9 @@ fn matching_brace(tokens: &[Tok], open: usize) -> Option<usize> {
 /// Builds the [`ScopeModel`] for one file's token stream.
 pub fn resolve(tokens: &[Tok]) -> ScopeModel {
     let mut model = ScopeModel::default();
-    let mut depth: u32 = 0;
     let mut i = 0usize;
     while i < tokens.len() {
         let t = &tokens[i];
-        if t.is_punct("{") {
-            depth += 1;
-        } else if t.is_punct("}") {
-            depth = depth.saturating_sub(1);
-        }
         // `fn name …` — find the body `{` at paren depth 0, or a `;` that
         // ends a bodiless declaration. Angle brackets never nest braces in
         // a signature, so paren tracking alone is exact here.
@@ -254,12 +231,11 @@ pub fn resolve(tokens: &[Tok]) -> ScopeModel {
                 model.fns.push(FnItem { name: name_tok.text.clone(), line: t.line, body });
             }
         }
-        // `let [mut] name [: Ty] [= init]` — record mutability and a float
-        // hint from the annotation or a float-literal initializer.
+        // `let [mut] name [: Ty] [= init]` — record a float hint from the
+        // annotation or a float-literal initializer.
         if t.is_ident("let") {
             let mut j = i + 1;
-            let mutable = tokens.get(j).map(|m| m.is_ident("mut")).unwrap_or(false);
-            if mutable {
+            if tokens.get(j).map(|m| m.is_ident("mut")).unwrap_or(false) {
                 j += 1;
             }
             if let Some(name_tok) = tokens.get(j).filter(|n| n.kind == TokKind::Ident) {
@@ -287,30 +263,7 @@ pub fn resolve(tokens: &[Tok]) -> ScopeModel {
                         is_float = true;
                     }
                 }
-                model.bindings.push(Binding {
-                    name: name_tok.text.clone(),
-                    line: name_tok.line,
-                    mutable,
-                    depth,
-                    is_float,
-                });
-            }
-        }
-        // `use path::to::Thing;` — join the path tokens until `;`, `{`
-        // (grouped imports record the common prefix), or `as`.
-        if t.is_ident("use") {
-            let mut path = String::new();
-            let mut j = i + 1;
-            while j < tokens.len() {
-                let s = &tokens[j];
-                if s.is_punct(";") || s.is_punct("{") || s.is_ident("as") {
-                    break;
-                }
-                path.push_str(&s.text);
-                j += 1;
-            }
-            if !path.is_empty() {
-                model.uses.push(UseImport { path, line: t.line });
+                model.bindings.push(Binding { name: name_tok.text.clone(), is_float });
             }
         }
         // Loop bodies: first `{` at paren/bracket depth 0 after the keyword.
@@ -418,25 +371,22 @@ mod unit_tests {
     }
 
     #[test]
-    fn resolver_tracks_bindings_mutability_and_float_hints() {
+    fn resolver_tracks_binding_float_hints() {
         let src = "fn f() {\n    let mut acc: f64 = 0.0;\n    let n = 3usize;\n    let lr = 0.05;\n    let neg = -1.5;\n}\n";
         let model = resolve(&lex(src).tokens);
         let get = |name: &str| model.bindings.iter().find(|b| b.name == name).unwrap();
-        assert!(get("acc").mutable && get("acc").is_float);
-        assert!(!get("n").mutable && !get("n").is_float);
+        assert!(get("acc").is_float, "`let mut` with an `f64` annotation hints float");
+        assert!(!get("n").is_float);
         assert!(get("lr").is_float, "float-literal initializer hints float");
         assert!(get("neg").is_float, "negated float literal still hints float");
-        assert_eq!(get("acc").depth, 1);
         assert!(model.binds_float("lr") && !model.binds_float("n"));
     }
 
     #[test]
-    fn resolver_records_use_imports_and_loop_bodies() {
+    fn resolver_records_loop_bodies() {
         let src = "use std::fs::File;\nuse std::sync::{Arc, Mutex};\nfn f() {\n    for i in 0..3 { work(i); }\n    while go() { spin(); }\n    loop { break; }\n}\n";
         let toks = lex(src).tokens;
         let model = resolve(&toks);
-        let paths: Vec<&str> = model.uses.iter().map(|u| u.path.as_str()).collect();
-        assert_eq!(paths, ["std::fs::File", "std::sync::"]);
         assert_eq!(model.loop_bodies.len(), 3);
         let work = toks.iter().position(|t| t.is_ident("work")).unwrap();
         let spin = toks.iter().position(|t| t.is_ident("spin")).unwrap();

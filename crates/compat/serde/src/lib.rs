@@ -13,7 +13,14 @@
 pub use serde_derive::{Deserialize, Serialize};
 
 /// A JSON-like value tree: the wire model of this stand-in.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A float array has two forms: the generic [`Value::Array`] of
+/// [`Value::Float`]s (what JSON parsing and hand-built trees produce) and
+/// the packed [`Value::FloatArray`] (what `Vec<f64>`, `[f64]` and the wire
+/// decoder produce, 8 bytes per element instead of a 32-byte `Value`
+/// each). The two forms of the same floats compare equal, render to the
+/// same JSON and encode to the same wire bytes.
+#[derive(Debug, Clone)]
 pub enum Value {
     /// JSON `null`.
     Null,
@@ -31,6 +38,33 @@ pub enum Value {
     Array(Vec<Value>),
     /// Object with insertion-ordered fields.
     Object(Vec<(String, Value)>),
+    /// Array of floats, packed: the same value as an `Array` of `Float`s.
+    FloatArray(Vec<f64>),
+}
+
+/// Structural equality in which a `FloatArray` equals the `Array` of the
+/// same `Float`s, element by element with `f64`'s `==` (so, as for
+/// `Float`, a NaN element compares unequal).
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::UInt(a), Value::UInt(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Array(a), Value::Array(b)) => a == b,
+            (Value::Object(a), Value::Object(b)) => a == b,
+            (Value::FloatArray(a), Value::FloatArray(b)) => a == b,
+            (Value::FloatArray(xs), Value::Array(items))
+            | (Value::Array(items), Value::FloatArray(xs)) => {
+                xs.len() == items.len()
+                    && xs.iter().zip(items).all(|(x, item)| matches!(item, Value::Float(f) if f == x))
+            }
+            _ => false,
+        }
+    }
 }
 
 impl Default for Value {
@@ -79,12 +113,39 @@ impl std::error::Error for DeError {}
 pub trait Serialize {
     /// Builds the value-tree representation of `self`.
     fn to_value(&self) -> Value;
+
+    /// Builds the value of a slice of `Self` (what `Vec<Self>` and
+    /// `[Self]` serialize through): a generic [`Value::Array`] unless the
+    /// element type packs, as `f64` does into [`Value::FloatArray`].
+    fn slice_to_value(items: &[Self]) -> Value
+    where
+        Self: Sized,
+    {
+        Value::Array(items.iter().map(Serialize::to_value).collect())
+    }
 }
 
 /// Types that can rebuild themselves from a [`Value`].
 pub trait Deserialize: Sized {
     /// Parses `self` out of a value tree.
     fn from_value(v: &Value) -> Result<Self, DeError>;
+
+    /// Parses a `Vec<Self>` out of either array form; `f64` overrides it
+    /// to copy a [`Value::FloatArray`] in one pass.
+    fn vec_from_value(v: &Value) -> Result<Vec<Self>, DeError> {
+        elements_from_value(v)
+    }
+}
+
+/// Element by element, from either array form. A packed array reaches
+/// element types other than `f64` too: any all-float array (`Vec<f32>`,
+/// `Vec<Option<f64>>` with no `None`) decodes from the wire packed.
+fn elements_from_value<T: Deserialize>(v: &Value) -> Result<Vec<T>, DeError> {
+    match v {
+        Value::Array(items) => items.iter().map(T::from_value).collect(),
+        Value::FloatArray(xs) => xs.iter().map(|&x| T::from_value(&Value::Float(x))).collect(),
+        other => Err(DeError::custom(format!("expected array, got {other:?}"))),
+    }
 }
 
 impl Serialize for bool {
@@ -156,6 +217,10 @@ impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Float(*self)
     }
+
+    fn slice_to_value(items: &[f64]) -> Value {
+        Value::FloatArray(items.to_vec())
+    }
 }
 
 impl Deserialize for f64 {
@@ -168,6 +233,13 @@ impl Deserialize for f64 {
             // round-trip.
             Value::Null => Ok(f64::NAN),
             other => Err(DeError::custom(format!("expected number, got {other:?}"))),
+        }
+    }
+
+    fn vec_from_value(v: &Value) -> Result<Vec<f64>, DeError> {
+        match v {
+            Value::FloatArray(xs) => Ok(xs.clone()),
+            other => elements_from_value(other),
         }
     }
 }
@@ -207,16 +279,13 @@ impl Serialize for &str {
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+        T::slice_to_value(self)
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(DeError::custom(format!("expected array, got {other:?}"))),
-        }
+        T::vec_from_value(v)
     }
 }
 
@@ -246,7 +315,7 @@ impl<T: Serialize> Serialize for &T {
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+        T::slice_to_value(self)
     }
 }
 
@@ -282,6 +351,14 @@ mod tests {
     fn containers_round_trip() {
         let v = vec![1.0f64, 2.0, 3.0];
         assert_eq!(Vec::<f64>::from_value(&v.to_value()).unwrap(), v);
+        // Both array forms read back, for f64 and for any other element
+        // type a float can parse as.
+        let generic = Value::Array(v.iter().map(|&x| Value::Float(x)).collect());
+        assert_eq!(Vec::<f64>::from_value(&generic).unwrap(), v);
+        let packed = Value::FloatArray(v.clone());
+        assert_eq!(Vec::<f32>::from_value(&packed).unwrap(), vec![1.0f32, 2.0, 3.0]);
+        assert_eq!(Vec::<Option<f64>>::from_value(&packed).unwrap(), vec![Some(1.0), Some(2.0), Some(3.0)]);
+        assert!(Vec::<f64>::from_value(&Value::Int(1)).is_err());
         let o: Option<u32> = None;
         assert_eq!(Option::<u32>::from_value(&o.to_value()).unwrap(), None);
         let o = Some(4u32);

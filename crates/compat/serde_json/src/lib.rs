@@ -106,31 +106,11 @@ fn write_value(v: &Value, out: &mut String, pretty: Option<usize>, depth: usize)
         Value::UInt(u) => out.push_str(&u.to_string()),
         Value::Float(x) => write_float(*x, out),
         Value::Str(s) => write_escaped(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if let Some(ind) = pretty {
-                    newline_indent(out, ind, depth + 1);
-                    write_value(item, out, pretty, depth + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                } else {
-                    write_value(item, out, pretty, depth + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                }
-            }
-            if let Some(ind) = pretty {
-                newline_indent(out, ind, depth);
-            }
-            out.push(']');
-        }
+        Value::Array(items) => write_array(items, out, pretty, depth, |item, out| {
+            write_value(item, out, pretty, depth + 1);
+        }),
+        // The packed form renders exactly as the `Array` of its `Float`s.
+        Value::FloatArray(xs) => write_array(xs, out, pretty, depth, |&x, out| write_float(x, out)),
         Value::Object(fields) => {
             if fields.is_empty() {
                 out.push_str("{}");
@@ -158,6 +138,34 @@ fn write_value(v: &Value, out: &mut String, pretty: Option<usize>, depth: usize)
             out.push('}');
         }
     }
+}
+
+/// Writes `[a,b,…]`, one element per indented line when pretty.
+fn write_array<T>(
+    items: &[T],
+    out: &mut String,
+    pretty: Option<usize>,
+    depth: usize,
+    mut write_item: impl FnMut(&T, &mut String),
+) {
+    if items.is_empty() {
+        out.push_str("[]");
+        return;
+    }
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if let Some(ind) = pretty {
+            newline_indent(out, ind, depth + 1);
+        }
+        write_item(item, out);
+        if i + 1 < items.len() {
+            out.push(',');
+        }
+    }
+    if let Some(ind) = pretty {
+        newline_indent(out, ind, depth);
+    }
+    out.push(']');
 }
 
 struct Parser<'a> {
@@ -397,6 +405,18 @@ mod tests {
         assert_eq!(back, v);
         let pretty = to_string_pretty(&v).unwrap();
         assert_eq!(parse_value(&pretty).unwrap(), v);
+    }
+
+    #[test]
+    fn packed_float_arrays_render_as_their_generic_form() {
+        let xs = [1.0, -0.5, f64::NAN, 2.5e-7];
+        let packed = Value::FloatArray(xs.to_vec());
+        let generic = Value::Array(xs.iter().map(|&x| Value::Float(x)).collect());
+        for (a, b) in [(&packed, &generic), (&Value::FloatArray(Vec::new()), &Value::Array(Vec::new()))] {
+            assert_eq!(to_string(a).unwrap(), to_string(b).unwrap());
+            assert_eq!(to_string_pretty(a).unwrap(), to_string_pretty(b).unwrap());
+        }
+        assert_eq!(to_string(&packed).unwrap(), "[1.0,-0.5,null,0.00000025]");
     }
 
     #[test]

@@ -294,3 +294,33 @@ fn binary_is_smaller_than_both_json_renders() {
         pretty.len()
     );
 }
+
+/// FNV-1a over 64 bits: a digest independent of the container's own CRC,
+/// so a change to the checksum code cannot move the pinned value with it.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+#[test]
+fn golden_bytes_are_pinned() {
+    // The exact bytes a fixed snapshot and a fixed run checkpoint encode
+    // to. Files written by any earlier build must stay readable and a
+    // rewrite of the codec or the checksum must reproduce them bit for
+    // bit, so these literals change only with a format-version bump.
+    let snapshot = to_wire(PayloadKind::SessionSnapshot, &snapshot_fixture(7, 40, 3)).unwrap();
+    let checkpoint =
+        to_wire(PayloadKind::RunCheckpoint, &RunCheckpoint::capture(&run_record_fixture(3, 5)))
+            .unwrap();
+    assert_eq!(
+        (snapshot.len(), fnv1a64(&snapshot)),
+        (2201, 0xC2E2_9CF1_6CDC_9E06),
+        "SessionSnapshot bytes moved"
+    );
+    assert_eq!(
+        (checkpoint.len(), fnv1a64(&checkpoint)),
+        (733, 0x618E_CCE3_EB0D_C7C1),
+        "RunCheckpoint bytes moved"
+    );
+}

@@ -595,7 +595,7 @@ impl serde::Serialize for Matrix {
         serde::Value::Object(vec![
             ("rows".to_string(), serde::Serialize::to_value(&self.rows)),
             ("cols".to_string(), serde::Serialize::to_value(&self.cols)),
-            ("data".to_string(), serde::Value::Array(self.buf().iter().map(|v| serde::Value::Float(*v)).collect())),
+            ("data".to_string(), serde::Serialize::to_value(self.buf())),
         ])
     }
 }

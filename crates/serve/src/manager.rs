@@ -750,10 +750,12 @@ fn snapshot(slot: &mut SessionSlot) -> PhaseA {
 }
 
 fn restore(slot: &mut SessionSlot) -> PhaseA {
-    let Some((stashed_task, wire)) = slot.stash.clone() else {
+    // Decode straight from the stash, which stays put for a later restore.
+    let Some((stashed_task, wire)) = slot.stash.as_ref() else {
         return PhaseA::Failed("no snapshot to restore".to_string());
     };
-    let snapshot: SessionSnapshot = match SessionSnapshot::from_wire_bytes(&wire) {
+    let stashed_task = *stashed_task;
+    let snapshot: SessionSnapshot = match SessionSnapshot::from_wire_bytes(wire) {
         Ok(s) => s,
         Err(e) => return PhaseA::Failed(format!("snapshot decode failed: {e}")),
     };
@@ -937,6 +939,22 @@ mod tests {
             assert_eq!(rounds.len(), 3, "{strategy}: {:?}", rounds);
             assert_eq!(rounds[1], rounds[2], "{strategy}: replay after restore must match");
         }
+    }
+
+    #[test]
+    fn one_stash_restores_twice() {
+        // Restore reads the stash without taking it: a second restore from
+        // the same snapshot replays the same round again.
+        let text = "open a tenant=t dataset=rcmnist strategy=entropy seed=5 tasks=1 samples=60\n\
+                    task a 0\nround a\nsnapshot a\ndrain\nround a\ndrain\nrestore a\ndrain\n\
+                    round a\ndrain\nrestore a\ndrain\nround a\n";
+        let manager = run_workload(text, ServeConfig::default());
+        let trace = manager.render_trace();
+        let rounds: Vec<&str> = trace.lines().filter(|l| l.starts_with("round a")).collect();
+        assert_eq!(rounds.len(), 4, "{trace}");
+        assert_eq!(rounds[1], rounds[2], "first restore replays the round");
+        assert_eq!(rounds[1], rounds[3], "second restore replays it again");
+        assert!(!trace.contains("error a"), "{trace}");
     }
 
     #[test]

@@ -26,7 +26,13 @@
 //!
 //! Homogeneous arrays (the dominant payload mass: feature matrices, label
 //! vectors, model weights) take the packed forms 0x09/0x0A; anything mixed
-//! or empty falls back to the generic 0x07.
+//! or empty falls back to the generic 0x07. A non-empty float array is
+//! written as 0x09 from either tree form — `Value::FloatArray` (what
+//! `Vec<f64>` and `Matrix` serialize to) or an `Array` of `Float`s — and an
+//! empty one as `0x07 0x00`, so the bytes do not depend on the form.
+//! 0x09 decodes to `Value::FloatArray` in one bulk pass (8 bytes per
+//! element in the tree instead of a 32-byte `Value::Float` each); 0x0A
+//! decodes to an `Array` of `Int`s.
 //!
 //! ## Key interning
 //!
@@ -98,6 +104,13 @@ fn unzigzag(v: u64) -> i64 {
     (v >> 1).cast_signed() ^ -(v & 1).cast_signed()
 }
 
+/// The double whose little-endian IEEE-754 bits are `bytes` (8 of them).
+fn f64_le(bytes: &[u8]) -> f64 {
+    let mut buf = [0u8; 8];
+    buf.copy_from_slice(bytes);
+    f64::from_bits(u64::from_le_bytes(buf))
+}
+
 /// Object keys already written, by their back-reference index.
 #[expect(
     clippy::disallowed_types,
@@ -158,6 +171,8 @@ impl Encoder {
                 self.out.extend_from_slice(s.as_bytes());
             }
             Value::Array(items) => self.array(items),
+            Value::FloatArray(xs) if xs.is_empty() => self.array(&[]),
+            Value::FloatArray(xs) => self.float_array(xs.len(), xs.iter().copied()),
             Value::Object(fields) => {
                 self.out.push(TAG_OBJECT);
                 self.varint(fields.len() as u64);
@@ -169,15 +184,24 @@ impl Encoder {
         }
     }
 
+    /// Tag 0x09: the one layout of a non-empty float array, whichever
+    /// tree form holds it.
+    fn float_array(&mut self, n: usize, xs: impl Iterator<Item = f64>) {
+        self.out.push(TAG_FLOAT_ARRAY);
+        self.varint(n as u64);
+        self.out.reserve(8 * n);
+        for x in xs {
+            self.out.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+    }
+
     fn array(&mut self, items: &[Value]) {
         if !items.is_empty() && items.iter().all(|v| matches!(v, Value::Float(_))) {
-            self.out.push(TAG_FLOAT_ARRAY);
-            self.varint(items.len() as u64);
-            for item in items {
-                if let Value::Float(f) = item {
-                    self.out.extend_from_slice(&f.to_bits().to_le_bytes());
-                }
-            }
+            let floats = items.iter().filter_map(|v| match v {
+                Value::Float(f) => Some(*f),
+                _ => None,
+            });
+            self.float_array(items.len(), floats);
         } else if !items.is_empty() && items.iter().all(|v| matches!(v, Value::Int(_))) {
             self.out.push(TAG_INT_ARRAY);
             self.varint(items.len() as u64);
@@ -283,10 +307,7 @@ impl<'a> Decoder<'a> {
     }
 
     fn float(&mut self) -> Result<f64, WireError> {
-        let bytes = self.take(8)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(bytes);
-        Ok(f64::from_bits(u64::from_le_bytes(buf)))
+        self.take(8).map(f64_le)
     }
 
     fn value(&mut self, depth: usize) -> Result<Value, WireError> {
@@ -322,11 +343,9 @@ impl<'a> Decoder<'a> {
             }
             TAG_FLOAT_ARRAY => {
                 let n = self.count(8)?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(Value::Float(self.float()?));
-                }
-                Ok(Value::Array(items))
+                // `count(8)` proved `8 * n` fits in the remaining bytes.
+                let body = self.take(8 * n)?;
+                Ok(Value::FloatArray(body.chunks_exact(8).map(f64_le).collect()))
             }
             TAG_INT_ARRAY => {
                 let n = self.count(1)?;
@@ -405,6 +424,40 @@ mod tests {
         let empty = Value::Array(Vec::new());
         assert_eq!(encode_payload(&empty), vec![TAG_ARRAY, 0]);
         roundtrip(&empty);
+    }
+
+    #[test]
+    fn packed_and_generic_float_arrays_are_one_value_on_the_wire() {
+        use serde::Serialize;
+        let xs = vec![0.5, -0.0, f64::INFINITY, 1e-300, -3.25];
+        let generic = Value::Array(xs.iter().map(|&x| Value::Float(x)).collect());
+        let packed = xs.to_value();
+        assert!(matches!(packed, Value::FloatArray(_)));
+        assert_eq!(packed, generic);
+        assert_eq!(generic, packed);
+        assert_eq!(encode_payload(&packed), encode_payload(&generic));
+        assert_eq!(encode_payload(&xs[..].to_value()), encode_payload(&generic));
+        assert!(matches!(decode_payload(&encode_payload(&generic)).unwrap(), Value::FloatArray(_)));
+
+        // A matrix's data is the same float array inside its object.
+        let m = faction_linalg::Matrix::from_vec(1, xs.len(), xs.clone()).unwrap();
+        let by_hand = Value::Object(vec![
+            ("rows".to_string(), Value::Int(1)),
+            ("cols".to_string(), Value::Int(5)),
+            ("data".to_string(), generic.clone()),
+        ]);
+        assert_eq!(encode_payload(&m.to_value()), encode_payload(&by_hand));
+
+        // Empty: the generic array tag, whichever form built it.
+        assert_eq!(encode_payload(&Vec::<f64>::new().to_value()), vec![TAG_ARRAY, 0]);
+        assert_eq!(Vec::<f64>::new().to_value(), Value::Array(Vec::new()));
+
+        // Forms differ only where the floats do.
+        let mut other = xs.clone();
+        other[4] = 3.25;
+        assert_ne!(other.to_value(), generic);
+        assert_ne!(xs[..4].to_value(), generic);
+        assert_ne!(packed, Value::Array(vec![Value::Int(0); 5]));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 # | chaos determinism (adversarial schedules)              | crates/engine/tests/chaos_determinism.rs                     |
 # | serve determinism (jobs=1 == jobs=8 == chaos)          | crates/serve/tests/determinism.rs                            |
 # | wire round-trip (lossless decode, corruption)          | crates/engine/tests/wire_roundtrip.rs                        |
+# | wire golden bytes (fixed snapshot + checkpoint pinned) | crates/engine/tests/wire_roundtrip.rs                        |
 # | pool decode (untrusted snapshot pool fields rejected)  | crates/core/tests/pool_decode.rs                             |
 # | inspect/CLI untrusted-input contract                   | tests/cli_usage.rs                                           |
 # | kernel equivalence (scalar == avx2 == avx512, bitwise) | crates/linalg/tests/kernel_equivalence.rs                    |
