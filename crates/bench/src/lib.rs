@@ -319,12 +319,7 @@ mod tests {
             ..ExperimentConfig::quick()
         };
         let stream_for_seed = |seed: u64| {
-            let mut s = faction_data::datasets::rcmnist(seed, Scale::Quick);
-            s.tasks.truncate(2);
-            for t in &mut s.tasks {
-                t.samples.truncate(60);
-            }
-            s
+            faction_data::datasets::Dataset::Rcmnist.stream_prefix(seed, Scale::Quick, Some(2), Some(60))
         };
         let arch = |stream: &TaskStream, seed: u64| {
             faction_nn::presets::tiny(stream.input_dim, stream.num_classes, seed)

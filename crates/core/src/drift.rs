@@ -247,8 +247,8 @@ mod tests {
         // End-to-end: run the detector along an RCMNIST-style stream using
         // raw inputs as features; density should drop at rotation changes
         // more than within an environment.
-        use faction_data::{datasets, Scale};
-        let stream = datasets::rcmnist(7, Scale::Full);
+        use faction_data::{datasets::Dataset, Scale};
+        let stream = Dataset::Rcmnist.stream(7, Scale::Full);
         // Generous ridge: the reference fit must generalize, not memorize,
         // or the finite-sample gap swamps the shift signal.
         let detector = DriftDetector {

@@ -236,18 +236,12 @@ pub fn run_experiment(
 mod tests {
     use super::*;
     use crate::strategies::{EntropyAl, Random};
-    use faction_data::{datasets, Scale};
+    use faction_data::{datasets::Dataset, Scale};
 
     fn tiny_stream() -> TaskStream {
         // Two small tasks from the RCMNIST generator at quick scale, but
-        // truncated further for unit-test speed.
-        let mut stream = datasets::rcmnist(1, Scale::Quick);
-        stream.tasks.truncate(2);
-        for (i, t) in stream.tasks.iter_mut().enumerate() {
-            t.samples.truncate(80);
-            t.id = i;
-        }
-        stream
+        // bounded further for unit-test speed.
+        Dataset::Rcmnist.stream_prefix(1, Scale::Quick, Some(2), Some(80))
     }
 
     fn tiny_cfg() -> ExperimentConfig {

@@ -588,16 +588,10 @@ pub(crate) fn sanitized_features(s: &Sample) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::strategies::Random;
-    use faction_data::{datasets, Oracle, Scale, TaskStream};
+    use faction_data::{datasets::Dataset, Oracle, Scale, TaskStream};
 
     fn tiny_stream() -> TaskStream {
-        let mut stream = datasets::rcmnist(1, Scale::Quick);
-        stream.tasks.truncate(2);
-        for (i, t) in stream.tasks.iter_mut().enumerate() {
-            t.samples.truncate(80);
-            t.id = i;
-        }
-        stream
+        Dataset::Rcmnist.stream_prefix(1, Scale::Quick, Some(2), Some(80))
     }
 
     fn tiny_cfg() -> ExperimentConfig {

@@ -147,7 +147,7 @@ pub fn theory_stream(cfg: &TheoryConfig, horizon: usize, seed: u64) -> TaskStrea
             ..EnvironmentSpec::neutral(format!("env{e}"), cfg.dim, cfg.samples_per_task, per_env)
         })
         .collect();
-    let mut stream = StreamSpec {
+    StreamSpec {
         name: "theory".into(),
         input_dim: cfg.dim,
         class_separation: 3.0,
@@ -155,9 +155,7 @@ pub fn theory_stream(cfg: &TheoryConfig, horizon: usize, seed: u64) -> TaskStrea
         noise_std: 1.0,
         environments,
     }
-    .generate(seed, faction_data::Scale::Full);
-    stream.tasks.truncate(horizon);
-    stream
+    .generate_prefix(seed, faction_data::Scale::Full, Some(horizon), None)
 }
 
 /// Loss (Eq. 9) of a model on a full task.

@@ -13,7 +13,8 @@ use std::sync::{Arc, Mutex};
 
 use faction_core::strategies::{Faction, FactionParams, RefitMode, SelectionContext, Strategy};
 use faction_core::{run_experiment, AcquisitionMode, ExperimentConfig, PoolPolicy, RunRecord};
-use faction_data::{datasets, poison, PoisonSpec, Scale, TaskStream};
+use faction_data::datasets::Dataset;
+use faction_data::{poison, PoisonSpec, Scale, TaskStream};
 use faction_engine::job::build_strategy;
 use faction_engine::pool::scoped_for_each;
 use faction_linalg::SeedRng;
@@ -26,13 +27,7 @@ const LINEUP: &[&str] =
 const BUDGET: usize = 16;
 
 fn base_stream() -> TaskStream {
-    let mut stream = datasets::rcmnist(1, Scale::Quick);
-    stream.tasks.truncate(3);
-    for (i, t) in stream.tasks.iter_mut().enumerate() {
-        t.samples.truncate(70);
-        t.id = i;
-    }
-    stream
+    Dataset::Rcmnist.stream_prefix(1, Scale::Quick, Some(3), Some(70))
 }
 
 fn poisoned_stream() -> TaskStream {

@@ -21,15 +21,7 @@ use faction_data::{Oracle, Scale, TaskStream};
 use faction_telemetry::{Handle, Registry};
 
 fn stream(dataset: Dataset, seed: u64) -> TaskStream {
-    let mut stream = dataset.stream(seed, Scale::Quick);
-    stream.tasks.truncate(2);
-    for (i, task) in stream.tasks.iter_mut().enumerate() {
-        task.id = i;
-    }
-    for task in &mut stream.tasks {
-        task.samples.truncate(80);
-    }
-    stream
+    dataset.stream_prefix(seed, Scale::Quick, Some(2), Some(80))
 }
 
 fn cfg(policy: PoolPolicy) -> ExperimentConfig {

@@ -58,14 +58,51 @@ impl Dataset {
 
     /// Generates the stream for this benchmark.
     pub fn stream(&self, seed: u64, scale: Scale) -> TaskStream {
-        match self {
-            Dataset::Rcmnist => rcmnist(seed, scale),
-            Dataset::CelebA => celeba(seed, scale),
-            Dataset::FairFace => fairface(seed, scale),
-            Dataset::Ffhq => ffhq(seed, scale),
-            Dataset::Nysf => nysf(seed, scale),
-        }
+        self.stream_prefix(seed, scale, None, None)
     }
+
+    /// Generates the first `tasks` tasks of this benchmark's stream, each
+    /// holding only its first `samples` samples (`None` bounds nothing).
+    ///
+    /// Bit-identical to truncating [`Dataset::stream`], but only what is
+    /// kept is generated: later tasks and samples are never drawn, and
+    /// environments the task bound never reaches are never built (see
+    /// [`StreamSpec::generate_prefix`]).
+    pub fn stream_prefix(
+        &self,
+        seed: u64,
+        scale: Scale,
+        tasks: Option<usize>,
+        samples: Option<usize>,
+    ) -> TaskStream {
+        let spec = match self {
+            Dataset::Rcmnist => rcmnist(tasks),
+            Dataset::CelebA => celeba(tasks),
+            Dataset::FairFace => fairface(tasks),
+            Dataset::Ffhq => ffhq(tasks),
+            Dataset::Nysf => nysf(tasks),
+        };
+        spec.generate_prefix(seed, scale, tasks, samples)
+    }
+}
+
+/// Collects environments from the lazy `envs` in stream order until they
+/// hold `tasks` tasks (every environment when unbounded), so an environment
+/// the task bound never reaches is never built. Geometry comes from fixed
+/// per-(dataset, index) seeds, so skipping later environments changes
+/// nothing in earlier ones.
+fn reached(
+    mut envs: impl Iterator<Item = EnvironmentSpec>,
+    tasks: Option<usize>,
+) -> Vec<EnvironmentSpec> {
+    let mut left = tasks.unwrap_or(usize::MAX);
+    let mut built = Vec::new();
+    while left > 0 {
+        let Some(env) = envs.next() else { break };
+        left = left.saturating_sub(env.tasks);
+        built.push(env);
+    }
+    built
 }
 
 /// Deterministic unit vector for environment mean shifts: geometry is part
@@ -86,7 +123,7 @@ fn shift_direction(dataset_tag: u64, index: u64, dim: usize, magnitude: f64) -> 
 /// Simulation: 16-d latent digits; each rotation environment applies the
 /// corresponding block rotation of the latent space; the bias coefficient of
 /// each environment matches the paper's correlation schedule exactly.
-pub fn rcmnist(seed: u64, scale: Scale) -> TaskStream {
+fn rcmnist(tasks: Option<usize>) -> StreamSpec {
     let dim = 16;
     let angles_deg = [0.0f64, 15.0, 30.0, 45.0];
     let biases = [0.9, 0.8, 0.7, 0.6];
@@ -102,17 +139,15 @@ pub fn rcmnist(seed: u64, scale: Scale) -> TaskStream {
             base_rate: 0.5,
             samples_per_task: 830, // ≈ 10,000 / (4 envs × 3 tasks)
             tasks: 3,
-        })
-        .collect();
+        });
     StreamSpec {
         name: "RCMNIST".into(),
         input_dim: dim,
         class_separation: 3.0,
         group_separation: 2.0,
         noise_std: 1.0,
-        environments,
+        environments: reached(environments, tasks),
     }
-    .generate(seed, scale)
 }
 
 /// *CelebA* (paper: four environments from Young × Smiling combinations,
@@ -123,7 +158,7 @@ pub fn rcmnist(seed: u64, scale: Scale) -> TaskStream {
 /// shifts the latent mean along its own fixed direction with a mild
 /// environment-specific rotation. Attractiveness labels carry substantial
 /// aleatoric noise (subjective annotation) and a moderate gender bias.
-pub fn celeba(seed: u64, scale: Scale) -> TaskStream {
+fn celeba(tasks: Option<usize>) -> StreamSpec {
     let dim = 32;
     let combos = ["young-smiling", "young-serious", "old-smiling", "old-serious"];
     let environments = combos
@@ -138,17 +173,15 @@ pub fn celeba(seed: u64, scale: Scale) -> TaskStream {
             base_rate: 0.5,
             samples_per_task: 800,
             tasks: 3,
-        })
-        .collect();
+        });
     StreamSpec {
         name: "CelebA".into(),
         input_dim: dim,
         class_separation: 2.6,
         group_separation: 2.2,
         noise_std: 1.0,
-        environments,
+        environments: reached(environments, tasks),
     }
-    .generate(seed, scale)
 }
 
 /// *FairFace* (paper: seven racial groups as environments, gender as the
@@ -159,7 +192,7 @@ pub fn celeba(seed: u64, scale: Scale) -> TaskStream {
 /// *and* mean shift (face distributions differ in geometry, not just
 /// location), the label base rate is low (older faces are the minority
 /// class in FairFace), and the gender–age bias is moderate.
-pub fn fairface(seed: u64, scale: Scale) -> TaskStream {
+fn fairface(tasks: Option<usize>) -> StreamSpec {
     let dim = 24;
     let races =
         ["white", "black", "latino", "east-asian", "southeast-asian", "indian", "middle-eastern"];
@@ -175,17 +208,15 @@ pub fn fairface(seed: u64, scale: Scale) -> TaskStream {
             base_rate: 0.3,
             samples_per_task: 700,
             tasks: 3,
-        })
-        .collect();
+        });
     StreamSpec {
         name: "FairFace".into(),
         input_dim: dim,
         class_separation: 2.8,
         group_separation: 1.8,
         noise_std: 1.0,
-        environments,
+        environments: reached(environments, tasks),
     }
-    .generate(seed, scale)
 }
 
 /// *FFHQ-Features* (paper: the four most common facial expressions as
@@ -193,7 +224,7 @@ pub fn fairface(seed: u64, scale: Scale) -> TaskStream {
 /// three tasks per expression → 12 tasks; rare expressions like "contempt"
 /// were dropped for having fewer samples than the budget — the simulation
 /// keeps only the four kept environments, like the paper).
-pub fn ffhq(seed: u64, scale: Scale) -> TaskStream {
+fn ffhq(tasks: Option<usize>) -> StreamSpec {
     let dim = 24;
     let expressions = ["happy", "neutral", "surprise", "sad"];
     let environments = expressions
@@ -208,17 +239,15 @@ pub fn ffhq(seed: u64, scale: Scale) -> TaskStream {
             base_rate: 0.35,
             samples_per_task: 750,
             tasks: 3,
-        })
-        .collect();
+        });
     StreamSpec {
         name: "FFHQ-Features".into(),
         input_dim: dim,
         class_separation: 2.8,
         group_separation: 1.8,
         noise_std: 1.0,
-        environments,
+        environments: reached(environments, tasks),
     }
-    .generate(seed, scale)
 }
 
 /// *New York Stop-and-Frisk* (paper: geographic areas give distinct
@@ -231,17 +260,16 @@ pub fn ffhq(seed: u64, scale: Scale) -> TaskStream {
 /// quarter within an area adds incremental drift (small shift plus a slight
 /// rotation). The strong historical racial disparity is modeled with a high
 /// bias coefficient, and frisk decisions carry heavy aleatoric noise.
-pub fn nysf(seed: u64, scale: Scale) -> TaskStream {
+fn nysf(tasks: Option<usize>) -> StreamSpec {
     let dim = 16;
     let areas = ["bronx", "brooklyn", "manhattan", "queens"];
-    let mut environments = Vec::new();
-    for (a, area) in areas.iter().enumerate() {
+    let environments = areas.iter().enumerate().flat_map(|(a, area)| {
         let area_shift = shift_direction(4, a as u64, dim, 3.0);
-        for q in 0..4 {
+        (0..4).map(move |q| {
             let mut mean_shift = area_shift.clone();
             let drift = shift_direction(4, 100 + (a * 4 + q) as u64, dim, 0.5 * q as f64);
             faction_linalg::vector::axpy(1.0, &drift, &mut mean_shift);
-            environments.push(EnvironmentSpec {
+            EnvironmentSpec {
                 name: format!("{area}-Q{}", q + 1),
                 transform: block_rotation(dim, 0.2 * a as f64 + 0.05 * q as f64),
                 mean_shift,
@@ -250,18 +278,17 @@ pub fn nysf(seed: u64, scale: Scale) -> TaskStream {
                 base_rate: 0.4,
                 samples_per_task: 900,
                 tasks: 1,
-            });
-        }
-    }
+            }
+        })
+    });
     StreamSpec {
         name: "NYSF".into(),
         input_dim: dim,
         class_separation: 2.4,
         group_separation: 2.0,
         noise_std: 1.0,
-        environments,
+        environments: reached(environments, tasks),
     }
-    .generate(seed, scale)
 }
 
 #[cfg(test)]
@@ -271,26 +298,26 @@ mod tests {
     #[test]
     fn task_counts_match_paper() {
         let scale = Scale::Quick;
-        assert_eq!(rcmnist(0, scale).len(), 12);
-        assert_eq!(celeba(0, scale).len(), 12);
-        assert_eq!(fairface(0, scale).len(), 21);
-        assert_eq!(ffhq(0, scale).len(), 12);
-        assert_eq!(nysf(0, scale).len(), 16);
+        assert_eq!(Dataset::Rcmnist.stream(0, scale).len(), 12);
+        assert_eq!(Dataset::CelebA.stream(0, scale).len(), 12);
+        assert_eq!(Dataset::FairFace.stream(0, scale).len(), 21);
+        assert_eq!(Dataset::Ffhq.stream(0, scale).len(), 12);
+        assert_eq!(Dataset::Nysf.stream(0, scale).len(), 16);
     }
 
     #[test]
     fn environment_counts_match_paper() {
         let scale = Scale::Quick;
-        assert_eq!(rcmnist(0, scale).num_environments(), 4);
-        assert_eq!(celeba(0, scale).num_environments(), 4);
-        assert_eq!(fairface(0, scale).num_environments(), 7);
-        assert_eq!(ffhq(0, scale).num_environments(), 4);
-        assert_eq!(nysf(0, scale).num_environments(), 16);
+        assert_eq!(Dataset::Rcmnist.stream(0, scale).num_environments(), 4);
+        assert_eq!(Dataset::CelebA.stream(0, scale).num_environments(), 4);
+        assert_eq!(Dataset::FairFace.stream(0, scale).num_environments(), 7);
+        assert_eq!(Dataset::Ffhq.stream(0, scale).num_environments(), 4);
+        assert_eq!(Dataset::Nysf.stream(0, scale).num_environments(), 16);
     }
 
     #[test]
     fn rcmnist_bias_schedule_decreases() {
-        let stream = rcmnist(1, Scale::Full);
+        let stream = Dataset::Rcmnist.stream(1, Scale::Full);
         // First env (rot0, bias .9) tasks must be more aligned than last
         // env (rot45, bias .6) tasks.
         let first = stream.tasks[0].label_sensitive_alignment();
@@ -322,7 +349,7 @@ mod tests {
 
     #[test]
     fn nysf_has_high_bias() {
-        let stream = nysf(3, Scale::Full);
+        let stream = Dataset::Nysf.stream(3, Scale::Full);
         let mean_align: f64 = stream
             .tasks
             .iter()
@@ -335,7 +362,7 @@ mod tests {
 
     #[test]
     fn fairface_minority_label_rate() {
-        let stream = fairface(4, Scale::Full);
+        let stream = Dataset::FairFace.stream(4, Scale::Full);
         let total: usize = stream.tasks.iter().map(|t| t.len()).sum();
         let positives: usize =
             stream.tasks.iter().flat_map(|t| t.samples.iter()).filter(|s| s.label == 1).count();
@@ -346,8 +373,8 @@ mod tests {
 
     #[test]
     fn geometry_is_seed_independent_but_data_is_not() {
-        let a = celeba(1, Scale::Quick);
-        let b = celeba(2, Scale::Quick);
+        let a = Dataset::CelebA.stream(1, Scale::Quick);
+        let b = Dataset::CelebA.stream(2, Scale::Quick);
         // Same environment names in the same order…
         let names_a: Vec<&str> = a.tasks.iter().map(|t| t.env_name.as_str()).collect();
         let names_b: Vec<&str> = b.tasks.iter().map(|t| t.env_name.as_str()).collect();

@@ -87,7 +87,31 @@ impl StreamSpec {
     /// Panics if an environment's transform/mean shift disagrees with
     /// `input_dim` (a spec-construction bug).
     pub fn generate(&self, seed: u64, scale: Scale) -> TaskStream {
+        self.generate_prefix(seed, scale, None, None)
+    }
+
+    /// Generates only the first `tasks` tasks of the stream, each holding
+    /// only its first `samples` samples (`None` bounds nothing).
+    ///
+    /// The result is bit-identical to generating the full stream and
+    /// truncating it: every task's RNG is forked from the stream RNG before
+    /// any of its samples are drawn, and a task's samples are drawn in
+    /// sequence, so neither a later task nor a later sample can change an
+    /// earlier one. Environments past the task bound are never visited.
+    ///
+    /// # Panics
+    /// Panics if a visited environment's transform/mean shift disagrees
+    /// with `input_dim` (a spec-construction bug).
+    pub fn generate_prefix(
+        &self,
+        seed: u64,
+        scale: Scale,
+        tasks: Option<usize>,
+        samples: Option<usize>,
+    ) -> TaskStream {
         let d = self.input_dim;
+        let max_tasks = tasks.unwrap_or(usize::MAX);
+        let max_samples = samples.unwrap_or(usize::MAX);
         let mut rng = SeedRng::new(seed);
         // Class and group directions: fixed unit vectors. Axis 0 carries the
         // class signal, axis 1 the group signal; environment transforms mix
@@ -98,12 +122,15 @@ impl StreamSpec {
         group_dir[1.min(d - 1)] = 1.0;
 
         let mut tasks = Vec::new();
-        let mut task_id = 0;
         for (env_idx, env) in self.environments.iter().enumerate() {
+            if tasks.len() == max_tasks {
+                break;
+            }
             assert_eq!(env.transform.shape(), (d, d), "environment transform shape");
             assert_eq!(env.mean_shift.len(), d, "environment mean shift length");
-            for _ in 0..env.tasks {
-                let n = scale.samples(env.samples_per_task);
+            let n = scale.samples(env.samples_per_task).min(max_samples);
+            for _ in 0..env.tasks.min(max_tasks - tasks.len()) {
+                let task_id = tasks.len();
                 let mut task_rng = rng.fork(task_id as u64);
                 let samples = (0..n)
                     .map(|_| {
@@ -116,7 +143,6 @@ impl StreamSpec {
                     env_name: env.name.clone(),
                     samples,
                 });
-                task_id += 1;
             }
         }
         TaskStream {

@@ -17,7 +17,9 @@
 //! * class overlap (aleatoric noise) and group imbalance;
 //! * task counts matching the paper: 12 / 12 / 21 / 12 / 16.
 //!
-//! All generators are deterministic given a seed.
+//! All generators are deterministic given a seed, and a stream's prefix can
+//! be generated on its own, bit-identical to the same prefix of the full
+//! stream ([`datasets::Dataset::stream_prefix`]).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp))]
 

@@ -136,16 +136,10 @@ fn poison_sample(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{datasets, Scale};
+    use crate::{datasets::Dataset, Scale};
 
     fn stream() -> TaskStream {
-        let mut s = datasets::rcmnist(3, Scale::Quick);
-        s.tasks.truncate(3);
-        for (i, t) in s.tasks.iter_mut().enumerate() {
-            t.samples.truncate(40);
-            t.id = i;
-        }
-        s
+        Dataset::Rcmnist.stream_prefix(3, Scale::Quick, Some(3), Some(40))
     }
 
     fn feature_bits(s: &TaskStream) -> Vec<u64> {

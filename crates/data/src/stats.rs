@@ -115,12 +115,12 @@ impl StreamProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datasets;
+    use crate::datasets::Dataset;
     use crate::Scale;
 
     #[test]
     fn rcmnist_profile_matches_spec() {
-        let stream = datasets::rcmnist(1, Scale::Full);
+        let stream = Dataset::Rcmnist.stream(1, Scale::Full);
         let profile = StreamProfile::of(&stream);
         assert_eq!(profile.tasks.len(), 12);
         // Alignment decays across the bias schedule {0.9, …, 0.6}.
@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn group_fractions_sum_to_one() {
-        let stream = datasets::celeba(3, Scale::Quick);
+        let stream = Dataset::CelebA.stream(3, Scale::Quick);
         for t in &stream.tasks {
             let stats = task_stats(t);
             let total: f64 = stats.group_fractions.values().sum();
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_tasks() {
-        let stream = datasets::ffhq(4, Scale::Quick);
+        let stream = Dataset::Ffhq.stream(4, Scale::Quick);
         let table = StreamProfile::of(&stream).render();
         assert!(table.contains("FFHQ"));
         assert!(table.contains("happy"));

@@ -126,9 +126,9 @@ pub struct ExperimentJob {
     pub quick_knobs: bool,
     /// Architecture preset shared by all methods in a comparison.
     pub arch: ArchPreset,
-    /// Keep only the first N tasks of the stream (tests / reduced grids).
+    /// Generate only the first N tasks of the stream (tests / reduced grids).
     pub truncate_tasks: Option<usize>,
-    /// Keep only the first N samples of every task (tests / reduced grids).
+    /// Generate only the first N samples of every task (tests / reduced grids).
     pub truncate_samples: Option<usize>,
 }
 
@@ -177,18 +177,8 @@ impl ExperimentJob {
     pub fn run(&self) -> Result<RunRecord, String> {
         let mut strategy = build_strategy(&self.strategy, self.cfg.loss, self.lambda, self.quick_knobs)
             .ok_or_else(|| format!("unknown strategy '{}'", self.strategy))?;
-        let mut stream = self.dataset.stream(self.seed, self.scale);
-        if let Some(keep) = self.truncate_tasks {
-            stream.tasks.truncate(keep);
-            for (i, task) in stream.tasks.iter_mut().enumerate() {
-                task.id = i;
-            }
-        }
-        if let Some(keep) = self.truncate_samples {
-            for task in &mut stream.tasks {
-                task.samples.truncate(keep);
-            }
-        }
+        let stream =
+            self.dataset.stream_prefix(self.seed, self.scale, self.truncate_tasks, self.truncate_samples);
         let arch = self.arch.build(stream.input_dim, stream.num_classes, self.seed);
         Ok(run_experiment(&stream, strategy.as_mut(), &arch, &self.cfg, self.seed))
     }

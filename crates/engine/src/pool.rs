@@ -200,7 +200,10 @@ pub struct PoolStats {
 }
 
 /// Per-invocation handle a job body receives; lets the executor requeue the
-/// job it is currently running (bounded retry after a panic).
+/// job it is currently running (bounded retry after a panic). Dropping it
+/// retires the job unless it was requeued, so a body that panics still
+/// retires its index during unwinding: the other workers drain the batch
+/// instead of waiting for it forever, and the scope re-raises the panic.
 pub(crate) struct WorkerCtx<'a> {
     scheduler: &'a Scheduler,
     /// Id of the worker running this job (journal detail only).
@@ -214,6 +217,14 @@ impl WorkerCtx<'_> {
     pub fn requeue_current(&self, idx: usize) {
         self.requeued.set(true);
         self.scheduler.requeue(idx);
+    }
+}
+
+impl Drop for WorkerCtx<'_> {
+    fn drop(&mut self) {
+        if !self.requeued.get() {
+            self.scheduler.retire();
+        }
     }
 }
 
@@ -259,9 +270,6 @@ where
                 while let Some(idx) = scheduler.next(&mut rng) {
                     let ctx = WorkerCtx { scheduler, worker, requeued: Cell::new(false) };
                     body(&ctx, idx);
-                    if !ctx.requeued.get() {
-                        scheduler.retire();
-                    }
                 }
             });
         }
@@ -349,6 +357,29 @@ mod tests {
         let items: Vec<usize> = (0..20).collect();
         scoped_for_each(1, &items, |idx, _| lock(&order).push(idx));
         assert_eq!(*lock(&order), items);
+    }
+
+    #[test]
+    fn panicking_body_re_raises_instead_of_hanging() {
+        // The batch runs on a helper thread so a pool that never drains
+        // fails this test on the timeout instead of hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
+            let outcome = std::panic::catch_unwind(|| {
+                scoped_for_each(2, &hits, |idx, slot| {
+                    assert_ne!(idx, 1, "body panics on item 1");
+                    slot.fetch_add(1, Ordering::SeqCst);
+                });
+            });
+            let ran: usize = hits.iter().map(|h| h.load(Ordering::SeqCst)).sum();
+            let _ = tx.send((outcome.is_err(), ran));
+        });
+        let (panicked, ran) = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a batch whose body panics must drain, not hang");
+        assert!(panicked, "the body's panic must propagate out of the scope");
+        assert_eq!(ran, 3, "the other items still run once each");
     }
 
     #[test]

@@ -91,12 +91,7 @@ const LINEUP: &[&str] =
     &["faction", "fal", "fal-cur", "decoupled", "qufur", "ddu", "entropy", "random"];
 
 fn poisoned_stream() -> TaskStream {
-    let mut stream = faction_data::datasets::rcmnist(1, Scale::Quick);
-    stream.tasks.truncate(3);
-    for (i, t) in stream.tasks.iter_mut().enumerate() {
-        t.samples.truncate(70);
-        t.id = i;
-    }
+    let stream = Dataset::Rcmnist.stream_prefix(1, Scale::Quick, Some(3), Some(70));
     poison(&stream, &PoisonSpec::havoc(5))
 }
 

@@ -96,14 +96,7 @@ fn engine_matches_the_sequential_code_path() {
         .map(|job| {
             let mut strategy =
                 build_strategy(&job.strategy, job.cfg.loss, job.lambda, job.quick_knobs).unwrap();
-            let mut stream = job.dataset.stream(job.seed, job.scale);
-            stream.tasks.truncate(2);
-            for (i, t) in stream.tasks.iter_mut().enumerate() {
-                t.id = i;
-            }
-            for t in &mut stream.tasks {
-                t.samples.truncate(80);
-            }
+            let stream = job.dataset.stream_prefix(job.seed, job.scale, Some(2), Some(80));
             let arch = faction_nn::presets::tiny(stream.input_dim, stream.num_classes, job.seed);
             run_experiment(&stream, strategy.as_mut(), &arch, &job.cfg, job.seed)
         })

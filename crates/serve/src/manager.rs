@@ -670,18 +670,8 @@ impl SessionManager {
 
 fn boot(slot: &mut SessionSlot) -> PhaseA {
     let spec = &slot.spec;
-    let mut stream = spec.dataset.stream(spec.seed, Scale::Quick);
-    if let Some(keep) = spec.truncate_tasks {
-        stream.tasks.truncate(keep);
-        for (i, task) in stream.tasks.iter_mut().enumerate() {
-            task.id = i;
-        }
-    }
-    if let Some(keep) = spec.truncate_samples {
-        for task in &mut stream.tasks {
-            task.samples.truncate(keep);
-        }
-    }
+    let stream =
+        spec.dataset.stream_prefix(spec.seed, Scale::Quick, spec.truncate_tasks, spec.truncate_samples);
     let arch = faction_nn::presets::tiny(stream.input_dim, stream.num_classes, spec.seed);
     // Parse already validated the name; answering Failed keeps the server
     // panic-free even if that contract ever slips.

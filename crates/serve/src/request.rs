@@ -61,9 +61,10 @@ pub struct OpenSpec {
     pub seed: u64,
     /// Protocol configuration after applying the line's overrides.
     pub cfg: ExperimentConfig,
-    /// Keep only the first N tasks of the stream.
+    /// Generate only the first N tasks of the stream.
     pub truncate_tasks: Option<usize>,
-    /// Keep only the first N samples of every task.
+    /// Generate only the first N samples of every task (at least 1: the
+    /// parser rejects `samples=0`, which would leave nothing to warm-start on).
     pub truncate_samples: Option<usize>,
 }
 
@@ -113,7 +114,7 @@ pub enum Response {
         session: String,
         /// Billing tenant.
         tenant: String,
-        /// Tasks in the session's stream after truncation.
+        /// Tasks in the session's (bounded) stream.
         tasks: usize,
     },
     /// Admission refused: the session table is full.
@@ -290,7 +291,10 @@ fn parse_open(line_no: usize, session: &str, rest: &[&str], base: &ExperimentCon
                     .map_err(|e| err(line_no, format!("`pool` invalid: {e}")))?;
             }
             "tasks" => truncate_tasks = Some(parse_int(line_no, "tasks", value)?),
-            "samples" => truncate_samples = Some(parse_int(line_no, "samples", value)?),
+            "samples" => match parse_int(line_no, "samples", value)? {
+                0 => return Err(err(line_no, format!("`samples` must be at least 1 (got `{value}`)"))),
+                n => truncate_samples = Some(n),
+            },
             other => return Err(err(line_no, format!("unknown field `{other}` in open"))),
         }
     }
@@ -412,6 +416,7 @@ drain
             ("open a tenant=t dataset=nysf strategy=random seed=1 pool=window:0", "`pool` invalid"),
             ("open a tenant=t dataset=nysf strategy=random seed=1 pool=reservoir:8", "`pool` invalid"),
             ("open a tenant=t dataset=nysf strategy=random seed=1 frob=2", "unknown field `frob`"),
+            ("open a tenant=t dataset=nysf strategy=random seed=1 samples=0", "`samples` must be at least 1"),
             ("task a", "`task` needs an `index`"),
             ("task a x", "`index` must be an integer"),
             ("round", "`round` needs a session name"),

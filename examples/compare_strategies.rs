@@ -25,8 +25,7 @@ fn main() {
     for method in PAPER_METHODS {
         let runs: Vec<RunRecord> = (0..seeds)
             .map(|seed| {
-                let mut stream = dataset.stream(seed, Scale::Quick);
-                stream.tasks.truncate(6);
+                let stream = dataset.stream_prefix(seed, Scale::Quick, Some(6), None);
                 let arch = faction::nn::presets::standard(
                     stream.input_dim,
                     stream.num_classes,

@@ -9,8 +9,7 @@ use faction::prelude::*;
 fn main() {
     // A short stop-and-frisk-like stream: 4 tasks, shifting environments,
     // strong label–group bias (see faction-data for the full generators).
-    let mut stream = Dataset::Nysf.stream(42, Scale::Quick);
-    stream.tasks.truncate(4);
+    let stream = Dataset::Nysf.stream_prefix(42, Scale::Quick, Some(4), None);
 
     let cfg = ExperimentConfig::quick();
     let arch = faction::nn::presets::standard(stream.input_dim, stream.num_classes, 42);

@@ -26,6 +26,8 @@
 # | telemetry inertness (recording on == off)              | crates/telemetry/tests/inertness.rs                          |
 # | analyzer: 7 project rules + clean self-scan            | crates/analyzer/tests/golden.rs                              |
 # | retired analyzer rules rejected by clippy              | crates/analyzer/tests/golden.rs (clippy fixture)             |
+# | bounded stream == truncated full stream (bitwise)      | crates/data/tests/prefix_equivalence.rs                      |
+# | panicking pool body re-raises, never hangs             | crates/engine/src/pool.rs (unit test)                        |
 #
 # Performance is measured by perfbench/ (see perfbench/README.md and
 # BENCHMARK.json); the last stage only proves it still builds against the

@@ -33,8 +33,7 @@
 //! use faction::core::{run_experiment, ExperimentConfig};
 //! use faction::data::{datasets::Dataset, Scale};
 //!
-//! let mut stream = Dataset::Nysf.stream(0, Scale::Quick);
-//! stream.tasks.truncate(2); // keep the doctest fast
+//! let stream = Dataset::Nysf.stream_prefix(0, Scale::Quick, Some(2), None); // keep the doctest fast
 //! let cfg = ExperimentConfig::quick();
 //! let arch = faction::nn::presets::tiny(stream.input_dim, stream.num_classes, 0);
 //! let mut strategy = Faction::new(FactionParams { loss: cfg.loss, ..Default::default() });

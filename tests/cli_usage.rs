@@ -217,3 +217,21 @@ fn malformed_pool_policy_names_the_flag() {
 fn malformed_jobs_names_the_flag() {
     assert_usage_error(&["run", "--dataset", "RCMNIST", "--quick", "--jobs", "many"], "--jobs");
 }
+
+#[test]
+fn serve_workload_with_samples_zero_names_the_field() {
+    // A session with no samples per task has nothing to warm-start on; the
+    // parser refuses it before any session boots.
+    let dir = scratch_dir("samples_zero");
+    let workload = dir.join("w.txt");
+    std::fs::write(
+        &workload,
+        "open a tenant=t dataset=rcmnist strategy=entropy seed=7 tasks=1 samples=0\ndrain\ntask a 0\n",
+    )
+    .unwrap();
+    assert_usage_error(
+        &["serve", "--workload", workload.to_str().unwrap(), "--jobs", "2"],
+        "`samples` must be at least 1",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

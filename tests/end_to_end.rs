@@ -16,13 +16,7 @@ fn quick_cfg() -> ExperimentConfig {
 }
 
 fn truncated(dataset: Dataset, tasks: usize, samples: usize, seed: u64) -> TaskStream {
-    let mut stream = dataset.stream(seed, Scale::Quick);
-    stream.tasks.truncate(tasks);
-    for (i, t) in stream.tasks.iter_mut().enumerate() {
-        t.samples.truncate(samples);
-        t.id = i;
-    }
-    stream
+    dataset.stream_prefix(seed, Scale::Quick, Some(tasks), Some(samples))
 }
 
 #[test]

@@ -98,12 +98,7 @@ proptest! {
         use faction::core::strategies::random::Random;
         use faction::core::{run_experiment, ExperimentConfig};
         use faction::data::{datasets::Dataset, Scale};
-        let mut stream = Dataset::Ffhq.stream(seed, Scale::Quick);
-        stream.tasks.truncate(2);
-        for (i, t) in stream.tasks.iter_mut().enumerate() {
-            t.samples.truncate(70);
-            t.id = i;
-        }
+        let stream = Dataset::Ffhq.stream_prefix(seed, Scale::Quick, Some(2), Some(70));
         let cfg = ExperimentConfig {
             budget: 20,
             acquisition_batch: 10,
