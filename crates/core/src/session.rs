@@ -137,7 +137,9 @@ impl SessionSnapshot {
         Ok(snap)
     }
 
-    /// Serializes to in-memory wire bytes — serve's stash/restore payload.
+    /// Serializes to in-memory wire bytes: the container [`Self::save`]
+    /// writes, without the file. Serve's stash keeps the typed snapshot
+    /// instead, so the callers are perfbench's codec probes and tests.
     #[expect(
         clippy::expect_used,
         reason = "the only encode error is a record above u32::MAX bytes; snapshots are megabytes at most"
@@ -145,6 +147,14 @@ impl SessionSnapshot {
     pub fn to_wire_bytes(&self) -> Vec<u8> {
         faction_wire::to_wire(faction_wire::PayloadKind::SessionSnapshot, self)
             .expect("session snapshot payloads are far below the u32 record limit")
+    }
+
+    /// The length of [`Self::to_wire_bytes`], counted by the same payload
+    /// encoder without writing, CRC-framing or copying a byte.
+    pub fn wire_len(&self) -> usize {
+        faction_wire::HEADER_LEN
+            + faction_wire::RECORD_FRAME_LEN
+            + faction_wire::encoded_len(&serde::Serialize::to_value(self))
     }
 
     /// Deserializes from in-memory wire bytes, checking CRC, container
@@ -723,7 +733,7 @@ mod tests {
         session.snapshot(&strategy).save(&path).unwrap();
         let loaded = SessionSnapshot::load(&path).unwrap();
         assert_eq!(loaded.version, checkpoint::CURRENT_VERSION);
-        // In-memory wire bytes (serve's stash payload) round-trip too.
+        // In-memory wire bytes round-trip too.
         let bytes = session.snapshot(&strategy).to_wire_bytes();
         let from_bytes = SessionSnapshot::from_wire_bytes(&bytes).unwrap();
         assert_eq!(from_bytes.version, checkpoint::CURRENT_VERSION);

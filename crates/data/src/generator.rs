@@ -132,9 +132,18 @@ impl StreamSpec {
             for _ in 0..env.tasks.min(max_tasks - tasks.len()) {
                 let task_id = tasks.len();
                 let mut task_rng = rng.fork(task_id as u64);
+                // One latent buffer per task: a sample allocates only its `x`.
+                let mut z = vec![0.0; d];
                 let samples = (0..n)
                     .map(|_| {
-                        self.generate_sample(&mut task_rng, env, env_idx, &class_dir, &group_dir)
+                        self.generate_sample(
+                            &mut task_rng,
+                            env,
+                            env_idx,
+                            &class_dir,
+                            &group_dir,
+                            &mut z,
+                        )
                     })
                     .collect();
                 tasks.push(Task {
@@ -153,6 +162,7 @@ impl StreamSpec {
         }
     }
 
+    /// Draws one sample, using `z` (length `d`) as its latent buffer.
     fn generate_sample(
         &self,
         rng: &mut SeedRng,
@@ -160,8 +170,8 @@ impl StreamSpec {
         env_idx: usize,
         class_dir: &[f64],
         group_dir: &[f64],
+        z: &mut [f64],
     ) -> Sample {
-        let d = self.input_dim;
         // 1. True label.
         let y_true = usize::from(rng.bernoulli(env.base_rate));
         // 2. Sensitive attribute, aligned with the label with prob `bias`.
@@ -173,13 +183,16 @@ impl StreamSpec {
         // 3. Latent vector.
         let y_sign = if y_true == 1 { 0.5 } else { -0.5 };
         let s_sign = 0.5 * f64::from(sensitive);
-        let mut z = rng.standard_normal_vec(d);
-        faction_linalg::vector::scale(&mut z, self.noise_std);
-        faction_linalg::vector::axpy(y_sign * self.class_separation, class_dir, &mut z);
-        faction_linalg::vector::axpy(s_sign * self.group_separation, group_dir, &mut z);
+        for zi in z.iter_mut() {
+            *zi = rng.standard_normal();
+        }
+        faction_linalg::vector::scale(z, self.noise_std);
+        faction_linalg::vector::axpy(y_sign * self.class_separation, class_dir, z);
+        faction_linalg::vector::axpy(s_sign * self.group_separation, group_dir, z);
         // 4. Environment affine map.
+        let mut x = vec![0.0; z.len()];
         #[expect(clippy::expect_used, reason = "`transform` is built d×d for this generator's d")]
-        let mut x = env.transform.matvec(&z).expect("transform shape checked");
+        env.transform.matvec_into(z, &mut x).expect("transform shape checked");
         faction_linalg::vector::axpy(1.0, &env.mean_shift, &mut x);
         // 5. Aleatoric label noise.
         let label = if rng.bernoulli(env.label_noise) { 1 - y_true } else { y_true };

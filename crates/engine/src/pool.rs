@@ -2,9 +2,10 @@
 //! (std-only, no external deps).
 //!
 //! The scheduler runs a fixed batch of jobs — identified by their index into
-//! the caller's job slice — on `workers` OS threads that share one
+//! the caller's job slice — on `workers` workers that share one
 //! `Mutex<VecDeque<usize>>`, seeded with `0..count` in submission order, and
-//! one `Condvar`:
+//! one `Condvar`. The calling thread is worker 0 and `workers - 1` scoped
+//! threads are the rest, so a one-worker batch spawns no thread at all:
 //!
 //! * **Pop the front.** Every idle worker takes the oldest queued job, so
 //!   execution starts in submission order and with `workers = 1` it *is*
@@ -228,10 +229,11 @@ impl Drop for WorkerCtx<'_> {
     }
 }
 
-/// Runs job indices `0..count` on `workers` threads, under `chaos` when
-/// set. `body` is invoked once per scheduled execution (so a requeued index
-/// runs again) and may borrow from the caller's stack. Scheduling events are
-/// recorded to `recorder` (requeues, waits, queue high-water); pass
+/// Runs job indices `0..count` on `workers` workers (the calling thread
+/// and `workers - 1` scoped threads), under `chaos` when set. `body` is
+/// invoked once per scheduled execution (so a requeued index runs again)
+/// and may borrow from the caller's stack. Scheduling events are recorded
+/// to `recorder` (requeues, waits, queue high-water); pass
 /// `Handle::noop()` to record nothing. Returns pool statistics.
 pub(crate) fn run_indexed<F>(
     workers: usize,
@@ -260,19 +262,23 @@ where
         seed: splitmix64(seed ^ 0xC4A0_55C4_EDB1_E001),
         forced: (0..count).map(|_| AtomicU32::new(0)).collect(),
     });
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let (scheduler, body) = (&scheduler, &body);
-            let chaos_state = chaos_state.as_ref();
-            scope.spawn(move || {
-                let mut rng = chaos_state
-                    .map(|state| ChaosRng { state, worker: worker as u64, draws: 0 });
-                while let Some(idx) = scheduler.next(&mut rng) {
-                    let ctx = WorkerCtx { scheduler, worker, requeued: Cell::new(false) };
-                    body(&ctx, idx);
-                }
-            });
+    let work = |worker: usize| {
+        let mut rng =
+            chaos_state.as_ref().map(|state| ChaosRng { state, worker: worker as u64, draws: 0 });
+        while let Some(idx) = scheduler.next(&mut rng) {
+            let ctx = WorkerCtx { scheduler: &scheduler, worker, requeued: Cell::new(false) };
+            body(&ctx, idx);
         }
+    };
+    // The caller is worker 0: it runs the same loop as the spawned workers
+    // instead of sleeping in the join, so a batch costs `workers - 1` thread
+    // spawns and a one-worker batch none.
+    std::thread::scope(|scope| {
+        for worker in 1..workers {
+            let work = &work;
+            scope.spawn(move || work(worker));
+        }
+        work(0);
     });
     let high_water = lock(&scheduler.state).high_water;
     recorder.counter_add("engine.pool.batches", 1);
@@ -380,6 +386,66 @@ mod tests {
             .expect("a batch whose body panics must drain, not hang");
         assert!(panicked, "the body's panic must propagate out of the scope");
         assert_eq!(ran, 3, "the other items still run once each");
+    }
+
+    #[test]
+    fn one_worker_runs_every_body_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let threads = Mutex::new(Vec::new());
+        let items: Vec<usize> = (0..10).collect();
+        scoped_for_each(1, &items, |_, _| lock(&threads).push(std::thread::current().id()));
+        let threads = threads.into_inner().unwrap();
+        assert_eq!(threads.len(), items.len());
+        assert!(threads.iter().all(|&id| id == caller), "a one-worker batch spawns no thread");
+    }
+
+    #[test]
+    fn three_workers_are_the_caller_and_at_most_two_other_threads() {
+        let caller = std::thread::current().id();
+        let threads = Mutex::new(Vec::new());
+        let items: Vec<usize> = (0..64).collect();
+        scoped_for_each(3, &items, |_, _| lock(&threads).push(std::thread::current().id()));
+        let threads = threads.into_inner().unwrap();
+        assert_eq!(threads.len(), items.len());
+        let mut others = Vec::new();
+        for id in threads {
+            if id != caller && !others.contains(&id) {
+                others.push(id);
+            }
+        }
+        assert!(others.len() <= 2, "{} threads besides the caller", others.len());
+    }
+
+    #[test]
+    fn panic_on_the_callers_share_still_drains_and_re_raises() {
+        // The other worker holds its first item until the caller has taken
+        // one, so the panic deterministically lands on the caller's share;
+        // the other worker must then drain everything that is left.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let caller = std::thread::current().id();
+            let caller_took = std::sync::atomic::AtomicBool::new(false);
+            let hits: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                scoped_for_each(2, &hits, |_, slot| {
+                    if std::thread::current().id() == caller {
+                        caller_took.store(true, Ordering::SeqCst);
+                        panic!("body panics on the caller's share");
+                    }
+                    while !caller_took.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    slot.fetch_add(1, Ordering::SeqCst);
+                });
+            }));
+            let ran: usize = hits.iter().map(|h| h.load(Ordering::SeqCst)).sum();
+            let _ = tx.send((outcome.is_err(), ran));
+        });
+        let (panicked, ran) = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a batch whose caller share panics must drain, not hang");
+        assert!(panicked, "the caller's panic must propagate out of the batch");
+        assert_eq!(ran, 5, "the other worker runs every remaining item once");
     }
 
     #[test]

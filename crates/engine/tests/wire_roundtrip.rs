@@ -324,3 +324,44 @@ fn golden_bytes_are_pinned() {
         "RunCheckpoint bytes moved"
     );
 }
+
+#[test]
+fn counted_snapshot_length_matches_the_written_bytes() {
+    // `SessionSnapshot::wire_len` is what serve reports as `bytes=`; it must
+    // equal the container `to_wire_bytes` writes, for the strategies that
+    // carry state (faction, faction-incremental) and one that does not,
+    // before the first task and mid-task after rounds have moved it.
+    let stream = faction_data::datasets::Dataset::Rcmnist.stream_prefix(
+        5,
+        faction_data::Scale::Quick,
+        Some(2),
+        Some(60),
+    );
+    let cfg = ExperimentConfig {
+        budget: 12,
+        acquisition_batch: 4,
+        warm_start: 10,
+        epochs_per_iteration: 1,
+        ..ExperimentConfig::quick()
+    };
+    let arch = faction_nn::presets::tiny(stream.input_dim, stream.num_classes, 5);
+    for name in ["faction", "faction-incremental", "entropy"] {
+        let mut strategy = faction_engine::build_strategy(name, cfg.loss, 1.0, true).unwrap();
+        let mut session =
+            OnlineSession::new(&arch, &cfg, 5, stream.num_classes, strategy.training_loss());
+        session.warm_start(&stream.tasks[0]);
+        let before = session.snapshot(strategy.as_ref());
+        assert_eq!(before.wire_len(), before.to_wire_bytes().len(), "{name} before the first task");
+        let task = &stream.tasks[1];
+        session.begin_task(task);
+        for _ in 0..2 {
+            let decisions = session.feed(task, strategy.as_mut());
+            let labels: Vec<Option<usize>> =
+                decisions.picked.iter().map(|&g| Some(task.samples[g].label)).collect();
+            session.apply_labels(task, &labels);
+        }
+        let mid = session.snapshot(strategy.as_ref());
+        assert!(mid.wire_len() > before.wire_len(), "{name}: the rounds must grow the snapshot");
+        assert_eq!(mid.wire_len(), mid.to_wire_bytes().len(), "{name} mid-task");
+    }
+}

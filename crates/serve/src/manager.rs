@@ -11,7 +11,7 @@
 //!
 //! 1. **Phase A (parallel)** — the per-session compute: booting a session,
 //!    evaluating a task, scoring candidates (`OnlineSession::feed`),
-//!    serializing a snapshot. Fanned across the engine pool, whose idle
+//!    capturing a snapshot. Fanned across the engine pool, whose idle
 //!    workers pop one shared FIFO of the wave's slot ids; every session's
 //!    state sits behind its own mutex, and nothing in this phase touches
 //!    shared mutable state.
@@ -39,7 +39,7 @@ use faction_engine::{
     build_strategy, resolve_workers, scoped_for_each, scoped_for_each_chaos, ChaosSchedule,
     Journal,
 };
-use faction_telemetry::Handle;
+use faction_telemetry::{Clock, Handle};
 
 use crate::request::{OpenSpec, Request, Response};
 
@@ -125,9 +125,11 @@ struct SessionSlot {
     session: Option<OnlineSession>,
     strategy: Option<Box<dyn Strategy>>,
     cur_task: Option<usize>,
-    /// Last snapshot: the task cursor at capture time plus the serialized
-    /// [`SessionSnapshot`].
-    stash: Option<(Option<usize>, Vec<u8>)>,
+    /// Last snapshot: the task cursor at capture time plus the typed
+    /// [`SessionSnapshot`]. It never leaves the process, so it is kept as
+    /// state, not as wire bytes: `restore` rebuilds the session from it
+    /// directly, and `snapshot` reports the wire size from a counting pass.
+    stash: Option<(Option<usize>, SessionSnapshot)>,
     inbox: VecDeque<(u64, SessionOp)>,
     // Per-wave scratch, all drained before the wave ends.
     current: Option<(u64, SessionOp)>,
@@ -356,12 +358,31 @@ impl SessionManager {
             waves += 1;
             self.waves_run += 1;
             self.cfg.recorder.counter_add("serve.waves", 1);
+            // Wave attribution: one `_ns` observation per step per wave.
+            // The clock is read only under a live recorder, and nothing
+            // reads the durations back.
+            let clock = self.step_clock();
             self.run_phase_a(&wave);
+            self.record_step("serve.phase_a_ns", clock);
+            let clock = self.step_clock();
             let round_slots = self.settle(&wave);
+            self.record_step("serve.settle_ns", clock);
+            let clock = self.step_clock();
             self.run_phase_b(&round_slots);
+            self.record_step("serve.phase_b_ns", clock);
             self.finalize_rounds(&round_slots);
         }
         waves
+    }
+
+    fn step_clock(&self) -> Option<Clock> {
+        self.cfg.recorder.enabled().then(Clock::start)
+    }
+
+    fn record_step(&self, key: &str, clock: Option<Clock>) {
+        if let Some(clock) = clock {
+            self.cfg.recorder.observe(key, clock.elapsed_ns());
+        }
     }
 
     /// Fans `f` over the slot ids on the engine pool — under the configured
@@ -728,32 +749,25 @@ fn snapshot(slot: &mut SessionSlot) -> PhaseA {
     let (Some(session), Some(strategy)) = (slot.session.as_ref(), slot.strategy.as_ref()) else {
         return PhaseA::Failed("session not booted".to_string());
     };
-    // Wire bytes, not JSON: the stash is the same CRC-framed container the
-    // on-disk snapshot path writes, at a fraction of the size (floats are
-    // 8 bytes, keys are interned) — the difference between stash-per-round
-    // being free and being the serve hot path's biggest allocation.
     // analyzer:allow(telemetry-on-hot-path): OnlineSession state capture, not a telemetry registry merge
-    let wire = session.snapshot(strategy.as_ref()).to_wire_bytes();
-    let bytes = wire.len();
-    slot.stash = Some((slot.cur_task, wire));
+    let snapshot = session.snapshot(strategy.as_ref());
+    // The size the snapshot would have on disk, counted without writing it.
+    let bytes = snapshot.wire_len();
+    slot.stash = Some((slot.cur_task, snapshot));
     PhaseA::Snapshotted { bytes }
 }
 
 fn restore(slot: &mut SessionSlot) -> PhaseA {
-    // Decode straight from the stash, which stays put for a later restore.
-    let Some((stashed_task, wire)) = slot.stash.as_ref() else {
+    // Restore reads the stash without taking it, for a later restore.
+    let Some((stashed_task, snapshot)) = slot.stash.as_ref() else {
         return PhaseA::Failed("no snapshot to restore".to_string());
     };
     let stashed_task = *stashed_task;
-    let snapshot: SessionSnapshot = match SessionSnapshot::from_wire_bytes(wire) {
-        Ok(s) => s,
-        Err(e) => return PhaseA::Failed(format!("snapshot decode failed: {e}")),
-    };
     let Some(mut strategy) = build_strategy(&slot.spec.strategy, slot.spec.cfg.loss, 1.0, true)
     else {
         return PhaseA::Failed(format!("unknown strategy `{}`", slot.spec.strategy));
     };
-    match OnlineSession::restore(&snapshot, &slot.spec.cfg, strategy.as_mut()) {
+    match OnlineSession::restore(snapshot, &slot.spec.cfg, strategy.as_mut()) {
         Ok(session) => {
             slot.session = Some(session);
             slot.strategy = Some(strategy);

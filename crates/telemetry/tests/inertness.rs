@@ -6,6 +6,10 @@
 //! The dual guarantee — that the *metrics themselves* are deterministic —
 //! is covered by `snapshots_are_schedule_independent`: two identical
 //! single-worker runs yield byte-identical canonicalized snapshots.
+//!
+//! The serve layer carries the same guarantee: a workload run with a live
+//! registry (wave-step histograms, feed spans, lifecycle counters) renders
+//! the same decision trace as the same workload with the no-op recorder.
 
 use std::sync::Arc;
 
@@ -13,6 +17,7 @@ use faction_data::datasets::Dataset;
 use faction_data::Scale;
 use faction_engine::job::ArchPreset;
 use faction_engine::{Engine, EngineConfig, ExperimentJob};
+use faction_serve::{parse_workload, ServeConfig, SessionManager};
 use faction_telemetry::{Handle, Registry};
 
 fn tiny_cfg() -> faction_core::ExperimentConfig {
@@ -181,4 +186,40 @@ fn canonicalized_snapshots_agree_across_worker_counts() {
     };
     assert_eq!(fairness_keys(&one), fairness_keys(&eight));
     assert!(!fairness_keys(&one).is_empty(), "fairness pair counters must be live");
+}
+
+#[test]
+fn serve_recording_on_and_off_give_the_same_trace_bytes() {
+    // Two sessions through every op kind, including a snapshot/restore
+    // replay, so every wave step (phase A, settlement, phase B) is timed.
+    let workload = "open a tenant=t dataset=rcmnist strategy=faction seed=3 tasks=1 samples=60 budget=6 batch=3 warm=10\n\
+                    open b tenant=t dataset=nysf strategy=entropy seed=4 tasks=1 samples=60 budget=6 batch=3 warm=10\n\
+                    task a 0\ntask b 0\nround a\nround b\nsnapshot a\nsnapshot b\ndrain\n\
+                    round a\nround b\ndrain\nrestore a\nrestore b\ndrain\nround a\nround b\nclose a\nclose b\n";
+    let requests = parse_workload(workload, &tiny_cfg()).expect("workload parses");
+    let serve = |workers: usize, recorder: Handle| {
+        let mut manager =
+            SessionManager::new(ServeConfig { workers, recorder, ..ServeConfig::default() });
+        manager.run(&requests);
+        manager.render_trace()
+    };
+    let expected = serve(1, Handle::noop());
+    assert!(expected.contains("restored a"), "{expected}");
+    for workers in [1usize, 3] {
+        let registry = Arc::new(Registry::new());
+        let trace = serve(workers, Handle::from(registry.clone()));
+        assert_eq!(
+            trace, expected,
+            "serve trace must not depend on recording (workers = {workers})"
+        );
+        let snapshot = registry.snapshot();
+        let waves = snapshot.counter("serve.waves").expect("serve.waves is live");
+        for key in ["serve.phase_a_ns", "serve.settle_ns", "serve.phase_b_ns"] {
+            assert_eq!(
+                snapshot.histogram(key).map(|h| h.count),
+                Some(waves),
+                "`{key}` takes one observation per wave"
+            );
+        }
+    }
 }

@@ -76,6 +76,14 @@ pub fn encode_payload(value: &Value) -> Vec<u8> {
     enc.out
 }
 
+/// The length of [`encode_payload`]`(value)`, counted by the same encoder
+/// without writing a byte.
+pub fn encoded_len(value: &Value) -> usize {
+    let mut enc = Encoder { out: ByteCount(0), keys: KeyTable::new() };
+    enc.value(value);
+    enc.out.0
+}
+
 /// Decodes a tagged binary payload back into a value tree.
 ///
 /// The entire input must be consumed: trailing bytes after the root value
@@ -118,21 +126,52 @@ fn f64_le(bytes: &[u8]) -> f64 {
 )]
 type KeyTable = std::collections::HashMap<String, u64>;
 
-struct Encoder {
-    out: Vec<u8>,
+/// Where the encoder's bytes go: a buffer, or only their count.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Room for `additional` more bytes; only a buffer needs it.
+    fn reserve(&mut self, _additional: usize) {}
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        Vec::reserve(self, additional);
+    }
+}
+
+/// The sink behind [`encoded_len`]: counts bytes and keeps none.
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+struct Encoder<S: Sink> {
+    out: S,
     keys: KeyTable,
 }
 
-impl Encoder {
+impl<S: Sink> Encoder<S> {
+    fn byte(&mut self, byte: u8) {
+        self.out.put(&[byte]);
+    }
+
     fn varint(&mut self, mut v: u64) {
         loop {
             let byte = (v & 0x7F) as u8;
             v >>= 7;
             if v == 0 {
-                self.out.push(byte);
+                self.byte(byte);
                 return;
             }
-            self.out.push(byte | 0x80);
+            self.byte(byte | 0x80);
         }
     }
 
@@ -144,37 +183,37 @@ impl Encoder {
             self.keys.insert(key.to_string(), idx);
             self.varint(idx);
             self.varint(key.len() as u64);
-            self.out.extend_from_slice(key.as_bytes());
+            self.out.put(key.as_bytes());
         }
     }
 
     fn value(&mut self, value: &Value) {
         match value {
-            Value::Null => self.out.push(TAG_NULL),
-            Value::Bool(false) => self.out.push(TAG_FALSE),
-            Value::Bool(true) => self.out.push(TAG_TRUE),
+            Value::Null => self.byte(TAG_NULL),
+            Value::Bool(false) => self.byte(TAG_FALSE),
+            Value::Bool(true) => self.byte(TAG_TRUE),
             Value::Int(i) => {
-                self.out.push(TAG_INT);
+                self.byte(TAG_INT);
                 self.varint(zigzag(*i));
             }
             Value::UInt(u) => {
-                self.out.push(TAG_UINT);
+                self.byte(TAG_UINT);
                 self.varint(*u);
             }
             Value::Float(f) => {
-                self.out.push(TAG_FLOAT);
-                self.out.extend_from_slice(&f.to_bits().to_le_bytes());
+                self.byte(TAG_FLOAT);
+                self.out.put(&f.to_bits().to_le_bytes());
             }
             Value::Str(s) => {
-                self.out.push(TAG_STR);
+                self.byte(TAG_STR);
                 self.varint(s.len() as u64);
-                self.out.extend_from_slice(s.as_bytes());
+                self.out.put(s.as_bytes());
             }
             Value::Array(items) => self.array(items),
             Value::FloatArray(xs) if xs.is_empty() => self.array(&[]),
             Value::FloatArray(xs) => self.float_array(xs.len(), xs.iter().copied()),
             Value::Object(fields) => {
-                self.out.push(TAG_OBJECT);
+                self.byte(TAG_OBJECT);
                 self.varint(fields.len() as u64);
                 for (key, value) in fields {
                     self.key(key);
@@ -187,11 +226,11 @@ impl Encoder {
     /// Tag 0x09: the one layout of a non-empty float array, whichever
     /// tree form holds it.
     fn float_array(&mut self, n: usize, xs: impl Iterator<Item = f64>) {
-        self.out.push(TAG_FLOAT_ARRAY);
+        self.byte(TAG_FLOAT_ARRAY);
         self.varint(n as u64);
         self.out.reserve(8 * n);
         for x in xs {
-            self.out.extend_from_slice(&x.to_bits().to_le_bytes());
+            self.out.put(&x.to_bits().to_le_bytes());
         }
     }
 
@@ -203,7 +242,7 @@ impl Encoder {
             });
             self.float_array(items.len(), floats);
         } else if !items.is_empty() && items.iter().all(|v| matches!(v, Value::Int(_))) {
-            self.out.push(TAG_INT_ARRAY);
+            self.byte(TAG_INT_ARRAY);
             self.varint(items.len() as u64);
             for item in items {
                 if let Value::Int(i) = item {
@@ -211,7 +250,7 @@ impl Encoder {
                 }
             }
         } else {
-            self.out.push(TAG_ARRAY);
+            self.byte(TAG_ARRAY);
             self.varint(items.len() as u64);
             for item in items {
                 self.value(item);
@@ -534,6 +573,66 @@ mod tests {
 
         // Trailing bytes after the root value.
         assert!(matches!(decode_payload(&[TAG_NULL, 0x00]), Err(WireError::Codec(_))));
+    }
+
+    /// Keys drawn from a small pool, so they repeat across nested objects
+    /// and every later use is a back-reference.
+    const KEYS: [&str; 5] = ["features", "label", "w", "μ", ""];
+
+    fn bits(rng: &mut proptest::TestRng) -> u64 {
+        rng.below(1 << 32) << 32 | rng.below(1 << 32)
+    }
+
+    fn float(rng: &mut proptest::TestRng) -> Value {
+        Value::Float(f64::from_bits(bits(rng)))
+    }
+
+    /// A random value tree holding every form the encoder tells apart:
+    /// scalars (`UInt` only above `i64::MAX`, as decode yields it), packed
+    /// and generic float arrays, packed int arrays, empty and mixed arrays,
+    /// and objects whose keys repeat.
+    fn tree(rng: &mut proptest::TestRng, depth: u32) -> Value {
+        let kinds = if depth >= 4 { 9 } else { 11 };
+        match rng.below(kinds) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.below(2) == 1),
+            2 => Value::Int(bits(rng).cast_signed() >> rng.below(64)),
+            3 => Value::UInt(1 << 63 | bits(rng)),
+            4 => float(rng),
+            5 => Value::Str(KEYS[usize::try_from(rng.below(5)).unwrap()].repeat(3)),
+            6 => Value::FloatArray((0..rng.below(4)).map(|_| f64::from_bits(bits(rng))).collect()),
+            7 => Value::Array((0..rng.below(4)).map(|_| float(rng)).collect()),
+            8 => Value::Array(
+                (0..rng.below(4)).map(|_| Value::Int(bits(rng).cast_signed() >> 40)).collect(),
+            ),
+            9 => Value::Array((0..rng.below(5)).map(|_| tree(rng, depth + 1)).collect()),
+            _ => Value::Object(
+                (0..rng.below(5))
+                    .map(|_| {
+                        let key = KEYS[usize::try_from(rng.below(5)).unwrap()].to_string();
+                        (key, tree(rng, depth + 1))
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    struct Trees;
+
+    impl proptest::strategy::Strategy for Trees {
+        type Value = Value;
+
+        fn sample(&self, rng: &mut proptest::TestRng) -> Value {
+            // An object root, so most cases nest and repeat keys.
+            Value::Object((0..4).map(|i| (KEYS[i].to_string(), tree(rng, 1))).collect())
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn encoded_len_counts_exactly_the_encoded_bytes(v in Trees) {
+            proptest::prop_assert_eq!(encoded_len(&v), encode_payload(&v).len());
+        }
     }
 
     #[test]

@@ -38,6 +38,8 @@
 //! tree ([`encode_payload`] / [`decode_payload`]): zigzag varint integers,
 //! raw little-endian f64 bit patterns, length-prefixed UTF-8, packed
 //! homogeneous float/int arrays, and per-payload object-key interning.
+//! [`encoded_len`] runs the same encoder into a byte counter, so a caller
+//! that needs only the size of a payload never materializes it.
 //! Because both this codec and the JSON stub render the *same* value tree,
 //! a decoded payload renders to the same JSON as the value that was
 //! encoded, for every payload type (the engine's `wire_roundtrip` suite
@@ -50,7 +52,7 @@ mod codec;
 mod container;
 mod crc;
 
-pub use codec::{decode_payload, encode_payload};
+pub use codec::{decode_payload, encode_payload, encoded_len};
 pub use container::{
     encode_container, from_wire, from_wire_salvage, payload_kind, read_container_salvage,
     read_container_strict, to_wire, ContainerWriter, PayloadKind, Salvage, SalvageDrop,

@@ -28,6 +28,10 @@
 # | retired analyzer rules rejected by clippy              | crates/analyzer/tests/golden.rs (clippy fixture)             |
 # | bounded stream == truncated full stream (bitwise)      | crates/data/tests/prefix_equivalence.rs                      |
 # | panicking pool body re-raises, never hangs             | crates/engine/src/pool.rs (unit test)                        |
+# | pool caller is worker 0 (thread ids, its panic drains) | crates/engine/src/pool.rs (unit tests)                       |
+# | counted wire length == encoded bytes (random trees)    | crates/wire/src/codec.rs (unit proptest)                     |
+# | snapshot wire_len == written bytes (3 strategies)      | crates/engine/tests/wire_roundtrip.rs                        |
+# | serve recording inert, one wave-step timing per wave   | crates/telemetry/tests/inertness.rs                          |
 #
 # Performance is measured by perfbench/ (see perfbench/README.md and
 # BENCHMARK.json); the last stage only proves it still builds against the
