@@ -1,14 +1,17 @@
 //! Offline stand-in for `serde`.
 //!
 //! The build container cannot reach crates.io, so the workspace vendors a
-//! minimal serialization framework under the same crate name. The model is a
-//! simple JSON-like value tree ([`Value`]) rather than upstream's
-//! visitor-based zero-copy design: every type serializes by building a
-//! `Value` and deserializes by reading one. `#[derive(Serialize,
-//! Deserialize)]` is provided by the sibling `serde_derive` proc-macro and
-//! re-exported here, so `#[derive(serde::Serialize)]` and
-//! `use serde::{Serialize, Deserialize}` work unchanged. The only field
-//! attribute honored is `#[serde(default)]`.
+//! minimal serialization framework under the same crate name. Serializing
+//! is one emission walk: [`Serialize::serialize`] describes a value as
+//! scalar, array and object calls into a [`Sink`]. [`TreeSink`] turns the
+//! walk into a JSON-like [`Value`] tree ([`Serialize::to_value`], what the
+//! JSON writer renders); the wire crate's encoder writes, or only counts,
+//! the binary bytes from the same walk without building a tree.
+//! Deserializing reads a [`Value`]. `#[derive(Serialize, Deserialize)]` is
+//! provided by the sibling `serde_derive` proc-macro and re-exported here,
+//! so `#[derive(serde::Serialize)]` and `use serde::{Serialize,
+//! Deserialize}` work unchanged. The only field attribute honored is
+//! `#[serde(default)]`.
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -109,19 +112,235 @@ impl std::fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Types that can serialize themselves into a [`Value`].
-pub trait Serialize {
-    /// Builds the value-tree representation of `self`.
-    fn to_value(&self) -> Value;
+/// How the elements of an array look, decided before any is emitted: a
+/// packed layout needs its kind up front, and only a whole array of one
+/// scalar kind packs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Packing {
+    /// Elements of any kind (and every empty array).
+    Generic,
+    /// Every element is an [`Sink::int`].
+    Ints,
+    /// Every element is a [`Sink::float`].
+    Floats,
+}
 
-    /// Builds the value of a slice of `Self` (what `Vec<Self>` and
-    /// `[Self]` serialize through): a generic [`Value::Array`] unless the
-    /// element type packs, as `f64` does into [`Value::FloatArray`].
-    fn slice_to_value(items: &[Self]) -> Value
+/// The kind of scalar a value emits, which is what [`Packing`] reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scalar {
+    /// A single [`Sink::int`].
+    Int,
+    /// A single [`Sink::float`].
+    Float,
+    /// Anything else: `null`, a bool, a `uint`, a string, or a container.
+    Other,
+}
+
+/// The receiver of one emission walk ([`Serialize::serialize`]).
+///
+/// A walk is a sequence of scalar calls, arrays and objects. An array is
+/// `begin_array(len, packing)`, exactly `len` element walks, then `end`;
+/// an object is `begin_object(len)`, exactly `len` pairs of `key` and one
+/// value walk, then `end`. [`TreeSink`] builds the [`Value`] tree from a
+/// walk; the wire crate's encoder writes or counts its bytes from the same
+/// walk, so one schema serves every output.
+pub trait Sink {
+    /// JSON `null`.
+    fn null(&mut self);
+    /// A boolean.
+    fn bool(&mut self, v: bool);
+    /// A signed integer.
+    fn int(&mut self, v: i64);
+    /// An unsigned integer.
+    fn uint(&mut self, v: u64);
+    /// A float.
+    fn float(&mut self, v: f64);
+    /// A string.
+    fn str(&mut self, v: &str);
+    /// A packed float array: the value [`Value::FloatArray`] holds.
+    fn floats(&mut self, xs: &[f64]);
+    /// Opens an array of `len` elements, all of the kind `packing` names.
+    fn begin_array(&mut self, len: usize, packing: Packing);
+    /// Opens an object of `len` fields.
+    fn begin_object(&mut self, len: usize);
+    /// The key of the next object field.
+    fn key(&mut self, key: &str);
+    /// Closes the innermost open array or object.
+    fn end(&mut self);
+}
+
+/// Emits one object field: its key, then the value's walk.
+pub fn field<S: Sink + ?Sized, T: Serialize + ?Sized>(sink: &mut S, key: &str, value: &T) {
+    sink.key(key);
+    value.serialize(sink);
+}
+
+/// The packing an array of `items` takes: [`Packing::Ints`] or
+/// [`Packing::Floats`] when it is non-empty and every element is that
+/// scalar, [`Packing::Generic`] otherwise.
+pub fn packing_of<T: Serialize>(items: &[T]) -> Packing {
+    let Some((first, rest)) = items.split_first() else {
+        return Packing::Generic;
+    };
+    let kind = first.scalar();
+    if kind == Scalar::Other || rest.iter().any(|item| item.scalar() != kind) {
+        return Packing::Generic;
+    }
+    if kind == Scalar::Int {
+        Packing::Ints
+    } else {
+        Packing::Floats
+    }
+}
+
+/// Types that describe themselves as one emission walk into a [`Sink`].
+pub trait Serialize {
+    /// Emits `self` into `sink`.
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S);
+
+    /// The scalar kind [`Serialize::serialize`] emits; containers and
+    /// anything else answer [`Scalar::Other`].
+    fn scalar(&self) -> Scalar {
+        Scalar::Other
+    }
+
+    /// Emits a slice of `Self` (what `Vec<Self>` and `[Self]` serialize
+    /// through): an array packed as [`packing_of`] decides, unless the
+    /// element type has a packed form of its own, as `f64` does in
+    /// [`Sink::floats`].
+    fn serialize_slice<S: Sink + ?Sized>(items: &[Self], sink: &mut S)
     where
         Self: Sized,
     {
-        Value::Array(items.iter().map(Serialize::to_value).collect())
+        sink.begin_array(items.len(), packing_of(items));
+        for item in items {
+            item.serialize(sink);
+        }
+        sink.end();
+    }
+
+    /// Builds the value-tree representation of `self` (the walk into a
+    /// [`TreeSink`]).
+    fn to_value(&self) -> Value {
+        let mut tree = TreeSink::default();
+        self.serialize(&mut tree);
+        tree.finish()
+    }
+}
+
+/// An open container in a [`TreeSink`], with the length and packing its
+/// `begin_*` call declared.
+enum Frame {
+    Array(Vec<Value>, usize, Packing),
+    Object(Vec<(String, Value)>, usize, Option<String>),
+}
+
+/// The sink that builds a [`Value`] tree from a walk: behind
+/// [`Serialize::to_value`], and so behind the JSON writer.
+///
+/// In debug builds it also checks the walk against the [`Sink`] contract
+/// (declared lengths and packings, one key per object value, balanced
+/// `end`s), which the wire encoder trusts without checking: a walk that
+/// broke it would still build a sound tree but write undecodable bytes.
+#[derive(Default)]
+pub struct TreeSink {
+    stack: Vec<Frame>,
+    root: Option<Value>,
+}
+
+impl TreeSink {
+    /// The tree the walk built (`null` if it emitted nothing).
+    pub fn finish(self) -> Value {
+        debug_assert!(self.stack.is_empty(), "walk left {} container(s) open", self.stack.len());
+        self.root.unwrap_or_default()
+    }
+
+    fn push(&mut self, value: Value) {
+        match self.stack.last_mut() {
+            None => {
+                debug_assert!(self.root.is_none(), "walk emitted a second root value");
+                self.root = Some(value);
+            }
+            Some(Frame::Array(items, ..)) => items.push(value),
+            Some(Frame::Object(fields, _, key)) => {
+                debug_assert!(key.is_some(), "object value emitted without a key");
+                fields.push((key.take().unwrap_or_default(), value));
+            }
+        }
+    }
+}
+
+impl Sink for TreeSink {
+    fn null(&mut self) {
+        self.push(Value::Null);
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.push(Value::Bool(v));
+    }
+
+    fn int(&mut self, v: i64) {
+        self.push(Value::Int(v));
+    }
+
+    fn uint(&mut self, v: u64) {
+        self.push(Value::UInt(v));
+    }
+
+    fn float(&mut self, v: f64) {
+        self.push(Value::Float(v));
+    }
+
+    fn str(&mut self, v: &str) {
+        self.push(Value::Str(v.to_string()));
+    }
+
+    fn floats(&mut self, xs: &[f64]) {
+        self.push(Value::FloatArray(xs.to_vec()));
+    }
+
+    fn begin_array(&mut self, len: usize, packing: Packing) {
+        self.stack.push(Frame::Array(Vec::with_capacity(len), len, packing));
+    }
+
+    fn begin_object(&mut self, len: usize) {
+        self.stack.push(Frame::Object(Vec::with_capacity(len), len, None));
+    }
+
+    fn key(&mut self, key: &str) {
+        let frame = self.stack.last_mut();
+        debug_assert!(
+            matches!(frame, Some(Frame::Object(_, _, None))),
+            "key `{key}` emitted outside an object or before the previous key's value"
+        );
+        if let Some(Frame::Object(_, _, pending)) = frame {
+            *pending = Some(key.to_string());
+        }
+    }
+
+    fn end(&mut self) {
+        debug_assert!(!self.stack.is_empty(), "`end` with no open container");
+        let value = match self.stack.pop() {
+            Some(Frame::Array(items, len, packing)) => {
+                debug_assert_eq!(items.len(), len, "array declared {len} element(s)");
+                debug_assert!(
+                    items.iter().all(|item| match packing {
+                        Packing::Generic => true,
+                        Packing::Ints => matches!(item, Value::Int(_)),
+                        Packing::Floats => matches!(item, Value::Float(_)),
+                    }),
+                    "array declared {packing:?} but emitted another kind"
+                );
+                Value::Array(items)
+            }
+            Some(Frame::Object(fields, len, pending)) => {
+                debug_assert_eq!(fields.len(), len, "object declared {len} field(s)");
+                debug_assert!(pending.is_none(), "object closed with a key but no value");
+                Value::Object(fields)
+            }
+            None => return,
+        };
+        self.push(value);
     }
 }
 
@@ -149,8 +368,8 @@ fn elements_from_value<T: Deserialize>(v: &Value) -> Result<Vec<T>, DeError> {
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.bool(*self);
     }
 }
 
@@ -166,8 +385,12 @@ impl Deserialize for bool {
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Int(*self as i64)
+            fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+                sink.int(*self as i64);
+            }
+
+            fn scalar(&self) -> Scalar {
+                Scalar::Int
             }
         }
         impl Deserialize for $t {
@@ -189,11 +412,19 @@ impl_signed!(i8, i16, i32, i64, isize);
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
+            fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
                 let wide = *self as u64;
                 match i64::try_from(wide) {
-                    Ok(i) => Value::Int(i),
-                    Err(_) => Value::UInt(wide),
+                    Ok(i) => sink.int(i),
+                    Err(_) => sink.uint(wide),
+                }
+            }
+
+            fn scalar(&self) -> Scalar {
+                if i64::try_from(*self as u64).is_ok() {
+                    Scalar::Int
+                } else {
+                    Scalar::Other
                 }
             }
         }
@@ -214,12 +445,16 @@ macro_rules! impl_unsigned {
 impl_unsigned!(u8, u16, u32, u64, usize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Float(*self)
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.float(*self);
     }
 
-    fn slice_to_value(items: &[f64]) -> Value {
-        Value::FloatArray(items.to_vec())
+    fn scalar(&self) -> Scalar {
+        Scalar::Float
+    }
+
+    fn serialize_slice<S: Sink + ?Sized>(items: &[f64], sink: &mut S) {
+        sink.floats(items);
     }
 }
 
@@ -245,8 +480,12 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Float(f64::from(*self))
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.float(f64::from(*self));
+    }
+
+    fn scalar(&self) -> Scalar {
+        Scalar::Float
     }
 }
 
@@ -257,8 +496,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.str(self);
     }
 }
 
@@ -271,15 +510,15 @@ impl Deserialize for String {
     }
 }
 
-impl Serialize for &str {
-    fn to_value(&self) -> Value {
-        Value::Str((*self).to_string())
+impl Serialize for str {
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.str(self);
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        T::slice_to_value(self)
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        T::serialize_slice(self, sink);
     }
 }
 
@@ -290,11 +529,15 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
         match self {
-            Some(x) => x.to_value(),
-            None => Value::Null,
+            Some(x) => x.serialize(sink),
+            None => sink.null(),
         }
+    }
+
+    fn scalar(&self) -> Scalar {
+        self.as_ref().map_or(Scalar::Other, Serialize::scalar)
     }
 }
 
@@ -307,19 +550,53 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
-impl<T: Serialize> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+impl<T: Serialize + ?Sized> Serialize for &T {
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        (**self).serialize(sink);
+    }
+
+    fn scalar(&self) -> Scalar {
+        (**self).scalar()
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        T::slice_to_value(self)
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        T::serialize_slice(self, sink);
     }
 }
 
+/// A tree walks itself: the encoder and the counter see a decoded tree as
+/// they see the typed value it came from.
 impl Serialize for Value {
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        match self {
+            Value::Null => sink.null(),
+            Value::Bool(b) => sink.bool(*b),
+            Value::Int(i) => sink.int(*i),
+            Value::UInt(u) => sink.uint(*u),
+            Value::Float(f) => sink.float(*f),
+            Value::Str(s) => sink.str(s),
+            Value::Array(items) => Value::serialize_slice(items, sink),
+            Value::FloatArray(xs) => sink.floats(xs),
+            Value::Object(fields) => {
+                sink.begin_object(fields.len());
+                for (key, value) in fields {
+                    field(sink, key, value);
+                }
+                sink.end();
+            }
+        }
+    }
+
+    fn scalar(&self) -> Scalar {
+        match self {
+            Value::Int(_) => Scalar::Int,
+            Value::Float(_) => Scalar::Float,
+            _ => Scalar::Other,
+        }
+    }
+
     fn to_value(&self) -> Value {
         self.clone()
     }
@@ -370,5 +647,50 @@ mod tests {
         assert!(bool::from_value(&Value::Int(1)).is_err());
         assert!(String::from_value(&Value::Null).is_err());
         assert!(u64::from_value(&Value::Int(-1)).is_err());
+    }
+
+    /// An object that declares `declared` fields and emits one.
+    struct Miscounted {
+        declared: usize,
+    }
+
+    impl Serialize for Miscounted {
+        fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+            sink.begin_object(self.declared);
+            field(sink, "a", &1u32);
+            sink.end();
+        }
+    }
+
+    #[test]
+    fn a_walk_that_keeps_the_contract_builds_its_tree() {
+        let tree = Miscounted { declared: 1 }.to_value();
+        assert_eq!(tree, Value::Object(vec![("a".to_string(), Value::Int(1))]));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "object declared 2 field(s)")]
+    fn a_miscounted_object_fails_the_walk_check() {
+        let _ = Miscounted { declared: 2 }.to_value();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "array declared Ints")]
+    fn a_mispacked_array_fails_the_walk_check() {
+        let mut tree = TreeSink::default();
+        tree.begin_array(1, Packing::Ints);
+        tree.float(1.0);
+        tree.end();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "object value emitted without a key")]
+    fn an_unkeyed_object_value_fails_the_walk_check() {
+        let mut tree = TreeSink::default();
+        tree.begin_object(1);
+        tree.null();
     }
 }

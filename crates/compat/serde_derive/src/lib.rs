@@ -1,5 +1,8 @@
 //! `#[derive(Serialize, Deserialize)]` for the in-tree serde stand-in.
 //!
+//! `Serialize` emits the struct as one object walk into a `serde::Sink`;
+//! `Deserialize` reads it back from a `serde::Value` tree.
+//!
 //! Implemented without `syn`/`quote` (neither is available offline): the
 //! derive input is parsed with a small hand-rolled walk over
 //! [`proc_macro::TokenTree`]s and the impl is emitted as a formatted string.
@@ -135,33 +138,29 @@ fn compile_error(msg: &str) -> TokenStream {
     format!("compile_error!({:?});", msg).parse().unwrap()
 }
 
-/// Derives `serde::Serialize` (value-tree model).
+/// Derives `serde::Serialize`: one object, its fields in declaration
+/// order, emitted into the sink.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let parsed = match parse_struct(input) {
         Ok(p) => p,
         Err(e) => return compile_error(&e),
     };
-    let mut pushes = String::new();
+    let mut fields = String::new();
     for f in &parsed.fields {
-        pushes.push_str(&format!(
-            "fields__.push((::std::string::String::from({:?}), \
-             ::serde::Serialize::to_value(&self.{})));\n",
-            f.name, f.name
-        ));
+        fields.push_str(&format!("::serde::field(sink__, {:?}, &self.{});\n", f.name, f.name));
     }
     let out = format!(
         "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{\n\
-                 let mut fields__: ::std::vec::Vec<(::std::string::String, ::serde::Value)> =\n\
-                     ::std::vec::Vec::with_capacity({n});\n\
-                 {pushes}\
-                 ::serde::Value::Object(fields__)\n\
+             fn serialize<S__: ::serde::Sink + ?::std::marker::Sized>(&self, sink__: &mut S__) {{\n\
+                 ::serde::Sink::begin_object(sink__, {n});\n\
+                 {fields}\
+                 ::serde::Sink::end(sink__);\n\
              }}\n\
          }}\n",
         name = parsed.name,
         n = parsed.fields.len(),
-        pushes = pushes,
+        fields = fields,
     );
     out.parse().unwrap()
 }

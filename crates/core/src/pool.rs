@@ -78,9 +78,14 @@ impl std::fmt::Display for PoolPolicy {
 
 // The vendored `serde_derive` does not support enums, so the policy
 // serializes as its spec string — which also keeps checkpoints readable.
+// The unbounded policy's string is a literal, so counting the snapshot of
+// a session under it allocates nothing.
 impl serde::Serialize for PoolPolicy {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.spec())
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        match self {
+            PoolPolicy::Unbounded => sink.str("unbounded"),
+            PoolPolicy::SlidingWindow(_) => sink.str(&self.spec()),
+        }
     }
 }
 
@@ -126,14 +131,14 @@ pub struct LabeledPool {
 // Serialization emits the logical view, so checkpoint bytes are
 // independent of eviction history (`front` is never written).
 impl serde::Serialize for LabeledPool {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("features".to_string(), serde::Serialize::to_value(&self.features)),
-            ("labels".to_string(), serde::Serialize::to_value(self.labels())),
-            ("sensitives".to_string(), serde::Serialize::to_value(self.sensitives())),
-            ("next_uid".to_string(), serde::Serialize::to_value(&self.next_uid)),
-            ("policy".to_string(), serde::Serialize::to_value(&self.policy)),
-        ])
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        sink.begin_object(5);
+        serde::field(sink, "features", &self.features);
+        serde::field(sink, "labels", self.labels());
+        serde::field(sink, "sensitives", self.sensitives());
+        serde::field(sink, "next_uid", &self.next_uid);
+        serde::field(sink, "policy", &self.policy);
+        sink.end();
     }
 }
 
@@ -351,13 +356,13 @@ impl OnlineModel {
 /// that never left memory. Session snapshots need all four fields, because
 /// retrain behavior depends on each of them.
 impl serde::Serialize for OnlineModel {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("mlp".to_string(), serde::Serialize::to_value(&self.mlp)),
-            ("optimizer".to_string(), serde::Serialize::to_value(&self.optimizer)),
-            ("train".to_string(), serde::Serialize::to_value(&self.train)),
-            ("rng".to_string(), serde::Serialize::to_value(&self.rng)),
-        ])
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        sink.begin_object(4);
+        serde::field(sink, "mlp", &self.mlp);
+        serde::field(sink, "optimizer", &self.optimizer);
+        serde::field(sink, "train", &self.train);
+        serde::field(sink, "rng", &self.rng);
+        sink.end();
     }
 }
 

@@ -76,18 +76,18 @@ pub struct RunRecord {
 // defaults to empty on read, so pre-existing artifacts — including the
 // pinned `runner_golden.tsv` fixture — parse and round-trip byte-identically.
 impl Serialize for RunRecord {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("strategy".to_string(), self.strategy.to_value()),
-            ("dataset".to_string(), self.dataset.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("records".to_string(), self.records.to_value()),
-            ("total_seconds".to_string(), self.total_seconds.to_value()),
-        ];
-        if !self.kernel_backend.is_empty() {
-            fields.push(("kernel_backend".to_string(), self.kernel_backend.to_value()));
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        let with_backend = !self.kernel_backend.is_empty();
+        sink.begin_object(5 + usize::from(with_backend));
+        serde::field(sink, "strategy", &self.strategy);
+        serde::field(sink, "dataset", &self.dataset);
+        serde::field(sink, "seed", &self.seed);
+        serde::field(sink, "records", &self.records);
+        serde::field(sink, "total_seconds", &self.total_seconds);
+        if with_backend {
+            serde::field(sink, "kernel_backend", &self.kernel_backend);
         }
-        serde::Value::Object(fields)
+        sink.end();
     }
 }
 

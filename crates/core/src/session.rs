@@ -35,7 +35,7 @@ use crate::checkpoint::{self, CheckpointError};
 use crate::config::ExperimentConfig;
 use crate::pool::{LabeledPool, OnlineModel};
 use crate::selection::acquire;
-use crate::strategies::{SelectionContext, Strategy};
+use crate::strategies::{IncrementalState, SelectionContext, Strategy};
 
 /// Metrics of the *previous* model on an incoming task (Algorithm 1,
 /// line 4 — evaluation precedes adaptation).
@@ -107,7 +107,9 @@ pub struct SessionSnapshot {
     model: OnlineModel,
     warm_indices: Vec<usize>,
     task: Option<TaskCursor>,
-    strategy_state: Option<serde::Value>,
+    /// Serializes as the state's own object, or `null`: the layout every
+    /// snapshot file has, so earlier files still load.
+    strategy_state: Option<IncrementalState>,
 }
 
 impl SessionSnapshot {
@@ -150,11 +152,11 @@ impl SessionSnapshot {
     }
 
     /// The length of [`Self::to_wire_bytes`], counted by the same payload
-    /// encoder without writing, CRC-framing or copying a byte.
+    /// encoder from the snapshot's own serialize walk: no value tree, no
+    /// written, CRC-framed or copied byte, and (on a thread that has
+    /// counted before) no allocation.
     pub fn wire_len(&self) -> usize {
-        faction_wire::HEADER_LEN
-            + faction_wire::RECORD_FRAME_LEN
-            + faction_wire::encoded_len(&serde::Serialize::to_value(self))
+        faction_wire::HEADER_LEN + faction_wire::RECORD_FRAME_LEN + faction_wire::encoded_len(self)
     }
 
     /// Deserializes from in-memory wire bytes, checking CRC, container
@@ -744,17 +746,87 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn restore_rejects_strategy_state_on_stateless_strategy() {
+    /// A FACTION session under incremental refit, one round in: its
+    /// strategy has anchored, so the snapshot carries strategy state.
+    fn incremental_snapshot() -> (SessionSnapshot, ExperimentConfig) {
+        use crate::strategies::{Faction, FactionParams, RefitMode};
         let stream = tiny_stream();
         let cfg = tiny_cfg();
         let arch = faction_nn::presets::tiny(stream.input_dim, 2, 0);
-        let mut strategy = Random;
-        let session =
+        let mut strategy = Faction::new(FactionParams {
+            refit: RefitMode::Incremental { reanchor_every: 4 },
+            ..FactionParams::default()
+        });
+        let mut session =
             OnlineSession::new(&arch, &cfg, 1, stream.num_classes, strategy.training_loss());
-        let mut snap = session.snapshot(&strategy);
-        snap.strategy_state = Some(serde::Value::Bool(true));
-        let err = OnlineSession::restore(&snap, &cfg, &mut strategy).unwrap_err();
-        assert!(err.to_string().contains("stateless"), "got {err}");
+        let task = &stream.tasks[0];
+        session.warm_start(task);
+        session.begin_task(task);
+        let d = session.feed(task, &mut strategy);
+        let labels: Vec<Option<usize>> = d.picked.iter().map(|&g| Some(task.samples[g].label)).collect();
+        session.apply_labels(task, &labels);
+        let snap = session.snapshot(&strategy);
+        assert!(snap.strategy_state.is_some(), "an anchored FACTION snapshots its state");
+        (snap, cfg)
+    }
+
+    #[test]
+    fn restore_rejects_strategy_state_on_stateless_strategy() {
+        let (snap, cfg) = incremental_snapshot();
+        let err = OnlineSession::restore(&snap, &cfg, &mut Random).unwrap_err();
+        assert!(matches!(err, CheckpointError::Corrupt { .. }), "got {err:?}");
+        assert!(err.to_string().contains("`Random` is stateless"), "got {err}");
+    }
+
+    #[test]
+    fn undecodable_strategy_state_on_the_wire_is_corrupt() {
+        let (snap, _) = incremental_snapshot();
+        let serde::Value::Object(fields) = serde::Serialize::to_value(&snap) else {
+            panic!("a snapshot serializes as an object")
+        };
+        let with_state = |state: serde::Value| {
+            let mut fields = fields.clone();
+            for (key, value) in &mut fields {
+                if key == "strategy_state" {
+                    *value = state.clone();
+                }
+            }
+            let tree = serde::Value::Object(fields);
+            faction_wire::to_wire(faction_wire::PayloadKind::SessionSnapshot, &tree).unwrap()
+        };
+        // The untouched tree is the snapshot's own bytes, and decodes.
+        let state = serde::Serialize::to_value(&snap.strategy_state);
+        assert_eq!(with_state(state.clone()), snap.to_wire_bytes());
+        assert!(SessionSnapshot::from_wire_bytes(&with_state(state.clone())).is_ok());
+        // Not an object, an object short of its fields, a tampered cell.
+        let serde::Value::Object(state_fields) = state else { panic!("state is an object") };
+        let without_gda: Vec<_> = state_fields.iter().filter(|(k, _)| k != "gda").cloned().collect();
+        let tampered: Vec<_> = state_fields
+            .iter()
+            .map(|(k, v)| match (k.as_str(), v) {
+                ("gda", serde::Value::Object(gda)) => {
+                    let mut gda = gda.clone();
+                    for (gk, gv) in &mut gda {
+                        if gk == "dim" {
+                            *gv = serde::Value::Int(999);
+                        }
+                    }
+                    (k.clone(), serde::Value::Object(gda))
+                }
+                _ => (k.clone(), v.clone()),
+            })
+            .collect();
+        for bad in [
+            serde::Value::Bool(true),
+            serde::Value::Object(without_gda),
+            serde::Value::Object(tampered),
+        ] {
+            match SessionSnapshot::from_wire_bytes(&with_state(bad.clone())) {
+                Err(CheckpointError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains("deserialize"), "{bad:?}: {detail}");
+                }
+                other => panic!("{bad:?}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 }

@@ -114,16 +114,18 @@ struct FactionScratch {
     added_z: Matrix,
 }
 
-/// The incremental refit state: the streaming estimator plus the pool uid
-/// range `first_uid..end_uid` it mirrors.
+/// FACTION's incremental refit state ([`RefitMode::Incremental`]): the
+/// streaming estimator plus the pool uid range `first_uid..end_uid` it
+/// mirrors. Opaque outside this module.
 ///
-/// Serializable because it is the one piece of FACTION scratch whose loss
-/// would change future decisions: dropping it across a session
-/// snapshot/restore would force a re-anchor off-schedule, shifting both
-/// the `density.incremental.reanchors` count and (at the 1e-8 level that
-/// can flip a Bernoulli trial) the scores. See [`Strategy::snapshot_state`].
+/// It travels in session snapshots because it is the one piece of
+/// FACTION scratch whose loss would change future decisions: dropping it
+/// across a session snapshot/restore would force a re-anchor off-schedule,
+/// shifting both the `density.incremental.reanchors` count and (at the
+/// 1e-8 level that can flip a Bernoulli trial) the scores. See
+/// [`Strategy::snapshot_state`].
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-struct IncrementalState {
+pub struct IncrementalState {
     gda: IncrementalGda,
     /// First pool uid `gda` mirrors. States written before the range
     /// existed decode to the empty range `0..0`, which forces a re-anchor.
@@ -462,13 +464,12 @@ impl Strategy for Faction {
     /// rebuilt identically on demand — so it is deliberately not captured.
     /// Under [`RefitMode::Full`], or before the first anchor, there is
     /// nothing to save and the default `None` applies.
-    fn snapshot_state(&self) -> Option<serde::Value> {
-        self.scratch.borrow().incr.as_ref().map(serde::Serialize::to_value)
+    fn snapshot_state(&self) -> Option<IncrementalState> {
+        self.scratch.borrow().incr.clone()
     }
 
-    fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::DeError> {
-        let incr: IncrementalState = serde::Deserialize::from_value(state)?;
-        self.scratch.borrow_mut().incr = Some(incr);
+    fn restore_state(&mut self, state: &IncrementalState) -> Result<(), String> {
+        self.scratch.borrow_mut().incr = Some(state.clone());
         Ok(())
     }
 }
@@ -640,13 +641,16 @@ mod tests {
         let first = Faction::new(params);
         let want = first.raw_scores(&ctx);
         // An incremental state as written before it recorded its uid range.
-        let Some(serde::Value::Object(mut fields)) = first.snapshot_state() else {
-            panic!("an anchored FACTION has incremental state")
+        let state = first.snapshot_state().expect("an anchored FACTION has incremental state");
+        let serde::Value::Object(mut fields) = serde::Serialize::to_value(&state) else {
+            panic!("incremental state serializes as an object")
         };
         fields.retain(|(k, _)| k != "first_uid" && k != "end_uid");
         fields.push(("cursor".to_string(), serde::Value::Int(80)));
+        let old: IncrementalState =
+            serde::Deserialize::from_value(&serde::Value::Object(fields)).unwrap();
         let mut restored = Faction::new(params);
-        restored.restore_state(&serde::Value::Object(fields)).unwrap();
+        restored.restore_state(&old).unwrap();
         let registry = Arc::new(Registry::new());
         let got = {
             let handle = Handle::from(registry.clone());

@@ -20,7 +20,7 @@ pub mod random;
 pub use ddu::Ddu;
 pub use decoupled::Decoupled;
 pub use entropy::EntropyAl;
-pub use faction::{Faction, FactionParams, RefitMode};
+pub use faction::{Faction, FactionParams, IncrementalState, RefitMode};
 pub use fal::Fal;
 pub use falcur::FalCur;
 pub use qufur::QuFur;
@@ -71,15 +71,18 @@ pub trait Strategy: Send {
         Box::new(CrossEntropyLoss)
     }
 
-    /// Serializable internal state for session snapshots (DESIGN.md §13).
+    /// Internal state for session snapshots (DESIGN.md §13), typed.
     ///
     /// Most strategies are stateless between rounds and return `None` (the
     /// default). A strategy that carries state whose *loss would change
-    /// future decisions* — FACTION's incremental-refit anchor — must return
-    /// it here so `OnlineSession::snapshot` captures it; otherwise a
-    /// restored session could diverge byte-wise from an uninterrupted one
-    /// (e.g. by re-anchoring on a different schedule).
-    fn snapshot_state(&self) -> Option<serde::Value> {
+    /// future decisions* must return it here so `OnlineSession::snapshot`
+    /// captures it; otherwise a restored session could diverge byte-wise
+    /// from an uninterrupted one (e.g. by re-anchoring on a different
+    /// schedule). FACTION's incremental-refit anchor ([`IncrementalState`])
+    /// is the only such state, so it is the type here. A snapshot holds a
+    /// clone, and writing or counting the snapshot walks it directly: no
+    /// value tree is built.
+    fn snapshot_state(&self) -> Option<IncrementalState> {
         None
     }
 
@@ -90,14 +93,10 @@ pub trait Strategy: Send {
     /// unexpected state so a mismatched snapshot/strategy pairing is loud.
     ///
     /// # Errors
-    /// Returns a deserialization error when the value does not match the
-    /// strategy's expected shape.
-    fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::DeError> {
+    /// A message naming the strategy when it cannot hold the state.
+    fn restore_state(&mut self, state: &IncrementalState) -> Result<(), String> {
         let _ = state;
-        Err(serde::DeError::custom(format!(
-            "strategy `{}` is stateless and cannot restore snapshot state",
-            self.name()
-        )))
+        Err(format!("strategy `{}` is stateless and cannot restore snapshot state", self.name()))
     }
 }
 

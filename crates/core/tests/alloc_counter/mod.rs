@@ -1,7 +1,7 @@
 //! The counting global allocator behind the allocation gates
-//! (`train_step_alloc.rs`, `scoring_alloc.rs`): it forwards to the system
-//! allocator and counts the allocations a thread makes while
-//! [`allocations_during`] runs a closure on it.
+//! (`train_step_alloc.rs`, `scoring_alloc.rs`, `snapshot_alloc.rs`): it
+//! forwards to the system allocator and counts the allocations a thread
+//! makes while [`allocations_during`] runs a closure on it.
 
 #![expect(
     unsafe_code,

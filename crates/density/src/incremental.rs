@@ -344,18 +344,20 @@ impl IncrementalGda {
 /// `RowRecord` is an enum, which the vendored derive cannot handle; the
 /// hand-written impl uses an externally tagged object (`{"kind": ...}`).
 impl serde::Serialize for RowRecord {
-    fn to_value(&self) -> serde::Value {
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
         match self {
-            RowRecord::Used { key, z } => serde::Value::Object(vec![
-                ("kind".to_string(), serde::Value::Str("used".to_string())),
-                ("key".to_string(), serde::Serialize::to_value(key)),
-                ("z".to_string(), serde::Serialize::to_value(z)),
-            ]),
-            RowRecord::Skipped => serde::Value::Object(vec![(
-                "kind".to_string(),
-                serde::Value::Str("skipped".to_string()),
-            )]),
+            RowRecord::Used { key, z } => {
+                sink.begin_object(3);
+                serde::field(sink, "kind", "used");
+                serde::field(sink, "key", key);
+                serde::field(sink, "z", z);
+            }
+            RowRecord::Skipped => {
+                sink.begin_object(1);
+                serde::field(sink, "kind", "skipped");
+            }
         }
+        sink.end();
     }
 }
 
@@ -392,35 +394,37 @@ impl serde::Deserialize for RowRecord {
 /// round-trips bit-exactly, which is what lets a restored `OnlineSession`
 /// continue the incremental refit stream without a forced re-anchor.
 impl serde::Serialize for IncrementalGda {
-    fn to_value(&self) -> serde::Value {
-        let cells: Vec<serde::Value> = self
-            .cells
-            .iter()
-            .map(|(k, c)| {
-                serde::Value::Object(vec![
-                    ("key".to_string(), serde::Serialize::to_value(k)),
-                    ("cell".to_string(), serde::Serialize::to_value(c)),
-                ])
-            })
-            .collect();
-        let rows: Vec<serde::Value> = self
-            .rows
-            .iter()
-            .map(|(uid, r)| {
-                serde::Value::Object(vec![
-                    ("uid".to_string(), serde::Serialize::to_value(uid)),
-                    ("record".to_string(), serde::Serialize::to_value(r)),
-                ])
-            })
-            .collect();
-        serde::Value::Object(vec![
-            ("dim".to_string(), serde::Serialize::to_value(&self.dim)),
-            ("num_classes".to_string(), serde::Serialize::to_value(&self.num_classes)),
-            ("cfg".to_string(), serde::Serialize::to_value(&self.cfg)),
-            ("cells".to_string(), serde::Value::Array(cells)),
-            ("rows".to_string(), serde::Value::Array(rows)),
-            ("total_used".to_string(), serde::Serialize::to_value(&self.total_used)),
-        ])
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        /// One `{key_name: k, val_name: v}` map entry.
+        fn entry<S: serde::Sink + ?Sized>(
+            sink: &mut S,
+            (key_name, key): (&str, &impl serde::Serialize),
+            (val_name, val): (&str, &impl serde::Serialize),
+        ) {
+            sink.begin_object(2);
+            serde::field(sink, key_name, key);
+            serde::field(sink, val_name, val);
+            sink.end();
+        }
+        sink.begin_object(6);
+        serde::field(sink, "dim", &self.dim);
+        serde::field(sink, "num_classes", &self.num_classes);
+        serde::field(sink, "cfg", &self.cfg);
+        // Entry objects never pack, so both arrays are generic.
+        sink.key("cells");
+        sink.begin_array(self.cells.len(), serde::Packing::Generic);
+        for (k, c) in &self.cells {
+            entry(sink, ("key", k), ("cell", c));
+        }
+        sink.end();
+        sink.key("rows");
+        sink.begin_array(self.rows.len(), serde::Packing::Generic);
+        for (uid, r) in &self.rows {
+            entry(sink, ("uid", uid), ("record", r));
+        }
+        sink.end();
+        serde::field(sink, "total_used", &self.total_used);
+        sink.end();
     }
 }
 

@@ -159,7 +159,7 @@ impl Journal {
     /// Appends one already-encoded record to the sink, if attached. The
     /// first failure disables the sink: a journal that cannot persist
     /// degrades to in-memory collection rather than failing the batch.
-    fn stream_record(&self, discriminator: u8, value: &serde::Value) {
+    fn stream_record<T: serde::Serialize>(&self, discriminator: u8, value: &T) {
         let mut guard = lock(&self.sink);
         if let Some(sink) = guard.as_mut() {
             let mut payload = vec![discriminator];
@@ -178,7 +178,7 @@ impl Journal {
         let taken = lock(&self.sink).take();
         let Some(mut sink) = taken else { return true };
         let mut payload = vec![RECORD_SUMMARY];
-        payload.extend_from_slice(&faction_wire::encode_payload(&summary.to_value()));
+        payload.extend_from_slice(&faction_wire::encode_payload(summary));
         let ok = sink.writer.append(&payload).is_ok() && sink.writer.get_ref().sync_all().is_ok();
         if !ok {
             self.sink_errors.fetch_add(1, Ordering::Relaxed);
@@ -286,7 +286,7 @@ impl Journal {
             seconds,
             detail: detail.to_string(),
         };
-        self.stream_record(RECORD_EVENT, &event.to_value());
+        self.stream_record(RECORD_EVENT, &event);
         lock(&self.events).push(event);
     }
 

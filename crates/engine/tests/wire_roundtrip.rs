@@ -8,9 +8,11 @@
 //! `JobEvent`.
 //!
 //! Equivalence is checked on the JSON *render* of both sides: the wire
-//! codec and the JSON writer serialize the same `serde::Value` tree, so if
-//! decode∘encode is the identity on that tree, the renders match byte for
-//! byte — including the NaN→null convention both writers share.
+//! encoder and the JSON writer's value tree come from the same
+//! `serde::Serialize` walk, so if decode∘encode is the identity on that
+//! tree, the renders match byte for byte — including the NaN→null
+//! convention both writers share. The byte counter is a third sink of the
+//! same walk; the counting tests pin it to the written length.
 
 use faction_core::checkpoint::RunCheckpoint;
 use faction_core::strategies::{Random, Strategy};
@@ -325,12 +327,49 @@ fn golden_bytes_are_pinned() {
     );
 }
 
+/// Checks the two promises of the single serialize walk on one payload:
+/// the counter reports exactly the bytes the encoder writes, and a typed
+/// value encodes to the bytes of the value tree it converts to.
+fn assert_walks_agree<T: serde::Serialize>(value: &T, what: &str) -> usize {
+    let written = faction_wire::encode_payload(value);
+    assert_eq!(faction_wire::encoded_len(value), written.len(), "{what}: counted length");
+    assert_eq!(
+        faction_wire::encode_payload(&value.to_value()),
+        written,
+        "{what}: the typed walk and the tree's walk encode differently"
+    );
+    written.len()
+}
+
+/// One acquisition round, every pick labeled.
+fn round(session: &mut OnlineSession, task: &Task, strategy: &mut dyn Strategy) {
+    let decisions = session.feed(task, strategy);
+    let labels: Vec<Option<usize>> =
+        decisions.picked.iter().map(|&g| Some(task.samples[g].label)).collect();
+    session.apply_labels(task, &labels);
+}
+
+/// `SessionSnapshot::wire_len` against the container the snapshot writes,
+/// plus [`assert_walks_agree`] on its payload.
+fn assert_snapshot_counts(snapshot: &SessionSnapshot, what: &str) -> usize {
+    let bytes = snapshot.to_wire_bytes();
+    assert_eq!(snapshot.wire_len(), bytes.len(), "{what}: wire_len");
+    let payload = assert_walks_agree(snapshot, what);
+    assert_eq!(
+        faction_wire::HEADER_LEN + faction_wire::RECORD_FRAME_LEN + payload,
+        bytes.len(),
+        "{what}: one framed record"
+    );
+    bytes.len()
+}
+
 #[test]
 fn counted_snapshot_length_matches_the_written_bytes() {
     // `SessionSnapshot::wire_len` is what serve reports as `bytes=`; it must
-    // equal the container `to_wire_bytes` writes, for the strategies that
-    // carry state (faction, faction-incremental) and one that does not,
-    // before the first task and mid-task after rounds have moved it.
+    // equal the container `to_wire_bytes` writes, for every strategy serve's
+    // benchmark runs (two carry state, two do not), at boot, mid-task after
+    // rounds have moved it, and after a restore, before and after the
+    // restored session plays a round.
     let stream = faction_data::datasets::Dataset::Rcmnist.stream_prefix(
         5,
         faction_data::Scale::Quick,
@@ -345,23 +384,61 @@ fn counted_snapshot_length_matches_the_written_bytes() {
         ..ExperimentConfig::quick()
     };
     let arch = faction_nn::presets::tiny(stream.input_dim, stream.num_classes, 5);
-    for name in ["faction", "faction-incremental", "entropy"] {
-        let mut strategy = faction_engine::build_strategy(name, cfg.loss, 1.0, true).unwrap();
+    let build = |name: &str| faction_engine::build_strategy(name, cfg.loss, 1.0, true).unwrap();
+    for name in ["faction", "faction-incremental", "entropy", "random"] {
+        let mut strategy = build(name);
         let mut session =
             OnlineSession::new(&arch, &cfg, 5, stream.num_classes, strategy.training_loss());
         session.warm_start(&stream.tasks[0]);
-        let before = session.snapshot(strategy.as_ref());
-        assert_eq!(before.wire_len(), before.to_wire_bytes().len(), "{name} before the first task");
+        let boot = assert_snapshot_counts(&session.snapshot(strategy.as_ref()), name);
         let task = &stream.tasks[1];
         session.begin_task(task);
         for _ in 0..2 {
-            let decisions = session.feed(task, strategy.as_mut());
-            let labels: Vec<Option<usize>> =
-                decisions.picked.iter().map(|&g| Some(task.samples[g].label)).collect();
-            session.apply_labels(task, &labels);
+            round(&mut session, task, strategy.as_mut());
         }
         let mid = session.snapshot(strategy.as_ref());
-        assert!(mid.wire_len() > before.wire_len(), "{name}: the rounds must grow the snapshot");
-        assert_eq!(mid.wire_len(), mid.to_wire_bytes().len(), "{name} mid-task");
+        let mid_len = assert_snapshot_counts(&mid, name);
+        assert!(mid_len > boot, "{name}: the rounds must grow the snapshot");
+
+        let mut restored_strategy = build(name);
+        let mut restored = OnlineSession::restore(&mid, &cfg, restored_strategy.as_mut()).unwrap();
+        let again = restored.snapshot(restored_strategy.as_ref());
+        assert_snapshot_counts(&again, name);
+        assert_eq!(again.to_wire_bytes(), mid.to_wire_bytes(), "{name}: restore changed the state");
+        round(&mut restored, task, restored_strategy.as_mut());
+        round(&mut session, task, strategy.as_mut());
+        let after = restored.snapshot(restored_strategy.as_ref());
+        assert_snapshot_counts(&after, name);
+        assert_eq!(
+            after.to_wire_bytes(),
+            session.snapshot(strategy.as_ref()).to_wire_bytes(),
+            "{name}: a round after the restore must match the uninterrupted one"
+        );
     }
+}
+
+#[test]
+fn counted_checkpoint_and_journal_lengths_match_the_written_bytes() {
+    for (seed, tasks) in [(0, 0), (3, 5), (11, 12)] {
+        let checkpoint = RunCheckpoint::capture(&run_record_fixture(seed, tasks));
+        let payload = assert_walks_agree(&checkpoint, "run checkpoint");
+        let bytes = to_wire(PayloadKind::RunCheckpoint, &checkpoint).unwrap();
+        assert_eq!(faction_wire::HEADER_LEN + faction_wire::RECORD_FRAME_LEN + payload, bytes.len());
+    }
+    let journal = Journal::start();
+    journal.record("NYSF-faction-s0", "started", 1, 0, 0.0, "");
+    journal.record("NYSF-faction-s0", "failed", 2, 1, 1.25, "injected panic: κ≠0");
+    for event in journal.events() {
+        assert_walks_agree(&event, "journal event");
+    }
+    let metrics = serde_json::from_str(
+        r#"{"counters":{"engine.steals":3},"histograms":{"engine.job_ns":[1.5,2.5,-0.0]},"mixed":[1,2.5,"x",null,[]]}"#,
+    )
+    .unwrap();
+    let stats = faction_engine::PoolStats { workers: 2, queue_high_water: 3 };
+    assert_walks_agree(&journal.summarize(4, stats), "journal summary without metrics");
+    assert_walks_agree(
+        &journal.summarize_with_metrics(4, stats, metrics),
+        "journal summary with metrics",
+    );
 }

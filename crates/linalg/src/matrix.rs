@@ -591,12 +591,12 @@ impl PartialEq for Matrix {
 /// shape the pre-tombstone derive produced, so checkpoints stay
 /// byte-identical regardless of eviction history.
 impl serde::Serialize for Matrix {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("rows".to_string(), serde::Serialize::to_value(&self.rows)),
-            ("cols".to_string(), serde::Serialize::to_value(&self.cols)),
-            ("data".to_string(), serde::Serialize::to_value(self.buf())),
-        ])
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        sink.begin_object(3);
+        serde::field(sink, "rows", &self.rows);
+        serde::field(sink, "cols", &self.cols);
+        serde::field(sink, "data", self.buf());
+        sink.end();
     }
 }
 

@@ -201,15 +201,17 @@ impl SeedRng {
 /// byte-reproducible: the decision trace after a restore cannot diverge
 /// from an uninterrupted run.
 impl serde::Serialize for SeedRng {
-    fn to_value(&self) -> serde::Value {
-        let words = self.inner.s;
-        serde::Value::Object(vec![
-            (
-                "state".to_string(),
-                serde::Value::Array(words.iter().map(|&w| serde::Value::UInt(w)).collect()),
-            ),
-            ("spare_normal".to_string(), serde::Serialize::to_value(&self.spare_normal)),
-        ])
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        sink.begin_object(2);
+        // Every word is a `uint`, whatever its size: a generic array.
+        sink.key("state");
+        sink.begin_array(self.inner.s.len(), serde::Packing::Generic);
+        for &word in &self.inner.s {
+            sink.uint(word);
+        }
+        sink.end();
+        serde::field(sink, "spare_normal", &self.spare_normal);
+        sink.end();
     }
 }
 

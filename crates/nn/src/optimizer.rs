@@ -95,12 +95,12 @@ impl Optimizer for Sgd {
 /// restore — checkpoint byte-identity requires round-tripping them. A
 /// `weight_decay` entry that older snapshots carry is ignored on read.
 impl serde::Serialize for Sgd {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("lr".to_string(), serde::Serialize::to_value(&self.lr)),
-            ("momentum".to_string(), serde::Serialize::to_value(&self.momentum)),
-            ("velocity".to_string(), serde::Serialize::to_value(&self.velocity)),
-        ])
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        sink.begin_object(3);
+        serde::field(sink, "lr", &self.lr);
+        serde::field(sink, "momentum", &self.momentum);
+        serde::field(sink, "velocity", &self.velocity);
+        sink.end();
     }
 }
 

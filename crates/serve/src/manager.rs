@@ -151,7 +151,9 @@ pub struct SessionManager {
     slots: Vec<Mutex<SessionSlot>>,
     names: BTreeMap<String, usize>,
     ledgers: BTreeMap<String, usize>,
-    responses: Vec<(u64, Response)>,
+    /// Every answer so far in `seq` order, and their `seq`s alongside.
+    responses: Vec<Response>,
+    answered: Vec<u64>,
     journal: Journal,
     next_seq: u64,
     open_count: usize,
@@ -181,6 +183,7 @@ impl SessionManager {
             names: BTreeMap::new(),
             ledgers: BTreeMap::new(),
             responses: Vec::new(),
+            answered: Vec::new(),
             journal,
             next_seq: 0,
             open_count: 0,
@@ -224,7 +227,7 @@ impl SessionManager {
             Request::Open(spec) => self.submit_open(seq, spec),
             Request::Drain => {
                 let waves = self.drain();
-                self.responses.push((seq, Response::Drained { waves }));
+                self.answer(seq, Response::Drained { waves });
             }
             Request::Task { session, .. }
             | Request::Round { session }
@@ -247,13 +250,13 @@ impl SessionManager {
     fn submit_open(&mut self, seq: u64, spec: &OpenSpec) {
         if self.names.contains_key(&spec.session) {
             self.cfg.recorder.counter_add("serve.requests.error", 1);
-            self.responses.push((
+            self.answer(
                 seq,
                 Response::Error {
                     session: spec.session.clone(),
                     message: "session name already open".to_string(),
                 },
-            ));
+            );
             return;
         }
         if self.open_count >= self.cfg.max_sessions {
@@ -266,14 +269,14 @@ impl SessionManager {
                 0.0,
                 &format!("session table full ({}/{})", self.open_count, self.cfg.max_sessions),
             );
-            self.responses.push((
+            self.answer(
                 seq,
                 Response::Shed {
                     session: spec.session.clone(),
                     open: self.open_count,
                     max: self.cfg.max_sessions,
                 },
-            ));
+            );
             return;
         }
         let slot_id = self.slots.len();
@@ -305,13 +308,13 @@ impl SessionManager {
     fn enqueue(&mut self, seq: u64, session: &str, op: SessionOp) {
         let Some(&slot_id) = self.names.get(session) else {
             self.cfg.recorder.counter_add("serve.requests.error", 1);
-            self.responses.push((
+            self.answer(
                 seq,
                 Response::Error {
                     session: session.to_string(),
                     message: "unknown session".to_string(),
                 },
-            ));
+            );
             return;
         };
         let mut slot = lock(&self.slots[slot_id]);
@@ -326,10 +329,10 @@ impl SessionManager {
                 &format!("inbox full ({} queued)", slot.inbox.len()),
             );
             drop(slot);
-            self.responses.push((
+            self.answer(
                 seq,
                 Response::Busy { session: session.to_string(), capacity: self.cfg.inbox_capacity },
-            ));
+            );
             return;
         }
         slot.inbox.push_back((seq, op));
@@ -471,7 +474,7 @@ impl SessionManager {
                         tasks,
                     };
                     drop(slot);
-                    self.responses.push((seq, response));
+                    self.answer(seq, response);
                 }
                 PhaseA::TaskStarted { index, accuracy, ddp, eod } => {
                     let response = Response::TaskStarted {
@@ -482,7 +485,7 @@ impl SessionManager {
                         eod,
                     };
                     drop(slot);
-                    self.responses.push((seq, response));
+                    self.answer(seq, response);
                 }
                 PhaseA::RoundFed(decisions) => {
                     self.cfg.recorder.counter_add("serve.rounds", 1);
@@ -503,7 +506,7 @@ impl SessionManager {
                                 .map_or(0, OnlineSession::budget_remaining),
                         };
                         drop(slot);
-                        self.responses.push((seq, response));
+                        self.answer(seq, response);
                         continue;
                     }
                     // Tenant-ledger settlement: the shared oracle. A grant
@@ -551,14 +554,14 @@ impl SessionManager {
                     self.journal.record(&slot.name, "snapshot", 0, sid, 0.0, &format!("{bytes} bytes"));
                     let response = Response::Snapshotted { session: slot.name.clone(), bytes };
                     drop(slot);
-                    self.responses.push((seq, response));
+                    self.answer(seq, response);
                 }
                 PhaseA::Restored => {
                     self.cfg.recorder.counter_add("serve.sessions.restored", 1);
                     self.journal.record(&slot.name, "restore", 0, sid, 0.0, "rolled back to snapshot");
                     let response = Response::Restored { session: slot.name.clone() };
                     drop(slot);
-                    self.responses.push((seq, response));
+                    self.answer(seq, response);
                 }
                 PhaseA::Closing => {
                     let queries = slot.session.as_ref().map_or(0, OnlineSession::queries_made);
@@ -571,23 +574,23 @@ impl SessionManager {
                     drop(slot);
                     self.names.remove(&name);
                     self.open_count -= 1;
-                    self.responses.push((seq, Response::Closed { session: name.clone(), queries }));
+                    self.answer(seq, Response::Closed { session: name.clone(), queries });
                     for left in leftovers {
                         self.cfg.recorder.counter_add("serve.requests.error", 1);
-                        self.responses.push((
+                        self.answer(
                             left,
                             Response::Error {
                                 session: name.clone(),
                                 message: "session closed".to_string(),
                             },
-                        ));
+                        );
                     }
                 }
                 PhaseA::Failed(message) => {
                     self.cfg.recorder.counter_add("serve.requests.error", 1);
                     let response = Response::Error { session: slot.name.clone(), message };
                     drop(slot);
-                    self.responses.push((seq, response));
+                    self.answer(seq, response);
                 }
             }
         }
@@ -642,7 +645,7 @@ impl SessionManager {
                 budget_left: slot.session.as_ref().map_or(0, OnlineSession::budget_remaining),
             };
             drop(slot);
-            self.responses.push((partial.seq, response));
+            self.answer(partial.seq, response);
         }
     }
 
@@ -655,11 +658,18 @@ impl SessionManager {
         self.drain();
     }
 
-    /// All responses so far in submission (`seq`) order.
-    pub fn responses(&self) -> Vec<Response> {
-        let mut ordered: Vec<&(u64, Response)> = self.responses.iter().collect();
-        ordered.sort_by_key(|(seq, _)| *seq);
-        ordered.into_iter().map(|(_, r)| r.clone()).collect()
+    /// Files an answer at its `seq`. Answers mostly arrive in order, but a
+    /// refusal answered at submit lands ahead of the wave answers to the
+    /// requests queued before it, so the position is a binary search.
+    fn answer(&mut self, seq: u64, response: Response) {
+        let at = self.answered.partition_point(|&s| s < seq);
+        self.answered.insert(at, seq);
+        self.responses.insert(at, response);
+    }
+
+    /// All responses so far in submission (`seq`) order, read in place.
+    pub fn responses(&self) -> &[Response] {
+        &self.responses
     }
 
     /// The full decision trace: one rendered line per response, in

@@ -347,9 +347,15 @@ pub fn parse_workload(text: &str, base: &ExperimentConfig) -> Result<Vec<Request
             "drain" => Request::Drain,
             other => return Err(err(line_no, format!("unknown request `{other}`"))),
         };
-        if !matches!(request, Request::Open(_) | Request::Task { .. } | Request::Drain)
-            && tokens.len() > 2
-        {
+        // `open` reads every token as a field; the other verbs take a
+        // fixed count (`task s i`, `drain`, `<verb> s`).
+        let arity = match request {
+            Request::Open(_) => tokens.len(),
+            Request::Task { .. } => 3,
+            Request::Drain => 1,
+            _ => 2,
+        };
+        if tokens.len() > arity {
             return Err(err(line_no, format!("trailing tokens after `{}`", tokens[0])));
         }
         requests.push(request);
@@ -433,6 +439,21 @@ drain
     fn round_rejects_trailing_tokens() {
         let e = parse_workload("round a extra\n", &base()).unwrap_err();
         assert!(e.message.contains("trailing tokens"), "{}", e.message);
+    }
+
+    #[test]
+    fn task_and_drain_reject_trailing_tokens() {
+        for (text, verb) in [("task a 0 junk", "task"), ("drain now", "drain")] {
+            let e = parse_workload(&format!("task a 1\n{text}\n"), &base()).unwrap_err();
+            assert_eq!(e.line, 2, "{text}");
+            assert!(
+                e.message.contains(&format!("trailing tokens after `{verb}`")),
+                "`{text}` → `{}`",
+                e.message
+            );
+        }
+        // Their full forms still parse.
+        assert_eq!(parse_workload("task a 0\ndrain\n", &base()).unwrap().len(), 2);
     }
 
     #[test]

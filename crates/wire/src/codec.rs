@@ -1,8 +1,11 @@
 //! The payload codec: a tagged binary encoding of the `serde::Value` tree.
 //!
 //! One codec covers every persistent artifact because every artifact
-//! serializes through the same value tree. The encoding is deterministic
-//! (field order and key-dictionary order follow the tree), self-delimiting,
+//! serializes through the same `serde::Serialize` walk. The encoder is a
+//! sink of that walk, so it writes a typed value without building its
+//! tree, and a tree (a `Value` walks itself) encodes to the same bytes as
+//! the value it came from. The encoding is deterministic (field order and
+//! key-dictionary order follow the walk), self-delimiting,
 //! and lossless on that tree — floats are stored as raw IEEE-754 bit
 //! patterns, so `-0.0` and NaN payloads survive; only a JSON render of the
 //! decoded tree (`faction_cli inspect`) flattens non-finite floats to
@@ -26,7 +29,8 @@
 //!
 //! Homogeneous arrays (the dominant payload mass: feature matrices, label
 //! vectors, model weights) take the packed forms 0x09/0x0A; anything mixed
-//! or empty falls back to the generic 0x07. A non-empty float array is
+//! or empty falls back to the generic 0x07. The walk declares an array's
+//! packing before its elements (`serde::packing_of`). A non-empty float array is
 //! written as 0x09 from either tree form — `Value::FloatArray` (what
 //! `Vec<f64>` and `Matrix` serialize to) or an `Array` of `Float`s — and an
 //! empty one as `0x07 0x00`, so the bytes do not depend on the form.
@@ -51,7 +55,7 @@
 )]
 
 use crate::WireError;
-use serde::Value;
+use serde::{Packing, Serialize, Sink, Value};
 
 const TAG_NULL: u8 = 0x00;
 const TAG_FALSE: u8 = 0x01;
@@ -69,19 +73,26 @@ const TAG_INT_ARRAY: u8 = 0x0A;
 /// stack overflow on adversarial-but-CRC-valid input.
 const MAX_DEPTH: usize = 512;
 
-/// Encodes a value tree into the tagged binary payload form.
-pub fn encode_payload(value: &Value) -> Vec<u8> {
-    let mut enc = Encoder { out: Vec::new(), keys: KeyTable::new() };
-    enc.value(value);
-    enc.out
+/// Encodes a value into the tagged binary payload form, straight from its
+/// [`Serialize`] walk: a typed value and the tree it converts to encode to
+/// the same bytes.
+pub fn encode_payload<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
+    with_keys(|keys| {
+        let mut enc = Encoder { out: Vec::new(), keys, packed: Packing::Generic };
+        value.serialize(&mut enc);
+        enc.out
+    })
 }
 
 /// The length of [`encode_payload`]`(value)`, counted by the same encoder
-/// without writing a byte.
-pub fn encoded_len(value: &Value) -> usize {
-    let mut enc = Encoder { out: ByteCount(0), keys: KeyTable::new() };
-    enc.value(value);
-    enc.out.0
+/// without writing a byte. On a thread that has encoded or counted before,
+/// it allocates nothing: the key table is reused.
+pub fn encoded_len<T: Serialize + ?Sized>(value: &T) -> usize {
+    with_keys(|keys| {
+        let mut enc = Encoder { out: ByteCount(0), keys, packed: Packing::Generic };
+        value.serialize(&mut enc);
+        enc.out.0
+    })
 }
 
 /// Decodes a tagged binary payload back into a value tree.
@@ -119,24 +130,110 @@ fn f64_le(bytes: &[u8]) -> f64 {
     f64::from_bits(u64::from_le_bytes(buf))
 }
 
-/// Object keys already written, by their back-reference index.
-#[expect(
-    clippy::disallowed_types,
-    reason = "lookup-only: the encoder never iterates it, so hash order cannot reach the bytes"
-)]
-type KeyTable = std::collections::HashMap<String, u64>;
+/// Object keys already written, by their back-reference index: the key
+/// bytes back to back, one span per index, and an open-addressing table of
+/// `index + 1` (0 = empty) for lookup. Indices follow first use, so the
+/// hash decides only where a key is looked up, never a byte written.
+#[derive(Default)]
+struct KeyTable {
+    bytes: Vec<u8>,
+    spans: Vec<(usize, usize)>,
+    slots: Vec<usize>,
+}
+
+impl KeyTable {
+    /// Forgets every key and keeps the buffers for the next payload.
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.spans.clear();
+        self.slots.fill(0);
+    }
+
+    fn slot_of(&self, key: &[u8]) -> usize {
+        // FNV-1a: a fixed hash, so lookups behave the same on every run.
+        let hash = key.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        // Truncation keeps the low bits, which the mask selects anyway.
+        #[expect(clippy::cast_possible_truncation, reason = "only the masked low bits are used")]
+        let start = hash as usize;
+        let mask = self.slots.len() - 1;
+        let mut slot = start & mask;
+        while let Some(index) = self.slots[slot].checked_sub(1) {
+            let (from, len) = self.spans[index];
+            if &self.bytes[from..from + len] == key {
+                break;
+            }
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// The index of `key`, and whether this call introduced it.
+    fn intern(&mut self, key: &str) -> (usize, bool) {
+        // At most half full, so every probe ends at an empty slot.
+        if 2 * (self.spans.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let slot = self.slot_of(key.as_bytes());
+        if let Some(index) = self.slots[slot].checked_sub(1) {
+            return (index, false);
+        }
+        let index = self.spans.len();
+        self.spans.push((self.bytes.len(), key.len()));
+        self.bytes.extend_from_slice(key.as_bytes());
+        self.slots[slot] = index + 1;
+        (index, true)
+    }
+
+    fn grow(&mut self) {
+        self.slots = vec![0; (2 * self.slots.len()).max(64)];
+        for index in 0..self.spans.len() {
+            let (from, len) = self.spans[index];
+            let slot = self.slot_of(&self.bytes[from..from + len]);
+            self.slots[slot] = index + 1;
+        }
+    }
+}
+
+thread_local! {
+    /// Each thread's key table, cleared per payload and never shrunk.
+    static KEYS: std::cell::RefCell<KeyTable> = std::cell::RefCell::default();
+}
+
+/// Runs `f` with a cleared key table: the thread's own, or a fresh one
+/// when a walk encodes another payload from inside itself.
+fn with_keys<R>(f: impl FnOnce(&mut KeyTable) -> R) -> R {
+    KEYS.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut keys) => {
+            keys.clear();
+            f(&mut keys)
+        }
+        Err(_) => f(&mut KeyTable::default()),
+    })
+}
 
 /// Where the encoder's bytes go: a buffer, or only their count.
-trait Sink {
+trait Out {
     fn put(&mut self, bytes: &[u8]);
+
+    /// Appends packed little-endian doubles.
+    fn put_floats(&mut self, xs: &[f64]);
 
     /// Room for `additional` more bytes; only a buffer needs it.
     fn reserve(&mut self, _additional: usize) {}
 }
 
-impl Sink for Vec<u8> {
+impl Out for Vec<u8> {
     fn put(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
+    }
+
+    fn put_floats(&mut self, xs: &[f64]) {
+        self.reserve(8 * xs.len());
+        for x in xs {
+            self.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
     }
 
     fn reserve(&mut self, additional: usize) {
@@ -144,21 +241,30 @@ impl Sink for Vec<u8> {
     }
 }
 
-/// The sink behind [`encoded_len`]: counts bytes and keeps none.
+/// The output behind [`encoded_len`]: counts bytes and keeps none.
 struct ByteCount(usize);
 
-impl Sink for ByteCount {
+impl Out for ByteCount {
     fn put(&mut self, bytes: &[u8]) {
         self.0 += bytes.len();
     }
+
+    fn put_floats(&mut self, xs: &[f64]) {
+        self.0 += 8 * xs.len();
+    }
 }
 
-struct Encoder<S: Sink> {
-    out: S,
-    keys: KeyTable,
+/// The wire encoder: a [`Sink`] that writes each call of a walk as its
+/// tagged bytes. Inside a packed array (`packed` is not `Generic`) each
+/// element is its bare body; packed arrays hold only scalars, so they
+/// never nest and one flag is the whole state.
+struct Encoder<'k, O: Out> {
+    out: O,
+    keys: &'k mut KeyTable,
+    packed: Packing,
 }
 
-impl<S: Sink> Encoder<S> {
+impl<O: Out> Encoder<'_, O> {
     fn byte(&mut self, byte: u8) {
         self.out.put(&[byte]);
     }
@@ -174,88 +280,85 @@ impl<S: Sink> Encoder<S> {
             self.byte(byte | 0x80);
         }
     }
+}
+
+impl<O: Out> Sink for Encoder<'_, O> {
+    fn null(&mut self) {
+        self.byte(TAG_NULL);
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.byte(if v { TAG_TRUE } else { TAG_FALSE });
+    }
+
+    fn int(&mut self, v: i64) {
+        if self.packed != Packing::Ints {
+            self.byte(TAG_INT);
+        }
+        self.varint(zigzag(v));
+    }
+
+    fn uint(&mut self, v: u64) {
+        self.byte(TAG_UINT);
+        self.varint(v);
+    }
+
+    fn float(&mut self, v: f64) {
+        if self.packed != Packing::Floats {
+            self.byte(TAG_FLOAT);
+        }
+        self.out.put(&v.to_bits().to_le_bytes());
+    }
+
+    fn str(&mut self, v: &str) {
+        self.byte(TAG_STR);
+        self.varint(v.len() as u64);
+        self.out.put(v.as_bytes());
+    }
+
+    /// Tag 0x09, or the generic empty array: the one layout of a float
+    /// array, whichever form holds it.
+    fn floats(&mut self, xs: &[f64]) {
+        if xs.is_empty() {
+            self.begin_array(0, Packing::Generic);
+            self.end();
+            return;
+        }
+        self.byte(TAG_FLOAT_ARRAY);
+        self.varint(xs.len() as u64);
+        self.out.put_floats(xs);
+    }
+
+    fn begin_array(&mut self, len: usize, packing: Packing) {
+        let packing = if len == 0 { Packing::Generic } else { packing };
+        self.byte(match packing {
+            Packing::Generic => TAG_ARRAY,
+            Packing::Ints => TAG_INT_ARRAY,
+            Packing::Floats => TAG_FLOAT_ARRAY,
+        });
+        self.varint(len as u64);
+        if packing == Packing::Floats {
+            self.out.reserve(8 * len);
+        }
+        self.packed = packing;
+    }
+
+    fn begin_object(&mut self, len: usize) {
+        self.byte(TAG_OBJECT);
+        self.varint(len as u64);
+    }
 
     fn key(&mut self, key: &str) {
-        if let Some(&idx) = self.keys.get(key) {
-            self.varint(idx);
-        } else {
-            let idx = self.keys.len() as u64;
-            self.keys.insert(key.to_string(), idx);
-            self.varint(idx);
+        let (index, new) = self.keys.intern(key);
+        self.varint(index as u64);
+        if new {
             self.varint(key.len() as u64);
             self.out.put(key.as_bytes());
         }
     }
 
-    fn value(&mut self, value: &Value) {
-        match value {
-            Value::Null => self.byte(TAG_NULL),
-            Value::Bool(false) => self.byte(TAG_FALSE),
-            Value::Bool(true) => self.byte(TAG_TRUE),
-            Value::Int(i) => {
-                self.byte(TAG_INT);
-                self.varint(zigzag(*i));
-            }
-            Value::UInt(u) => {
-                self.byte(TAG_UINT);
-                self.varint(*u);
-            }
-            Value::Float(f) => {
-                self.byte(TAG_FLOAT);
-                self.out.put(&f.to_bits().to_le_bytes());
-            }
-            Value::Str(s) => {
-                self.byte(TAG_STR);
-                self.varint(s.len() as u64);
-                self.out.put(s.as_bytes());
-            }
-            Value::Array(items) => self.array(items),
-            Value::FloatArray(xs) if xs.is_empty() => self.array(&[]),
-            Value::FloatArray(xs) => self.float_array(xs.len(), xs.iter().copied()),
-            Value::Object(fields) => {
-                self.byte(TAG_OBJECT);
-                self.varint(fields.len() as u64);
-                for (key, value) in fields {
-                    self.key(key);
-                    self.value(value);
-                }
-            }
-        }
-    }
-
-    /// Tag 0x09: the one layout of a non-empty float array, whichever
-    /// tree form holds it.
-    fn float_array(&mut self, n: usize, xs: impl Iterator<Item = f64>) {
-        self.byte(TAG_FLOAT_ARRAY);
-        self.varint(n as u64);
-        self.out.reserve(8 * n);
-        for x in xs {
-            self.out.put(&x.to_bits().to_le_bytes());
-        }
-    }
-
-    fn array(&mut self, items: &[Value]) {
-        if !items.is_empty() && items.iter().all(|v| matches!(v, Value::Float(_))) {
-            let floats = items.iter().filter_map(|v| match v {
-                Value::Float(f) => Some(*f),
-                _ => None,
-            });
-            self.float_array(items.len(), floats);
-        } else if !items.is_empty() && items.iter().all(|v| matches!(v, Value::Int(_))) {
-            self.byte(TAG_INT_ARRAY);
-            self.varint(items.len() as u64);
-            for item in items {
-                if let Value::Int(i) = item {
-                    self.varint(zigzag(*i));
-                }
-            }
-        } else {
-            self.byte(TAG_ARRAY);
-            self.varint(items.len() as u64);
-            for item in items {
-                self.value(item);
-            }
-        }
+    fn end(&mut self) {
+        self.packed = Packing::Generic;
     }
 }
 
@@ -518,6 +621,48 @@ mod tests {
             "interning broken: first row {one} B, later rows {per_extra_row} B each"
         );
         roundtrip(&Value::Array((0..10).map(|i| row(i as f64)).collect()));
+    }
+
+    #[test]
+    fn key_table_grows_and_forgets_between_payloads() {
+        // 300 distinct keys, each used twice, outgrow the table's first
+        // size several times; the thread's table is reused afterwards.
+        let keyed =
+            |n: i64| Value::Object((0..n).map(|i| (format!("k{i}"), Value::Int(i))).collect());
+        let small = Value::Array(vec![keyed(3), keyed(3)]);
+        let before = encode_payload(&small);
+        let big = Value::Array(vec![keyed(300), keyed(300)]);
+        roundtrip(&big);
+        assert_eq!(encoded_len(&big), encode_payload(&big).len());
+        // Indices restart at 0 for every payload, so `small` encodes as it
+        // did on the fresh table.
+        assert_eq!(encode_payload(&small), before);
+    }
+
+    /// An object whose walk encodes an inner payload and emits its length.
+    struct SizedInner(Value);
+
+    impl Serialize for SizedInner {
+        fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+            sink.begin_object(2);
+            serde::field(sink, "outer", &1u32);
+            serde::field(sink, "inner_len", &(encoded_len(&self.0) as u64));
+            sink.end();
+        }
+    }
+
+    #[test]
+    fn a_walk_may_encode_another_payload_inside_itself() {
+        // The thread's table is busy with the outer payload, so the inner
+        // one gets a table of its own: the outer key indices are untouched.
+        let inner = Value::Object(vec![("inner".to_string(), Value::Int(5))]);
+        let nested = SizedInner(inner.clone());
+        let plain = Value::Object(vec![
+            ("outer".to_string(), Value::Int(1)),
+            ("inner_len".to_string(), (encoded_len(&inner) as u64).to_value()),
+        ]);
+        assert_eq!(encode_payload(&nested), encode_payload(&plain));
+        assert_eq!(encoded_len(&nested), encode_payload(&plain).len());
     }
 
     #[test]

@@ -237,8 +237,8 @@ pub fn read_container_salvage(bytes: &[u8], kind: PayloadKind) -> Result<Salvage
 }
 
 /// Serializes a value as a single-record container.
-pub fn to_wire<T: Serialize>(kind: PayloadKind, value: &T) -> Result<Vec<u8>, WireError> {
-    let payload = encode_payload(&value.to_value());
+pub fn to_wire<T: Serialize + ?Sized>(kind: PayloadKind, value: &T) -> Result<Vec<u8>, WireError> {
+    let payload = encode_payload(value);
     encode_container(kind, &[&payload])
 }
 
@@ -296,8 +296,8 @@ impl<W: Write> ContainerWriter<W> {
     }
 
     /// Serializes a value and appends it as one record.
-    pub fn append_value<T: Serialize>(&mut self, value: &T) -> io::Result<()> {
-        self.append(&encode_payload(&value.to_value()))
+    pub fn append_value<T: Serialize + ?Sized>(&mut self, value: &T) -> io::Result<()> {
+        self.append(&encode_payload(value))
     }
 
     /// Access to the underlying writer (e.g. to `sync_all` a file).

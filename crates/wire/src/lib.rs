@@ -38,9 +38,13 @@
 //! tree ([`encode_payload`] / [`decode_payload`]): zigzag varint integers,
 //! raw little-endian f64 bit patterns, length-prefixed UTF-8, packed
 //! homogeneous float/int arrays, and per-payload object-key interning.
+//! The encoder is a `serde::Sink`: it writes the bytes straight from a
+//! value's `Serialize` walk, the same walk that builds the tree, so a typed
+//! value and its tree encode alike and no tree is built to encode.
 //! [`encoded_len`] runs the same encoder into a byte counter, so a caller
-//! that needs only the size of a payload never materializes it.
-//! Because both this codec and the JSON stub render the *same* value tree,
+//! that needs only the size of a payload neither builds a tree nor writes
+//! a byte. Because both this codec and the JSON stub render the *same*
+//! walk,
 //! a decoded payload renders to the same JSON as the value that was
 //! encoded, for every payload type (the engine's `wire_roundtrip` suite
 //! pins it with proptests), which is what lets `inspect` print exactly
