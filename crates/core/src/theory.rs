@@ -68,8 +68,13 @@ impl Default for TheoryConfig {
 /// Cumulative curves produced by one theory run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TheoryCurves {
-    /// Cumulative regret `R(t)` after each task.
+    /// Cumulative regret `R(t)` after each task, clamped at zero for
+    /// reporting: a learner ahead of the comparator reads `0`.
     pub cum_regret: Vec<f64>,
+    /// The signed cumulative regret `Σ_{s≤t} f_s(θ_s) − f_s(θ*_s)` after
+    /// each task, the sum [`Self::cum_regret`] clamps. Negative while the
+    /// learner beats the comparator.
+    pub signed_regret: Vec<f64>,
     /// Cumulative fairness violation `V(t)` after each task.
     pub cum_violation: Vec<f64>,
     /// Cumulative query count `Q(t)` after each task.
@@ -119,6 +124,7 @@ pub fn mean_curves(cfg: &TheoryConfig, horizon: usize, seeds: u64) -> TheoryCurv
     };
     TheoryCurves {
         cum_regret: avg(&|r| &r.cum_regret),
+        signed_regret: avg(&|r| &r.signed_regret),
         cum_violation: avg(&|r| &r.cum_violation),
         cum_queries: avg(&|r| &r.cum_queries),
     }
@@ -227,6 +233,7 @@ pub fn run_theory_experiment(cfg: &TheoryConfig, horizon: usize, seed: u64) -> T
     let comparator_loss = FairTotalLoss::new(TotalLossConfig { mu: 5.0, ..cfg.loss });
 
     let mut cum_regret = Vec::with_capacity(horizon);
+    let mut signed_regret = Vec::with_capacity(horizon);
     let mut cum_violation = Vec::with_capacity(horizon);
     let mut cum_queries = Vec::with_capacity(horizon);
     let (mut regret, mut violation, mut queries) = (0.0, 0.0, 0.0);
@@ -274,8 +281,8 @@ pub fn run_theory_experiment(cfg: &TheoryConfig, horizon: usize, seed: u64) -> T
         // Raw (unrectified) increments, as in the classic regret definition:
         // rectifying at zero would accumulate pure evaluation noise at a
         // linear rate (E[max(N(0,σ²),0)] > 0) and mask the true decay. The
-        // cumulative curve is clamped at zero for reporting.
-        regret = (regret + (inst - best)).max(0.0);
+        // sum stays signed; only the reported `cum_regret` is clamped.
+        regret += inst - best;
 
         // Fairness violation of θ_t on this task: |v| (the trained penalty).
         let v = task_fairness(&model, &metric_loss, &eval_x, &eval_s);
@@ -315,11 +322,12 @@ pub fn run_theory_experiment(cfg: &TheoryConfig, horizon: usize, seed: u64) -> T
             model.project_params(cfg.radius);
         }
 
-        cum_regret.push(regret);
+        cum_regret.push(regret.max(0.0));
+        signed_regret.push(regret);
         cum_violation.push(violation);
         cum_queries.push(queries);
     }
-    TheoryCurves { cum_regret, cum_violation, cum_queries }
+    TheoryCurves { cum_regret, signed_regret, cum_violation, cum_queries }
 }
 
 #[cfg(test)]
@@ -355,6 +363,21 @@ mod tests {
     }
 
     #[test]
+    fn regret_beyond_the_comparator_sums_negative_and_reports_zero() {
+        // The comparator is trained with a strong fairness weight and pays
+        // for it in cross-entropy, so the online learner beats it on most
+        // tasks: the signed sum goes negative, and only the reported curve
+        // is clamped.
+        let cfg = TheoryConfig { samples_per_task: 60, ..Default::default() };
+        let curves = run_theory_experiment(&cfg, 20, 0);
+        let signed = curves.signed_regret[19];
+        assert!(signed < -1.0, "the learner beats the comparator: signed R(T) = {signed}");
+        for (reported, signed) in curves.cum_regret.iter().zip(&curves.signed_regret) {
+            assert_eq!(reported.to_bits(), signed.max(0.0).to_bits());
+        }
+    }
+
+    #[test]
     fn stationary_queries_decay() {
         // Query rate in the last quarter must be well below the first
         // quarter's: the model gains confidence on a stationary stream.
@@ -372,7 +395,7 @@ mod tests {
     #[test]
     fn dynamic_regret_runs_are_byte_identical() {
         // Two invocations with the same seed must produce *byte-identical*
-        // serialized curves — the property the analyzer gate protects. Use
+        // serialized curves — the property the determinism suites protect. Use
         // a multi-environment config so the per-environment comparator map
         // is actually exercised.
         let cfg = TheoryConfig {

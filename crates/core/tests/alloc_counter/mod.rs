@@ -1,7 +1,8 @@
 //! The counting global allocator behind the allocation gates
-//! (`train_step_alloc.rs`, `scoring_alloc.rs`, `snapshot_alloc.rs`): it
-//! forwards to the system allocator and counts the allocations a thread
-//! makes while [`allocations_during`] runs a closure on it.
+//! (`train_step_alloc.rs`, `scoring_alloc.rs`, `kernel_alloc.rs`,
+//! `snapshot_alloc.rs`): it forwards to the system allocator and counts the
+//! allocations a thread makes while [`allocations_during`] runs a closure
+//! on it.
 
 #![expect(
     unsafe_code,
@@ -29,28 +30,28 @@ fn note_allocation() {
     });
 }
 
-// analyzer:unsafe(invariant): every method forwards its arguments unchanged to `System`, which upholds the GlobalAlloc contract; the counting touches only const-initialized thread-locals, which never allocate
+// SAFETY: every method forwards its arguments unchanged to `System`, which upholds the GlobalAlloc contract; the counting touches only const-initialized thread-locals, which never allocate
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_allocation();
-        // analyzer:unsafe(invariant): caller's layout passed through to System unchanged
+        // SAFETY: caller's layout passed through to System unchanged
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note_allocation();
-        // analyzer:unsafe(invariant): caller's layout passed through to System unchanged
+        // SAFETY: caller's layout passed through to System unchanged
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note_allocation();
-        // analyzer:unsafe(invariant): ptr/layout came from this allocator, i.e. from System
+        // SAFETY: ptr/layout came from this allocator, i.e. from System
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // analyzer:unsafe(invariant): ptr/layout came from this allocator, i.e. from System
+        // SAFETY: ptr/layout came from this allocator, i.e. from System
         unsafe { System.dealloc(ptr, layout) }
     }
 }

@@ -85,7 +85,6 @@ impl Gaussian {
     ///
     /// # Panics
     /// Panics if `xt` or `y` does not have `dim()` rows.
-    // analyzer:hot-path
     pub(crate) fn log_pdf_panel(
         &self,
         xt: &[[f64; PANEL]],

@@ -435,7 +435,6 @@ impl FairDensityEstimator {
     /// # Errors
     /// Returns [`DensityError::DimensionMismatch`] if the feature width or
     /// `out` length disagree with the inputs.
-    // analyzer:hot-path
     pub fn log_density_batch_into(
         &self,
         features: &Matrix,
@@ -472,7 +471,6 @@ impl FairDensityEstimator {
     /// # Errors
     /// Returns [`DensityError::DimensionMismatch`] on any shape
     /// disagreement.
-    // analyzer:hot-path
     pub fn score_batch_into(
         &self,
         features: &Matrix,

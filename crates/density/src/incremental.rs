@@ -74,7 +74,6 @@ struct CellState {
 
 impl CellState {
     /// Adds `coef·u uᵀ` to the lower triangle of the scatter.
-    // analyzer:ordered: one rank-1 term per row, applied in arrival order (refit contract)
     fn add_outer(&mut self, coef: f64, u: &[f64]) {
         for (i, &ui) in u.iter().enumerate() {
             let cu = coef * ui;
@@ -252,7 +251,6 @@ impl IncrementalGda {
                 let u: Vec<f64> = z.iter().zip(&cell.mean).map(|(&zi, &mu)| zi - mu).collect();
                 cell.add_outer(m / (m + 1.0), &u);
                 for (mu, &ui) in cell.mean.iter_mut().zip(&u) {
-                    // analyzer:ordered: Welford-style mean update in arrival order (refit contract)
                     *mu += ui / (m + 1.0);
                 }
                 cell.count += 1;
@@ -545,6 +543,41 @@ mod tests {
             IncrementalGda::new(3, 2, FairDensityConfig { ridge: 0.0, ..cfg() }),
             Err(DensityError::Incremental { .. })
         ));
+    }
+
+    #[test]
+    fn inserts_apply_the_rank_one_updates_in_arrival_order_bitwise() {
+        // The 1e-8 tracking bound below tolerates any reordering or
+        // re-association of the updates; this pins the arithmetic itself. A
+        // cell's mean and scatter after a stream of inserts are the mean
+        // update and the rank-1 scatter terms applied row by row in arrival
+        // order, bit for bit, as the explicit loop here computes them.
+        let d = 3;
+        let mut rng = SeedRng::new(17);
+        let mut inc = IncrementalGda::new(d, 2, cfg()).unwrap();
+        let rows: Vec<Vec<f64>> = (0..12).map(|_| random_row(&mut rng, d, 1.0)).collect();
+        let (mut mean, mut scatter) = (rows[0].clone(), vec![vec![0.0; d]; d]);
+        for (uid, z) in rows.iter().enumerate() {
+            inc.insert(uid as u64, z, 0, 1).unwrap();
+            if uid == 0 {
+                continue;
+            }
+            let m = uid as f64;
+            let u: Vec<f64> = z.iter().zip(&mean).map(|(zi, mu)| zi - mu).collect();
+            for (i, (row, mu)) in scatter.iter_mut().zip(&mut mean).enumerate() {
+                for (s, uj) in row[..=i].iter_mut().zip(&u) {
+                    *s += m / (m + 1.0) * u[i] * uj;
+                }
+                *mu += u[i] / (m + 1.0);
+            }
+        }
+        let cell = &inc.cells[&ComponentKey { class: 0, sensitive: 1 }];
+        for (i, (row, mu)) in scatter.iter().zip(&mean).enumerate() {
+            assert_eq!(cell.mean[i].to_bits(), mu.to_bits(), "mean[{i}]");
+            for (j, s) in row[..=i].iter().enumerate() {
+                assert_eq!(cell.scatter.get(i, j).to_bits(), s.to_bits(), "scatter[{i}][{j}]");
+            }
+        }
     }
 
     #[test]

@@ -232,7 +232,7 @@ impl Engine {
             recorder.observe("engine.pool.job_run_ns", seconds_to_ns(seconds));
             match outcome {
                 Ok(Ok(result)) => {
-                    // analyzer:allow(blocking-in-worker): per-job slot mutex; each index is written once, so contention is zero
+                    // Per-job slot mutex: each index is written once, so it is never contended.
                     *lock(&results[idx]) = Some(result);
                     recorder.counter_add("engine.pool.jobs_completed", 1);
                     journal.record(&key, "finished", attempt, ctx.worker, seconds, "");
@@ -241,7 +241,7 @@ impl Engine {
                     // Structured errors are deterministic: fail immediately.
                     recorder.counter_add("engine.pool.jobs_failed", 1);
                     journal.record(&key, "failed", attempt, ctx.worker, seconds, &message);
-                    // analyzer:allow(blocking-in-worker): failure list is cold (held for one push on the error path)
+                    // The failure list is cold: held for one push on the error path.
                     lock(&failures).push(JobFailure { index: idx, key, attempts: attempt, message });
                 }
                 Err(payload) => {
@@ -253,7 +253,7 @@ impl Engine {
                     } else {
                         recorder.counter_add("engine.pool.jobs_failed", 1);
                         journal.record(&key, "failed", attempt, ctx.worker, seconds, &message);
-                        // analyzer:allow(blocking-in-worker): failure list is cold (held for one push on the error path)
+                        // The failure list is cold: held for one push on the error path.
                         lock(&failures)
                             .push(JobFailure { index: idx, key, attempts: attempt, message });
                     }
@@ -284,7 +284,6 @@ impl Engine {
     /// value for the journal summary (`Null` with the no-op recorder).
     /// Grid-end reporting only — never called on the job result path.
     fn engine_metrics(&self) -> serde_json::Value {
-        // analyzer:allow(telemetry-on-hot-path): report-time snapshot at grid end, not on a hot path
         let Some(snapshot) = self.config.recorder.snapshot() else {
             return serde_json::Value::Null;
         };

@@ -333,3 +333,32 @@ fn grid_resume_names_both_jobs_on_checkpoint_identity_mismatch() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn two_job_bodies_on_two_workers_run_at_once() {
+    // The engine's per-job bookkeeping (attempt count, journal, result
+    // slot, failure list) must hold no lock across `exec`: two job bodies
+    // that wait for each other at a rendezvous both finish only if they
+    // run at the same time. The batch runs on a helper thread so an engine
+    // that serializes its job bodies fails this test on the timeout
+    // instead of hanging the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let rendezvous = std::sync::Barrier::new(2);
+        let engine = Engine::new(EngineConfig {
+            workers: 2,
+            recorder: Handle::from(Arc::new(Registry::new())),
+            ..EngineConfig::default()
+        });
+        let outcome = engine.run_batch(&[0usize, 1], |&job| {
+            rendezvous.wait();
+            Ok(job)
+        });
+        let _ = tx.send((outcome.results, outcome.failures.len()));
+    });
+    let (results, failures) = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("two job bodies at a rendezvous must both finish, not block each other");
+    assert_eq!(failures, 0);
+    assert_eq!(results, [Some(0), Some(1)]);
+}

@@ -197,8 +197,6 @@ impl Cholesky {
     ///
     /// # Panics
     /// Panics if `mean`, `xt` or `y` does not have `dim()` entries (rows).
-    // analyzer:hot-path
-    // analyzer:ordered: per lane, ascending-k multiply then subtract, one divide per row, and the squares summed over ascending rows from +0.0 — the solve_lower + dot sequence
     pub fn mahalanobis_panel_into(
         &self,
         mean: &[f64],
@@ -241,7 +239,6 @@ impl Cholesky {
 
     /// `log |A| = 2 Σᵢ log Lᵢᵢ`.
     pub fn log_det(&self) -> f64 {
-        // analyzer:ordered: ascending-diagonal log sum
         (0..self.dim()).map(|i| self.l.get(i, i).ln()).sum::<f64>() * 2.0
     }
 

@@ -177,8 +177,6 @@ pub(crate) enum Layout {
 /// caller. Branch-free dense inner loop (no sparsity short-circuit).
 ///
 /// `a` is `m×k`, `b` is `k×n`, `out` is `m×n`, all row-major.
-// analyzer:hot-path
-// analyzer:ordered: ascending-k accumulation is the sequential bit-reference
 pub fn matmul_simple(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), k * n);
@@ -202,7 +200,6 @@ pub fn matmul_simple(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, 
 /// Every backend preserves the exact per-element ascending-`k` accumulation
 /// order, so the result is **bit-identical** regardless of what this
 /// dispatches to (the `kernel_equivalence` property suite proves it).
-// analyzer:hot-path
 pub fn matmul_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     matmul_on(crate::dispatch::active_backend(), a, b, out, m, k, n);
 }
@@ -217,7 +214,6 @@ pub fn matmul_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n:
 /// bit-identical either way (see module docs).
 ///
 /// [`KernelBackend::Scalar`]: crate::dispatch::KernelBackend::Scalar
-// analyzer:hot-path
 pub fn matmul_on(
     backend: crate::dispatch::KernelBackend,
     a: &[f64],
@@ -261,7 +257,6 @@ fn active_tiles() -> Tiles {
 /// Every output element accumulates onto its current `out` value over
 /// ascending `k`, so the caller's seed (`0.0` for a plain product, `-0.0`
 /// for the row-dot-compatible `A·Bᵀ`) is the first addend.
-// analyzer:hot-path
 #[expect(
     clippy::too_many_arguments,
     reason = "two operands, output, three extents, layout, micro-kernels"
@@ -452,7 +447,6 @@ fn sweep_panels(
 /// sums) and written back once, so per-element accumulation order stays the
 /// scalar loop's ascending-k order.
 #[inline]
-// analyzer:ordered: ascending-k accumulation into the register block matches matmul_simple
 pub(crate) fn kernel_full(
     apack: &[f64],
     klen: usize,
@@ -486,7 +480,6 @@ pub(crate) fn kernel_full(
 /// backend's [`EdgeTile`], and the AVX2 tiles' fallback for short panels.
 #[inline]
 #[expect(clippy::too_many_arguments, reason = "the EdgeTile ABI")]
-// analyzer:ordered: ascending-k accumulation on the edge tiles matches matmul_simple
 pub(crate) fn kernel_edge(
     apack: &[f64],
     klen: usize,
@@ -518,7 +511,6 @@ pub(crate) fn kernel_edge(
 /// storage; small shapes take [`matmul_tn_simple`]. Both keep per-element
 /// ascending-k order, so the result is bit-identical to
 /// `a.transpose().matmul(b)` on every backend.
-// analyzer:hot-path
 pub fn matmul_tn_into(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize, n: usize) {
     assert_eq!(a.len(), k * m);
     assert_eq!(b.len(), k * n);
@@ -533,8 +525,6 @@ pub fn matmul_tn_into(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize,
 /// Reference `out += aᵀ · b` (shapes as [`matmul_tn_into`]): the k-outer
 /// axpy sweep, which reads both operands row-contiguously. The small-shape
 /// path of [`matmul_tn_into`] and its bit-reference.
-// analyzer:hot-path
-// analyzer:ordered: k-outer axpy keeps per-element ascending-k order (bit-identical to transpose+matmul)
 pub fn matmul_tn_simple(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize, n: usize) {
     assert_eq!(a.len(), k * m);
     assert_eq!(b.len(), k * n);
@@ -559,7 +549,6 @@ pub fn matmul_tn_simple(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usiz
 /// macro-kernel on the active backend, so every element (zero signs
 /// included) is bit-identical to the row·row dot of [`matmul_nt_simple`],
 /// which small shapes take directly.
-// analyzer:hot-path
 pub fn matmul_nt_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), n * k);
@@ -575,7 +564,6 @@ pub fn matmul_nt_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize,
 /// Reference `out = a · bᵀ` (shapes as [`matmul_nt_into`]): one contiguous
 /// row·row [`crate::vector::dot`] per output element. The small-shape path
 /// of [`matmul_nt_into`] and its bit-reference.
-// analyzer:hot-path
 pub fn matmul_nt_simple(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), n * k);
@@ -599,8 +587,6 @@ const MV_ROWS: usize = 8;
 /// [`crate::vector::dot`]'s `Sum` runs — so each element is bit-identical
 /// to that row's `dot`, zero signs included; the `m % MV_ROWS` tail rows
 /// call `dot` directly.
-// analyzer:hot-path
-// analyzer:ordered: per-row ascending-k accumulation from -0.0, the vector::dot fold
 pub fn gemv_into(a: &[f64], x: &[f64], out: &mut [f64], m: usize, k: usize) {
     assert_eq!(a.len(), m * k);
     assert_eq!(x.len(), k);
@@ -627,7 +613,6 @@ pub fn gemv_into(a: &[f64], x: &[f64], out: &mut [f64], m: usize, k: usize) {
 /// Walks `TB×TB` tiles so both the strided reads and the strided writes stay
 /// within a tile that fits in L1, instead of streaming the whole output
 /// column-by-column.
-// analyzer:hot-path
 pub fn transpose_into(a: &[f64], out: &mut [f64], m: usize, n: usize) {
     assert_eq!(a.len(), m * n);
     assert_eq!(out.len(), m * n);

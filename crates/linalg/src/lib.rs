@@ -21,9 +21,8 @@
 //! compare the paths in the same build.
 //!
 //! `unsafe` is denied crate-wide except in [`simd`], which needs it for
-//! `core::arch` intrinsics; every unsafe site there carries an
-//! `analyzer:unsafe(invariant)` audit marker enforced by the workspace
-//! analyzer.
+//! `core::arch` intrinsics; every unsafe site there carries a `// SAFETY:`
+//! comment, which `clippy::undocumented_unsafe_blocks` enforces.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp))]
 

@@ -296,7 +296,7 @@ impl Matrix {
     pub fn transpose_into(&self, out: &mut Matrix) -> Result<()> {
         if out.rows != self.cols || out.cols != self.rows {
             return Err(LinalgError::ShapeMismatch {
-                left: format!("{}x{}", self.rows, self.cols), // analyzer:allow(hot-path-alloc): cold shape-mismatch exit ahead of the copy kernel
+                left: format!("{}x{}", self.rows, self.cols),
                 right: format!("{}x{}", out.rows, out.cols),
                 op: "transpose_into",
             });
@@ -392,7 +392,7 @@ impl Matrix {
     ) -> Result<()> {
         if inner_left != inner_right {
             return Err(LinalgError::ShapeMismatch {
-                left: format!("{}x{}", self.rows, self.cols), // analyzer:allow(hot-path-alloc): cold shape-mismatch exit guarding the GEMM wrappers
+                left: format!("{}x{}", self.rows, self.cols),
                 right: format!("inner {inner_right}"),
                 op,
             });
@@ -401,7 +401,7 @@ impl Matrix {
         let out_rows = if inner_left == self.cols { self.rows } else { self.cols };
         if out.rows != out_rows || out.cols != out_cols {
             return Err(LinalgError::ShapeMismatch {
-                left: format!("{out_rows}x{out_cols}"), // analyzer:allow(hot-path-alloc): cold shape-mismatch exit guarding the GEMM wrappers
+                left: format!("{out_rows}x{out_cols}"),
                 right: format!("{}x{}", out.rows, out.cols),
                 op,
             });

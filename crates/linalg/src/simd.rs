@@ -38,10 +38,10 @@
 //! "avx2")]` or `"avx512f"` function after a positive runtime
 //! `is_x86_feature_detected!` check, and (b) unaligned vector loads/stores
 //! whose bounds are established by the same slice-length assertions the
-//! scalar kernels run. Every unsafe site carries an
-//! `analyzer:unsafe(invariant)` audit marker, enforced by the workspace
-//! analyzer, and this file's `#[cfg(test)]` region cross-checks the kernels
-//! against the scalar reference.
+//! scalar kernels run. Every unsafe site carries a `// SAFETY:` comment
+//! naming its invariant (`clippy::undocumented_unsafe_blocks` is denied
+//! workspace-wide), and this file's `#[cfg(test)]` region cross-checks the
+//! kernels against the scalar reference.
 
 #![deny(
     clippy::cast_possible_truncation,
@@ -84,7 +84,7 @@ pub(crate) fn kernel_full_simd(
 ) {
     #[cfg(target_arch = "x86_64")]
     if simd_available() {
-        // analyzer:unsafe(invariant): avx2 verified by is_x86_feature_detected on the line above; tile bounds are re-asserted inside the kernel before any raw load/store
+        // SAFETY: avx2 verified by is_x86_feature_detected on the line above; tile bounds are re-asserted inside the kernel before any raw load/store
         unsafe { kernel_full_avx2(apack, klen, b, ldb, out, ldo) };
         return;
     }
@@ -121,7 +121,7 @@ pub(crate) fn kernel_edge_simd(
             _ => unreachable!("a narrow tile is narrower than NR"),
         };
         let full = ilen / MR;
-        // analyzer:unsafe(invariant): avx2 verified by is_x86_feature_detected on the line above; tile bounds are re-asserted inside the kernel before any raw load/store
+        // SAFETY: avx2 verified by is_x86_feature_detected on the line above; tile bounds are re-asserted inside the kernel before any raw load/store
         unsafe { narrow(apack, klen, full, b, ldb, out, ldo) };
         if full * MR < ilen {
             let (apack, out) = (&apack[full * klen * MR..], &mut out[full * MR * ldo..]);
@@ -146,7 +146,7 @@ pub(crate) fn kernel_pair_simd(
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx512_available() {
-        // analyzer:unsafe(invariant): avx512f verified by is_x86_feature_detected on the line above; tile bounds are re-asserted inside the kernel before any raw load/store
+        // SAFETY: avx512f verified by is_x86_feature_detected on the line above; tile bounds are re-asserted inside the kernel before any raw load/store
         unsafe { kernel_pair_avx512(apack, klen, b, ldb, hi, out, ldo) };
         return;
     }
@@ -170,8 +170,7 @@ pub(crate) fn kernel_pair_simd(
 /// loads/stores below stay inside those asserted ranges.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-// analyzer:ordered: lane-parallel across j, ascending-k per lane with separate mul+add — the scalar kernel_full order
-// analyzer:unsafe(invariant): bounds asserted on entry (apack/b/out cover the tile); loads and stores are unaligned and stay within the asserted slice ranges; no FMA so rounding matches the scalar reference
+// SAFETY: bounds asserted on entry (apack/b/out cover the tile); loads and stores are unaligned and stay within the asserted slice ranges; no FMA so rounding matches the scalar reference
 unsafe fn kernel_pair_avx512(
     apack: &[f64],
     klen: usize,
@@ -251,8 +250,7 @@ unsafe fn kernel_pair_avx512(
 /// loads/stores below stay inside those asserted ranges.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// analyzer:ordered: lane-parallel across j, ascending-k per lane with separate mul+add — the scalar kernel_full order
-// analyzer:unsafe(invariant): bounds asserted on entry (apack/b/out cover the tile); loads and stores are unaligned and stay within the asserted slice ranges; no FMA so rounding matches the scalar reference
+// SAFETY: bounds asserted on entry (apack/b/out cover the tile); loads and stores are unaligned and stay within the asserted slice ranges; no FMA so rounding matches the scalar reference
 unsafe fn kernel_full_avx2(
     apack: &[f64],
     klen: usize,
@@ -332,7 +330,7 @@ unsafe fn kernel_full_avx2(
 /// every raw load below stays inside those asserted ranges.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// analyzer:unsafe(invariant): bounds asserted on entry (apack/b/out cover every panel); raw loads stay within the asserted slice ranges and the output goes through checked indexing
+// SAFETY: bounds asserted on entry (apack/b/out cover every panel); raw loads stay within the asserted slice ranges and the output goes through checked indexing
 unsafe fn kernel_narrow_avx2<const J: usize, const P: usize>(
     apack: &[f64],
     klen: usize,
@@ -371,8 +369,7 @@ unsafe fn kernel_narrow_avx2<const J: usize, const P: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-// analyzer:ordered: lane-parallel across the MR rows, ascending-k per lane with separate mul+add — the scalar kernel_edge order
-// analyzer:unsafe(invariant): the caller asserted the bounds of panels p0..p0+P; no FMA so rounding matches the scalar reference
+// SAFETY: the caller asserted the bounds of panels p0..p0+P; no FMA so rounding matches the scalar reference
 unsafe fn narrow_panels<const J: usize, const P: usize>(
     apack: &[f64],
     klen: usize,
@@ -427,7 +424,7 @@ mod tests {
         (0..m * n).map(|_| rng.uniform_range(-2.0, 2.0)).collect()
     }
 
-    /// The analyzer-mandated cross-check region: each SIMD backend's product
+    /// The scalar cross-check: each SIMD backend's product
     /// must be bit-identical to the scalar reference on every shape class
     /// the blocked sweep produces (pair tiles, a leftover single panel,
     /// narrow tiles, i/j edges, multiple k-panels).

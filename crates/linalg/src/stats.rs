@@ -109,7 +109,6 @@ pub fn mean_and_covariance(rows: &[&[f64]], ridge: f64) -> Result<(Vec<f64>, Mat
 ///
 /// Returns `None` when either sample is constant (undefined correlation) or
 /// shorter than two elements.
-// analyzer:ordered: single left-to-right pass accumulates cov/va/vb together
 pub fn pearson(a: &[f64], b: &[f64]) -> Option<f64> {
     if a.len() != b.len() || a.len() < 2 {
         return None;

@@ -10,7 +10,6 @@
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
-// analyzer:ordered: left-to-right pairwise products; the scalar dot is the scoring bit-reference
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch {} vs {}", a.len(), b.len());
@@ -21,7 +20,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
-// analyzer:ordered: in-place ascending-index update; callers rely on this exact order
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch {} vs {}", x.len(), y.len());
@@ -40,7 +38,6 @@ pub fn norm2(a: &[f64]) -> f64 {
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
-// analyzer:ordered: left-to-right squared-difference sum, shared by QuFUR distance scoring
 #[inline]
 pub fn dist2(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dist2: length mismatch");
@@ -108,7 +105,6 @@ pub fn argmin(a: &[f64]) -> Option<usize> {
 }
 
 /// Arithmetic mean. Returns `None` for an empty slice.
-// analyzer:ordered: left-to-right sum before the single divide
 pub fn mean(a: &[f64]) -> Option<f64> {
     if a.is_empty() {
         None
@@ -120,7 +116,6 @@ pub fn mean(a: &[f64]) -> Option<f64> {
 /// Sample variance with Bessel's correction (divides by `n - 1`).
 ///
 /// Returns `None` if fewer than two elements are supplied.
-// analyzer:ordered: left-to-right squared-deviation sum with Bessel divide at the end
 pub fn variance(a: &[f64]) -> Option<f64> {
     if a.len() < 2 {
         return None;
@@ -132,7 +127,6 @@ pub fn variance(a: &[f64]) -> Option<f64> {
 /// Numerically stable log-sum-exp: `log(sum_i exp(a_i))`.
 ///
 /// Returns negative infinity for an empty slice (the sum of zero terms).
-// analyzer:ordered: max-fold then left-to-right exp sum; GDA log-density depends on this order
 pub fn logsumexp(a: &[f64]) -> f64 {
     let m = a.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     if m == f64::NEG_INFINITY {

@@ -330,3 +330,77 @@ fn covariance_by_row_loop(rows: &[&[f64]], ridge: f64) -> Matrix {
     cov.add_diagonal(ridge);
     cov
 }
+
+/// The explicit left-to-right sum these reductions are defined by: folded
+/// from `-0.0`, the identity `f64`'s `Sum` starts from, so zero signs
+/// compare too.
+fn left_to_right(terms: impl Iterator<Item = f64>) -> f64 {
+    terms.fold(-0.0, |acc, t| acc + t)
+}
+
+fn samples() -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(-100.0..100.0f64, 3..40)
+}
+
+// The float reductions whose evaluation order no end-to-end suite pins:
+// each must equal its left-to-right fold bit for bit, so a reordered sum
+// fails here instead of drifting the scores by an ulp.
+proptest! {
+    #[test]
+    fn dist2_is_the_left_to_right_sum_bitwise(a in samples(), seed in 0u64..1000) {
+        let mut rng = SeedRng::new(seed);
+        let b: Vec<f64> = a.iter().map(|_| rng.uniform_range(-100.0, 100.0)).collect();
+        let want = left_to_right(a.iter().zip(&b).map(|(x, y)| (x - y) * (x - y)));
+        prop_assert_eq!(vector::dist2(&a, &b).to_bits(), want.to_bits());
+    }
+
+    #[test]
+    fn mean_and_variance_are_left_to_right_sums_bitwise(a in samples()) {
+        let n = a.len() as f64;
+        let mean = left_to_right(a.iter().copied()) / n;
+        let variance = left_to_right(a.iter().map(|v| (v - mean) * (v - mean))) / (n - 1.0);
+        prop_assert_eq!(vector::mean(&a).map(f64::to_bits), Some(mean.to_bits()));
+        prop_assert_eq!(vector::variance(&a).map(f64::to_bits), Some(variance.to_bits()));
+    }
+
+    #[test]
+    fn logsumexp_is_the_left_to_right_sum_bitwise(
+        a in proptest::collection::vec(-3.0..3.0f64, 3..40),
+    ) {
+        // A narrow range, so every exp term is within e⁻⁶ of the largest
+        // and none vanishes in the sum: the order shows in the last bits.
+        let m = a.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let want = m + left_to_right(a.iter().map(|v| (v - m).exp())).ln();
+        prop_assert_eq!(vector::logsumexp(&a).to_bits(), want.to_bits());
+    }
+
+    #[test]
+    fn pearson_is_one_left_to_right_pass_bitwise(a in samples(), seed in 0u64..1000) {
+        let mut rng = SeedRng::new(seed);
+        let b: Vec<f64> = a.iter().map(|_| rng.uniform_range(-100.0, 100.0)).collect();
+        let n = a.len() as f64;
+        let (ma, mb) = (left_to_right(a.iter().copied()) / n, left_to_right(b.iter().copied()) / n);
+        let (mut cov, mut va, mut vb) = (0.0, 0.0, 0.0);
+        for (x, y) in a.iter().zip(&b) {
+            cov += (x - ma) * (y - mb);
+            va += (x - ma) * (x - ma);
+            vb += (y - mb) * (y - mb);
+        }
+        let want = cov / (va.sqrt() * vb.sqrt());
+        let got = faction_linalg::stats::pearson(&a, &b);
+        prop_assert_eq!(got.map(f64::to_bits), Some(want.to_bits()));
+    }
+
+    #[test]
+    fn log_det_is_the_left_to_right_diagonal_sum_bitwise(seed in 0u64..500, d in 3usize..12) {
+        let mut rng = SeedRng::new(seed);
+        let g_data: Vec<f64> = (0..d * d).map(|_| rng.uniform_range(-1.0, 1.0)).collect();
+        let g = Matrix::from_vec(d, d, g_data).unwrap();
+        let mut a = g.matmul(&g.transpose()).unwrap();
+        a.add_diagonal(1.0);
+        let chol = Cholesky::factor(&a).unwrap();
+        let l = chol.factor_l();
+        let want = left_to_right((0..d).map(|i| l.get(i, i).ln())) * 2.0;
+        prop_assert_eq!(chol.log_det().to_bits(), want.to_bits());
+    }
+}

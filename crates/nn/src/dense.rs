@@ -82,7 +82,6 @@ impl Dense {
     ///
     /// # Panics
     /// Panics if `x.cols() != fan_in` (programming error in model wiring).
-    // analyzer:hot-path
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
         self.affine_into(x, out, |v| v);
     }
@@ -94,7 +93,6 @@ impl Dense {
     ///
     /// # Panics
     /// Panics if `x.cols() != fan_in` (programming error in model wiring).
-    // analyzer:hot-path
     pub fn forward_relu_into(&self, x: &Matrix, out: &mut Matrix) {
         self.affine_into(x, out, relu_value);
     }
@@ -130,7 +128,6 @@ impl Dense {
     /// transpose-free GEMM kernels (`XᵀΔ` and `ΔWᵀ` without materializing
     /// either transpose), so the only state touched is the layer's own
     /// gradient buffers and `dx`.
-    // analyzer:hot-path
     pub fn backward_into(&mut self, x: &Matrix, delta: &Matrix, dx: &mut Matrix) {
         self.backward_params(x, delta);
         // The product writes every element of `dx` (from its own `-0.0`

@@ -250,7 +250,6 @@ impl Mlp {
     /// a step makes no heap allocation. The backward pass stops at the input
     /// layer's parameter gradients: `dL/dX` of the network input is never
     /// formed, since nothing reads it. Bit-identical to [`Mlp::train_step`].
-    // analyzer:hot-path
     pub fn train_step_with(
         &mut self,
         x: &Matrix,

@@ -759,7 +759,6 @@ fn snapshot(slot: &mut SessionSlot) -> PhaseA {
     let (Some(session), Some(strategy)) = (slot.session.as_ref(), slot.strategy.as_ref()) else {
         return PhaseA::Failed("session not booted".to_string());
     };
-    // analyzer:allow(telemetry-on-hot-path): OnlineSession state capture, not a telemetry registry merge
     let snapshot = session.snapshot(strategy.as_ref());
     // The size the snapshot would have on disk, counted without writing it.
     let bytes = snapshot.wire_len();

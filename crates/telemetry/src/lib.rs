@@ -46,8 +46,8 @@ pub use scope::{
 /// embedded so the sanctioned key set ships with the library.
 ///
 /// Format: one key per line, `#` starts a comment, a trailing `*` marks a
-/// prefix wildcard for dynamically-formatted key families. The analyzer's
-/// `telemetry-key-registry` rule holds every literal key at a recording or
+/// prefix wildcard for dynamically-formatted key families. The
+/// `tests/key_registry.rs` suite holds every literal key at a recording or
 /// snapshot call site to this list, so a typo'd key (`engine.pool.park_wait`
 /// vs `….park_waits`) fails `scripts/check.sh` instead of silently splitting a
 /// metric in two.

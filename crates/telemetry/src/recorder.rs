@@ -12,9 +12,11 @@ use crate::scope::ScopeGuard;
 /// Every method has a do-nothing default so implementors opt into exactly
 /// what they store. The trait is deliberately write-only from the caller's
 /// perspective: [`Recorder::snapshot`] exists for report generation at the
-/// *end* of a run, and the analyzer's `telemetry-on-hot-path` rule flags
-/// any call to it from library code so recorded state can never leak back
-/// into algorithmic decisions.
+/// *end* of a run. [`Handle::snapshot`] asserts, in debug builds, that no
+/// recording scope is entered on the calling thread: job bodies and serve
+/// operations run inside one, so a shard merge there panics in the test
+/// suites instead of serializing workers, and recorded state cannot leak
+/// back into algorithmic decisions.
 pub trait Recorder: Send + Sync {
     /// Adds `delta` to the named monotonic counter.
     fn counter_add(&self, key: &str, delta: u64) {
@@ -93,8 +95,16 @@ impl Handle {
         self.inner.observe(key, value);
     }
 
-    /// See [`Recorder::snapshot`]. Report-time only.
+    /// See [`Recorder::snapshot`]. Report-time only: a snapshot merges
+    /// every registry shard under its locks, so taking one while a
+    /// recording scope is entered (inside a job body or a serve operation)
+    /// is a debug-build panic.
     pub fn snapshot(&self) -> Option<Snapshot> {
+        debug_assert!(
+            !crate::scope::recording(),
+            "Handle::snapshot inside a recording scope: take snapshots at report time, \
+             outside job bodies and serve operations"
+        );
         self.inner.snapshot()
     }
 
@@ -136,5 +146,14 @@ mod tests {
         h.observe("a.b.h", 1);
         assert!(h.snapshot().is_none());
         assert_eq!(format!("{h:?}"), "Handle { enabled: false }");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "Handle::snapshot inside a recording scope")]
+    fn snapshot_inside_a_recording_scope_panics() {
+        let h = Handle::from(Arc::new(crate::Registry::new()));
+        let _scope = h.enter();
+        let _ = h.snapshot();
     }
 }

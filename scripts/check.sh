@@ -24,8 +24,12 @@
 # | allocation-free SGD step (standard + tiny presets)     | crates/core/tests/train_step_alloc.rs                        |
 # | allocation-free candidate scoring (full + incremental) | crates/core/tests/scoring_alloc.rs                           |
 # | telemetry inertness (recording on == off)              | crates/telemetry/tests/inertness.rs                          |
-# | analyzer: 7 project rules + clean self-scan            | crates/analyzer/tests/golden.rs                              |
-# | retired analyzer rules rejected by clippy              | crates/analyzer/tests/golden.rs (clippy fixture)             |
+# | allocation-free kernels (GEMM, gemv, transpose, GDA)   | crates/core/tests/kernel_alloc.rs                            |
+# | float reductions == their left-to-right fold (bitwise) | crates/linalg/tests/proptests.rs                             |
+# | every literal telemetry key is in keys.txt             | crates/telemetry/tests/key_registry.rs                       |
+# | no registry snapshot inside a recording scope          | crates/telemetry/src/recorder.rs (debug assert, unit test)   |
+# | engine holds no lock across a job body (rendezvous)    | crates/engine/tests/stress.rs                                |
+# | each lint rejects its hazard (clippy fixture)          | tests/lint_config.rs (tests/clippy_fixture/)                 |
 # | bounded stream == truncated full stream (bitwise)      | crates/data/tests/prefix_equivalence.rs                      |
 # | panicking pool body re-raises, never hangs             | crates/engine/src/pool.rs (unit test)                        |
 # | pool caller is worker 0 (thread ids, its panic drains) | crates/engine/src/pool.rs (unit tests)                       |
@@ -67,11 +71,12 @@ run_stage "cargo test -q --workspace" \
     cargo test -q --workspace
 
 # --all-targets lints the tests, examples and binaries too, not only the
-# library code the plain invocation checks. This stage enforces what were
-# six analyzer rules: hash-ordered containers, wall-clock reads and seedless
+# library code the plain invocation checks. This stage enforces seven
+# project rules: hash-ordered containers, wall-clock reads and seedless
 # hashers (clippy.toml), panics in library code and float equality (crate
-# roots), lossy casts in the hot paths, unsafe code and missing docs
-# ([workspace.lints]); crates/analyzer/tests/clippy_fixture/ proves each.
+# roots), lossy casts in the hot paths, unsafe code, unsafe blocks without a
+# `// SAFETY:` comment and missing docs ([workspace.lints]);
+# tests/clippy_fixture/ proves each (tests/lint_config.rs).
 run_stage "cargo clippy --workspace --all-targets -- -D warnings" \
     cargo clippy --workspace --all-targets -- -D warnings
 
